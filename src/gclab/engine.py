@@ -1,7 +1,14 @@
 """Small-step semantics and the three execution disciplines.
 
-A configuration is a residue (the pending statements) plus a state; a
-program step rewrites the head of the residue. On top of `step` sit:
+A configuration is a program point plus a state. A program point is a
+residue (the tuple of pending statements) lowered once, the first time a
+search reaches it, and interned by structure in a `Points` table: each
+structurally distinct residue has one `Point`, which caches its head
+statement, its rendered key, the variables its head reads and writes,
+and its successor points. Configurations of one table therefore compare
+by point identity plus the state, and hash by the point's stored hash,
+without walking the syntax tree. A program step rewrites the head of the
+residue. On top of `step` sit:
 
 * `explore_demonic` - exhaustive depth-first exploration of the whole
   computation tree with memoization, lasso-based divergence detection and
@@ -17,6 +24,7 @@ types through the same traversal.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable
@@ -44,27 +52,163 @@ class Limits:
             raise ValueError("limits must be positive")
 
 
-@dataclass(frozen=True, slots=True)
-class Config:
-    """Node of the computation tree: pending statements plus a state."""
+# ---------------------------------------------------------------------------
+# Program points
+# ---------------------------------------------------------------------------
 
-    residue: tuple[Stmt, ...]
+class Points:
+    """Intern table of program points, scoped to one search or one
+    program: one `Point` per structurally distinct residue."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self):
+        self._table: dict[tuple[Stmt, ...], Point] = {}
+
+    def lower(self, residue: tuple[Stmt, ...]) -> Point:
+        """The point of a residue. Sequences at the head unfold
+        structurally; they are not steps."""
+        while residue and isinstance(residue[0], Seq):
+            residue = residue[0].stmts + residue[1:]
+        pt = self._table.get(residue)
+        if pt is None:
+            pt = self._table[residue] = Point(self, residue)
+        return pt
+
+
+class Point:
+    """One interned residue. Everything derived from the residue is
+    computed at most once, on first use."""
+
+    __slots__ = ("points", "residue", "head", "hash", "_key", "_label",
+                 "_effects", "_rest", "_arms")
+
+    def __init__(self, points: Points, residue: tuple[Stmt, ...]):
+        self.points = points
+        self.residue = residue
+        self.head = residue[0] if residue else None
+        self.hash = hash(residue)
+        self._key: str | None = None
+        self._label: str | None = None
+        self._effects: tuple[frozenset[str], frozenset[str]] | None = None
+        self._rest: Point | None = None
+        self._arms: list[Point | None] | None = None
+
+    @property
+    def key(self) -> str:
+        """The rendered residue, as it appears in divergence keys."""
+        if self._key is None:
+            self._key = " ; ".join(render_stmt_inline(s) for s in self.residue)
+        return self._key
+
+    @property
+    def label(self) -> str:
+        """Step label of an assignment head: its inline rendering."""
+        if self._label is None:
+            self._label = render_stmt_inline(self.head)
+        return self._label
+
+    @property
+    def effects(self) -> tuple[frozenset[str], frozenset[str]]:
+        """(sensitive reads, writes) of executing the head statement."""
+        if self._effects is None:
+            reads, writes = _head_effects(self.head)
+            self._effects = (frozenset(reads), frozenset(writes))
+        return self._effects
+
+    def rest(self) -> Point:
+        """After the head: the successor of a simple statement and the
+        exit of a repetition."""
+        if self._rest is None:
+            self._rest = self.points.lower(self.residue[1:])
+        return self._rest
+
+    def arm(self, i: int) -> Point:
+        """Arm i of an if-fi head (its body, then the rest) or of a do-od
+        head (its body, then the loop again)."""
+        arms = self._arms
+        if arms is None:
+            arms = self._arms = [None] * len(self.head.arms)
+        pt = arms[i]
+        if pt is None:
+            tail = self.residue if isinstance(self.head, Do) else self.residue[1:]
+            pt = arms[i] = self.points.lower((self.head.arms[i].body,) + tail)
+        return pt
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Config:
+    """Node of the computation tree: a program point plus a state.
+
+    Within one `Points` table, equal configurations share their point, so
+    equality is point identity plus state equality; points of different
+    tables fall back to comparing residues."""
+
+    point: Point
     state: State
 
     @property
+    def residue(self) -> tuple[Stmt, ...]:
+        return self.point.residue
+
+    @property
     def terminated(self) -> bool:
-        return not self.residue
+        return self.point.head is None
 
     def residue_key(self) -> str:
-        return " ; ".join(render_stmt_inline(s) for s in self.residue)
+        return self.point.key
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Config):
+            return NotImplemented
+        a, b = self.point, other.point
+        return ((a is b or (a.points is not b.points and a.residue == b.residue))
+                and self.state == other.state)
+
+    def __hash__(self) -> int:
+        return hash((self.point.hash, self.state))
 
 
 def make_config(residue: tuple[Stmt, ...], state: State) -> Config:
-    """Normalize the residue head: sequences unfold structurally, they are
-    not steps. Keeps configuration identity canonical for memoization."""
-    while residue and isinstance(residue[0], Seq):
-        residue = residue[0].stmts + residue[1:]
-    return Config(residue, state)
+    """Configuration of a residue in a table of its own; the successors
+    `step` returns share that table."""
+    return Config(Points().lower(residue), state)
+
+
+class IdentityCache:
+    """Bounded cache of values derived from objects, keyed by identity.
+
+    Each entry holds its key object, so that object's id() cannot be
+    reused by another object while the entry exists; the least recently
+    used entry goes first once the bound is reached. Not thread-safe, like
+    the rest of the engine."""
+
+    __slots__ = ("_entries", "_size")
+
+    def __init__(self, size: int):
+        self._entries: OrderedDict[int, tuple[Any, Any]] = OrderedDict()
+        self._size = size
+
+    def get(self, obj: Any, make: Callable[[Any], Any]) -> Any:
+        entries = self._entries
+        entry = entries.get(id(obj))
+        if entry is None:
+            entry = entries[id(obj)] = (obj, make(obj))
+            if len(entries) > self._size:
+                entries.popitem(last=False)
+        else:
+            entries.move_to_end(id(obj))
+        return entry[1]
+
+
+# Root points of recently run statements: a program explored or run many
+# times (a seed sweep, the sub-searches of the concurrency semantics)
+# lowers each of its residues once.
+_ROOTS = IdentityCache(64)
+
+
+def _root(stmt: Stmt) -> Point:
+    return _ROOTS.get(stmt, lambda st: Points().lower((st,)))
 
 
 def config_key(c: Config) -> str:
@@ -222,12 +366,12 @@ def step(c: Config, choice_bound: int) -> StepResult:
     `x := choice(t)` enumerates 1..t and fails when t < 1. A guard or
     right-hand side that fails to evaluate fails the whole command.
     """
-    head = c.residue[0]
-    rest = c.residue[1:]
+    pt = c.point
+    head = pt.head
     s = c.state
 
     if isinstance(head, Skip):
-        return StepResult([("skip", make_config(rest, s))])
+        return StepResult([("skip", Config(pt.rest(), s))])
 
     if isinstance(head, Fail):
         return _fail("explicit-fail", head.keyword)
@@ -238,11 +382,12 @@ def step(c: Config, choice_bound: int) -> StepResult:
             s2 = apply_parallel_assign(head.targets, values, s)
         except EvalError as e:
             return _fail(e.reason, e.detail)
-        return StepResult([(render_stmt_inline(head), make_config(rest, s2))])
+        return StepResult([(pt.label, Config(pt.rest(), s2))])
 
     if isinstance(head, RandomAssign):
+        rest = pt.rest()
         trans = [(f"{head.target} := {v}",
-                  make_config(rest, s.set_scalar(head.target, v)))
+                  Config(rest, s.set_scalar(head.target, v)))
                  for v in range(choice_bound + 1)]
         return StepResult(trans, truncated=True)
 
@@ -253,8 +398,9 @@ def step(c: Config, choice_bound: int) -> StepResult:
             return _fail(e.reason, e.detail)
         if bound < 1:
             return _fail("eval-error", f"choice({bound}) has no value")
+        rest = pt.rest()
         trans = [(f"{head.target} := {v}",
-                  make_config(rest, s.set_scalar(head.target, v)))
+                  Config(rest, s.set_scalar(head.target, v)))
                  for v in range(1, bound + 1)]
         return StepResult(trans)
 
@@ -266,7 +412,7 @@ def step(c: Config, choice_bound: int) -> StepResult:
             except EvalError as e:
                 return _fail(e.reason, e.detail)
             if enabled:
-                trans.append((f"if#{i + 1}", make_config((arm.body,) + rest, s)))
+                trans.append((f"if#{i + 1}", Config(pt.arm(i), s)))
         if not trans:
             return _fail("guard-all-false-in-if")
         return StepResult(trans)
@@ -279,10 +425,9 @@ def step(c: Config, choice_bound: int) -> StepResult:
             except EvalError as e:
                 return _fail(e.reason, e.detail)
             if enabled:
-                trans.append((f"do#{i + 1}",
-                              make_config((arm.body, head) + rest, s)))
+                trans.append((f"do#{i + 1}", Config(pt.arm(i), s)))
         if not trans:
-            return StepResult([("od", make_config(rest, s))])
+            return StepResult([("od", Config(pt.rest(), s))])
         return StepResult(trans)
 
     raise TypeError(f"{type(head).__name__} is not a guarded-commands statement")
@@ -422,16 +567,13 @@ class GraphSearch:
         if exp.truncated:
             self.record(BoundExceeded("choice-bound"))
         if not exp.transitions:
-            self._propagate_clean(stack, clean)
+            if not clean:
+                self._taint(stack)
             return None
         return [node, exp.transitions, 0, depth, clean]
 
     def _taint(self, stack: list) -> None:
         if stack:
-            stack[-1][4] = False
-
-    def _propagate_clean(self, stack: list, clean: bool) -> None:
-        if stack and not clean:
             stack[-1][4] = False
 
     def report(self) -> ExplorationReport:
@@ -508,26 +650,30 @@ def _control_lasso_scan(path: list, nxt: Config, label: str) -> Divergent | None
     branches on any variable the cycle writes, the same step labels stay
     enabled forever and the program diverges, even though the written
     variables keep changing value.
+
+    Ancestors are tried nearest first, with the effects of the steps from
+    the ancestor to the end of the path accumulated on the way back. The
+    sets only grow, so once the cycle reads what it writes, no ancestor
+    further back can qualify.
     """
-    if not isinstance(nxt.residue[0] if nxt.residue else None, Do):
+    pt = nxt.point
+    if not isinstance(pt.head, Do):
         return None
+    reads: set[str] = set()
+    writes: set[str] = set()
     for at in range(len(path) - 1, -1, -1):
-        anc, _ = path[at]
-        if anc.residue != nxt.residue:
+        anc = path[at][0].point
+        r, w = anc.effects
+        reads |= r
+        writes |= w
+        if reads & writes:
+            return None
+        if anc is not pt or not writes:
             continue
-        reads: set[str] = set()
-        writes: set[str] = set()
-        for k in range(at, len(path)):
-            r, w = _head_effects(path[k][0].residue[0])
-            reads |= r
-            writes |= w
-        if not writes or (reads & writes):
-            continue
-        hidden = writes
-        proj = _starred_canonical(nxt.state, hidden)
+        proj = _starred_canonical(nxt.state, writes)
         stem = tuple(lab for _, lab in path[1:at + 1])
         cycle = tuple(lab for _, lab in path[at + 1:]) + (label,)
-        return Divergent(f"{nxt.residue_key()} @ {proj}", False, stem, cycle)
+        return Divergent(f"{pt.key} @ {proj}", False, stem, cycle)
     return None
 
 
@@ -545,7 +691,7 @@ def explore_statement(stmt: Stmt, s0: State, lim: Limits) -> ExplorationReport:
         lim, _gcl_expand(lim), config_key,
         lambda cfg: cfg.state if cfg.terminated else None,
         revisit_scan=_control_lasso_scan)
-    search.run(make_config((stmt,), s0))
+    search.run(Config(_root(stmt), s0))
     return search.report()
 
 
@@ -597,20 +743,22 @@ def run_erratic(p: GclProgram, s0: State | None = None, seed: int = 0,
 
     Reproducible: the same (program, state, seed, fuel) gives the same
     outcome. `x := ?` is sampled geometrically so that every natural
-    number can occur; `x := choice(t)` is uniform on 1..t.
+    number can occur; `x := choice(t)` is uniform on 1..t. Negative fuel
+    raises ValueError.
     """
+    if fuel < 0:
+        raise ValueError("fuel must not be negative")
     if s0 is None:
         s0 = initial_state(p.decls)
     rng = Random(seed)
-    cfg = make_config((p.body,), s0)
+    cfg = Config(_root(p.body), s0)
     for _ in range(fuel):
         if cfg.terminated:
             return Terminated(cfg.state)
-        head = cfg.residue[0]
+        head = cfg.point.head
         if isinstance(head, RandomAssign):
             v = _geometric(rng)
-            cfg = make_config(cfg.residue[1:],
-                              cfg.state.set_scalar(head.target, v))
+            cfg = Config(cfg.point.rest(), cfg.state.set_scalar(head.target, v))
             continue
         if isinstance(head, ChoiceAssign):
             try:
@@ -620,8 +768,7 @@ def run_erratic(p: GclProgram, s0: State | None = None, seed: int = 0,
             if bound < 1:
                 return Failed("eval-error", cfg.state, f"choice({bound}) has no value")
             v = rng.randint(1, bound)
-            cfg = make_config(cfg.residue[1:],
-                              cfg.state.set_scalar(head.target, v))
+            cfg = Config(cfg.point.rest(), cfg.state.set_scalar(head.target, v))
             continue
         res = step(cfg, 0)
         if res.failure is not None:
@@ -669,7 +816,7 @@ def solve_angelic(p: GclProgram, s0: State | None = None,
             return None  # failures are discarded
         return [cfg, res.transitions, 0, depth, not res.truncated]
 
-    root = make_config((p.body,), s0)
+    root = Config(_root(p.body), s0)
     first = classify(root, 0)
     if not isinstance(first, list):
         return found

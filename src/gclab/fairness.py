@@ -18,7 +18,8 @@ from random import Random
 
 from .check import decl_map, type_of
 from .engine import (
-    BoundExceeded, Failed, Outcome, Terminated, make_config, step,
+    BoundExceeded, Config, Failed, IdentityCache, Outcome, Point, Points,
+    Terminated, step,
 )
 from .errors import CheckError, EvalError
 from .printer import render_stmt_inline
@@ -269,13 +270,14 @@ def _fresh_priority(rng: Random) -> int:
     return rng.randint(0, 24)
 
 
-def _run_deterministic(stmt: Stmt, s: State, fuel: int) -> tuple[State | None, Outcome | None, int]:
-    """Run a deterministic statement to completion.
+def _run_deterministic(pt: Point, s: State, fuel: int) -> tuple[State | None, Outcome | None, int]:
+    """Run a deterministic statement, lowered to its program point, to
+    completion.
 
     Returns (final state, None, fuel_used) on success or (None, outcome,
     fuel_used) on failure or fuel exhaustion.
     """
-    cfg = make_config((stmt,), s)
+    cfg = Config(pt, s)
     used = 0
     while not cfg.terminated:
         if used >= fuel:
@@ -293,6 +295,40 @@ def _run_deterministic(stmt: Stmt, s: State, fuel: int) -> tuple[State | None, O
     return cfg.state, None, used
 
 
+class _FairLoop:
+    """A one-level program prepared for fair runs: its shape proved once,
+    its initialization and arm bodies lowered into one points table."""
+
+    __slots__ = ("init", "guards", "bodies")
+
+    def __init__(self, olp: OneLevelProgram):
+        points = Points()
+        self.init = points.lower((olp.init,))
+        self.guards = tuple(arm.guard for arm in olp.loop.arms)
+        self.bodies = tuple(points.lower((arm.body,)) for arm in olp.loop.arms)
+
+
+def _prepare(p: GclProgram) -> _FairLoop | str:
+    """The prepared loop, or the diagnostic of a program that is not
+    one-level."""
+    try:
+        return _FairLoop(one_level_of(p))
+    except FairnessError as e:
+        return str(e)
+
+
+# Prepared loops of recently run programs: a seed sweep over one program
+# proves its shape and lowers its bodies once.
+_LOOPS = IdentityCache(64)
+
+
+def _fair_loop(p: GclProgram) -> _FairLoop:
+    loop = _LOOPS.get(p, _prepare)
+    if isinstance(loop, str):
+        raise FairnessError(loop)
+    return loop
+
+
 def run_fair(p: GclProgram, s0: State | None = None, policy: str = "weak",
              seed: int = 0, fuel: int = 100_000) -> Outcome:
     """Fair execution of a one-level program's top loop.
@@ -304,6 +340,7 @@ def run_fair(p: GclProgram, s0: State | None = None, policy: str = "weak",
     turns. strong: per-command debt counts how often a command was enabled
     since it last ran; the enabled command with maximal debt runs. Ties
     break uniformly at random from the seed; runs are reproducible.
+    Negative fuel raises ValueError.
     """
     outcome, _ = run_fair_traced(p, s0, policy, seed, fuel)
     return outcome
@@ -313,22 +350,26 @@ def run_fair_traced(p: GclProgram, s0: State | None = None,
                     policy: str = "weak", seed: int = 0,
                     fuel: int = 100_000):
     """As run_fair, also returning the scheduling trace: one entry
-    (enabled indices, counter snapshot, selected index) per iteration."""
+    (enabled indices, counter snapshot, selected index) per iteration.
+    The one-level check and the lowering of the loop are done once per
+    program object and reused by later runs of the same object."""
     if policy not in ("weak", "strong"):
         raise ValueError(f"unknown policy {policy!r}")
-    olp = one_level_of(p)
+    if fuel < 0:
+        raise ValueError("fuel must not be negative")
+    loop = _fair_loop(p)
     if s0 is None:
         s0 = initial_state(p.decls)
     rng = Random(seed)
     trace: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
 
-    s, failure, used = _run_deterministic(olp.init, s0, fuel)
+    s, failure, used = _run_deterministic(loop.init, s0, fuel)
     if failure is not None:
         return failure, trace
     fuel -= used
 
-    arms = olp.loop.arms
-    n = len(arms)
+    guards = loop.guards
+    n = len(guards)
     counters = ([_fresh_priority(rng) for _ in range(n)] if policy == "weak"
                 else [0] * n)
 
@@ -336,7 +377,7 @@ def run_fair_traced(p: GclProgram, s0: State | None = None,
         if fuel <= 0:
             return BoundExceeded("fuel"), trace
         try:
-            enabled = [i for i in range(n) if eval_expr(arms[i].guard, s)]
+            enabled = [i for i in range(n) if eval_expr(guards[i], s)]
         except EvalError as e:
             return Failed(e.reason, s, e.detail), trace
         if not enabled:
@@ -363,7 +404,7 @@ def run_fair_traced(p: GclProgram, s0: State | None = None,
                     counters[j] = _fresh_priority(rng)
         else:
             counters[pick] = 0
-        s, failure, used = _run_deterministic(arms[pick].body, s, fuel)
+        s, failure, used = _run_deterministic(loop.bodies[pick], s, fuel)
         if failure is not None:
             return failure, trace
         fuel -= used

@@ -23,11 +23,14 @@ class Layout:
 
     States built over the same layout store their scalars and arrays
     positionally (sorted by name), so equality and hashing never touch
-    the declarations themselves.
+    the declarations themselves. `canonical_order` lists every variable
+    as (is_array, position, name) in name order, scalars and arrays
+    merged, for `State.canonical`.
     """
 
     __slots__ = ("scalar_names", "scalar_kinds", "scalar_pos",
-                 "array_names", "array_bounds", "array_pos", "decls")
+                 "array_names", "array_bounds", "array_pos", "decls",
+                 "canonical_order")
 
     def __init__(self, decls: tuple[Declaration, ...]):
         self.decls = decls
@@ -39,6 +42,10 @@ class Layout:
         self.array_bounds = tuple((d.lo, d.hi) for d in arrays)
         self.scalar_pos = {n: i for i, n in enumerate(self.scalar_names)}
         self.array_pos = {n: i for i, n in enumerate(self.array_names)}
+        self.canonical_order = tuple(sorted(
+            [(False, i, n) for i, n in enumerate(self.scalar_names)]
+            + [(True, i, n) for i, n in enumerate(self.array_names)],
+            key=lambda entry: entry[2]))
 
     def initial_state(self, overrides: dict[str, Value | tuple[int, ...]] | None = None) -> "State":
         """Default state: declaration initializers where present, else
@@ -134,17 +141,12 @@ class State:
         """Deterministic one-line serialization: variables in lexicographic
         name order, arrays as bracketed cell lists."""
         parts = []
-        anames, snames = self.layout.array_names, self.layout.scalar_names
-        merged = sorted(
-            [("s", n) for n in snames] + [("a", n) for n in anames],
-            key=lambda kn: kn[1])
-        for kind, name in merged:
-            if kind == "s":
-                v = self.scalars[self.layout.scalar_pos[name]]
-                parts.append(f"{name}={_fmt(v)}")
-            else:
-                cells = self.arrays[self.layout.array_pos[name]]
+        for is_array, pos, name in self.layout.canonical_order:
+            if is_array:
+                cells = self.arrays[pos]
                 parts.append(f"{name}=[{','.join(str(c) for c in cells)}]")
+            else:
+                parts.append(f"{name}={_fmt(self.scalars[pos])}")
         return " ".join(parts)
 
     def restricted(self, names: set[str]) -> tuple:

@@ -1,9 +1,11 @@
 """Abstract syntax for the three source languages.
 
 All nodes are frozen dataclasses built over tuples, so structural equality
-and hashing come for free; the engines rely on that for memoization and
-divergence detection. Nodes carry no source positions (the parser reports
-positions at parse time), which keeps `parse(render(p)) == p` a plain `==`.
+and hashing come for free. The engines use them once per residue, when
+they intern it as a program point (`engine.Points`); memoization and
+divergence detection then compare points by identity. Nodes carry no
+source positions (the parser reports positions at parse time), which
+keeps `parse(render(p)) == p` a plain `==`.
 """
 
 from __future__ import annotations

@@ -68,6 +68,14 @@ def test_seed_required_for_seeded_modes(capsys):
     assert code == 64 and "seed" in err
 
 
+@pytest.mark.parametrize("mode", ["erratic", "fair-weak"])
+def test_run_negative_fuel_exit_64(capsys, mode):
+    code, out, err = run_cli(capsys, "run", CORPUS / "euclid.gcl", "--mode", mode,
+                             "--seed", "1", "--fuel", "-5")
+    assert code == 64 and out == ""
+    assert err.startswith("error:") and "fuel" in err and err.count("\n") == 1
+
+
 def test_run_reports_byte_identical(capsys):
     args = ("run", CORPUS / "goon.gcl", "--mode", "demonic", "--max-depth", "15")
     _, out1, _ = run_cli(capsys, *args)

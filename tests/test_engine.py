@@ -1,11 +1,14 @@
+import gc
 import itertools
+import weakref
 
 from gclab.engine import (
-    BoundExceeded, Divergent, Failed, Limits, Terminated, explore_demonic,
-    make_config, replay, run_erratic, solve_angelic, step,
+    BoundExceeded, Divergent, Failed, IdentityCache, Limits, Terminated,
+    explore_demonic, make_config, replay, run_erratic, solve_angelic, step,
 )
 from gclab.parser import parse_gcl
 from gclab.state import initial_state
+from gclab.syntax import Assign, Declaration, GclProgram, IntLit, Seq, Skip, Var
 
 from conftest import corpus_text
 from oracles import bfs_terminated, gcd, argmax_set
@@ -150,6 +153,79 @@ def test_exact_lasso_repeats_configuration():
     assert div.exact
     s0 = _init(p)
     assert replay(p, s0, div.stem) == replay(p, s0, div.stem + div.cycle)
+
+
+def test_goon_control_lasso_witness():
+    p = _prog("goon.gcl")
+    for d in (20, 500):
+        rep = explore_demonic(p, lim=Limits(max_depth=d))
+        (div,) = [o for o in rep.outcomes if isinstance(o, Divergent)]
+        assert not div.exact
+        assert div.repeat_key == ("do goon -> x := x + 1 [] goon -> goon := false od"
+                                  " @ goon=true x=*")
+        assert div.stem == ("goon := true", "x := 1")
+        assert div.cycle == ("do#1", "x := x + 1")
+
+
+# ---------------------------------------------------------------------------
+# program points
+# ---------------------------------------------------------------------------
+
+def test_independent_parses_give_equal_configs():
+    text = corpus_text("goon.gcl")
+    p1, p2 = parse_gcl(text), parse_gcl(text)
+    assert p1.body is not p2.body
+    s0 = _init(p1)
+    c1, c2 = make_config((p1.body,), s0), make_config((p2.body,), s0)
+    assert c1.point is not c2.point
+    assert c1 == c2 and hash(c1) == hash(c2) and len({c1, c2}) == 1
+    n1, n2 = step(c1, 8).transitions[0][1], step(c2, 8).transitions[0][1]
+    assert n1 == n2 and hash(n1) == hash(n2)
+    assert n1 != c1
+
+
+def test_equal_arms_share_a_point_and_merge_in_the_memo():
+    # the parser builds the two arm bodies as separate, equal objects
+    p = parse_gcl("var x: int;\nif true -> x := 1; x := 2 [] true -> x := 1; x := 2 fi")
+    arms = p.body.arms
+    assert arms[0].body is not arms[1].body
+    (_, a), (_, b) = step(make_config((p.body,), _init(p)), 8).transitions
+    assert a.point is b.point
+    rep = explore_demonic(p)
+    assert (rep.configs, rep.edges, rep.paths) == (3, 4, 2)
+
+
+def test_residue_is_the_unfolded_tuple():
+    x1 = Assign((Var("x"),), (IntLit(1),))
+    x2 = Assign((Var("x"),), (IntLit(2),))
+    body = Seq((Seq((x1, Skip())), x2))
+    p = GclProgram((Declaration("x", "int"),), body)
+    cfg = make_config((p.body,), _init(p))
+    assert cfg.residue == (x1, Skip(), x2)
+    assert cfg.residue_key() == "x := 1 ; skip ; x := 2"
+    (_, nxt), = step(cfg, 8).transitions
+    assert nxt.residue == (Skip(), x2)
+    assert not nxt.terminated
+    last = replay(p, _init(p), ("x := 1", "skip", "x := 2"))
+    assert last.residue == () and last.terminated
+
+
+def test_identity_cache_keeps_its_keys_alive_until_evicted():
+    class Key:
+        pass
+
+    cache = IdentityCache(2)
+    first = Key()
+    ref = weakref.ref(first)
+    assert cache.get(first, lambda k: "v1") == "v1"
+    assert cache.get(first, lambda k: "again") == "v1"
+    del first
+    gc.collect()
+    assert ref() is not None  # its id() cannot be reused while cached
+    assert cache.get(Key(), lambda k: "v2") == "v2"
+    assert cache.get(Key(), lambda k: "v3") == "v3"
+    gc.collect()
+    assert ref() is None  # least recently used, evicted at the bound
 
 
 def test_max_paths_counter():

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from gclab import fairness
 from gclab.check import check_program
 from gclab.engine import (
     BoundExceeded, Divergent, Limits, Terminated, explore_demonic,
@@ -269,8 +270,25 @@ def test_weak_counter_law():
 
 
 def test_fair_rejects_non_one_level():
-    with pytest.raises(FairnessError):
-        run_fair(parse_gcl("var x: int; x := 1"), seed=0)
+    # the verdict is cached per program; every call must still raise
+    for text, why in (("var x: int; x := 1", "repetitive"),
+                      ("var n: int = 1; var x: int;\ndo n > 0 -> x := ?; n := 0 od",
+                       "nondeterministic assignment")):
+        p = parse_gcl(text)
+        for seed in range(3):
+            with pytest.raises(FairnessError, match=why):
+                run_fair(p, seed=seed)
+
+
+def test_fair_checks_the_shape_once_per_program(monkeypatch):
+    calls = []
+    real = fairness.one_level_of
+    monkeypatch.setattr(fairness, "one_level_of",
+                        lambda p: calls.append(p) or real(p))
+    p, q = _prog("goon.gcl"), _prog("goon.gcl")
+    want = [run_fair(p, policy="weak", seed=seed) for seed in range(5)]
+    assert [run_fair(q, policy="weak", seed=seed) for seed in range(5)] == want
+    assert [c is p for c in calls] == [True, False]
 
 
 # ---------------------------------------------------------------------------

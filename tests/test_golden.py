@@ -1,0 +1,112 @@
+"""Golden reports: `gclab run` and `gclab transform` output, byte for byte.
+
+Each file under tests/golden/ holds one command line, its exit code and
+its exact stdout:
+
+    $ gclab run corpus/euclid.gcl --mode demonic --format text
+    exit 0
+    <stdout>
+
+A stdout longer than DIGEST_ABOVE characters (the full queens search) is kept
+as its SHA-256 and its first lines instead. The `counts configs=...
+edges=... paths=...` lines pin the memo-merge behaviour of the search, so
+any change to how configurations are keyed or merged shows up here.
+Regenerate (only when a report change is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import pathlib
+import sys
+
+import pytest
+
+from gclab.cli import USAGE_ERROR, main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+DIGEST_ABOVE = 64 * 1024
+
+
+def _cases():
+    """(golden file name, argv) for every case the goldens may cover.
+    Fair modes and the wf transform apply only to one-level programs;
+    the generator keeps a case only when it does not exit with a usage
+    error."""
+    for path in sorted(CORPUS.glob("*.gcl")):
+        rel = f"corpus/{path.name}"
+        for fmt in ("text", "json"):
+            for mode in ("demonic", "angelic"):
+                yield f"{path.name}.{mode}.{fmt}", ["run", rel, "--mode", mode,
+                                                    "--format", fmt]
+            for mode in ("erratic", "fair-weak", "fair-strong"):
+                yield (f"{path.name}.{mode}-1.{fmt}",
+                       ["run", rel, "--mode", mode, "--seed", "1", "--format", fmt])
+        yield f"{path.name}.transform-wf", ["transform", rel, "--kind", "wf"]
+    for ext in ("csp", "par"):
+        for path in sorted(CORPUS.glob(f"*.{ext}")):
+            rel = f"corpus/{path.name}"
+            for fmt in ("text", "json"):
+                yield f"{path.name}.demonic.{fmt}", ["run", rel, "--format", fmt]
+            yield f"{path.name}.transform-{ext}", ["transform", rel, "--kind", ext]
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    resolved = [str(ROOT / a) if a.startswith("corpus/") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(resolved)
+    return code, out.getvalue()
+
+
+def _golden_text(argv: list[str]) -> tuple[int, str]:
+    """Exit code and golden file text of one command."""
+    code, out = _run(argv)
+    text = f"$ gclab {' '.join(argv)}\nexit {code}\n"
+    if len(out) > DIGEST_ABOVE:
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        head = "".join(out.splitlines(keepends=True)[:8])
+        return code, f"{text}sha256 {digest} of {len(out)} characters, first lines:\n{head}"
+    return code, text + out
+
+
+GOLDEN_FILES = sorted(GOLDEN.glob("*")) if GOLDEN.is_dir() else []
+
+
+@pytest.mark.parametrize("path", GOLDEN_FILES, ids=[p.name for p in GOLDEN_FILES])
+def test_golden_report(path):
+    want = path.read_text(encoding="utf-8")
+    argv = want.split("\n", 1)[0][len("$ gclab "):].split(" ")
+    assert _golden_text(argv)[1] == want
+
+
+def test_goldens_cover_every_corpus_program():
+    names = {p.name for p in GOLDEN_FILES}
+    for path in CORPUS.iterdir():
+        if path.suffix in (".gcl", ".csp", ".par"):
+            assert f"{path.name}.demonic.text" in names
+            assert f"{path.name}.demonic.json" in names
+    for path in CORPUS.glob("*.gcl"):
+        assert f"{path.name}.angelic.text" in names
+        assert f"{path.name}.erratic-1.json" in names
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for old in GOLDEN.glob("*"):
+        old.unlink()
+    for name, argv in _cases():
+        code, text = _golden_text(argv)
+        if code != USAGE_ERROR:
+            (GOLDEN / name).write_text(text, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    regenerate()
+    sys.exit(0)
