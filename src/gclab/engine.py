@@ -146,6 +146,7 @@ class Config:
 
     point: Point
     state: State
+    _hash: int | None = field(default=None, init=False, repr=False)
 
     @property
     def residue(self) -> tuple[Stmt, ...]:
@@ -166,7 +167,13 @@ class Config:
                 and self.state == other.state)
 
     def __hash__(self) -> int:
-        return hash((self.point.hash, self.state))
+        # computed on the first probe: a search looks each configuration up
+        # several times, and the state hash walks its nested tuples
+        h = self._hash
+        if h is None:
+            h = hash((self.point.hash, self.state))
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
 def make_config(residue: tuple[Stmt, ...], state: State) -> Config:

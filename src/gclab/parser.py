@@ -1,8 +1,13 @@
 """Recursive-descent parsers for the three source languages.
 
-Precedence, loosest to tightest: or, and, not, comparisons, + -,
-* div mod, unary minus. Note that `not` binds looser than comparisons,
-so `not x < y` reads as `not (x < y)`.
+Statements descend one method per construct. Expressions are parsed by
+precedence climbing over the binding-power table `_BINARY`: loosest to
+tightest, or, and, a prefix `not`, comparisons, + -, * div mod, then unary
+minus. Binary operators associate to the left; comparisons do not chain,
+and `not` binds looser than comparisons, so `not x < y` reads as
+`not (x < y)` and `x < not y` is rejected. A `-` before an integer literal
+makes a negative literal. Parentheses, prefixes, indexes and builtin
+arguments may nest `MAX_NESTING` levels deep.
 
 Parsing and checking are interleaved: every name is resolved against the
 declarations in scope at the point of use and every expression is typed as
@@ -22,7 +27,16 @@ from .syntax import (
     ParSystem, RandomAssign, Skip, Stmt, UnaryOp, Var, While, seq,
 )
 
-_CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
+# Binding powers of the binary operators; a prefix `not` binds at _NOT and
+# unary minus tighter than any binary operator.
+_BINARY = {"or": 1, "and": 2, "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+           "+": 5, "-": 5, "*": 6, "div": 6, "mod": 6}
+_NOT, _CMP, _UNARY = 3, 4, 7
+
+# Parentheses, prefix `not` and `-`, indexes and builtin arguments open a
+# level each; the parser stops at this depth with a ParseError rather than
+# exhausting the Python stack.
+MAX_NESTING = 100
 
 # tokens that end a statement sequence
 _SEQ_STOP = frozenset({
@@ -46,13 +60,20 @@ class Parser:
         self.decls: dict[str, Declaration] = {}
         self.decl_positions: dict[str, Token] = {}
 
-    # -- token plumbing -----------------------------------------------------
+    # -- token plumbing: `i` never moves past the final eof token -----------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.i]
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.toks[self.i].kind == kind
+
+    def accept(self, kind: str) -> bool:
+        """Consume the next token if it is a `kind` (never 'eof')."""
+        if self.toks[self.i].kind == kind:
+            self.i += 1
+            return True
+        return False
 
     def advance(self) -> Token:
         t = self.toks[self.i]
@@ -61,7 +82,7 @@ class Parser:
         return t
 
     def expect(self, kind: str, what: str | None = None) -> Token:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind != kind:
             shown = what or f"'{kind}'"
             found = t.text if t.kind != "eof" else "end of input"
@@ -87,8 +108,7 @@ class Parser:
 
     def parse_decls(self) -> tuple[Declaration, ...]:
         out: list[Declaration] = []
-        while self.at("var"):
-            self.advance()
+        while self.accept("var"):
             name_tok = self.expect("ident", "a variable name")
             name = name_tok.text
             if name in self.decls:
@@ -98,13 +118,11 @@ class Parser:
                 raise CheckError(f"'{name}' is a builtin function name and cannot be declared",
                                  name_tok.line, name_tok.col)
             self.expect(":")
-            if self.at("bool"):
-                self.advance()
+            if self.accept("bool"):
                 kind, lo, hi = "bool", None, None
             else:
                 self.expect("int", "'int' or 'bool'")
-                if self.at("["):
-                    self.advance()
+                if self.accept("["):
                     lo = self._signed_int()
                     self.expect("..")
                     hi = self._signed_int()
@@ -113,8 +131,7 @@ class Parser:
                 else:
                     kind, lo, hi = "int", None, None
             init = None
-            if self.at("="):
-                self.advance()
+            if self.accept("="):
                 init = self._parse_initializer(kind)
             d = Declaration(name, kind, lo, hi, init)
             try:
@@ -128,21 +145,15 @@ class Parser:
         return tuple(out)
 
     def _signed_int(self) -> int:
-        sign = 1
-        if self.at("-"):
-            self.advance()
-            sign = -1
-        t = self.expect("int", "an integer")
-        return sign * int(t.text)
+        sign = -1 if self.accept("-") else 1
+        return sign * int(self.expect("int", "an integer").text)
 
     def _parse_initializer(self, kind: str):
         if self.at("true") or self.at("false"):
             return self.advance().kind == "true"
-        if self.at("["):
-            self.advance()
+        if self.accept("["):
             cells = [self._signed_int()]
-            while self.at(","):
-                self.advance()
+            while self.accept(","):
                 cells.append(self._signed_int())
             self.expect("]")
             return tuple(cells)
@@ -151,95 +162,87 @@ class Parser:
     # -- expressions ----------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        return self._parse_or()
+        return self._expr(0, 0)
 
-    def _parse_or(self) -> Expr:
-        e = self._parse_and()
-        while self.at("or"):
-            self.advance()
-            e = BinOp("or", e, self._parse_and())
-        return e
+    def _expr(self, min_bp: int, depth: int) -> Expr:
+        """An operand, then every binary operator that binds tighter than
+        `min_bp`, left-associated. `limit` is the loosest binding power
+        still allowed: after an operator of power p only p or looser may
+        follow, and after a comparison or a prefix `not` only `and`/`or`."""
+        toks = self.toks
+        t = toks[self.i]
+        if t.kind == "not" and min_bp <= _NOT:
+            self._nest(t, depth)
+            self.i += 1
+            left = UnaryOp("not", self._expr(_NOT, depth + 1))
+            limit = _NOT
+        else:
+            left = self._operand(depth)
+            limit = _UNARY
+        while True:
+            op = toks[self.i].kind
+            bp = _BINARY.get(op, 0)
+            if bp <= min_bp or bp > limit:
+                return left
+            self.i += 1
+            limit = _NOT if bp == _CMP else bp
+            left = BinOp(op, left, self._expr(bp, depth))
 
-    def _parse_and(self) -> Expr:
-        e = self._parse_not()
-        while self.at("and"):
-            self.advance()
-            e = BinOp("and", e, self._parse_not())
-        return e
-
-    def _parse_not(self) -> Expr:
-        if self.at("not"):
-            self.advance()
-            return UnaryOp("not", self._parse_not())
-        return self._parse_cmp()
-
-    def _parse_cmp(self) -> Expr:
-        e = self._parse_add()
-        if self.peek().kind in _CMP_OPS:
-            op = self.advance().kind
-            e = BinOp(op, e, self._parse_add())
-        return e
-
-    def _parse_add(self) -> Expr:
-        e = self._parse_mul()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            e = BinOp(op, e, self._parse_mul())
-        return e
-
-    def _parse_mul(self) -> Expr:
-        e = self._parse_unary()
-        while self.peek().kind in ("*", "div", "mod"):
-            op = self.advance().kind
-            e = BinOp(op, e, self._parse_unary())
-        return e
-
-    def _parse_unary(self) -> Expr:
-        if self.at("-"):
-            self.advance()
-            # a minus on an integer literal IS a negative literal; explicit
-            # negation of a literal is written with parens, `-(2)`
-            if self.at("int"):
-                return IntLit(-int(self.advance().text))
-            return UnaryOp("neg", self._parse_unary())
-        return self._parse_atom()
-
-    def _parse_atom(self) -> Expr:
-        t = self.peek()
-        if t.kind == "int":
-            self.advance()
+    def _operand(self, depth: int) -> Expr:
+        """Unary minus or an atom: a literal, a parenthesised expression,
+        a variable, an indexed array or a builtin call."""
+        t = self.toks[self.i]
+        kind = t.kind
+        if kind == "int":
+            self.i += 1
             return IntLit(int(t.text))
-        if t.kind in ("true", "false"):
-            self.advance()
-            return BoolLit(t.kind == "true")
-        if t.kind == "(":
-            self.advance()
-            e = self.parse_expr()
-            self.expect(")")
-            return e
-        if t.kind == "ident":
-            self.advance()
+        if kind == "ident":
+            self.i += 1
             name = t.text
-            if self.at("("):
+            nxt = self.toks[self.i]
+            if nxt.kind == "(":
                 if name not in BUILTIN_NAMES:
                     self.fail(f"'{name}' is not callable (only min/max are builtins)", t)
-                self.advance()
-                a = self.parse_expr()
+                self._nest(nxt, depth)
+                self.i += 1
+                a = self._expr(0, depth + 1)
                 self.expect(",")
-                b = self.parse_expr()
+                b = self._expr(0, depth + 1)
                 self.expect(")")
                 return Builtin(name, (a, b))
             if name in BUILTIN_NAMES:
                 self.fail(f"builtin '{name}' used without arguments", t)
             if name not in self.decls:
                 raise CheckError(f"undeclared identifier '{name}'", t.line, t.col)
-            if self.at("["):
-                self.advance()
-                idx = self.parse_expr()
+            if nxt.kind == "[":
+                self._nest(nxt, depth)
+                self.i += 1
+                idx = self._expr(0, depth + 1)
                 self.expect("]")
                 return ArrayRef(name, idx)
             return Var(name)
+        if kind == "-":
+            self.i += 1
+            # a minus on an integer literal IS a negative literal; explicit
+            # negation of a literal is written with parens, `-(2)`
+            if self.at("int"):
+                return IntLit(-int(self.advance().text))
+            self._nest(t, depth)
+            return UnaryOp("neg", self._operand(depth + 1))
+        if kind == "(":
+            self._nest(t, depth)
+            self.i += 1
+            e = self._expr(0, depth + 1)
+            self.expect(")")
+            return e
+        if kind in ("true", "false"):
+            self.i += 1
+            return BoolLit(kind == "true")
         self.fail(f"expected an expression, found {t.text or 'end of input'!r}", t)
+
+    def _nest(self, t: Token, depth: int) -> None:
+        if depth >= MAX_NESTING:
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels", t)
 
     def typed_expr(self, want: str | None = None) -> Expr:
         tok = self.peek()
@@ -249,8 +252,7 @@ class Parser:
 
     def parse_stmt_seq(self, fragment: str = "gcl") -> Stmt:
         stmts = [self.parse_stmt(fragment)]
-        while self.at(";"):
-            self.advance()
+        while self.accept(";"):
             stmts.append(self.parse_stmt(fragment))
         return seq(stmts)
 
@@ -288,8 +290,7 @@ class Parser:
     def _parse_guarded(self, node, closer: str) -> Stmt:
         self.advance()
         arms = [self._parse_arm()]
-        while self.at("[]"):
-            self.advance()
+        while self.accept("[]"):
             arms.append(self._parse_arm())
         self.expect(closer, f"'[]' or '{closer}'")
         return node(tuple(arms))
@@ -307,8 +308,7 @@ class Parser:
         cond = self.typed_expr("bool")
         self.expect("then")
         then_branch = self.parse_stmt_seq("par")
-        if self.at("else"):
-            self.advance()
+        if self.accept("else"):
             else_branch = self.parse_stmt_seq("par")
         else:
             else_branch = Skip()
@@ -326,19 +326,16 @@ class Parser:
     def _parse_assignment(self, fragment: str) -> Stmt:
         start = self.peek()
         targets = [self._parse_target()]
-        while self.at(","):
-            self.advance()
+        while self.accept(","):
             targets.append(self._parse_target())
         if self.peek().kind in ("?", "!"):
             self.fail("i/o commands are allowed only in the guards of a process main loop")
         self.expect(":=")
-        if self.at("?"):
-            self.advance()
+        if self.accept("?"):
             if fragment == "par":
                 self.fail("random assignment is not part of the parallel fragment", start)
             return RandomAssign(self._scalar_target_name(targets, start))
-        if self.at("choice"):
-            self.advance()
+        if self.accept("choice"):
             if fragment == "par":
                 self.fail("choice assignment is not part of the parallel fragment", start)
             self.expect("(")
@@ -346,8 +343,7 @@ class Parser:
             self.expect(")")
             return ChoiceAssign(self._scalar_target_name(targets, start), bound)
         values = [self.parse_expr()]
-        while self.at(","):
-            self.advance()
+        while self.accept(","):
             values.append(self.parse_expr())
         if len(values) != len(targets):
             raise CheckError(
@@ -377,8 +373,7 @@ class Parser:
             if self.peek().kind in ("?", "!"):
                 self.fail("i/o commands are allowed only in the guards of a process main loop", t)
             raise CheckError(f"undeclared identifier '{name}'", t.line, t.col)
-        if self.at("["):
-            self.advance()
+        if self.accept("["):
             idx = self.parse_expr()
             self.expect("]")
             return self._typed(ArrayRef(name, idx), t)
@@ -410,8 +405,7 @@ def parse_csp(text: str) -> CspSystem:
     decl_owner: dict[str, tuple[str, Token]] = {}
     proc_positions: dict[str, Token] = {}
     io_refs: list[tuple[str, Token, str]] = []  # (peer, position, owning process)
-    while p.at("process"):
-        p.advance()
+    while p.accept("process"):
         name_tok = p.expect("ident", "a process name")
         pname = name_tok.text
         if pname in proc_positions:
@@ -464,8 +458,7 @@ def _parse_process_body(p: Parser):
                 p.fail("the communication loop must be the final statement of the process")
             break
         stmts.append(p.parse_stmt("gcl"))
-        if p.at(";"):
-            p.advance()
+        if p.accept(";"):
             continue
         break
     return seq(stmts), loop, io_positions
@@ -498,13 +491,11 @@ def _parse_csp_loop(p: Parser):
         cond = p.typed_expr("bool")
         p.expect(";", "';' and an i/o command after the boolean guard part")
         io_tok = p.expect("ident", "a peer process name")
-        if p.at("!"):
-            p.advance()
+        if p.accept("!"):
             expr_tok = p.peek()
             expr = p._typed(p.parse_expr(), expr_tok)
             io: Input | Output = Output(io_tok.text, expr)
-        elif p.at("?"):
-            p.advance()
+        elif p.accept("?"):
             tgt = p.expect("ident", "a target variable")
             if tgt.text not in p.decls:
                 raise CheckError(f"undeclared identifier '{tgt.text}'", tgt.line, tgt.col)
@@ -517,8 +508,7 @@ def _parse_csp_loop(p: Parser):
         p.expect("->")
         body = p.parse_stmt_seq("gcl")
         arms.append(ExtGuard(cond, io, body))
-        if p.at("[]"):
-            p.advance()
+        if p.accept("[]"):
             continue
         p.expect("od", "'[]' or 'od'")
         break
@@ -532,19 +522,16 @@ def parse_par(text: str) -> ParSystem:
     p = Parser(text)
     decls = p.parse_decls()
     init: Stmt = Skip()
-    if p.at("init"):
-        p.advance()
+    if p.accept("init"):
         init = p.parse_stmt_seq("gcl")
     components: list[Stmt] = []
-    while p.at("component"):
-        p.advance()
+    while p.accept("component"):
         components.append(p.parse_stmt_seq("par"))
         p.expect("end")
     if not components:
         p.fail("expected at least one 'component' block")
     epilogue: Stmt = Skip()
-    if p.at("epilogue"):
-        p.advance()
+    if p.accept("epilogue"):
         epilogue = p.parse_stmt_seq("gcl")
     p.expect("eof", "'component', 'epilogue' or end of file")
     return ParSystem(decls, init, tuple(components), epilogue)

@@ -63,6 +63,15 @@ def test_run_parse_error_exit_64(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize("levels", [101, 10_000])
+def test_run_deep_nesting_exit_64(tmp_path, capsys, levels):
+    f = tmp_path / "deep.gcl"
+    f.write_text("var x: int;\nx := " + "-(" * levels + "1" + ")" * levels + "\n")
+    code, out, err = run_cli(capsys, "run", f)
+    assert code == 64 and out == ""
+    assert err.startswith("error: line 2, col ") and err.count("\n") == 1
+
+
 def test_seed_required_for_seeded_modes(capsys):
     code, _, err = run_cli(capsys, "run", CORPUS / "goon.gcl", "--mode", "erratic")
     assert code == 64 and "seed" in err

@@ -1,7 +1,12 @@
+import re
+
 import pytest
 
+from gclab.check import check_program
+from gclab.engine import Terminated, explore_demonic
 from gclab.errors import CheckError, ParseError
-from gclab.parser import parse_csp, parse_gcl, parse_par
+from gclab.parser import MAX_NESTING, parse_csp, parse_gcl, parse_par
+from gclab.printer import render
 from gclab.syntax import (
     Assign, ChoiceAssign, Declaration, Do, Input, IntLit, Output,
     RandomAssign, Var,
@@ -279,3 +284,65 @@ def test_guarded_if_rejected_in_component():
 def test_await_only_in_components():
     with pytest.raises(ParseError):
         parse_gcl("var x: int; await x > 0")
+
+
+# ---------------------------------------------------------------------------
+# Lexical classes and the nesting limit
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("src, col, char", [
+    ("var x: int;\nx := \u00b2", 6, "\u00b2"),     # superscript two
+    ("var x: int;\nx := 1\u0663", 7, "\u0663"),    # Arabic-Indic three
+])
+def test_non_ascii_digit_is_unexpected_character(src, col, char):
+    with pytest.raises(ParseError) as err:
+        parse_gcl(src)
+    assert (err.value.message, err.value.line, err.value.col) == (
+        f"unexpected character {char!r}", 2, col)
+
+
+def test_identifier_character_classes():
+    p = parse_gcl("var _x\u00e9\u0663: int; var \u00e9t\u00e9: int; _x\u00e9\u0663 := 1")
+    assert [d.name for d in p.decls] == ["_x\u00e9\u0663", "\u00e9t\u00e9"]
+
+
+def test_trailing_comment_keeps_its_column_for_end_of_input():
+    with pytest.raises(ParseError) as err:
+        parse_gcl("var x: int;\nx :=   # no value")
+    assert (err.value.line, err.value.col) == (2, 8)
+
+
+_DECLS = "var x: int; var b: bool; var a: int[0..1] = [1, 0];\n"
+
+# shape: (text with n levels, regex of the tokens that open a level, the
+# variable assigned and its value at MAX_NESTING levels)
+_NESTINGS = {
+    "parens": (lambda n: "x := " + "(" * n + "1" + ")" * n, r"\(", ("x", 1)),
+    "negation": (lambda n: "x := " + "-(" * (n // 2) + "-" * (n % 2) + "x" + ")" * (n // 2),
+                 r"[-(]", ("x", 0)),
+    "not": (lambda n: "b := " + "not " * n + "true", r"not", ("b", MAX_NESTING % 2 == 0)),
+    "index": (lambda n: "x := " + "a[" * n + "1" + "]" * n, r"\[", ("x", 1 - MAX_NESTING % 2)),
+    "builtin": (lambda n: "x := " + "min(" * n + "1" + ", 2)" * n, r"\(", ("x", 1)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTINGS))
+def test_nesting_at_the_limit_parses_checks_renders_and_runs(shape):
+    text, _, (name, value) = _NESTINGS[shape]
+    p = parse_gcl(_DECLS + text(MAX_NESTING))
+    check_program(p)
+    assert parse_gcl(render(p)) == p
+    [outcome] = explore_demonic(p).outcomes
+    assert isinstance(outcome, Terminated) and outcome.state.scalar(name) == value
+
+
+@pytest.mark.parametrize("levels", [MAX_NESTING + 1, 10_000])
+@pytest.mark.parametrize("shape", sorted(_NESTINGS))
+def test_nesting_beyond_the_limit_is_a_positioned_parse_error(shape, levels):
+    text, opener, _ = _NESTINGS[shape]
+    line = text(levels)
+    with pytest.raises(ParseError) as err:
+        parse_gcl(_DECLS + line)
+    crossing = list(re.finditer(opener, line))[MAX_NESTING]
+    assert (err.value.message, err.value.line, err.value.col) == (
+        f"expression nested deeper than {MAX_NESTING} levels", 2, crossing.start() + 1)
