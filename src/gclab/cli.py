@@ -7,7 +7,10 @@
 Exit codes for `run`: 0 all outcomes terminated, 1 some failure,
 2 divergence present, 3 only bound exhaustion; 64 usage/parse error.
 `lts` exits 0 (holds) or 1 (does not hold); 65 flags a divergence error
-from the failures model. Reports are byte-identical for identical inputs.
+from the failures model. Any command exits 70 with a one-line
+`error: internal error: ...` when gclab itself fails unexpectedly (for
+instance a nesting too deep for its recursive walkers). Reports are
+byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .state import initial_state
 
 USAGE_ERROR = 64
 DATA_ERROR = 65
+INTERNAL_ERROR = 70  # EX_SOFTWARE
 
 MODES = ("demonic", "erratic", "angelic", "fair-weak", "fair-strong")
 
@@ -102,6 +106,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as e:  # never a traceback, never an outcome code
+        detail = " ".join(str(e).split())
+        print(f"error: internal error: {type(e).__name__}: {detail}",
+              file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def _read(path: str) -> str:

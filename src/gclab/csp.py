@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 from .check import decl_map, type_of
 from .engine import (
-    Expansion, ExplorationReport, Failed, GraphSearch, Limits, Terminated,
-    explore_statement,
+    Expansion, ExplorationReport, Failed, GraphSearch, Limits,
 )
 from .errors import CheckError, EvalError
 from .state import State, apply_parallel_assign, eval_expr, initial_state
@@ -141,33 +140,6 @@ def run_csp(sys: CspSystem, s0: State | None = None,
     pairs = sorted(correspondence_pairs(sys))
     guards = [[(g.cond, g.io, g.body) for g in p.loop] for p in sys.processes]
 
-    counts = [0, 0, 0]  # configs, edges, paths from sub-explorations
-
-    def absorb(rep: ExplorationReport, sink: list) -> list[State]:
-        """Collect a sub-exploration: non-terminal outcomes go to `sink`,
-        terminal states come back sorted."""
-        finals = []
-        for o in rep.outcomes:
-            if isinstance(o, Terminated):
-                finals.append(o.state)
-            else:
-                sink.append(o)
-        counts[0] += rep.configs
-        counts[1] += rep.edges
-        counts[2] += max(rep.paths - len(finals), 0)
-        return sorted(finals, key=lambda st: st.canonical())
-
-    init_outcomes: list = []
-    states = [s0]
-    for p in sys.processes:
-        nxt: list[State] = []
-        for s in states:
-            nxt.extend(absorb(explore_statement(p.init, s, lim), init_outcomes))
-        seen = {}
-        for s in nxt:
-            seen.setdefault(s.canonical(), s)
-        states = [seen[k] for k in sorted(seen)]
-
     def final_of(s: State) -> State | None:
         try:
             for row in guards:
@@ -178,7 +150,7 @@ def run_csp(sys: CspSystem, s0: State | None = None,
             return None  # expand() reports the failure
         return s
 
-    def expand(s: State) -> Expansion:
+    def expand(s: State, _choice_bound: int) -> Expansion:
         try:
             enabled = [[bool(eval_expr(cond, s)) for cond, _, _ in row]
                        for row in guards]
@@ -201,8 +173,8 @@ def run_csp(sys: CspSystem, s0: State | None = None,
                 extra.append(Failed(e.reason, s, e.detail))
                 continue
             k = 0
-            for sm in absorb(explore_statement(bi, s1, lim), extra):
-                for sf in absorb(explore_statement(br, sm, lim), extra):
+            for sm in search.absorb(bi, s1, extra):
+                for sf in search.absorb(br, sm, extra):
                     label = f"comm({pair.i},{pair.j},{pair.r},{pair.s})#{k}"
                     trans.append((label, sf))
                     k += 1
@@ -212,12 +184,18 @@ def run_csp(sys: CspSystem, s0: State | None = None,
         return Expansion(transitions=trans, side_outcomes=extra)
 
     search = GraphSearch(lim, expand, lambda s: s.canonical(), final_of)
+    init_outcomes: list = []
+    states = [s0]
+    for p in sys.processes:
+        nxt: list[State] = []
+        for s in states:
+            nxt.extend(search.absorb(p.init, s, init_outcomes))
+        seen = {}
+        for s in nxt:
+            seen.setdefault(s.canonical(), s)
+        states = [seen[k] for k in sorted(seen)]
     for s in states:
         search.run(s)
     for o in init_outcomes:
-        search.record(o)
-        search.paths += 1
-    rep = search.report()
-    return ExplorationReport(rep.outcomes, rep.configs + counts[0],
-                             rep.edges + counts[1], rep.paths + counts[2],
-                             lim)
+        search.close(o)
+    return search.report()

@@ -8,18 +8,20 @@ statement, its rendered key, the variables its head reads and writes,
 and its successor points. Configurations of one table therefore compare
 by point identity plus the state, and hash by the point's stored hash,
 without walking the syntax tree. A program step rewrites the head of the
-residue. On top of `step` sit:
+residue; `step` returns an `Expansion`, the one record of what a node
+expands to (a failure, or labelled successors). On top of `step` sit:
 
 * `explore_demonic` - exhaustive depth-first exploration of the whole
   computation tree with memoization, lasso-based divergence detection and
   explicit bound accounting;
 * `run_erratic` - one seeded random computation;
-* `solve_angelic` - backtracking search for successful terminal states,
-  discarding failures.
+* `solve_angelic` - the same exploration, keeping only the successful
+  terminal states (guess and fail: failures are discarded).
 
-The DFS core (`GraphSearch`) is shared with the direct semantics of the
-communication and interleaving fragments, which explore different node
-types through the same traversal.
+Both searches run on one DFS core (`GraphSearch`), which the direct
+semantics of the communication and interleaving fragments share too:
+they explore other node types through the same traversal and run their
+atomic sub-steps with `GraphSearch.absorb`.
 """
 
 from __future__ import annotations
@@ -351,20 +353,18 @@ def _outcome_json(o: Outcome) -> dict:
 # ---------------------------------------------------------------------------
 
 @dataclass(slots=True)
-class StepResult:
-    """Either a failure of the head statement or the list of labelled
-    successor configurations. `truncated` marks a cut `x := ?` range."""
+class Expansion:
+    """What a non-terminal node expands to: a failure (reason, detail,
+    state) or labelled successors. `truncated` marks a cut `x := ?`
+    range; `side_outcomes` close branches inside an atomic step."""
 
-    transitions: list[tuple[str, Config]]
-    failure: tuple[str, str] | None = None  # (reason, detail)
+    transitions: list[tuple[str, Any]] | tuple = ()
+    failure: tuple[str, str, State] | None = None
     truncated: bool = False
+    side_outcomes: list[Outcome] | tuple = ()
 
 
-def _fail(reason: str, detail: str = "") -> StepResult:
-    return StepResult([], failure=(reason, detail))
-
-
-def step(c: Config, choice_bound: int) -> StepResult:
+def step(c: Config, choice_bound: int) -> Expansion:
     """Successors of a non-terminal configuration.
 
     Assignments and skip have one successor; if-fi has one per true guard
@@ -378,38 +378,39 @@ def step(c: Config, choice_bound: int) -> StepResult:
     s = c.state
 
     if isinstance(head, Skip):
-        return StepResult([("skip", Config(pt.rest(), s))])
+        return Expansion([("skip", Config(pt.rest(), s))])
 
     if isinstance(head, Fail):
-        return _fail("explicit-fail", head.keyword)
+        return Expansion(failure=("explicit-fail", head.keyword, s))
 
     if isinstance(head, Assign):
         try:
             values = tuple(eval_expr(v, s) for v in head.values)
             s2 = apply_parallel_assign(head.targets, values, s)
         except EvalError as e:
-            return _fail(e.reason, e.detail)
-        return StepResult([(pt.label, Config(pt.rest(), s2))])
+            return Expansion(failure=(e.reason, e.detail, s))
+        return Expansion([(pt.label, Config(pt.rest(), s2))])
 
     if isinstance(head, RandomAssign):
         rest = pt.rest()
         trans = [(f"{head.target} := {v}",
                   Config(rest, s.set_scalar(head.target, v)))
                  for v in range(choice_bound + 1)]
-        return StepResult(trans, truncated=True)
+        return Expansion(trans, truncated=True)
 
     if isinstance(head, ChoiceAssign):
         try:
             bound = eval_expr(head.bound, s)
         except EvalError as e:
-            return _fail(e.reason, e.detail)
+            return Expansion(failure=(e.reason, e.detail, s))
         if bound < 1:
-            return _fail("eval-error", f"choice({bound}) has no value")
+            return Expansion(
+                failure=("eval-error", f"choice({bound}) has no value", s))
         rest = pt.rest()
         trans = [(f"{head.target} := {v}",
                   Config(rest, s.set_scalar(head.target, v)))
                  for v in range(1, bound + 1)]
-        return StepResult(trans)
+        return Expansion(trans)
 
     if isinstance(head, If):
         trans = []
@@ -417,12 +418,12 @@ def step(c: Config, choice_bound: int) -> StepResult:
             try:
                 enabled = eval_expr(arm.guard, s)
             except EvalError as e:
-                return _fail(e.reason, e.detail)
+                return Expansion(failure=(e.reason, e.detail, s))
             if enabled:
                 trans.append((f"if#{i + 1}", Config(pt.arm(i), s)))
         if not trans:
-            return _fail("guard-all-false-in-if")
-        return StepResult(trans)
+            return Expansion(failure=("guard-all-false-in-if", "", s))
+        return Expansion(trans)
 
     if isinstance(head, Do):
         trans = []
@@ -430,12 +431,12 @@ def step(c: Config, choice_bound: int) -> StepResult:
             try:
                 enabled = eval_expr(arm.guard, s)
             except EvalError as e:
-                return _fail(e.reason, e.detail)
+                return Expansion(failure=(e.reason, e.detail, s))
             if enabled:
                 trans.append((f"do#{i + 1}", Config(pt.arm(i), s)))
         if not trans:
-            return StepResult([("od", Config(pt.rest(), s))])
-        return StepResult(trans)
+            return Expansion([("od", Config(pt.rest(), s))])
+        return Expansion(trans)
 
     raise TypeError(f"{type(head).__name__} is not a guarded-commands statement")
 
@@ -444,17 +445,6 @@ def step(c: Config, choice_bound: int) -> StepResult:
 # Shared DFS over a nondeterministic transition graph
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class Expansion:
-    """What a node turns out to be when expanded."""
-
-    final: State | None = None
-    failure: tuple[str, str, State] | None = None  # reason, detail, state
-    transitions: list[tuple[str, Any]] = field(default_factory=list)
-    truncated: bool = False
-    side_outcomes: list[Outcome] = field(default_factory=list)
-
-
 class GraphSearch:
     """Iterative DFS with memoization and lasso detection.
 
@@ -462,11 +452,12 @@ class GraphSearch:
     with a genuine lasso witness. A node met off-path is not re-expanded,
     unless its earlier subtree hit a bound and the new visit is strictly
     shallower (a shallower visit can fit more of the tree inside the
-    depth budget).
+    depth budget). `expand(node, choice_bound)` says what a node expands
+    to; `step` is the expander of guarded-commands configurations.
     """
 
     def __init__(self, lim: Limits,
-                 expand: Callable[[Any], Expansion],
+                 expand: Callable[[Any, int], Expansion],
                  key_of: Callable[[Any], str],
                  final_of: Callable[[Any], State | None],
                  revisit_scan: Callable[[list, Any, str], Divergent | None] | None = None):
@@ -475,15 +466,23 @@ class GraphSearch:
         self.key_of = key_of
         self.final_of = final_of
         self.revisit_scan = revisit_scan
-        self.outcomes: dict[tuple, Outcome] = {}
+        # equal outcomes have equal keys, so outcomes dedupe by value and
+        # a key is rendered only to sort the report
+        self.outcomes: dict[Outcome, None] = {}
         self.black: dict[Any, tuple[int, bool]] = {}
         self.configs = 0
         self.edges = 0
         self.paths = 0
+        self.sub_counts = [0, 0, 0]  # configs, edges, paths of absorb()
         self.stopped = False
 
     def record(self, o: Outcome) -> None:
-        self.outcomes.setdefault(o.key(), o)
+        self.outcomes.setdefault(o)
+
+    def close(self, o: Outcome) -> None:
+        """Record the outcome that closes a branch."""
+        self.outcomes.setdefault(o)
+        self.paths += 1
 
     def run(self, root: Any) -> None:
         first = self._enter(root, 0, [])
@@ -510,8 +509,7 @@ class GraphSearch:
                 at = path_index[nxt]
                 stem = tuple(lab for _, lab in path[1:at + 1])
                 cycle = tuple(lab for _, lab in path[at + 1:]) + (label,)
-                self.record(Divergent(self.key_of(nxt), True, stem, cycle))
-                self.paths += 1
+                self.close(Divergent(self.key_of(nxt), True, stem, cycle))
                 continue
             if self.revisit_scan is not None:
                 div = self.revisit_scan(path, nxt, label)
@@ -537,71 +535,72 @@ class GraphSearch:
     def _enter(self, node: Any, depth: int, stack: list):
         final = self.final_of(node)
         if final is not None:
-            self.record(Terminated(final))
-            self.paths += 1
+            self.close(Terminated(final))
             return None
+        bound = None
         if self.stopped:
-            self.record(BoundExceeded("max-configs"))
-            self.paths += 1
+            bound = "max-configs"
+        elif depth >= self.lim.max_depth:
+            bound = "max-depth"
+        else:
+            self.configs += 1
+            if self.configs > self.lim.max_configs:
+                self.stopped = True
+                bound = "max-configs"
+        if bound is not None:
+            self.close(BoundExceeded(bound))
             self._taint(stack)
             return None
-        if depth >= self.lim.max_depth:
-            self.record(BoundExceeded("max-depth"))
-            self.paths += 1
-            self._taint(stack)
-            return None
-        self.configs += 1
-        if self.configs > self.lim.max_configs:
-            self.stopped = True
-            self.record(BoundExceeded("max-configs"))
-            self.paths += 1
-            self._taint(stack)
-            return None
-        exp = self.expand(node)
+        exp = self.expand(node, self.lim.choice_bound)
         for o in exp.side_outcomes:
-            self.record(o)
-            self.paths += 1
-        if exp.final is not None:
-            self.record(Terminated(exp.final))
-            self.paths += 1
-            return None
+            self.close(o)
         if exp.failure is not None:
             reason, detail, st = exp.failure
-            self.record(Failed(reason, st, detail))
-            self.paths += 1
+            self.close(Failed(reason, st, detail))
             return None
-        clean = not exp.truncated
         if exp.truncated:
             self.record(BoundExceeded("choice-bound"))
         if not exp.transitions:
-            if not clean:
+            if exp.truncated:
                 self._taint(stack)
             return None
-        return [node, exp.transitions, 0, depth, clean]
+        return [node, exp.transitions, 0, depth, not exp.truncated]
 
     def _taint(self, stack: list) -> None:
         if stack:
             stack[-1][4] = False
 
+    def absorb(self, stmt: Stmt, s: State, sink: list) -> list[State]:
+        """Run a statement from `s` as one atomic sub-step of this search:
+        a whole demonic exploration under the same limits. Its non-terminal
+        outcomes go to `sink`; its terminal states come back in canonical
+        order (the order its report lists them in). Its counts go into
+        this search's report, but not into `configs`, which the
+        `max_configs` budget reads."""
+        rep = explore_statement(stmt, s, self.lim)
+        finals = []
+        for o in rep.outcomes:
+            if isinstance(o, Terminated):
+                finals.append(o.state)
+            else:
+                sink.append(o)
+        sub = self.sub_counts
+        sub[0] += rep.configs
+        sub[1] += rep.edges
+        sub[2] += max(rep.paths - len(finals), 0)
+        return finals
+
     def report(self) -> ExplorationReport:
-        outcomes = tuple(sorted(self.outcomes.values(), key=lambda o: o.key()))
-        return ExplorationReport(outcomes, self.configs, self.edges,
-                                 self.paths, self.lim)
+        outcomes = tuple(sorted(self.outcomes, key=lambda o: o.key()))
+        configs, edges, paths = self.sub_counts
+        return ExplorationReport(outcomes, self.configs + configs,
+                                 self.edges + edges, self.paths + paths,
+                                 self.lim)
 
 
 # ---------------------------------------------------------------------------
 # Demonic exploration of guarded-commands programs
 # ---------------------------------------------------------------------------
-
-def _gcl_expand(lim: Limits) -> Callable[[Config], Expansion]:
-    def expand(cfg: Config) -> Expansion:
-        res = step(cfg, lim.choice_bound)
-        if res.failure is not None:
-            reason, detail = res.failure
-            return Expansion(failure=(reason, detail, cfg.state))
-        return Expansion(transitions=res.transitions, truncated=res.truncated)
-    return expand
-
 
 def _sensitive_vars(e, acc: set[str]) -> None:
     """Variables whose value can change an expression's control effect:
@@ -692,12 +691,14 @@ def _starred_canonical(s: State, hidden: set[str]) -> str:
     return " ".join(parts)
 
 
+def _final(cfg: Config) -> State | None:
+    return cfg.state if cfg.terminated else None
+
+
 def explore_statement(stmt: Stmt, s0: State, lim: Limits) -> ExplorationReport:
     """Exhaustive demonic exploration of a statement from a given state."""
-    search = GraphSearch(
-        lim, _gcl_expand(lim), config_key,
-        lambda cfg: cfg.state if cfg.terminated else None,
-        revisit_scan=_control_lasso_scan)
+    search = GraphSearch(lim, step, config_key, _final,
+                         revisit_scan=_control_lasso_scan)
     search.run(Config(_root(stmt), s0))
     return search.report()
 
@@ -779,8 +780,8 @@ def run_erratic(p: GclProgram, s0: State | None = None, seed: int = 0,
             continue
         res = step(cfg, 0)
         if res.failure is not None:
-            reason, detail = res.failure
-            return Failed(reason, cfg.state, detail)
+            reason, detail, st = res.failure
+            return Failed(reason, st, detail)
         _, cfg = res.transitions[rng.randrange(len(res.transitions))]
     if cfg.terminated:
         return Terminated(cfg.state)
@@ -795,67 +796,13 @@ def solve_angelic(p: GclProgram, s0: State | None = None,
                   lim: Limits = Limits()) -> list[Terminated]:
     """Backtracking enumeration of the successful terminal states.
 
-    Depth-first with choice values ascending; failures backtrack silently,
-    on-path repeats (divergence) and exhausted budgets prune the branch.
-    Results are deduplicated by final state, in first-found order.
+    The demonic search, reading only its terminal states: depth-first
+    with choice values ascending, failures closing their branch, on-path
+    repeats (divergence) and exhausted budgets pruning theirs. Results
+    are deduplicated by final state, in first-found order.
     """
     if s0 is None:
         s0 = initial_state(p.decls)
-    found: list[Terminated] = []
-    seen_states: set[str] = set()
-    black: dict[Config, tuple[int, bool]] = {}
-    budget = lim.max_configs
-
-    def classify(cfg: Config, depth: int):
-        """None = closed branch, 'bound' = pruned by budget, else frame."""
-        nonlocal budget
-        if cfg.terminated:
-            key = cfg.state.canonical()
-            if key not in seen_states:
-                seen_states.add(key)
-                found.append(Terminated(cfg.state))
-            return None
-        if depth >= lim.max_depth or budget <= 0:
-            return "bound"
-        budget -= 1
-        res = step(cfg, lim.choice_bound)
-        if res.failure is not None:
-            return None  # failures are discarded
-        return [cfg, res.transitions, 0, depth, not res.truncated]
-
-    root = Config(_root(p.body), s0)
-    first = classify(root, 0)
-    if not isinstance(first, list):
-        return found
-    stack = [first]
-    on_path = {root}
-    while stack:
-        frame = stack[-1]
-        cfg, trans, idx, depth, clean = frame
-        if idx >= len(trans):
-            stack.pop()
-            on_path.discard(cfg)
-            black[cfg] = (depth, clean)
-            if stack:
-                stack[-1][4] = stack[-1][4] and clean
-            continue
-        frame[2] += 1
-        _, nxt = trans[idx]
-        if nxt in on_path:
-            continue  # divergent within limits: prune
-        seen = black.get(nxt)
-        if seen is not None:
-            prev_depth, prev_clean = seen
-            if prev_clean or depth + 1 >= prev_depth:
-                frame[4] = frame[4] and prev_clean
-                continue
-            del black[nxt]
-        child = classify(nxt, depth + 1)
-        if child == "bound":
-            frame[4] = False
-            continue
-        if child is None:
-            continue
-        stack.append(child)
-        on_path.add(nxt)
-    return found
+    search = GraphSearch(lim, step, config_key, _final)
+    search.run(Config(_root(p.body), s0))
+    return [o for o in search.outcomes if isinstance(o, Terminated)]

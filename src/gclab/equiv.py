@@ -317,27 +317,32 @@ class DivergenceError(Exception):
 
 
 def _check_divergence_free(l: Lts) -> None:
+    """Raise DivergenceError on a reachable internal cycle.
+
+    Iterative gray/black DFS over tau moves (like must_witness), with
+    roots and successors in sorted order, so the cycle reported is the
+    first one met however long the tau chains are."""
     mv = l.moves()
-    reach = l.reachable()
-    color: dict[str, int] = {}
-    trail: list[str] = []
-
-    def dfs(s: str):
-        color[s] = 1
-        trail.append(s)
-        for d in sorted(mv[s].get(TAU, ())):
-            c = color.get(d)
-            if c == 1:
-                cycle = trail[trail.index(d):] + [d]
-                raise DivergenceError(cycle)
-            if c is None:
-                dfs(d)
-        trail.pop()
-        color[s] = 2
-
-    for s in sorted(reach):
-        if s not in color:
-            dfs(s)
+    color: dict[str, int] = {}  # 1 gray, 2 black
+    for root in sorted(l.reachable()):
+        if root in color:
+            continue
+        color[root] = 1
+        trail = [root]
+        stack = [iter(sorted(mv[root].get(TAU, ())))]
+        while stack:
+            for d in stack[-1]:
+                c = color.get(d)
+                if c == 1:
+                    raise DivergenceError(trail[trail.index(d):] + [d])
+                if c is None:
+                    color[d] = 1
+                    trail.append(d)
+                    stack.append(iter(sorted(mv[d].get(TAU, ()))))
+                    break
+            else:
+                stack.pop()
+                color[trail.pop()] = 2
 
 
 def _tau_closure(states: set[str], mv) -> frozenset[str]:

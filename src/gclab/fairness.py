@@ -284,8 +284,8 @@ def _run_deterministic(pt: Point, s: State, fuel: int) -> tuple[State | None, Ou
             return None, BoundExceeded("fuel"), used
         res = step(cfg, 0)
         if res.failure is not None:
-            reason, detail = res.failure
-            return None, Failed(reason, cfg.state, detail), used
+            reason, detail, st = res.failure
+            return None, Failed(reason, st, detail), used
         if len(res.transitions) != 1:
             raise FairnessError(
                 "deterministic body took a nondeterministic step; "
@@ -414,7 +414,7 @@ def run_fair_traced(p: GclProgram, s0: State | None = None,
 # Least fixpoints by chaotic iteration
 # ---------------------------------------------------------------------------
 
-Point = tuple[int, ...]
+LatticePoint = tuple[int, ...]  # a point of the product lattice
 
 
 class FixpointInstance:
@@ -425,7 +425,8 @@ class FixpointInstance:
     uses them directly instead of a table dispatch.
     """
 
-    def __init__(self, n: int, height: int, table: dict[Point, Point],
+    def __init__(self, n: int, height: int,
+                 table: dict[LatticePoint, LatticePoint],
                  exprs: tuple[Expr, ...] | None = None):
         if n < 1 or height < 0:
             raise FixpointError("need n >= 1 and height >= 0")
@@ -439,7 +440,7 @@ class FixpointInstance:
 
     @classmethod
     def from_table(cls, n: int, height: int,
-                   table: dict[Point, Point]) -> "FixpointInstance":
+                   table: dict[LatticePoint, LatticePoint]) -> "FixpointInstance":
         return cls(n, height, dict(table))
 
     @classmethod
@@ -456,7 +457,7 @@ class FixpointInstance:
             except CheckError as err:
                 raise FixpointError(f"bad component expression: {err}") from None
         layout_state = initial_state(decls)
-        table: dict[Point, Point] = {}
+        table: dict[LatticePoint, LatticePoint] = {}
         for pt in itertools.product(range(height + 1), repeat=n):
             s = layout_state
             for k, v in enumerate(pt):
@@ -479,7 +480,7 @@ class FixpointInstance:
         return itertools.product(range(self.height + 1), repeat=self.n)
 
     @staticmethod
-    def leq(a: Point, b: Point) -> bool:
+    def leq(a: LatticePoint, b: LatticePoint) -> bool:
         return all(x <= y for x, y in zip(a, b))
 
     def validate_monotone(self) -> None:
@@ -493,12 +494,12 @@ class FixpointInstance:
                         f"!<= F{b} = {self.table[b]}")
 
 
-def kleene_lfp(inst: FixpointInstance) -> Point:
+def kleene_lfp(inst: FixpointInstance) -> LatticePoint:
     """Least fixpoint by synchronous iteration from the bottom element.
     Validates monotonicity first; serves as the oracle for the
     asynchronous program."""
     inst.validate_monotone()
-    x: Point = (0,) * inst.n
+    x: LatticePoint = (0,) * inst.n
     while True:
         nxt = inst.table[x]
         if nxt == x:
@@ -506,7 +507,7 @@ def kleene_lfp(inst: FixpointInstance) -> Point:
         x = nxt
 
 
-def _point_eq(names: list[str], pt: Point) -> Expr:
+def _point_eq(names: list[str], pt: LatticePoint) -> Expr:
     return conj([BinOp("=", Var(nm), IntLit(v)) for nm, v in zip(names, pt)])
 
 
@@ -565,7 +566,7 @@ def parse_fixpoint(text: str) -> FixpointInstance:
         n, h = int(head[1]), int(head[2])
     except ValueError:
         raise FixpointError(f"bad header {lines[0]!r}") from None
-    table: dict[Point, Point] = {}
+    table: dict[LatticePoint, LatticePoint] = {}
     for ln in lines[1:]:
         if "->" not in ln:
             raise FixpointError(f"bad table line {ln!r}")

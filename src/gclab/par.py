@@ -16,8 +16,7 @@ import string
 from dataclasses import dataclass
 
 from .engine import (
-    Expansion, ExplorationReport, Failed, GraphSearch, Limits, Terminated,
-    explore_statement,
+    Expansion, ExplorationReport, Failed, GraphSearch, Limits,
 )
 from .errors import CheckError, EvalError
 from .state import State, apply_parallel_assign, eval_expr, initial_state
@@ -217,30 +216,13 @@ def run_par_direct(sys: ParSystem, s0: State | None = None,
         by_source.append(table)
     exits = tuple(c.exit for c in comps)
 
-    counts = [0, 0, 0]
-    sub_outcomes: list = []
-
-    def absorb(rep: ExplorationReport, sink: list) -> list[State]:
-        finals = []
-        for o in rep.outcomes:
-            if isinstance(o, Terminated):
-                finals.append(o.state)
-            else:
-                sink.append(o)
-        counts[0] += rep.configs
-        counts[1] += rep.edges
-        counts[2] += max(rep.paths - len(finals), 0)
-        return sorted(finals, key=lambda st: st.canonical())
-
-    starts = absorb(explore_statement(sys.init, s0, lim), sub_outcomes)
-
     # nodes are (cvs, state) while running and ("done", state) after the
-    # epilogue; the latter are terminal
-    def expand(node) -> Expansion:
+    # epilogue; the latter are terminal (final_of), so never expanded
+    def expand(node, _choice_bound: int) -> Expansion:
         cvs, s = node
         if cvs == exits:
             fin: list = []
-            outs = absorb(explore_statement(sys.epilogue, s, lim), fin)
+            outs = search.absorb(sys.epilogue, s, fin)
             trans = [(f"epilogue#{k}", ("done", sf)) for k, sf in enumerate(outs)]
             return Expansion(transitions=trans, side_outcomes=fin)
         trans = []
@@ -267,24 +249,16 @@ def run_par_direct(sys: ParSystem, s0: State | None = None,
             return Expansion(failure=("deadlock", _stuck_detail(cvs, comps), s))
         return Expansion(transitions=trans, side_outcomes=extra)
 
-    def expand_node(node) -> Expansion:
-        if node[0] == "done":
-            return Expansion(final=node[1])
-        return expand(node)
-
-    search = GraphSearch(lim, expand_node,
+    search = GraphSearch(lim, expand,
                          lambda nd: f"{nd[0]} @ {nd[1].canonical()}",
                          lambda nd: nd[1] if nd[0] == "done" else None)
+    init_outcomes: list = []
     entries = tuple(c.entry for c in comps)
-    for s in starts:
+    for s in search.absorb(sys.init, s0, init_outcomes):
         search.run((entries, s))
-    for o in sub_outcomes:
-        search.record(o)
-        search.paths += 1
-    rep = search.report()
-    return ExplorationReport(rep.outcomes, rep.configs + counts[0],
-                             rep.edges + counts[1], rep.paths + counts[2],
-                             lim)
+    for o in init_outcomes:
+        search.close(o)
+    return search.report()
 
 
 def _exec_effect(effect: Stmt, s: State) -> State:

@@ -251,6 +251,37 @@ def test_lts_divergence_error_exit(tmp_path, capsys):
     assert "divergent" in err
 
 
+def test_lts_refines_long_tau_chain(tmp_path, capsys):
+    names = [f"s{k}" for k in range(5000)]
+    trans = "".join(f"trans {a} tau {b}\n" for a, b in zip(names, names[1:]))
+    head = f"alphabet a\nstates {' '.join(names)}\ninit s0\n"
+    chain = tmp_path / "chain.lts"
+    chain.write_text(head + trans)
+    one = tmp_path / "one.lts"
+    one.write_text("alphabet a\nstates o\ninit o\n")
+    code, out, err = run_cli(capsys, "lts", "refines", chain, one, "--depth", "2")
+    assert (code, out, err) == (0, "true\n", "")
+    looped = tmp_path / "looped.lts"
+    looped.write_text(head + trans + "trans s4999 tau s4998\n")
+    code, _, err = run_cli(capsys, "lts", "refines", looped, one, "--depth", "2")
+    assert code == 65
+    assert err == "error: divergent: internal cycle s4998 -> s4999 -> s4998\n"
+
+
+@pytest.mark.parametrize("body", [
+    "x := " + "+".join(["1"] * 3000),
+    "if true -> " * 300 + "skip" + " fi" * 300,
+], ids=["long-operator-chain", "nested-if"])
+def test_internal_error_exits_seventy(tmp_path, capsys, body):
+    f = tmp_path / "deep.gcl"
+    f.write_text(f"var x: int;\n{body}\n")
+    code, out, err = run_cli(capsys, "run", f)
+    assert code == 70
+    assert out == ""
+    assert err.startswith("error: internal error: RecursionError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # every corpus fixture runs through its documented command
 SMOKE = [
     (("run", "euclid.gcl"), 0),

@@ -199,6 +199,18 @@ def test_circular_wait_deadlocks():
     assert fails and fails[0].reason == "deadlock"
 
 
+def test_sub_search_counts_stay_out_of_the_config_budget():
+    """The atomic bodies' sub-searches count in the report but not
+    against `max_configs`: sfr's own search expands 11 configurations,
+    its bodies 57 more."""
+    full = run_csp(_sfr())
+    assert full.configs == 68
+    fits = run_csp(_sfr(), lim=Limits(max_configs=11))
+    assert fits.outcomes == full.outcomes and fits.configs == 68
+    cut = run_csp(_sfr(), lim=Limits(max_configs=10))
+    assert ("3-bound", "max-configs") in [o.key() for o in cut.outcomes]
+
+
 def test_deadlock_maps_to_term_violation_and_checked_failure():
     sysm = parse_csp(corpus_text("circwait.csp"))
     t = translate_csp(sysm)

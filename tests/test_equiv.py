@@ -203,6 +203,69 @@ def test_refines_on_divergent_input_raises():
         refines(D, _P(), 2)
 
 
+def _tau_chain(n: int, loop_back: bool = False) -> Lts:
+    """s0 -tau-> s1 -tau-> ... -tau-> s(n-1), optionally with a tau move
+    from the last state back to the one before it."""
+    names = [f"s{k}" for k in range(n)]
+    trans = [(names[k], "tau", names[k + 1]) for k in range(n - 1)]
+    if loop_back:
+        trans.append((names[-1], "tau", names[-2]))
+    return Lts(tuple(names), ("a",), tuple(trans), names[0])
+
+
+def test_divergence_check_on_long_tau_chain():
+    one = parse_lts("alphabet a\nstates o\ninit o\n")
+    chain = _tau_chain(5000)
+    assert refines(chain, one, 2)
+    with pytest.raises(DivergenceError) as err:
+        refines(_tau_chain(5000, loop_back=True), one, 2)
+    assert err.value.cycle == ["s4998", "s4999", "s4998"]
+
+
+def _recursive_divergence_cycle(l: Lts):
+    """The divergence check as a recursive DFS: the cycle it reports, or
+    None."""
+    mv = l.moves()
+    color, trail = {}, []
+
+    def dfs(s):
+        color[s] = 1
+        trail.append(s)
+        for d in sorted(mv[s].get("tau", ())):
+            if color.get(d) == 1:
+                return trail[trail.index(d):] + [d]
+            if d not in color:
+                found = dfs(d)
+                if found:
+                    return found
+        trail.pop()
+        color[s] = 2
+        return None
+
+    for s in sorted(l.reachable()):
+        if s not in color:
+            found = dfs(s)
+            if found:
+                return found
+    return None
+
+
+def test_divergence_cycle_matches_recursive_search():
+    rng = Random(909)
+    divergent = 0
+    for _ in range(300):
+        l = random_system(rng, rng.randint(1, 6), ("a", "b"))
+        want = _recursive_divergence_cycle(l)
+        try:
+            failures(l, 1)
+            got = None
+        except DivergenceError as e:
+            got = e.cycle
+            divergent += 1
+        assert got == want
+    assert divergent > 20
+
+
 def test_failures_downward_closed():
     for l in (_P(), _Q()):
         fs = failures(l, 2)
