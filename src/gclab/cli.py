@@ -6,11 +6,12 @@
 
 Exit codes for `run`: 0 all outcomes terminated, 1 some failure,
 2 divergence present, 3 only bound exhaustion; 64 usage/parse error.
-`lts` exits 0 (holds) or 1 (does not hold); 65 flags a divergence error
-from the failures model. Any command exits 70 with a one-line
-`error: internal error: ...` when gclab itself fails unexpectedly (for
-instance a nesting too deep for its recursive walkers). Reports are
-byte-identical for identical inputs.
+Every command exits 64 with one `error:` line on a usage error (a bad
+option value, a missing argument). `lts` exits 0 (holds) or 1 (does not
+hold); 65 flags a divergence error from the failures model. Any command
+exits 70 with a one-line `error: internal error: ...` when gclab itself
+fails unexpectedly (for instance a nesting too deep for its recursive
+walkers). Reports are byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -58,8 +59,17 @@ def _parse_binding(text: str):
         raise argparse.ArgumentTypeError(f"cannot parse value in {text!r}")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Turns a usage error into a ValueError, which `main` reports as one
+    `error:` line and exit 64, in place of argparse's usage block and
+    exit 2 (the code `run` gives to divergence). Subparsers inherit it."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="gclab")
+    top = _ArgumentParser(prog="gclab")
     sub = top.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute a .gcl/.csp/.par file")
@@ -90,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "transform":

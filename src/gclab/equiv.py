@@ -6,6 +6,13 @@ label `tau`. Tests are Ltss with success-marked states; a process passes
 a test by reaching success in some (may) or every (must) maximal
 computation of their synchronous product, where visible labels
 synchronize and internal moves of either side go alone.
+
+Failures refinement up to a trace depth is decided without listing
+traces: a depth-first search over pairs of the tau-closed state sets
+that p and q reach by the same trace (q's subset construction, built as
+the search meets it), memoised per pair. It has the bounded meaning of
+the trace-by-trace definition and gives the same witness;
+`max_refusals` and `failures` still list traces, as an oracle.
 """
 
 from __future__ import annotations
@@ -357,35 +364,44 @@ def _tau_closure(states: set[str], mv) -> frozenset[str]:
     return frozenset(seen)
 
 
+def _after(states: frozenset[str], lab: str, mv) -> frozenset[str]:
+    """The tau-closed set reached from `states` by one `lab` move; empty
+    when no state has one."""
+    targets: set[str] = set()
+    for s in states:
+        targets.update(mv[s].get(lab, ()))
+    return _tau_closure(targets, mv)
+
+
+def _maximal_refusals(states: frozenset[str], mv,
+                      sigma: frozenset[str]) -> list[frozenset[str]]:
+    """The subset-maximal refusals of the stable states in a state set
+    (one per stable state shape), sorted by their sorted labels."""
+    refs = {sigma.difference(mv[s]) for s in states if TAU not in mv[s]}
+    return sorted((r for r in refs if not any(r < other for other in refs)),
+                  key=sorted)
+
+
 def max_refusals(l: Lts, depth: int) -> dict[tuple[str, ...], list[frozenset[str]]]:
     """trace -> maximal refusal sets (one per stable state shape reached
     after the trace). Downward closure is left implicit."""
     _check_divergence_free(l)
     mv = l.moves()
-    sigma = set(l.alphabet)
+    sigma = frozenset(l.alphabet)
     out: dict[tuple[str, ...], list[frozenset[str]]] = {}
     start = _tau_closure({l.init}, mv)
     frontier: dict[tuple[str, ...], frozenset[str]] = {(): start}
     for _ in range(depth + 1):
         nxt: dict[tuple[str, ...], frozenset[str]] = {}
         for trace, states in sorted(frontier.items()):
-            refs = set()
-            for s in states:
-                if mv[s].get(TAU):
-                    continue  # unstable
-                refs.add(frozenset(sigma - set(mv[s])))
-            # keep only subset-maximal refusals
-            maxima = [r for r in refs
-                      if not any(r < other for other in refs)]
+            maxima = _maximal_refusals(states, mv, sigma)
             if maxima:
-                out[trace] = sorted(maxima, key=sorted)
+                out[trace] = maxima
             if len(trace) < depth:
                 for lab in sorted(sigma):
-                    targets = set()
-                    for s in states:
-                        targets |= mv[s].get(lab, set())
-                    if targets:
-                        nxt[trace + (lab,)] = _tau_closure(targets, mv)
+                    reached = _after(states, lab, mv)
+                    if reached:
+                        nxt[trace + (lab,)] = reached
         frontier = nxt
         if not frontier:
             break
@@ -411,27 +427,108 @@ def failures(p: Lts, depth: int) -> set[Failure]:
 def refines(p: Lts, q: Lts, depth: int) -> bool:
     """failures(p) subset of failures(q) up to the given trace depth.
 
-    Conclusive for acyclic systems once depth exceeds both state counts;
-    for cyclic systems it is a bounded check at the stated depth.
+    Decided by the pair search of `refinement_counterexample`, which
+    enumerates no traces and has the same bounded meaning: conclusive
+    for acyclic systems once depth exceeds both state counts; for cyclic
+    systems a bounded check at the stated depth.
     """
     return refinement_counterexample(p, q, depth) is None
 
 
+class _Subsets:
+    """One system's subset construction, built as the pair search meets
+    it: each tau-closed state set's successor on a label and its maximal
+    refusals are computed once."""
+
+    def __init__(self, l: Lts):
+        self.mv = l.moves()
+        self.sigma = frozenset(l.alphabet)
+        self.start = _tau_closure({l.init}, self.mv)
+        self._successors: dict[tuple[frozenset[str], str], frozenset[str]] = {}
+        self._maxima: dict[frozenset[str], list[frozenset[str]]] = {}
+
+    def after(self, states: frozenset[str], lab: str) -> frozenset[str]:
+        key = (states, lab)
+        out = self._successors.get(key)
+        if out is None:
+            out = self._successors[key] = _after(states, lab, self.mv)
+        return out
+
+    def refusals(self, states: frozenset[str]) -> list[frozenset[str]]:
+        out = self._maxima.get(states)
+        if out is None:
+            out = self._maxima[states] = _maximal_refusals(
+                states, self.mv, self.sigma)
+        return out
+
+
+def _uncovered(refusals: list[frozenset[str]],
+               covers: list[frozenset[str]]) -> frozenset[str] | None:
+    """The first of p's maximal refusals after a trace that no maximal
+    refusal of q after it covers, shrunk to an informative witness; None
+    when q covers them all."""
+    for m in refusals:
+        if not any(m <= c for c in covers):
+            # shrink to an informative witness: drop labels q can
+            # also refuse, as long as the remainder stays uncovered
+            best = m
+            for c in covers:
+                reduced = m - c
+                if (reduced and len(reduced) < len(best)
+                        and not any(reduced <= c2 for c2 in covers)):
+                    best = reduced
+            return best
+    return None
+
+
 def refinement_counterexample(p: Lts, q: Lts, depth: int) -> Failure | None:
-    """A failure of p that q does not have, or None."""
-    pf = max_refusals(p, depth)
-    qf = max_refusals(q, depth)
-    for trace in sorted(pf):
-        covers = qf.get(trace, [])
-        for m in pf[trace]:
-            if not any(m <= c for c in covers):
-                # shrink to an informative witness: drop labels q can
-                # also refuse, as long as the remainder stays uncovered
-                best = m
-                for c in covers:
-                    reduced = m - c
-                    if (reduced and len(reduced) < len(best)
-                            and not any(reduced <= c2 for c2 in covers)):
-                        best = reduced
-                return Failure(trace, best)
+    """A failure of p that q does not have, with a trace of at most
+    `depth` labels, or None.
+
+    The witness is the one on the least trace in sorted (lexicographic)
+    order, not necessarily a shortest one. Whether a trace holds one
+    depends only on the pair of tau-closed state sets p and q reach by
+    it (q's is empty when q cannot follow), so the search walks pairs
+    depth-first in sorted label order, not traces, and remembers for
+    each pair how many further steps are known to hold no witness.
+    Raises DivergenceError for p, then q; ValueError on negative depth.
+    """
+    if depth < 0:
+        raise ValueError("depth must not be negative")
+    _check_divergence_free(p)
+    _check_divergence_free(q)
+    ps, qs = _Subsets(p), _Subsets(q)
+    root = (ps.start, qs.start)
+    found = _uncovered(ps.refusals(root[0]), qs.refusals(root[1]))
+    if found is not None:
+        return Failure((), found)
+    labels = sorted(p.alphabet)
+    # pair -> the most steps below it known to hold no witness; -1 while
+    # only the pair itself is known to be clean
+    clean = {root: -1}
+    trace: list[str] = []
+    stack = [(root, depth, iter(labels if depth else ()))]
+    while stack:
+        (pstates, qstates), left, todo = stack[-1]
+        for lab in todo:
+            reached = ps.after(pstates, lab)
+            if not reached:
+                continue
+            child = (reached, qs.after(qstates, lab))
+            known = clean.get(child)
+            if known is None:
+                found = _uncovered(ps.refusals(child[0]), qs.refusals(child[1]))
+                if found is not None:
+                    return Failure(tuple(trace) + (lab,), found)
+                clean[child] = -1
+            elif known >= left - 1:
+                continue
+            trace.append(lab)
+            stack.append((child, left - 1, iter(labels if left > 1 else ())))
+            break
+        else:
+            # deeper visits of this pair, done inside it, had fewer steps
+            clean[stack.pop()[0]] = left
+            if trace:
+                trace.pop()
     return None

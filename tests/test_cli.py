@@ -85,6 +85,26 @@ def test_run_negative_fuel_exit_64(capsys, mode):
     assert err.startswith("error:") and "fuel" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,detail", [
+    (("run", CORPUS / "euclid.gcl", "--mode", "bogus"), "invalid choice: 'bogus'"),
+    ((), "required: command"),
+    (("lts", "refines", CORPUS / "Q.lts", CORPUS / "P.lts", "--depth", "x"),
+     "invalid int value: 'x'"),
+], ids=["bad-choice", "missing-subcommand", "non-integer-depth"])
+def test_usage_error_exit_64(capsys, argv, detail):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64 and out == ""
+    assert err.startswith("error:") and detail in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("run", "--help")])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    assert stop.value.code == 0
+    assert "usage: gclab" in capsys.readouterr().out
+
+
 def test_run_reports_byte_identical(capsys):
     args = ("run", CORPUS / "goon.gcl", "--mode", "demonic", "--max-depth", "15")
     _, out1, _ = run_cli(capsys, *args)
@@ -240,6 +260,12 @@ def test_lts_refines(capsys):
                            CORPUS / "P.lts", "--depth", "4")
     assert code == 1
     assert "(<i>, {c})" in out
+
+
+def test_lts_refines_negative_depth_exit_64(capsys):
+    code, out, err = run_cli(capsys, "lts", "refines", CORPUS / "Q.lts",
+                             CORPUS / "P.lts", "--depth", "-1")
+    assert (code, out, err) == (64, "", "error: depth must not be negative\n")
 
 
 def test_lts_divergence_error_exit(tmp_path, capsys):

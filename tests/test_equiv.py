@@ -191,6 +191,41 @@ def test_refines_directions():
     assert refines(P, P, 4) and refines(Q, Q, 4)
 
 
+@pytest.mark.parametrize("depth", [-1, -5])
+def test_refines_negative_depth_is_an_error(depth):
+    for check in (refines, refinement_counterexample):
+        with pytest.raises(ValueError, match="depth must not be negative"):
+            check(_Q(), _P(), depth)
+
+
+def _cycle(prefix: str, phases: int, offers_b, tau_to_dead: bool) -> Lts:
+    """A cycle of `phases` states on `a`; `b` from the phases in
+    `offers_b`, and optionally `tau` from every phase, to one dead state."""
+    names = [f"{prefix}{k}" for k in range(phases)]
+    dead = f"{prefix}d"
+    trans = [(names[k], "a", names[(k + 1) % phases]) for k in range(phases)]
+    trans += [(names[k], "b", dead) for k in offers_b]
+    if tau_to_dead:
+        trans += [(n, "tau", dead) for n in names]
+    return Lts(tuple(names) + (dead,), ("a", "b"), tuple(trans), names[0])
+
+
+@pytest.mark.parametrize("depth,want", [
+    (12, None),
+    (15, None),
+    (16, Failure(("a",) * 15 + ("b",), frozenset({"a", "b"}))),
+    (40, Failure(("a",) * 35 + ("b",), frozenset({"a", "b"}))),
+])
+def test_refinement_witness_is_least_in_trace_order(depth, want):
+    """The cyclic pair that the default depth |P|+|Q| = 12 misses: P can
+    do a^k b whenever 5 divides k, Q only when k mod 4 is not 3. At depth
+    40 the witness is a^35 b, which sorts before the shorter a^15 b."""
+    P = _cycle("p", 5, [0], tau_to_dead=False)
+    Q = _cycle("q", 4, [0, 1, 2], tau_to_dead=True)
+    assert refinement_counterexample(P, Q, depth) == want
+    assert refines(P, Q, depth) == (want is None)
+
+
 def test_refines_on_divergent_input_raises():
     D = parse_lts("""
     alphabet a
