@@ -11,13 +11,20 @@ from typing import Mapping
 
 from .errors import CheckError
 from .syntax import (
-    ARITH_OPS, EQ_OPS, LOGIC_OPS, ORDER_OPS,
-    ArrayRef, Assign, Await, BinOp, BoolLit, Builtin, ChoiceAssign,
-    Declaration, Do, Expr, Fail, GclProgram, If, IfElse, IntLit,
-    RandomAssign, Seq, Skip, Stmt, UnaryOp, Var, While,
+    BINARY, BUILTINS, ArrayRef, Assign, Await, BinOp, BoolLit, Builtin,
+    ChoiceAssign, Declaration, Do, Expr, Fail, GclProgram, If, IfElse,
+    IntLit, RandomAssign, Seq, Skip, Stmt, UnaryOp, Var, While,
 )
 
-BUILTIN_NAMES = ("min", "max")
+BUILTIN_NAMES = tuple(BUILTINS)
+
+# what an ill-typed binary operator says, by (operand type, result type)
+_MISTYPED = {
+    ("int", "int"): "needs integer operands",
+    ("int", "bool"): "compares integers",
+    (None, "bool"): "compares values of the same type",
+    ("bool", "bool"): "needs boolean operands",
+}
 
 DeclMap = Mapping[str, Declaration]
 
@@ -92,23 +99,12 @@ def type_of(e: Expr, decls: DeclMap) -> str:
     if isinstance(e, BinOp):
         lt = type_of(e.left, decls)
         rt = type_of(e.right, decls)
-        if e.op in ARITH_OPS:
-            if lt != "int" or rt != "int":
-                raise CheckError(f"'{e.op}' needs integer operands")
-            return "int"
-        if e.op in ORDER_OPS:
-            if lt != "int" or rt != "int":
-                raise CheckError(f"'{e.op}' compares integers")
-            return "bool"
-        if e.op in EQ_OPS:
-            if lt != rt:
-                raise CheckError(f"'{e.op}' compares values of the same type")
-            return "bool"
-        if e.op in LOGIC_OPS:
-            if lt != "bool" or rt != "bool":
-                raise CheckError(f"'{e.op}' needs boolean operands")
-            return "bool"
-        raise CheckError(f"unknown operator {e.op!r}")
+        row = BINARY.get(e.op)
+        if row is None:
+            raise CheckError(f"unknown operator {e.op!r}")
+        if lt != rt or row.operand not in (None, lt):
+            raise CheckError(f"'{e.op}' {_MISTYPED[row.operand, row.result]}")
+        return row.result
     if isinstance(e, Builtin):
         if e.func not in BUILTIN_NAMES:
             raise CheckError(f"unknown builtin '{e.func}'")
@@ -161,63 +157,40 @@ def _check_int_scalar_target(name: str, decls: DeclMap, what: str) -> None:
         raise CheckError(f"{what} target '{name}' must be an integer scalar")
 
 
-def check_stmt(s: Stmt, decls: DeclMap, fragment: str = "gcl") -> None:
-    """Validate a statement. `fragment` is 'gcl' (guarded commands only)
-    or 'par' (skip/assign/if-then-else/while/await only)."""
+def check_stmt(s: Stmt, decls: DeclMap) -> None:
+    """Validate a guarded-commands statement; the parallel fragment's
+    statements are rejected."""
     if isinstance(s, (Skip, Fail)):
-        if fragment == "par" and isinstance(s, Fail):
-            raise CheckError("fail/abort is not part of the parallel fragment")
         return
     if isinstance(s, Assign):
         check_assign(s, decls)
         return
     if isinstance(s, RandomAssign):
-        if fragment == "par":
-            raise CheckError("random assignment is not part of the parallel fragment")
         _check_int_scalar_target(s.target, decls, "random assignment")
         return
     if isinstance(s, ChoiceAssign):
-        if fragment == "par":
-            raise CheckError("choice assignment is not part of the parallel fragment")
         _check_int_scalar_target(s.target, decls, "choice assignment")
         if type_of(s.bound, decls) != "int":
             raise CheckError("choice bound must be an integer expression")
         return
     if isinstance(s, Seq):
         for sub in s.stmts:
-            check_stmt(sub, decls, fragment)
+            check_stmt(sub, decls)
         return
     if isinstance(s, (If, Do)):
-        if fragment == "par":
-            raise CheckError("guarded commands are not part of the parallel fragment")
         if not s.arms:
             raise CheckError("alternative/repetitive command needs at least one guard")
         for arm in s.arms:
             if type_of(arm.guard, decls) != "bool":
                 raise CheckError("guard must be boolean")
-            check_stmt(arm.body, decls, fragment)
+            check_stmt(arm.body, decls)
         return
     if isinstance(s, IfElse):
-        if fragment != "par":
-            raise CheckError("if-then-else belongs to the parallel fragment only")
-        if type_of(s.cond, decls) != "bool":
-            raise CheckError("condition must be boolean")
-        check_stmt(s.then_branch, decls, fragment)
-        check_stmt(s.else_branch, decls, fragment)
-        return
+        raise CheckError("if-then-else belongs to the parallel fragment only")
     if isinstance(s, While):
-        if fragment != "par":
-            raise CheckError("while belongs to the parallel fragment only")
-        if type_of(s.cond, decls) != "bool":
-            raise CheckError("condition must be boolean")
-        check_stmt(s.body, decls, fragment)
-        return
+        raise CheckError("while belongs to the parallel fragment only")
     if isinstance(s, Await):
-        if fragment != "par":
-            raise CheckError("await belongs to the parallel fragment only")
-        if type_of(s.cond, decls) != "bool":
-            raise CheckError("await condition must be boolean")
-        return
+        raise CheckError("await belongs to the parallel fragment only")
     raise CheckError(f"unknown statement node {type(s).__name__}")
 
 
@@ -226,4 +199,4 @@ def check_program(p: GclProgram) -> None:
     table = decl_map(p.decls)
     for d in p.decls:
         check_declaration(d)
-    check_stmt(p.body, table, "gcl")
+    check_stmt(p.body, table)

@@ -35,8 +35,8 @@ from .errors import EvalError
 from .printer import render_stmt_inline
 from .state import State, apply_parallel_assign, eval_expr, initial_state
 from .syntax import (
-    ArrayRef, Assign, BinOp, Builtin, ChoiceAssign, Do, Fail, GclProgram,
-    If, RandomAssign, Seq, Skip, Stmt, UnaryOp, expr_names,
+    PARTIAL, ArrayRef, Assign, BinOp, Builtin, ChoiceAssign, Do, Fail,
+    GclProgram, If, RandomAssign, Seq, Skip, Stmt, UnaryOp, expr_names,
 )
 
 
@@ -604,15 +604,15 @@ class GraphSearch:
 
 def _sensitive_vars(e, acc: set[str]) -> None:
     """Variables whose value can change an expression's control effect:
-    anything under an array index, a div/mod divisor, or the whole guard
-    and choice-bound expressions (collected by the caller). Plain
-    arithmetic over unbounded integers is total and therefore not
-    sensitive."""
+    anything under an array index, a divisor (the right operand of a
+    `syntax.PARTIAL` operator), or the whole guard and choice-bound
+    expressions (collected by the caller). Plain arithmetic over
+    unbounded integers is total and therefore not sensitive."""
     if isinstance(e, ArrayRef):
         acc.add(e.name)
         expr_names(e.index, acc)
     elif isinstance(e, BinOp):
-        if e.op in ("div", "mod"):
+        if e.op in PARTIAL:
             expr_names(e.right, acc)
             _sensitive_vars(e.left, acc)
         else:

@@ -40,35 +40,43 @@ class Lts:
         if TAU in self.alphabet:
             raise CheckError("'tau' is reserved for internal moves")
         labels = set(self.alphabet) | {TAU}
+        moves: dict[str, dict[str, set[str]]] = {s: {} for s in self.states}
         for (src, lab, dst) in self.transitions:
             if src not in known or dst not in known:
                 raise CheckError(f"transition {src} -{lab}-> {dst} uses unknown state")
             if lab not in labels:
                 raise CheckError(f"label '{lab}' not in the alphabet")
+            moves[src].setdefault(lab, set()).add(dst)
         if not self.success <= known:
             raise CheckError("success marks an unknown state")
+        # kept beside the fields, so eq, hash and repr ignore it
+        object.__setattr__(self, "_moves", moves)
 
     # -- derived views ------------------------------------------------------
 
     def moves(self) -> dict[str, dict[str, set[str]]]:
-        """state -> label -> successor set."""
-        out: dict[str, dict[str, set[str]]] = {s: {} for s in self.states}
-        for (src, lab, dst) in self.transitions:
-            out[src].setdefault(lab, set()).add(dst)
-        return out
+        """state -> label -> successor set, built once and shared: callers
+        must not mutate it."""
+        return self._moves
 
     def reachable(self) -> set[str]:
-        mv = self.moves()
-        seen = {self.init}
-        todo = deque([self.init])
-        while todo:
-            s = todo.popleft()
-            for dsts in mv[s].values():
-                for d in dsts:
-                    if d not in seen:
-                        seen.add(d)
-                        todo.append(d)
-        return seen
+        mv = self._moves
+        return set(_reach((self.init,), lambda s: (
+            d for dsts in mv[s].values() for d in dsts)))
+
+
+def _reach(starts, succ):
+    """The nodes reachable from `starts` along `succ`, breadth-first, each
+    yielded once."""
+    seen = set(starts)
+    todo = deque(seen)
+    while todo:
+        node = todo.popleft()
+        yield node
+        for nxt in succ(node):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +238,8 @@ def may_pass(proc: Lts, test: Lts) -> bool:
     """Does some maximal product computation visit a success state?
     Equivalent to reachability of a success-marked product node."""
     _require_test(test)
-    succ = _product_moves(proc, test)
-    start = (proc.init, test.init)
-    seen = {start}
-    todo = deque([start])
-    while todo:
-        node = todo.popleft()
-        if node[1] in test.success:
-            return True
-        for nxt in succ(node):
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return False
+    nodes = _reach(((proc.init, test.init),), _product_moves(proc, test))
+    return any(t in test.success for _, t in nodes)
 
 
 def must_pass(proc: Lts, test: Lts) -> bool:
@@ -305,9 +302,6 @@ class Failure:
     trace: tuple[str, ...]
     refusal: frozenset[str]
 
-    def sort_key(self) -> tuple:
-        return (len(self.trace), self.trace, tuple(sorted(self.refusal)))
-
     def describe(self) -> str:
         t = ",".join(self.trace) if self.trace else ""
         r = ",".join(sorted(self.refusal))
@@ -352,16 +346,8 @@ def _check_divergence_free(l: Lts) -> None:
                 color[trail.pop()] = 2
 
 
-def _tau_closure(states: set[str], mv) -> frozenset[str]:
-    seen = set(states)
-    todo = deque(states)
-    while todo:
-        s = todo.popleft()
-        for d in mv[s].get(TAU, ()):
-            if d not in seen:
-                seen.add(d)
-                todo.append(d)
-    return frozenset(seen)
+def _tau_closure(states, mv) -> frozenset[str]:
+    return frozenset(_reach(states, lambda s: mv[s].get(TAU, ())))
 
 
 def _after(states: frozenset[str], lab: str, mv) -> frozenset[str]:
@@ -384,13 +370,15 @@ def _maximal_refusals(states: frozenset[str], mv,
 
 def max_refusals(l: Lts, depth: int) -> dict[tuple[str, ...], list[frozenset[str]]]:
     """trace -> maximal refusal sets (one per stable state shape reached
-    after the trace). Downward closure is left implicit."""
+    after the trace). Downward closure is left implicit. Raises
+    DivergenceError, and ValueError on negative depth."""
+    if depth < 0:
+        raise ValueError("depth must not be negative")
     _check_divergence_free(l)
     mv = l.moves()
     sigma = frozenset(l.alphabet)
     out: dict[tuple[str, ...], list[frozenset[str]]] = {}
-    start = _tau_closure({l.init}, mv)
-    frontier: dict[tuple[str, ...], frozenset[str]] = {(): start}
+    frontier = {(): _tau_closure((l.init,), mv)}
     for _ in range(depth + 1):
         nxt: dict[tuple[str, ...], frozenset[str]] = {}
         for trace, states in sorted(frontier.items()):
@@ -412,6 +400,7 @@ def failures(p: Lts, depth: int) -> set[Failure]:
     """All failures with trace length up to `depth`: pairs of a trace and
     a refusal set held in some stable state after it. Refusal sets are
     expanded to all subsets of the maximal ones, so keep alphabets small.
+    Raises as `max_refusals` does.
     """
     out: set[Failure] = set()
     for trace, maxima in max_refusals(p, depth).items():
@@ -443,7 +432,7 @@ class _Subsets:
     def __init__(self, l: Lts):
         self.mv = l.moves()
         self.sigma = frozenset(l.alphabet)
-        self.start = _tau_closure({l.init}, self.mv)
+        self.start = _tau_closure((l.init,), self.mv)
         self._successors: dict[tuple[frozenset[str], str], frozenset[str]] = {}
         self._maxima: dict[frozenset[str], list[frozenset[str]]] = {}
 

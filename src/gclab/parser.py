@@ -1,13 +1,14 @@
 """Recursive-descent parsers for the three source languages.
 
 Statements descend one method per construct. Expressions are parsed by
-precedence climbing over the binding-power table `_BINARY`: loosest to
-tightest, or, and, a prefix `not`, comparisons, + -, * div mod, then unary
-minus. Binary operators associate to the left; comparisons do not chain,
-and `not` binds looser than comparisons, so `not x < y` reads as
+precedence climbing over the binding powers of `syntax.BINARY`: loosest
+to tightest, or, and, a prefix `not`, comparisons, + -, * div mod, then
+unary minus. Binary operators associate to the left; comparisons do not
+chain, and `not` binds looser than comparisons, so `not x < y` reads as
 `not (x < y)` and `x < not y` is rejected. A `-` before an integer literal
 makes a negative literal. Parentheses, prefixes, indexes and builtin
-arguments may nest `MAX_NESTING` levels deep.
+arguments may nest `MAX_NESTING` levels deep, and so may `if`, `do` and
+`while` statements.
 
 Parsing and checking are interleaved: every name is resolved against the
 declarations in scope at the point of use and every expression is typed as
@@ -17,41 +18,26 @@ diagnostic carries a line and column.
 
 from __future__ import annotations
 
+import sys
+
 from .check import BUILTIN_NAMES, check_assign, check_declaration, type_of
 from .errors import CheckError, ParseError
 from .lexer import Token, tokenize
 from .syntax import (
-    ArrayRef, Assign, Await, BinOp, BoolLit, Builtin, ChoiceAssign,
-    CspProcess, CspSystem, Declaration, Do, Expr, ExtGuard, Fail,
-    GclProgram, GuardedCommand, If, IfElse, Input, IntLit, Output,
-    ParSystem, RandomAssign, Skip, Stmt, UnaryOp, Var, While, seq,
+    BINARY, COMPARE_BP, NEG_BP, NOT_BP, ArrayRef, Assign, Await, BinOp,
+    BoolLit, Builtin, ChoiceAssign, CspProcess, CspSystem, Declaration, Do,
+    Expr, ExtGuard, Fail, GclProgram, GuardedCommand, If, IfElse, Input,
+    IntLit, Output, ParSystem, RandomAssign, Skip, Stmt, UnaryOp, Var, While,
+    seq,
 )
 
-# Binding powers of the binary operators; a prefix `not` binds at _NOT and
-# unary minus tighter than any binary operator.
-_BINARY = {"or": 1, "and": 2, "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-           "+": 5, "-": 5, "*": 6, "div": 6, "mod": 6}
-_NOT, _CMP, _UNARY = 3, 4, 7
+_POWER = {op: row.power for op, row in BINARY.items()}
 
-# Parentheses, prefix `not` and `-`, indexes and builtin arguments open a
-# level each; the parser stops at this depth with a ParseError rather than
-# exhausting the Python stack.
+# Parentheses, prefix `not` and `-`, indexes and builtin arguments open an
+# expression level each; `if`, `do`, `while` and a process's communication
+# loop open a statement level each. The parser stops at this depth of
+# either kind with a ParseError rather than exhausting the Python stack.
 MAX_NESTING = 100
-
-# tokens that end a statement sequence
-_SEQ_STOP = frozenset({
-    "eof", "fi", "od", "[]", "end", "component", "epilogue", "else",
-})
-
-
-class _CspLoop:
-    """Internal marker: an extended-guard do loop met while parsing a
-    process body. Not a Stmt; it must sit in final position."""
-
-    def __init__(self, arms: list[ExtGuard], io_positions: list[Token]):
-        self.arms = arms
-        self.io_positions = io_positions
-
 
 class Parser:
     def __init__(self, text: str):
@@ -59,6 +45,7 @@ class Parser:
         self.i = 0
         self.decls: dict[str, Declaration] = {}
         self.decl_positions: dict[str, Token] = {}
+        self.stmt_depth = 0
 
     # -- token plumbing: `i` never moves past the final eof token -----------
 
@@ -92,6 +79,14 @@ class Parser:
     def fail(self, message: str, tok: Token | None = None):
         t = tok or self.peek()
         raise ParseError(message, t.line, t.col)
+
+    def _integer(self, t: Token) -> int:
+        try:
+            return int(t.text)
+        except ValueError:
+            if not t.text.isdigit():  # the keyword `int` shares the token kind
+                raise
+            self.fail(f"integer literal longer than {sys.get_int_max_str_digits()} digits", t)
 
     # -- error-position plumbing for the checker ----------------------------
 
@@ -146,7 +141,7 @@ class Parser:
 
     def _signed_int(self) -> int:
         sign = -1 if self.accept("-") else 1
-        return sign * int(self.expect("int", "an integer").text)
+        return sign * self._integer(self.expect("int", "an integer"))
 
     def _parse_initializer(self, kind: str):
         if self.at("true") or self.at("false"):
@@ -171,21 +166,21 @@ class Parser:
         follow, and after a comparison or a prefix `not` only `and`/`or`."""
         toks = self.toks
         t = toks[self.i]
-        if t.kind == "not" and min_bp <= _NOT:
+        if t.kind == "not" and min_bp <= NOT_BP:
             self._nest(t, depth)
             self.i += 1
-            left = UnaryOp("not", self._expr(_NOT, depth + 1))
-            limit = _NOT
+            left = UnaryOp("not", self._expr(NOT_BP, depth + 1))
+            limit = NOT_BP
         else:
             left = self._operand(depth)
-            limit = _UNARY
+            limit = NEG_BP
         while True:
             op = toks[self.i].kind
-            bp = _BINARY.get(op, 0)
+            bp = _POWER.get(op, 0)
             if bp <= min_bp or bp > limit:
                 return left
             self.i += 1
-            limit = _NOT if bp == _CMP else bp
+            limit = NOT_BP if bp == COMPARE_BP else bp
             left = BinOp(op, left, self._expr(bp, depth))
 
     def _operand(self, depth: int) -> Expr:
@@ -195,7 +190,7 @@ class Parser:
         kind = t.kind
         if kind == "int":
             self.i += 1
-            return IntLit(int(t.text))
+            return IntLit(self._integer(t))
         if kind == "ident":
             self.i += 1
             name = t.text
@@ -226,7 +221,7 @@ class Parser:
             # a minus on an integer literal IS a negative literal; explicit
             # negation of a literal is written with parens, `-(2)`
             if self.at("int"):
-                return IntLit(-int(self.advance().text))
+                return IntLit(-self._integer(self.advance()))
             self._nest(t, depth)
             return UnaryOp("neg", self._operand(depth + 1))
         if kind == "(":
@@ -243,6 +238,14 @@ class Parser:
     def _nest(self, t: Token, depth: int) -> None:
         if depth >= MAX_NESTING:
             self.fail(f"expression nested deeper than {MAX_NESTING} levels", t)
+
+    def _open_statement(self) -> None:
+        """Consume the token that opens a statement level; the caller
+        closes the level."""
+        t = self.advance()
+        if self.stmt_depth >= MAX_NESTING:
+            self.fail(f"statement nested deeper than {MAX_NESTING} levels", t)
+        self.stmt_depth += 1
 
     def typed_expr(self, want: str | None = None) -> Expr:
         tok = self.peek()
@@ -288,11 +291,12 @@ class Parser:
         self.fail(f"expected a statement, found {t.text or 'end of input'!r}", t)
 
     def _parse_guarded(self, node, closer: str) -> Stmt:
-        self.advance()
+        self._open_statement()
         arms = [self._parse_arm()]
         while self.accept("[]"):
             arms.append(self._parse_arm())
         self.expect(closer, f"'[]' or '{closer}'")
+        self.stmt_depth -= 1
         return node(tuple(arms))
 
     def _parse_arm(self) -> GuardedCommand:
@@ -304,7 +308,7 @@ class Parser:
         return GuardedCommand(guard, body)
 
     def _parse_if_then_else(self) -> Stmt:
-        self.expect("if")
+        self._open_statement()
         cond = self.typed_expr("bool")
         self.expect("then")
         then_branch = self.parse_stmt_seq("par")
@@ -313,14 +317,16 @@ class Parser:
         else:
             else_branch = Skip()
         self.expect("fi")
+        self.stmt_depth -= 1
         return IfElse(cond, then_branch, else_branch)
 
     def _parse_while(self) -> Stmt:
-        self.expect("while")
+        self._open_statement()
         cond = self.typed_expr("bool")
         self.expect("do")
         body = self.parse_stmt_seq("par")
         self.expect("od")
+        self.stmt_depth -= 1
         return While(cond, body)
 
     def _parse_assignment(self, fragment: str) -> Stmt:
@@ -484,7 +490,7 @@ def _is_extended_do(p: Parser) -> bool:
 
 
 def _parse_csp_loop(p: Parser):
-    p.expect("do")
+    p._open_statement()
     arms: list[ExtGuard] = []
     io_positions: list[tuple[Token, str]] = []
     while True:
@@ -512,6 +518,7 @@ def _parse_csp_loop(p: Parser):
             continue
         p.expect("od", "'[]' or 'od'")
         break
+    p.stmt_depth -= 1
     return arms, io_positions
 
 

@@ -9,25 +9,21 @@ nondeterministic, but reporting and transformation are order-stable).
 from __future__ import annotations
 
 from .syntax import (
-    ArrayRef, Assign, Await, BinOp, BoolLit, Builtin, ChoiceAssign,
-    CspSystem, Declaration, Do, Expr, Fail, GclProgram, If, IfElse, Input,
-    IntLit, Output, ParSystem, RandomAssign, Seq, Skip, Stmt, UnaryOp, Var,
-    While,
+    BINARY, COMPARE_BP, NEG_BP, NOT_BP, ArrayRef, Assign, Await, BinOp,
+    BoolLit, Builtin, ChoiceAssign, CspSystem, Declaration, Do, Expr, Fail,
+    GclProgram, If, IfElse, Input, IntLit, Output, ParSystem, RandomAssign,
+    Seq, Skip, Stmt, UnaryOp, Var, While,
 )
 
-# precedence levels, loose to tight; mirrors the parser
-_PREC = {"or": 1, "and": 2, "not": 3,
-         "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-         "+": 5, "-": 5, "*": 6, "div": 6, "mod": 6, "neg": 7}
-_ATOM = 9
-_NONASSOC = frozenset({"=", "!=", "<", "<=", ">", ">=" })
+# the parser's binding powers, and a literal's, tighter than any operator
+_ATOM = NEG_BP + 1
 
 
 def _prec(e: Expr) -> int:
     if isinstance(e, BinOp):
-        return _PREC[e.op]
+        return BINARY[e.op].power
     if isinstance(e, UnaryOp):
-        return _PREC[e.op]
+        return NOT_BP if e.op == "not" else NEG_BP
     return _ATOM
 
 
@@ -45,23 +41,23 @@ def render_expr(e: Expr) -> str:
     if isinstance(e, UnaryOp):
         if e.op == "not":
             inner = render_expr(e.operand)
-            if _prec(e.operand) < _PREC["not"]:
+            if _prec(e.operand) < NOT_BP:
                 inner = f"({inner})"
             return f"not {inner}"
         inner = render_expr(e.operand)
         # parenthesize anything not tighter than unary minus, and also a
         # literal operand: bare `-2` reparses as the negative literal
-        if _prec(e.operand) <= _PREC["neg"] or isinstance(e.operand, IntLit):
+        if _prec(e.operand) <= NEG_BP or isinstance(e.operand, IntLit):
             inner = f"({inner})"
         return f"-{inner}"
     if isinstance(e, BinOp):
         # binary operators parse left-associatively (comparisons do not
         # chain), so an equal-precedence right child always needs parens
         # for the reparse to rebuild the identical tree
-        my = _PREC[e.op]
+        my = BINARY[e.op].power
         left = render_expr(e.left)
         right = render_expr(e.right)
-        if _prec(e.left) < my or (e.op in _NONASSOC and _prec(e.left) == my):
+        if _prec(e.left) < my or (my == COMPARE_BP and _prec(e.left) == my):
             left = f"({left})"
         if _prec(e.right) <= my:
             right = f"({right})"

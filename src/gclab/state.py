@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 from .errors import CheckError, EvalError
 from .syntax import (
-    ArrayRef, BinOp, BoolLit, Builtin, Declaration, Expr, IntLit,
-    UnaryOp, Var,
+    BINARY, BUILTINS, ArrayRef, BinOp, BoolLit, Builtin, Declaration, Expr,
+    IntLit, UnaryOp, Var,
 )
 
 Value = int | bool
@@ -182,8 +182,9 @@ def eval_expr(e: Expr, s: State) -> Value:
     """Total, side-effect-free evaluation of a type-checked expression.
 
     Raises EvalError on out-of-bounds array access and on div/mod by zero;
-    the engines turn that into a failure outcome. `div` and `mod` floor
-    toward negative infinity (Python semantics), fixed so oracles agree.
+    the engines turn that into a failure outcome. Binary operators mean
+    what their `syntax.BINARY` row says, except that `and` and `or`
+    short-circuit here.
     """
     if isinstance(e, IntLit):
         return e.value
@@ -202,33 +203,11 @@ def eval_expr(e: Expr, s: State) -> Value:
             return eval_expr(e.left, s) or eval_expr(e.right, s)
         l = eval_expr(e.left, s)
         r = eval_expr(e.right, s)
-        if op == "+":
-            return l + r
-        if op == "-":
-            return l - r
-        if op == "*":
-            return l * r
-        if op == "div":
-            if r == 0:
-                raise EvalError("div by zero")
-            return l // r
-        if op == "mod":
-            if r == 0:
-                raise EvalError("mod by zero")
-            return l % r
-        if op == "=":
-            return l == r
-        if op == "!=":
-            return l != r
-        if op == "<":
-            return l < r
-        if op == "<=":
-            return l <= r
-        if op == ">":
-            return l > r
-        if op == ">=":
-            return l >= r
-        raise EvalError(f"unknown operator {op!r}")
+        try:
+            meaning = BINARY[op].meaning
+        except KeyError:
+            raise EvalError(f"unknown operator {op!r}") from None
+        return meaning(l, r)
     if isinstance(e, UnaryOp):
         v = eval_expr(e.operand, s)
         if e.op == "neg":
@@ -239,7 +218,7 @@ def eval_expr(e: Expr, s: State) -> Value:
     if isinstance(e, Builtin):
         a = eval_expr(e.args[0], s)
         b = eval_expr(e.args[1], s)
-        return min(a, b) if e.func == "min" else max(a, b)
+        return BUILTINS[e.func](a, b)
     raise EvalError(f"cannot evaluate {type(e).__name__}")
 
 

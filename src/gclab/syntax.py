@@ -6,11 +6,19 @@ they intern it as a program point (`engine.Points`); memoization and
 divergence detection then compare points by identity. Nodes carry no
 source positions (the parser reports positions at parse time), which
 keeps `parse(render(p)) == p` a plain `==`.
+
+Each binary operator's binding power, typing and meaning are one row of
+`BINARY`; the parser, printer, checker and evaluator all read that row,
+so they agree by construction.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Any, Callable
+
+from .errors import EvalError
 
 
 # ---------------------------------------------------------------------------
@@ -48,12 +56,58 @@ class UnaryOp(Expr):
     operand: Expr
 
 
-# Binary operators: arithmetic on ints, comparisons int -> bool
-# (equality also on bools), logic on bools.
-ARITH_OPS = ("+", "-", "*", "div", "mod")
-ORDER_OPS = ("<", "<=", ">", ">=")
-EQ_OPS = ("=", "!=")
-LOGIC_OPS = ("and", "or")
+# Binding powers, loosest to tightest. A prefix `not` binds looser than
+# the comparisons, so `not x < y` reads as `not (x < y)`; unary minus
+# binds tighter than any binary operator.
+OR_BP, AND_BP, NOT_BP, COMPARE_BP, ADD_BP, MUL_BP, NEG_BP = range(1, 8)
+
+
+class Operator:
+    """A binary operator. Operands of type `operand` (None: either type,
+    but the same on both sides) give a `result`; `meaning` applies it to
+    values, and is None for `and`/`or`, which the evaluator short-circuits.
+    Operators of power COMPARE_BP do not chain; the others associate to
+    the left. Slotted, because the evaluator reads `meaning` at every
+    operator node, and a slot is the fastest attribute to read."""
+
+    __slots__ = ("power", "operand", "result", "meaning")
+
+    def __init__(self, power: int, operand: str | None, result: str,
+                 meaning: Callable[[Any, Any], Any] | None):
+        self.power, self.operand, self.result = power, operand, result
+        self.meaning = meaning
+
+
+def _partial(name: str, f: Callable[[int, int], int]) -> Callable[[int, int], int]:
+    def apply(l: int, r: int) -> int:
+        if r == 0:
+            raise EvalError(f"{name} by zero")
+        return f(l, r)
+    return apply
+
+
+# `div` and `mod` floor toward negative infinity (Python semantics)
+BINARY = {
+    "or": Operator(OR_BP, "bool", "bool", None),
+    "and": Operator(AND_BP, "bool", "bool", None),
+    "=": Operator(COMPARE_BP, None, "bool", operator.eq),
+    "!=": Operator(COMPARE_BP, None, "bool", operator.ne),
+    "<": Operator(COMPARE_BP, "int", "bool", operator.lt),
+    "<=": Operator(COMPARE_BP, "int", "bool", operator.le),
+    ">": Operator(COMPARE_BP, "int", "bool", operator.gt),
+    ">=": Operator(COMPARE_BP, "int", "bool", operator.ge),
+    "+": Operator(ADD_BP, "int", "int", operator.add),
+    "-": Operator(ADD_BP, "int", "int", operator.sub),
+    "*": Operator(MUL_BP, "int", "int", operator.mul),
+    "div": Operator(MUL_BP, "int", "int", _partial("div", operator.floordiv)),
+    "mod": Operator(MUL_BP, "int", "int", _partial("mod", operator.mod)),
+}
+
+# operators that fail on some operands: their right operand decides
+PARTIAL = frozenset({"div", "mod"})
+
+# builtin functions, each of two integers
+BUILTINS = {"min": min, "max": max}
 
 
 @dataclass(frozen=True, slots=True)

@@ -296,8 +296,7 @@ def test_lts_refines_long_tau_chain(tmp_path, capsys):
 
 @pytest.mark.parametrize("body", [
     "x := " + "+".join(["1"] * 3000),
-    "if true -> " * 300 + "skip" + " fi" * 300,
-], ids=["long-operator-chain", "nested-if"])
+], ids=["long-operator-chain"])
 def test_internal_error_exits_seventy(tmp_path, capsys, body):
     f = tmp_path / "deep.gcl"
     f.write_text(f"var x: int;\n{body}\n")
@@ -306,6 +305,14 @@ def test_internal_error_exits_seventy(tmp_path, capsys, body):
     assert out == ""
     assert err.startswith("error: internal error: RecursionError: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_deep_statement_nesting_exits_sixty_four(tmp_path, capsys):
+    f = tmp_path / "deep.gcl"
+    f.write_text("var x: int;\n" + "if true -> " * 300 + "skip" + " fi" * 300 + "\n")
+    code, out, err = run_cli(capsys, "run", f)
+    assert (code, out) == (64, "")
+    assert err.startswith("error: line 2, col ") and err.count("\n") == 1
 
 
 # every corpus fixture runs through its documented command

@@ -4,7 +4,7 @@ import pytest
 
 from gclab.equiv import (
     DivergenceError, Failure, Lts, bisimilar, bisimilar_witness, failures,
-    format_lts, may_pass, must_pass, must_witness, parse_lts,
+    format_lts, max_refusals, may_pass, must_pass, must_witness, parse_lts,
     refinement_counterexample, refines,
 )
 from gclab.errors import CheckError
@@ -196,6 +196,20 @@ def test_refines_negative_depth_is_an_error(depth):
     for check in (refines, refinement_counterexample):
         with pytest.raises(ValueError, match="depth must not be negative"):
             check(_Q(), _P(), depth)
+
+
+@pytest.mark.parametrize("depth", [-1, -5])
+def test_failures_negative_depth_is_an_error(depth):
+    for listing in (max_refusals, failures):
+        with pytest.raises(ValueError, match="depth must not be negative"):
+            listing(_P(), depth)
+
+
+def test_moves_built_once_outside_the_fields():
+    p = _P()
+    assert p.moves() is p.moves()
+    assert p == _P() and hash(p) == hash(_P()) and repr(p) == repr(_P())
+    assert "_moves" not in repr(p)
 
 
 def _cycle(prefix: str, phases: int, offers_b, tau_to_dead: bool) -> Lts:

@@ -1,15 +1,19 @@
 import re
+import sys
 
 import pytest
 
 from gclab.check import check_program
+from gclab.csp import run_csp
 from gclab.engine import Terminated, explore_demonic
 from gclab.errors import CheckError, ParseError
+from gclab.par import run_par_direct
 from gclab.parser import MAX_NESTING, parse_csp, parse_gcl, parse_par
-from gclab.printer import render
+from gclab.printer import render, render_csp, render_par
 from gclab.syntax import (
-    Assign, ChoiceAssign, Declaration, Do, Input, IntLit, Output,
-    RandomAssign, Var,
+    FALSE, TRUE, Assign, Await, ChoiceAssign, Declaration, Do, GclProgram,
+    GuardedCommand, If, IfElse, Input, IntLit, Output, RandomAssign, Seq,
+    Skip, Var, While,
 )
 
 from conftest import corpus_text
@@ -346,3 +350,68 @@ def test_nesting_beyond_the_limit_is_a_positioned_parse_error(shape, levels):
     crossing = list(re.finditer(opener, line))[MAX_NESTING]
     assert (err.value.message, err.value.line, err.value.col) == (
         f"expression nested deeper than {MAX_NESTING} levels", 2, crossing.start() + 1)
+
+
+# shape: (parser, renderer, runner, first line, second line with n
+# statement levels, regex of the tokens that open a level)
+_STATEMENT_NESTINGS = {
+    "if": (parse_gcl, render, explore_demonic, "var x: int;",
+           lambda n: "if true -> " * n + "x := 1" + " fi" * n, r"\bif\b"),
+    "do": (parse_gcl, render, explore_demonic, "var x: int;",
+           lambda n: "do x = 0 -> " * n + "x := 1" + " od" * n, r"\bdo\b"),
+    "par": (parse_par, render_par, run_par_direct, "var x: int;",
+            lambda n: ("component " + "if true then while x = 0 do " * (n // 2)
+                       + "x := 1" + " od fi" * (n // 2) + " end"),
+            r"\b(if|while)\b"),
+    "csp": (parse_csp, render_csp, run_csp,
+            "process B var y: int; do y = 0; A ? y -> skip od end",
+            lambda n: ("process A var k: int; do k = 0; B ! 1 -> "
+                       + "if true -> " * (n - 1) + "k := 1" + " fi" * (n - 1) + " od end"),
+            r"\b(do|if)\b"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_STATEMENT_NESTINGS))
+def test_statement_nesting_at_the_limit_parses_renders_and_runs(shape):
+    parse, render_text, run, first, second, _ = _STATEMENT_NESTINGS[shape]
+    p = parse(f"{first}\n{second(MAX_NESTING)}")
+    assert parse(render_text(p)) == p
+    outcomes = run(p).outcomes
+    assert outcomes and all(isinstance(o, Terminated) for o in outcomes)
+
+
+@pytest.mark.parametrize("levels", [MAX_NESTING + 1, 10_000])
+@pytest.mark.parametrize("shape", sorted(_STATEMENT_NESTINGS))
+def test_statement_nesting_beyond_the_limit_is_a_positioned_parse_error(shape, levels):
+    parse, _, _, first, second, opener = _STATEMENT_NESTINGS[shape]
+    line = second(levels + levels % 2)  # even: the par shape nests in pairs
+    with pytest.raises(ParseError) as err:
+        parse(f"{first}\n{line}")
+    crossing = list(re.finditer(opener, line))[MAX_NESTING]
+    assert (err.value.message, err.value.line, err.value.col) == (
+        f"statement nested deeper than {MAX_NESTING} levels", 2, crossing.start() + 1)
+
+
+def test_over_long_integer_literal_is_a_positioned_parse_error():
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no limit on the digits of an integer literal")
+    limit = sys.get_int_max_str_digits()
+    digits = "1" * (limit + 1)
+    for line, col in ((f"x := {digits}", 6), (f"x := -{digits}", 7),
+                      (f"var y: int = {digits}; skip", 14)):
+        with pytest.raises(ParseError) as err:
+            parse_gcl(f"var x: int;\n{line}")
+        assert (err.value.message, err.value.line, err.value.col) == (
+            f"integer literal longer than {limit} digits", 2, col)
+
+
+@pytest.mark.parametrize("stmt, message", [
+    (IfElse(TRUE, Skip(), Skip()), "if-then-else belongs to the parallel fragment only"),
+    (While(FALSE, Skip()), "while belongs to the parallel fragment only"),
+    (Await(TRUE), "await belongs to the parallel fragment only"),
+])
+def test_check_program_rejects_parallel_statements(stmt, message):
+    nested = If((GuardedCommand(TRUE, Seq((Skip(), stmt))),))
+    with pytest.raises(CheckError) as err:
+        check_program(GclProgram((), nested))
+    assert err.value.message == message

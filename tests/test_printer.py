@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gclab.check import check_program
+from gclab.check import check_program, type_of
+from gclab.errors import CheckError, EvalError
 from gclab.fairness import transform_wf
 from gclab.parser import parse_csp, parse_gcl, parse_par
 from gclab.printer import render, render_csp, render_expr, render_par
+from gclab.state import eval_expr, initial_state
 from gclab.syntax import (
     ArrayRef, Assign, BinOp, BoolLit, Builtin, Declaration, GclProgram,
     IntLit, UnaryOp, Var,
@@ -110,3 +112,86 @@ def test_expression_render_parse_identity(expr):
 def test_int_expression_render_parse_identity(expr):
     prog = GclProgram(_INT_DECLS, Assign((Var("x"),), (expr,)))
     assert parse_gcl(render(prog)) == prog
+
+
+# ---------------------------------------------------------------------------
+# Every operator: its type error, and round trips of every nesting
+# ---------------------------------------------------------------------------
+
+# operator -> (operand type, None meaning either but the same on both
+# sides; result type; message for an ill-typed use), written out here so
+# that the checker's derived messages are pinned literally
+_OPERATORS = {
+    "+": ("int", "int", "'+' needs integer operands"),
+    "-": ("int", "int", "'-' needs integer operands"),
+    "*": ("int", "int", "'*' needs integer operands"),
+    "div": ("int", "int", "'div' needs integer operands"),
+    "mod": ("int", "int", "'mod' needs integer operands"),
+    "<": ("int", "bool", "'<' compares integers"),
+    "<=": ("int", "bool", "'<=' compares integers"),
+    ">": ("int", "bool", "'>' compares integers"),
+    ">=": ("int", "bool", "'>=' compares integers"),
+    "=": (None, "bool", "'=' compares values of the same type"),
+    "!=": (None, "bool", "'!=' compares values of the same type"),
+    "and": ("bool", "bool", "'and' needs boolean operands"),
+    "or": ("bool", "bool", "'or' needs boolean operands"),
+}
+_LEAF = {"int": ("x", "y"), "bool": ("p", "q")}
+_OP_DECLS = (Declaration("x", "int"), Declaration("y", "int"),
+             Declaration("p", "bool"), Declaration("q", "bool"))
+_OP_HEADER = "var x: int; var y: int; var p: bool; var q: bool;\n"
+
+
+def _type_error(expr_text: str) -> tuple[str, int, int]:
+    with pytest.raises(CheckError) as err:
+        parse_gcl(_OP_HEADER + f"if {expr_text} -> skip fi")
+    return err.value.message, err.value.line, err.value.col
+
+
+@pytest.mark.parametrize("op", sorted(_OPERATORS))
+def test_binary_operator_type_errors(op):
+    operand, _, message = _OPERATORS[op]
+    for lt in ("int", "bool"):
+        for rt in ("int", "bool"):
+            text = f"{_LEAF[lt][0]} {op} {_LEAF[rt][1]}"
+            if lt == rt and operand in (None, lt):
+                parse_gcl(_OP_HEADER + f"if ({text}) = ({text}) -> skip fi")
+            else:
+                assert _type_error(text) == (message, 2, 4)
+
+
+def test_prefix_and_builtin_type_errors():
+    assert _type_error("-p") == ("unary '-' needs an integer operand", 2, 4)
+    assert _type_error("not x") == ("'not' needs a boolean operand", 2, 4)
+    assert _type_error("min(x, p) = 1") == ("'min' needs integer arguments", 2, 4)
+    assert _type_error("max(p, x) = 1") == ("'max' needs integer arguments", 2, 4)
+    decls = {d.name: d for d in _OP_DECLS}
+    with pytest.raises(CheckError, match=r"^unknown operator '\^'$"):
+        type_of(BinOp("^", Var("x"), Var("y")), decls)
+    with pytest.raises(CheckError, match=r"^unknown unary operator '~'$"):
+        type_of(UnaryOp("~", Var("x")), decls)
+    s = initial_state(_OP_DECLS)
+    with pytest.raises(EvalError, match=r"^unknown operator '\^'$"):
+        eval_expr(BinOp("^", Var("x"), Var("y")), s)
+    with pytest.raises(EvalError, match=r"^unknown unary operator '~'$"):
+        eval_expr(UnaryOp("~", Var("x")), s)
+
+
+@pytest.mark.parametrize("outer", sorted(_OPERATORS))
+def test_every_operator_pairing_round_trips(outer):
+    """`outer` over each binary operator, nested on the left and on the
+    right, wherever that is well typed."""
+    want, result, _ = _OPERATORS[outer]
+    target = Var(_LEAF[result][0])
+    pairings = 0
+    for inner, (operand, inner_result, _) in sorted(_OPERATORS.items()):
+        if want not in (None, inner_result):
+            continue
+        leaf = Var(_LEAF[inner_result][1])
+        for t in (operand,) if operand else ("int", "bool"):
+            nested = BinOp(inner, Var(_LEAF[t][0]), Var(_LEAF[t][1]))
+            for e in (BinOp(outer, nested, leaf), BinOp(outer, leaf, nested)):
+                prog = GclProgram(_OP_DECLS, Assign((target,), (e,)))
+                assert parse_gcl(render(prog)) == prog, render_expr(e)
+                pairings += 1
+    assert pairings >= 2 * 5
