@@ -107,13 +107,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "transform":
             return _cmd_transform(args)
         return _cmd_lts(args)
-    except SourceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except (fairness.FairnessError, fairness.FixpointError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as e:
+    except (SourceError, fairness.FairnessError, fairness.FixpointError,
+            ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as e:  # never a traceback, never an outcome code

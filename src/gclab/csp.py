@@ -19,7 +19,7 @@ from .engine import (
     Expansion, ExplorationReport, Failed, GraphSearch, Limits,
 )
 from .errors import CheckError, EvalError
-from .state import State, apply_parallel_assign, eval_expr, initial_state
+from .state import State, eval_expr, execute_assign, initial_state
 from .syntax import (
     Assign, BinOp, CspSystem, Do, Expr, GclProgram, GuardedCommand, If,
     Input, IoCommand, Output, Skip, Stmt, Var, conj, not_, seq,
@@ -165,10 +165,8 @@ def run_csp(sys: CspSystem, s0: State | None = None,
             attempted = True
             _, ioi, bi = guards[pair.i][pair.j]
             _, ior, br = guards[pair.r][pair.s]
-            comm = eff(ioi, ior)
             try:
-                values = tuple(eval_expr(v, s) for v in comm.values)
-                s1 = apply_parallel_assign(comm.targets, values, s)
+                s1 = execute_assign(eff(ioi, ior), s)
             except EvalError as e:
                 extra.append(Failed(e.reason, s, e.detail))
                 continue

@@ -33,7 +33,7 @@ from typing import Any, Callable
 
 from .errors import EvalError
 from .printer import render_stmt_inline
-from .state import State, apply_parallel_assign, eval_expr, initial_state
+from .state import State, eval_expr, execute_assign, format_value, initial_state
 from .syntax import (
     PARTIAL, ArrayRef, Assign, BinOp, Builtin, ChoiceAssign, Do, Fail,
     GclProgram, If, RandomAssign, Seq, Skip, Stmt, UnaryOp, expr_names,
@@ -385,8 +385,7 @@ def step(c: Config, choice_bound: int) -> Expansion:
 
     if isinstance(head, Assign):
         try:
-            values = tuple(eval_expr(v, s) for v in head.values)
-            s2 = apply_parallel_assign(head.targets, values, s)
+            s2 = execute_assign(head, s)
         except EvalError as e:
             return Expansion(failure=(e.reason, e.detail, s))
         return Expansion([(pt.label, Config(pt.rest(), s2))])
@@ -405,14 +404,15 @@ def step(c: Config, choice_bound: int) -> Expansion:
             return Expansion(failure=(e.reason, e.detail, s))
         if bound < 1:
             return Expansion(
-                failure=("eval-error", f"choice({bound}) has no value", s))
+                failure=("eval-error", f"choice({format_value(bound)}) has no value", s))
         rest = pt.rest()
         trans = [(f"{head.target} := {v}",
                   Config(rest, s.set_scalar(head.target, v)))
                  for v in range(1, bound + 1)]
         return Expansion(trans)
 
-    if isinstance(head, If):
+    if isinstance(head, (If, Do)):
+        tag = "if" if isinstance(head, If) else "do"
         trans = []
         for i, arm in enumerate(head.arms):
             try:
@@ -420,23 +420,12 @@ def step(c: Config, choice_bound: int) -> Expansion:
             except EvalError as e:
                 return Expansion(failure=(e.reason, e.detail, s))
             if enabled:
-                trans.append((f"if#{i + 1}", Config(pt.arm(i), s)))
-        if not trans:
+                trans.append((f"{tag}#{i + 1}", Config(pt.arm(i), s)))
+        if trans:
+            return Expansion(trans)
+        if tag == "if":
             return Expansion(failure=("guard-all-false-in-if", "", s))
-        return Expansion(trans)
-
-    if isinstance(head, Do):
-        trans = []
-        for i, arm in enumerate(head.arms):
-            try:
-                enabled = eval_expr(arm.guard, s)
-            except EvalError as e:
-                return Expansion(failure=(e.reason, e.detail, s))
-            if enabled:
-                trans.append((f"do#{i + 1}", Config(pt.arm(i), s)))
-        if not trans:
-            return Expansion([("od", Config(pt.rest(), s))])
-        return Expansion(trans)
+        return Expansion([("od", Config(pt.rest(), s))])
 
     raise TypeError(f"{type(head).__name__} is not a guarded-commands statement")
 

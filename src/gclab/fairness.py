@@ -3,11 +3,15 @@ asynchronous least-fixpoint workload.
 
 The transformation applies to one-level nondeterministic programs: an
 initialization part followed by a single repetitive command whose bodies
-are deterministic. It introduces one priority variable per guarded
-command; an enabled command holding the minimum priority is selected, its
-priority is reset arbitrarily, enabled competitors move up (decrement)
-and disabled ones are reset. Ignoring the priority variables, the
-transformed program's computations are the weakly fair ones.
+are deterministic, that is, free of `x := ?` and `choice`, with pairwise
+exclusive guards in every if and do. Exclusion is proved atom by atom of
+the guards' conjunctions; comparisons are evaluated with their
+`syntax.BINARY` meanings at a few sample values (`_atoms_exclusive`).
+It introduces one priority variable per guarded command; an enabled
+command holding the minimum priority is selected, its priority is reset
+arbitrarily, enabled competitors move up (decrement) and disabled ones
+are reset. Ignoring the priority variables, the transformed program's
+computations are the weakly fair ones.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ from .errors import CheckError, EvalError
 from .printer import render_stmt_inline
 from .state import State, eval_expr, initial_state
 from .syntax import (
-    Assign, BinOp, BoolLit, Builtin, ChoiceAssign, Declaration, Do, Expr,
-    GclProgram, GuardedCommand, If, IntLit, RandomAssign, Seq, Skip, Stmt,
-    UnaryOp, Var, conj, disj, not_, program_names, seq,
+    BINARY, COMPARE_BP, Assign, BinOp, BoolLit, Builtin, ChoiceAssign,
+    Declaration, Do, Expr, GclProgram, GuardedCommand, If, IntLit,
+    RandomAssign, Seq, Skip, Stmt, UnaryOp, Var, conj, disj, not_,
+    program_names, seq,
 )
 
 
@@ -58,54 +63,25 @@ class OneLevelProgram:
         return GclProgram(self.decls, body)
 
 
-# Relation sets over {lt, eq, gt} for comparison operators.
-_REL = {"<": frozenset({"lt"}), "<=": frozenset({"lt", "eq"}),
-        "=": frozenset({"eq"}), "!=": frozenset({"lt", "gt"}),
-        ">": frozenset({"gt"}), ">=": frozenset({"gt", "eq"})}
-_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
-
-
 def _conj_atoms(e: Expr) -> list[Expr]:
     if isinstance(e, BinOp) and e.op == "and":
         return _conj_atoms(e.left) + _conj_atoms(e.right)
     return [e]
 
 
-def _int_range(op: str, c: int):
-    """Solution set of `x op c` over the integers as (lo, hi) with None
-    for unbounded ends, or ('ne', c) for the punctured line."""
-    if op == "=":
-        return (c, c)
-    if op == "<":
-        return (None, c - 1)
-    if op == "<=":
-        return (None, c)
-    if op == ">":
-        return (c + 1, None)
-    if op == ">=":
-        return (c, None)
-    return ("ne", c)
-
-
-def _ranges_disjoint(a, b) -> bool:
-    if a[0] == "ne" and b[0] == "ne":
-        return False
-    if a[0] == "ne":
-        a, b = b, a
-    if b[0] == "ne":
-        # {x != c} misses only c: disjoint iff the other set is exactly {c}
-        return a == (b[1], b[1])
-    alo, ahi = a
-    blo, bhi = b
-    if ahi is not None and blo is not None and ahi < blo:
-        return True
-    if bhi is not None and alo is not None and bhi < alo:
-        return True
-    return False
+# The comparison operators' meanings; one (left, right) pair per order: <, =, >
+_COMPARE = {op: row.meaning for op, row in BINARY.items() if row.power == COMPARE_BP}
+_ORDERS = ((0, 1), (0, 0), (1, 0))
 
 
 def _atoms_exclusive(a: Expr, b: Expr) -> bool:
-    """Conservative proof that two atoms cannot hold simultaneously."""
+    """Conservative proof that two atoms cannot hold simultaneously:
+    `false`, `e` against `not e`, or two comparisons that no sample makes
+    both true. Comparisons of the same operands, or of the same operands
+    swapped, are sampled at one pair per order; `x op c` against `x op' d`
+    at x = c-1, c, c+1, d-1, d, d+1, since each solution set is a ray, a
+    point or a punctured line, and two that meet share a point within 1 of
+    c or d."""
     if isinstance(a, BoolLit) and not a.value:
         return True
     if isinstance(b, BoolLit) and not b.value:
@@ -114,22 +90,25 @@ def _atoms_exclusive(a: Expr, b: Expr) -> bool:
         return True
     if isinstance(b, UnaryOp) and b.op == "not" and b.operand == a:
         return True
-    if not (isinstance(a, BinOp) and a.op in _REL and
-            isinstance(b, BinOp) and b.op in _REL):
+    if not (isinstance(a, BinOp) and isinstance(b, BinOp)):
         return False
-    a_op, b_op = a.op, b.op
-    if (a.left, a.right) == (b.left, b.right):
-        pass
-    elif (a.left, a.right) == (b.right, b.left):
-        b_op = _FLIP[b_op]
-    else:
-        # same left operand compared against two integer constants
-        if (a.left == b.left and isinstance(a.right, IntLit)
-                and isinstance(b.right, IntLit)):
-            return _ranges_disjoint(_int_range(a_op, a.right.value),
-                                    _int_range(b_op, b.right.value))
+    fa, fb = _COMPARE.get(a.op), _COMPARE.get(b.op)
+    if fa is None or fb is None:
         return False
-    return not (_REL[a_op] & _REL[b_op])
+    same = a.left == b.left and a.right == b.right
+    if same or (a.left == b.right and a.right == b.left):
+        for l, r in _ORDERS:
+            if fa(l, r) and (fb(l, r) if same else fb(r, l)):
+                return False
+        return True
+    if not (a.left == b.left and isinstance(a.right, IntLit)
+            and isinstance(b.right, IntLit)):
+        return False
+    c, d = a.right.value, b.right.value
+    for x in (c - 1, c, c + 1, d - 1, d, d + 1):
+        if fa(x, c) and fb(x, d):
+            return False
+    return True
 
 
 def _guards_exclusive(g1: Expr, g2: Expr) -> bool:
@@ -163,36 +142,34 @@ def _deterministic(s: Stmt, where: str) -> str | None:
     return None
 
 
+def _one_level(p: GclProgram) -> OneLevelProgram | str:
+    """The program split into initialization and loop, or the diagnostic
+    of why it is not one-level nondeterministic."""
+    body = p.body
+    if isinstance(body, Do):
+        olp = OneLevelProgram(p.decls, Skip(), body)
+    elif isinstance(body, Seq) and body.stmts and isinstance(body.stmts[-1], Do):
+        olp = OneLevelProgram(p.decls, seq(list(body.stmts[:-1])), body.stmts[-1])
+    else:
+        return "no top-level repetitive command in final position"
+    bad = _deterministic(olp.init, "initialization")
+    for k, arm in enumerate(olp.loop.arms):
+        bad = bad or _deterministic(arm.body, f"body of guard {k + 1}")
+    return bad or olp
+
+
 def is_one_level_nondeterministic(p: GclProgram) -> tuple[bool, str | None]:
     """Does the program have the init-plus-single-loop shape with
     deterministic init and loop bodies? Returns (verdict, diagnostic)."""
-    body = p.body
-    if isinstance(body, Do):
-        init: Stmt = Skip()
-        loop = body
-    elif isinstance(body, Seq) and body.stmts and isinstance(body.stmts[-1], Do):
-        init = seq(list(body.stmts[:-1]))
-        loop = body.stmts[-1]
-    else:
-        return False, "no top-level repetitive command in final position"
-    bad = _deterministic(init, "initialization")
-    if bad:
-        return False, bad
-    for k, arm in enumerate(loop.arms):
-        bad = _deterministic(arm.body, f"body of guard {k + 1}")
-        if bad:
-            return False, bad
-    return True, None
+    olp = _one_level(p)
+    return (False, olp) if isinstance(olp, str) else (True, None)
 
 
 def one_level_of(p: GclProgram) -> OneLevelProgram:
-    ok, why = is_one_level_nondeterministic(p)
-    if not ok:
-        raise FairnessError(f"not one-level nondeterministic: {why}")
-    body = p.body
-    if isinstance(body, Do):
-        return OneLevelProgram(p.decls, Skip(), body)
-    return OneLevelProgram(p.decls, seq(list(body.stmts[:-1])), body.stmts[-1])
+    olp = _one_level(p)
+    if isinstance(olp, str):
+        raise FairnessError(f"not one-level nondeterministic: {olp}")
+    return olp
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ KEYWORDS = frozenset({
 
 
 class Token(NamedTuple):
-    kind: str   # 'ident', 'int', 'eof', a keyword, or a symbol
+    kind: str   # 'ident', 'number', 'eof', a keyword, or a symbol
     text: str
     line: int
     col: int
@@ -54,7 +54,7 @@ def tokenize(text: str) -> list[Token]:
             s = m[k]
             col = m.start(k) + 1
             if k == 2:
-                add(new(Token, ("int", s, line, col)))
+                add(new(Token, ("number", s, line, col)))
             elif k == 3:
                 add(new(Token, (s if s in KEYWORDS else "ident", s, line, col)))
             elif k == 4:

@@ -19,7 +19,7 @@ from .engine import (
     Expansion, ExplorationReport, Failed, GraphSearch, Limits,
 )
 from .errors import CheckError, EvalError
-from .state import State, apply_parallel_assign, eval_expr, initial_state
+from .state import State, eval_expr, execute_assign, initial_state
 from .syntax import (
     Assign, Await, BinOp, Declaration, Do, Expr, GclProgram,
     GuardedCommand, If, IfElse, IntLit, ParSystem, Seq, Skip, Stmt, Var,
@@ -36,7 +36,7 @@ class AtomicAction:
 
     source: int
     guard: Expr | None
-    effect: Stmt | None
+    effect: Assign | None
     target: int
 
     def describe(self, names: tuple[str, ...]) -> str:
@@ -238,7 +238,7 @@ def run_par_direct(sys: ParSystem, s0: State | None = None,
                 s2 = s
                 if act.effect is not None:
                     try:
-                        s2 = _exec_effect(act.effect, s)
+                        s2 = execute_assign(act.effect, s)
                     except EvalError as e:
                         extra.append(Failed(e.reason, s, e.detail))
                         continue
@@ -259,15 +259,6 @@ def run_par_direct(sys: ParSystem, s0: State | None = None,
     for o in init_outcomes:
         search.close(o)
     return search.report()
-
-
-def _exec_effect(effect: Stmt, s: State) -> State:
-    if isinstance(effect, Skip):
-        return s
-    if isinstance(effect, Assign):
-        values = tuple(eval_expr(v, s) for v in effect.values)
-        return apply_parallel_assign(effect.targets, values, s)
-    raise CheckError(f"effect {type(effect).__name__} is not atomic")
 
 
 def _stuck_detail(cvs, comps) -> str:

@@ -84,8 +84,6 @@ class Parser:
         try:
             return int(t.text)
         except ValueError:
-            if not t.text.isdigit():  # the keyword `int` shares the token kind
-                raise
             self.fail(f"integer literal longer than {sys.get_int_max_str_digits()} digits", t)
 
     # -- error-position plumbing for the checker ----------------------------
@@ -141,7 +139,7 @@ class Parser:
 
     def _signed_int(self) -> int:
         sign = -1 if self.accept("-") else 1
-        return sign * self._integer(self.expect("int", "an integer"))
+        return sign * self._integer(self.expect("number", "an integer"))
 
     def _parse_initializer(self, kind: str):
         if self.at("true") or self.at("false"):
@@ -188,7 +186,7 @@ class Parser:
         a variable, an indexed array or a builtin call."""
         t = self.toks[self.i]
         kind = t.kind
-        if kind == "int":
+        if kind == "number":
             self.i += 1
             return IntLit(self._integer(t))
         if kind == "ident":
@@ -220,7 +218,7 @@ class Parser:
             self.i += 1
             # a minus on an integer literal IS a negative literal; explicit
             # negation of a literal is written with parens, `-(2)`
-            if self.at("int"):
+            if self.at("number"):
                 return IntLit(-self._integer(self.advance()))
             self._nest(t, depth)
             return UnaryOp("neg", self._operand(depth + 1))

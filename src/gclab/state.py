@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 from .errors import CheckError, EvalError
 from .syntax import (
-    BINARY, BUILTINS, ArrayRef, BinOp, BoolLit, Builtin, Declaration, Expr,
-    IntLit, UnaryOp, Var,
+    BINARY, BUILTINS, ArrayRef, Assign, BinOp, BoolLit, Builtin, Declaration,
+    Expr, IntLit, UnaryOp, Var,
 )
 
 Value = int | bool
@@ -90,7 +90,7 @@ class State:
         pos = self.layout.array_pos[name]
         lo, hi = self.layout.array_bounds[pos]
         if index < lo or index > hi:
-            raise EvalError(f"index {index} outside '{name}[{lo}..{hi}]'")
+            raise EvalError(f"index {format_value(index)} outside '{name}[{lo}..{hi}]'")
         return self.arrays[pos][index - lo]
 
     def array(self, name: str) -> tuple[int, ...]:
@@ -107,7 +107,7 @@ class State:
         pos = self.layout.array_pos[name]
         lo, hi = self.layout.array_bounds[pos]
         if index < lo or index > hi:
-            raise EvalError(f"index {index} outside '{name}[{lo}..{hi}]'")
+            raise EvalError(f"index {format_value(index)} outside '{name}[{lo}..{hi}]'")
         cells = self.arrays[pos]
         cells = cells[:index - lo] + (value,) + cells[index - lo + 1:]
         arrays = self.arrays[:pos] + (cells,) + self.arrays[pos + 1:]
@@ -144,9 +144,9 @@ class State:
         for is_array, pos, name in self.layout.canonical_order:
             if is_array:
                 cells = self.arrays[pos]
-                parts.append(f"{name}=[{','.join(str(c) for c in cells)}]")
+                parts.append(f"{name}=[{','.join(map(format_value, cells))}]")
             else:
-                parts.append(f"{name}={_fmt(self.scalars[pos])}")
+                parts.append(f"{name}={format_value(self.scalars[pos])}")
         return " ".join(parts)
 
     def restricted(self, names: set[str]) -> tuple:
@@ -163,10 +163,15 @@ class State:
         return tuple(parts)
 
 
-def _fmt(v: Value) -> str:
+def format_value(v: Value) -> str:
+    """A value as reports show it; integers in full, past `str()`'s digit limit."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    return str(v)
+    try:
+        return str(v)
+    except ValueError:  # too many digits for int-to-str conversion
+        from decimal import Decimal
+        return str(Decimal(v))
 
 
 def initial_state(decls: tuple[Declaration, ...],
@@ -232,7 +237,7 @@ def resolve_target(t: Expr, s: State) -> tuple[str, int | None]:
         pos = s.layout.array_pos[t.name]
         lo, hi = s.layout.array_bounds[pos]
         if idx < lo or idx > hi:
-            raise EvalError(f"index {idx} outside '{t.name}[{lo}..{hi}]'")
+            raise EvalError(f"index {format_value(idx)} outside '{t.name}[{lo}..{hi}]'")
         return (t.name, idx)
     raise EvalError("bad assignment target")
 
@@ -256,3 +261,8 @@ def apply_parallel_assign(targets: tuple[Expr, ...], values: tuple[Value, ...],
         else:
             out = out.set_cell(name, idx, v)
     return out
+
+
+def execute_assign(a: Assign, s: State) -> State:
+    """Evaluate every right-hand side of `a` in `s`, then write them all."""
+    return apply_parallel_assign(a.targets, tuple([eval_expr(v, s) for v in a.values]), s)

@@ -86,6 +86,11 @@ class ReferenceParser(gclab.parser.Parser):
     def parse_expr(self):
         return self._parse_or()
 
+    def _signed_int(self):
+        # digit runs and the keyword `int` share the token kind "int" here
+        sign = -1 if self.accept("-") else 1
+        return sign * int(self.expect("int", "an integer").text)
+
     def _parse_or(self):
         e = self._parse_and()
         while self.at("or"):

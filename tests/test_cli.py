@@ -1,3 +1,4 @@
+import decimal
 import json
 
 import pytest
@@ -61,6 +62,50 @@ def test_run_parse_error_exit_64(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", f)
     assert code == 64
     assert "line" in err
+
+
+@pytest.mark.parametrize("text, error", [
+    ("var x: int;\nx := int\n", "line 2, col 6: expected an expression, found 'int'"),
+    ("var x: 5;\nskip\n", "line 1, col 8: expected 'int' or 'bool', found '5'"),
+    ("var a: int[int..3];\nskip\n", "line 1, col 12: expected an integer, found 'int'"),
+])
+def test_keyword_int_is_not_an_integer_literal(tmp_path, capsys, text, error):
+    f = tmp_path / "bad.gcl"
+    f.write_text(text)
+    assert run_cli(capsys, "run", f) == (64, "", f"error: {error}\n")
+
+
+# leaves 2**16384 in x: 4,933 digits, more than `str()` converts by default
+SQUARING = ("var a: int[0..1]; var x: int = 2; var n: int = 14;\n"
+            "do n > 0 -> x, n := x * x, n - 1 od")
+BIG = str(decimal.Context(prec=5000).power(2, 16384))
+
+
+def test_run_reports_integers_past_the_str_digit_limit(tmp_path, capsys):
+    f = tmp_path / "square.gcl"
+    f.write_text(SQUARING + "\n")
+    assert len(BIG) == 4933
+    code, out, err = run_cli(capsys, "run", f)
+    assert (code, err) == (0, "")
+    assert out.endswith(f"\noutcome: terminated :: a=[0,0] n=0 x={BIG}\n")
+    code, out, err = run_cli(capsys, "run", f, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["outcomes"] == [
+        {"kind": "terminated", "state": f"a=[0,0] n=0 x={BIG}"}]
+
+
+@pytest.mark.parametrize("stmt, detail", [
+    ("a[x] := 1", f"index {BIG} outside 'a[0..1]'"),
+    ("a[0] := a[x]", f"index {BIG} outside 'a[0..1]'"),
+    ("x := choice(-x)", f"choice(-{BIG}) has no value"),
+], ids=("write", "read", "choice"))
+def test_failure_details_show_integers_past_the_str_digit_limit(
+        tmp_path, capsys, stmt, detail):
+    f = tmp_path / "square.gcl"
+    f.write_text(f"{SQUARING};\n{stmt}\n")
+    code, out, err = run_cli(capsys, "run", f)
+    assert (code, err) == (1, "")
+    assert f"outcome: failed[eval-error] ({detail}) :: " in out
 
 
 @pytest.mark.parametrize("levels", [101, 10_000])

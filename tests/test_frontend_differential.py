@@ -3,9 +3,12 @@ the per-character tokenizer and the one-method-per-level expression parser
 they replaced (`frontend_reference.py`).
 
 Every text must give the same tokens, and the same tree or the same error
-class, message, line and column, with two intended exceptions: a non-ASCII
-digit is now an unexpected character (it used to lex as, or inside, an
-integer), and expressions stop at `MAX_NESTING` levels.
+class, message, line and column, with these intended exceptions: a
+non-ASCII digit is now an unexpected character (it used to lex as, or
+inside, an integer); expressions stop at `MAX_NESTING` levels; and a digit
+run is a 'number' token, no longer of the keyword `int`'s kind, so the
+keyword where an integer belongs and a digit run where a type belongs are
+positioned ParseErrors (they were a ValueError and a declaration).
 """
 
 import importlib.util
@@ -36,7 +39,7 @@ def _outcome(f, text):
         return ("ok", f(text))
     except SourceError as e:
         return (type(e).__name__, e.message, e.line, e.col)
-    except ValueError as e:  # int() of a non-ASCII digit run, or of the keyword 'int'
+    except ValueError as e:  # the reference's int() of a non-ASCII digit run or of 'int'
         return ("ValueError", str(e))
 
 
@@ -45,37 +48,55 @@ def _reference_outcome(f, text):
         return _outcome(f, text)
 
 
-def _intended(text, new) -> bool:
-    """Is `new` one of the two intended departures from the reference?"""
+_TYPE_EXPECTED = "expected 'int' or 'bool', found "
+
+
+def _intended(text, new, old) -> str | None:
+    """The name of the intended departure from the reference `old` that
+    `new` shows, or None when it shows none."""
+    if new[0] == "ok" and isinstance(new[1], list):  # tokens
+        renamed = [t._replace(kind="int") if t.kind == "number" else t for t in new[1]]
+        return "number token" if old == ("ok", renamed) else None
     if new[0] != "ParseError":
-        return False
+        return None
     message, line, col = new[1:]
     if message.startswith("expression nested deeper than"):
-        return True
+        return "nesting"
     c = text.split("\n")[line - 1][col - 1]
-    return message == f"unexpected character {c!r}" and c.isdigit() and not c.isascii()
+    if message == f"unexpected character {c!r}" and c.isdigit() and not c.isascii():
+        return "non-ASCII digit"
+    if (old == ("ValueError", "invalid literal for int() with base 10: 'int'")
+            and message in ("expected an expression, found 'int'",
+                            "expected an integer, found 'int'")):
+        return "int keyword"
+    if (old[0] == "ok" and message.startswith(_TYPE_EXPECTED)
+            and message[len(_TYPE_EXPECTED) + 1:-1].isdigit()):
+        return "number type"
+    return None
 
 
-def _compare_tokens(text) -> int:
-    """Assert agreement on the tokens of `text`; 1 if intended to differ."""
+def _compare_tokens(text) -> set[str]:
+    """Assert agreement on the tokens of `text`; the departures shown."""
     new, old = _outcome(tokenize, text), _outcome(ref.tokenize, text)
     if new == old:
-        return 0
-    assert _intended(text, new), (text, new, old)
-    return 1
+        return set()
+    departure = _intended(text, new, old)
+    assert departure, (text, new, old)
+    return {departure}
 
 
-def _compare_parses(text, kinds=PARSERS) -> int:
-    """Assert agreement of the `kinds` parsers on `text`; return how many
-    differ as intended."""
-    intended = 0
+def _compare_parses(text, kinds=PARSERS) -> set[str]:
+    """Assert agreement of the `kinds` parsers on `text`; return the
+    departures shown."""
+    departures = set()
     for kind in kinds:
         new = _outcome(PARSERS[kind], text)
         old = _reference_outcome(PARSERS[kind], text)
         if new != old:
-            assert _intended(text, new), (kind, text, new, old)
-            intended += 1
-    return intended
+            departure = _intended(text, new, old)
+            assert departure, (kind, text, new, old)
+            departures.add(departure)
+    return departures
 
 
 def _load_bench_gen():
@@ -90,7 +111,7 @@ def _load_bench_gen():
 def test_corpus_matches_reference(path):
     text = path.read_text(encoding="utf-8")
     kinds = [path.suffix[1:]] if path.suffix[1:] in PARSERS else []
-    assert _compare_tokens(text) + _compare_parses(text, kinds) == 0
+    assert _compare_tokens(text) | _compare_parses(text, kinds) <= {"number token"}
 
 
 def test_bench_program_texts_match_reference():
@@ -104,7 +125,7 @@ def test_bench_program_texts_match_reference():
                 texts.update(item.args.get("files", {}).values())
     assert len(texts) > 200
     for text in sorted(texts):
-        assert _compare_tokens(text) + _compare_parses(text) == 0
+        assert _compare_tokens(text) | _compare_parses(text) <= {"number token"}
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +172,11 @@ def _soup(rng: Random) -> tuple[str, str, str]:
 
 def test_token_soups_match_reference():
     rng = Random(20230)
-    intended = 0
+    seen = set()
     for _ in range(50_000):
         kind, header, body = _soup(rng)
-        intended += _compare_tokens(body) + _compare_parses(header + body, (kind,))
-    assert intended > 0  # the soups do reach the non-ASCII digits
+        seen |= _compare_tokens(body) | _compare_parses(header + body, (kind,))
+    assert {"non-ASCII digit", "int keyword"} <= seen  # the soups reach both
 
 
 def test_character_classes_match_reference():
@@ -166,9 +187,7 @@ def test_character_classes_match_reference():
         if c == "\n" or "\ud800" <= c <= "\udfff":
             continue
         for text in (c + "x", "x" + c + "1"):
-            new = _outcome(tokenize, text)
-            if new != _outcome(ref.tokenize, text):
-                assert _intended(text, new), (text, new)
+            assert _compare_tokens(text) <= {"number token", "non-ASCII digit"}
 
 
 # ---------------------------------------------------------------------------
