@@ -24,7 +24,7 @@ from . import csp as csp_mod
 from . import equiv, fairness, par
 from .engine import (
     BoundExceeded, Divergent, ExplorationReport, Failed, Limits, Outcome,
-    _outcome_json, explore_demonic, run_erratic, solve_angelic,
+    explore_demonic, report_json, report_text, run_erratic, solve_angelic,
 )
 from .errors import SourceError
 from .parser import parse_csp, parse_gcl, parse_par
@@ -134,15 +134,16 @@ def _exit_code(outcomes) -> int:
     return 0
 
 
-def _single_report(outcome: Outcome, mode: str, seed, fmt: str) -> int:
+def _print_report(fmt: str, outcomes, text_header: str, json_header: dict) -> None:
     if fmt == "json":
-        doc = {"schema": 1, "mode": mode, "seed": seed,
-               "outcomes": [_outcome_json(outcome)]}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(report_json(json_header, outcomes), indent=2, sort_keys=True))
     else:
-        print("schema 1")
-        print(f"mode {mode} seed {seed}")
-        print(f"outcome: {outcome.describe()}")
+        sys.stdout.write(report_text([text_header], outcomes))
+
+
+def _single_report(outcome: Outcome, mode: str, seed, fmt: str) -> int:
+    _print_report(fmt, [outcome], f"mode {mode} seed {seed}",
+                  {"mode": mode, "seed": seed})
     return _exit_code([outcome])
 
 
@@ -184,16 +185,8 @@ def _cmd_run(args) -> int:
         return _single_report(out, args.mode, args.seed, args.format)
     if args.mode == "angelic":
         results = solve_angelic(program, s0, lim)
-        if args.format == "json":
-            doc = {"schema": 1, "mode": "angelic",
-                   "outcomes": [{"kind": "terminated",
-                                 "state": t.state.canonical()} for t in results]}
-            print(json.dumps(doc, indent=2, sort_keys=True))
-        else:
-            print("schema 1")
-            print(f"mode angelic successes {len(results)}")
-            for t in results:
-                print(f"outcome: {t.describe()}")
+        _print_report(args.format, results,
+                      f"mode angelic successes {len(results)}", {"mode": "angelic"})
         return 0 if results else 1
     policy = "weak" if args.mode == "fair-weak" else "strong"
     out = fairness.run_fair(program, s0, policy, seed=args.seed, fuel=args.fuel)
@@ -202,9 +195,7 @@ def _cmd_run(args) -> int:
 
 def _emit_report(rep: ExplorationReport, fmt: str, mode: str) -> int:
     if fmt == "json":
-        doc = rep.to_json_dict()
-        doc["mode"] = mode
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(rep.to_json_dict() | {"mode": mode}, indent=2, sort_keys=True))
     else:
         sys.stdout.write(rep.to_text())
     return _exit_code(rep.outcomes)
@@ -241,10 +232,11 @@ def _cmd_lts(args) -> int:
     b = equiv.parse_lts(_read(args.files[1]))
     sub = args.subcommand
     if sub == "bisim":
-        if equiv.bisimilar(a, b):
+        w = equiv.bisimilar_witness(a, b)
+        if w is None:
             print("true")
             return 0
-        sp, sq, lab = equiv.bisimilar_witness(a, b)
+        sp, sq, lab = w
         print(f"false: ({sp},{sq}) differ on {lab}")
         return 1
     if sub == "may":

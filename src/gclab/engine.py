@@ -314,26 +314,34 @@ class ExplorationReport:
         return any(isinstance(o, kind) for o in self.outcomes)
 
     def to_text(self) -> str:
-        lines = [
-            "schema 1",
+        return report_text([
             f"limits max-configs={self.limits.max_configs} "
             f"max-depth={self.limits.max_depth} "
             f"choice-bound={self.limits.choice_bound}",
             f"counts configs={self.configs} edges={self.edges} paths={self.paths}",
-        ]
-        lines += [f"outcome: {o.describe()}" for o in self.outcomes]
-        return "\n".join(lines) + "\n"
+        ], self.outcomes)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
+        return report_json({
             "limits": {"max-configs": self.limits.max_configs,
                        "max-depth": self.limits.max_depth,
                        "choice-bound": self.limits.choice_bound},
             "counts": {"configs": self.configs, "edges": self.edges,
                        "paths": self.paths},
-            "outcomes": [_outcome_json(o) for o in self.outcomes],
-        }
+        }, self.outcomes)
+
+
+def report_text(header: list[str], outcomes) -> str:
+    """A schema-1 text report: the schema line, the caller's header lines,
+    then one line per outcome."""
+    lines = ["schema 1", *header] + [f"outcome: {o.describe()}" for o in outcomes]
+    return "\n".join(lines) + "\n"
+
+
+def report_json(header: dict, outcomes) -> dict:
+    """A schema-1 JSON report: the schema, the caller's header fields,
+    then the outcomes."""
+    return {"schema": 1, **header, "outcomes": [_outcome_json(o) for o in outcomes]}
 
 
 def _outcome_json(o: Outcome) -> dict:
@@ -362,6 +370,14 @@ class Expansion:
     failure: tuple[str, str, State] | None = None
     truncated: bool = False
     side_outcomes: list[Outcome] | tuple = ()
+
+
+def _choice_bound(head: ChoiceAssign, s: State) -> int:
+    """The bound t of `x := choice(t)` in `s`; EvalError when t < 1."""
+    bound = eval_expr(head.bound, s)
+    if bound < 1:
+        raise EvalError(f"choice({format_value(bound)}) has no value")
+    return bound
 
 
 def step(c: Config, choice_bound: int) -> Expansion:
@@ -399,12 +415,9 @@ def step(c: Config, choice_bound: int) -> Expansion:
 
     if isinstance(head, ChoiceAssign):
         try:
-            bound = eval_expr(head.bound, s)
+            bound = _choice_bound(head, s)
         except EvalError as e:
             return Expansion(failure=(e.reason, e.detail, s))
-        if bound < 1:
-            return Expansion(
-                failure=("eval-error", f"choice({format_value(bound)}) has no value", s))
         rest = pt.rest()
         trans = [(f"{head.target} := {v}",
                   Config(rest, s.set_scalar(head.target, v)))
@@ -665,19 +678,10 @@ def _control_lasso_scan(path: list, nxt: Config, label: str) -> Divergent | None
             return None
         if anc is not pt or not writes:
             continue
-        proj = _starred_canonical(nxt.state, writes)
         stem = tuple(lab for _, lab in path[1:at + 1])
         cycle = tuple(lab for _, lab in path[at + 1:]) + (label,)
-        return Divergent(f"{pt.key} @ {proj}", False, stem, cycle)
+        return Divergent(f"{pt.key} @ {nxt.state.canonical(writes)}", False, stem, cycle)
     return None
-
-
-def _starred_canonical(s: State, hidden: set[str]) -> str:
-    parts = []
-    for piece in s.canonical().split(" "):
-        name = piece.split("=", 1)[0]
-        parts.append(f"{name}=*" if name in hidden else piece)
-    return " ".join(parts)
 
 
 def _final(cfg: Config) -> State | None:
@@ -759,12 +763,9 @@ def run_erratic(p: GclProgram, s0: State | None = None, seed: int = 0,
             continue
         if isinstance(head, ChoiceAssign):
             try:
-                bound = eval_expr(head.bound, cfg.state)
+                v = rng.randint(1, _choice_bound(head, cfg.state))
             except EvalError as e:
                 return Failed(e.reason, cfg.state, e.detail)
-            if bound < 1:
-                return Failed("eval-error", cfg.state, f"choice({bound}) has no value")
-            v = rng.randint(1, bound)
             cfg = Config(cfg.point.rest(), cfg.state.set_scalar(head.target, v))
             continue
         res = step(cfg, 0)

@@ -1,12 +1,16 @@
 """Program states and total expression evaluation.
 
 Values are unbounded Python ints and bools. A State is an immutable,
-hashable snapshot of every declared variable; arrays are tuples of cells.
-Scalars default to 0/false unless the declaration carries an initializer.
+hashable snapshot of every declared variable: one tuple holding one
+value per variable in name order, a scalar or the tuple of an array's
+cells. Only this module knows that layout and writes a state's text.
+Scalars default to 0/false and array cells to 0, unless the declaration
+carries an initializer.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .errors import CheckError, EvalError
@@ -21,132 +25,100 @@ Value = int | bool
 class Layout:
     """Variable layout derived from a declaration list.
 
-    States built over the same layout store their scalars and arrays
-    positionally (sorted by name), so equality and hashing never touch
-    the declarations themselves. `canonical_order` lists every variable
-    as (is_array, position, name) in name order, scalars and arrays
-    merged, for `State.canonical`.
+    `decls` are the declarations sorted by name; `names`, `kinds` and
+    `bounds` ((lo, hi) of an array, None for a scalar) follow that order,
+    and `pos` maps a name to its position. States over one layout store
+    their values at those positions, so equality and hashing never touch
+    the declarations themselves.
     """
 
-    __slots__ = ("scalar_names", "scalar_kinds", "scalar_pos",
-                 "array_names", "array_bounds", "array_pos", "decls",
-                 "canonical_order")
+    __slots__ = ("decls", "names", "kinds", "bounds", "pos")
 
     def __init__(self, decls: tuple[Declaration, ...]):
-        self.decls = decls
-        scalars = sorted((d for d in decls if not d.is_array), key=lambda d: d.name)
-        arrays = sorted((d for d in decls if d.is_array), key=lambda d: d.name)
-        self.scalar_names = tuple(d.name for d in scalars)
-        self.scalar_kinds = tuple(d.kind for d in scalars)
-        self.array_names = tuple(d.name for d in arrays)
-        self.array_bounds = tuple((d.lo, d.hi) for d in arrays)
-        self.scalar_pos = {n: i for i, n in enumerate(self.scalar_names)}
-        self.array_pos = {n: i for i, n in enumerate(self.array_names)}
-        self.canonical_order = tuple(sorted(
-            [(False, i, n) for i, n in enumerate(self.scalar_names)]
-            + [(True, i, n) for i, n in enumerate(self.array_names)],
-            key=lambda entry: entry[2]))
+        self.decls = tuple(sorted(decls, key=lambda d: d.name))
+        self.names = tuple(d.name for d in self.decls)
+        self.kinds = tuple(d.kind for d in self.decls)
+        self.bounds = tuple((d.lo, d.hi) if d.is_array else None for d in self.decls)
+        self.pos = {n: i for i, n in enumerate(self.names)}
 
-    def initial_state(self, overrides: dict[str, Value | tuple[int, ...]] | None = None) -> "State":
-        """Default state: declaration initializers where present, else
-        0/false. `overrides` replaces initializers by name."""
-        by_name = {d.name: d for d in self.decls}
-        scalars = []
-        for name, kind in zip(self.scalar_names, self.scalar_kinds):
-            v: Value = False if kind == "bool" else 0
-            d = by_name[name]
-            if d.init is not None:
-                v = d.init  # type: ignore[assignment]
-            scalars.append(v)
-        arrays = []
-        for name, (lo, hi) in zip(self.array_names, self.array_bounds):
-            size = hi - lo + 1
-            d = by_name[name]
-            if d.init is None:
-                cells = (0,) * size
-            elif isinstance(d.init, tuple):
-                cells = d.init
-            else:
-                cells = (d.init,) * size
-            arrays.append(cells)
-        st = State(self, tuple(scalars), tuple(arrays))
-        if overrides:
-            st = st.with_bindings(overrides)
-        return st
+    def _at(self, name: str, array: bool) -> int:
+        """Position of `name`; KeyError unless it is declared with that kind."""
+        pos = self.pos[name]
+        if (self.bounds[pos] is not None) != array:
+            raise KeyError(name)
+        return pos
+
+    def _offset(self, pos: int, index: int) -> int:
+        """Offset of cell `index` in the array at `pos`."""
+        lo, hi = self.bounds[pos]
+        if index < lo or index > hi:
+            raise EvalError(
+                f"index {format_value(index)} outside '{self.names[pos]}[{lo}..{hi}]'")
+        return index - lo
 
 
 @dataclass(frozen=True, slots=True)
 class State:
     layout: Layout = field(compare=False, repr=False)
-    scalars: tuple[Value, ...]
-    arrays: tuple[tuple[int, ...], ...]
+    values: tuple[Value | tuple[int, ...], ...]
 
-    # -- reads ------------------------------------------------------------
+    # -- reads (KeyError unless `name` is declared with that kind) ---------
 
     def scalar(self, name: str) -> Value:
-        return self.scalars[self.layout.scalar_pos[name]]
+        return self.values[self.layout._at(name, False)]
 
     def cell(self, name: str, index: int) -> int:
-        pos = self.layout.array_pos[name]
-        lo, hi = self.layout.array_bounds[pos]
-        if index < lo or index > hi:
-            raise EvalError(f"index {format_value(index)} outside '{name}[{lo}..{hi}]'")
-        return self.arrays[pos][index - lo]
+        pos = self.layout._at(name, True)
+        return self.values[pos][self.layout._offset(pos, index)]
 
     def array(self, name: str) -> tuple[int, ...]:
-        return self.arrays[self.layout.array_pos[name]]
+        return self.values[self.layout._at(name, True)]
 
-    # -- writes (persistent) ----------------------------------------------
+    # -- writes (persistent; KeyError likewise) ------------------------------
 
     def set_scalar(self, name: str, value: Value) -> "State":
-        pos = self.layout.scalar_pos[name]
-        scalars = self.scalars[:pos] + (value,) + self.scalars[pos + 1:]
-        return State(self.layout, scalars, self.arrays)
+        return self._put(self.layout._at(name, False), value)
 
     def set_cell(self, name: str, index: int, value: int) -> "State":
-        pos = self.layout.array_pos[name]
-        lo, hi = self.layout.array_bounds[pos]
-        if index < lo or index > hi:
-            raise EvalError(f"index {format_value(index)} outside '{name}[{lo}..{hi}]'")
-        cells = self.arrays[pos]
-        cells = cells[:index - lo] + (value,) + cells[index - lo + 1:]
-        arrays = self.arrays[:pos] + (cells,) + self.arrays[pos + 1:]
-        return State(self.layout, scalars=self.scalars, arrays=arrays)
+        pos = self.layout._at(name, True)
+        off = self.layout._offset(pos, index)
+        cells = self.values[pos]
+        return self._put(pos, cells[:off] + (value,) + cells[off + 1:])
+
+    def _put(self, pos: int, value: Value | tuple[int, ...]) -> "State":
+        return State(self.layout, self.values[:pos] + (value,) + self.values[pos + 1:])
 
     def with_bindings(self, bindings: dict[str, Value | tuple[int, ...]]) -> "State":
-        st = self
+        layout = self.layout
+        values = list(self.values)
         for name, v in bindings.items():
-            if name in self.layout.scalar_pos:
-                kind = self.layout.scalar_kinds[self.layout.scalar_pos[name]]
-                if kind == "bool" and not isinstance(v, bool):
-                    raise CheckError(f"binding for '{name}' must be a bool")
-                if kind == "int" and (isinstance(v, bool) or not isinstance(v, int)):
-                    raise CheckError(f"binding for '{name}' must be an int")
-                st = st.set_scalar(name, v)
-            elif name in self.layout.array_pos:
-                pos = self.layout.array_pos[name]
-                lo, hi = self.layout.array_bounds[pos]
-                if not isinstance(v, tuple) or len(v) != hi - lo + 1:
-                    raise CheckError(
-                        f"binding for array '{name}' needs exactly {hi - lo + 1} cells")
-                arrays = st.arrays[:pos] + (v,) + st.arrays[pos + 1:]
-                st = State(st.layout, st.scalars, arrays)
-            else:
+            pos = layout.pos.get(name)
+            if pos is None:
                 raise CheckError(f"binding for undeclared variable '{name}'")
-        return st
+            kind, old = layout.kinds[pos], self.values[pos]
+            if kind == "bool" and not isinstance(v, bool):
+                raise CheckError(f"binding for '{name}' must be a bool")
+            if kind == "int" and (isinstance(v, bool) or not isinstance(v, int)):
+                raise CheckError(f"binding for '{name}' must be an int")
+            if kind == "int[]" and not (isinstance(v, tuple) and len(v) == len(old)):
+                raise CheckError(f"binding for array '{name}' needs exactly {len(old)} cells")
+            values[pos] = v
+        return State(layout, tuple(values))
 
     # -- canonical form -----------------------------------------------------
 
-    def canonical(self) -> str:
+    def canonical(self, hidden: Collection[str] = ()) -> str:
         """Deterministic one-line serialization: variables in lexicographic
-        name order, arrays as bracketed cell lists."""
+        name order, arrays as bracketed cell lists, and `name=*` for each
+        name in `hidden`."""
         parts = []
-        for is_array, pos, name in self.layout.canonical_order:
-            if is_array:
-                cells = self.arrays[pos]
-                parts.append(f"{name}=[{','.join(map(format_value, cells))}]")
+        for name, v in zip(self.layout.names, self.values):
+            if name in hidden:
+                parts.append(f"{name}=*")
+            elif type(v) is tuple:
+                parts.append(f"{name}=[{','.join(map(format_value, v))}]")
             else:
-                parts.append(f"{name}={format_value(self.scalars[pos])}")
+                parts.append(f"{name}={format_value(v)}")
         return " ".join(parts)
 
     def restricted(self, names: set[str]) -> tuple:
@@ -154,12 +126,10 @@ class State:
         bookkeeping variables when comparing outcome sets)."""
         parts = []
         for name in sorted(names):
-            if name in self.layout.scalar_pos:
-                parts.append((name, self.scalar(name)))
-            elif name in self.layout.array_pos:
-                parts.append((name, self.array(name)))
-            else:
+            pos = self.layout.pos.get(name)
+            if pos is None:
                 raise CheckError(f"cannot project onto undeclared '{name}'")
+            parts.append((name, self.values[pos]))
         return tuple(parts)
 
 
@@ -176,7 +146,21 @@ def format_value(v: Value) -> str:
 
 def initial_state(decls: tuple[Declaration, ...],
                   overrides: dict[str, Value | tuple[int, ...]] | None = None) -> State:
-    return Layout(decls).initial_state(overrides)
+    """Default state: declaration initializers where present, else
+    0/false. `overrides` replaces initializers by name."""
+    layout = Layout(decls)
+    values = []
+    for d in layout.decls:
+        v = d.init
+        if v is None:
+            v = False if d.kind == "bool" else 0
+        if d.is_array and not isinstance(v, tuple):
+            v = (v,) * (d.hi - d.lo + 1)
+        values.append(v)
+    st = State(layout, tuple(values))
+    if overrides:
+        st = st.with_bindings(overrides)
+    return st
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +179,11 @@ def eval_expr(e: Expr, s: State) -> Value:
         return e.value
     if isinstance(e, BoolLit):
         return e.value
-    if isinstance(e, Var):
-        return s.scalar(e.name)
+    if isinstance(e, Var):  # type-checked: a scalar
+        return s.values[s.layout.pos[e.name]]
     if isinstance(e, ArrayRef):
-        idx = eval_expr(e.index, s)
-        return s.cell(e.name, idx)
+        pos = s.layout.pos[e.name]
+        return s.values[pos][s.layout._offset(pos, eval_expr(e.index, s))]
     if isinstance(e, BinOp):
         op = e.op
         if op == "and":
@@ -227,21 +211,6 @@ def eval_expr(e: Expr, s: State) -> Value:
     raise EvalError(f"cannot evaluate {type(e).__name__}")
 
 
-def resolve_target(t: Expr, s: State) -> tuple[str, int | None]:
-    """Resolve an assignment target to a location: (name, None) for a
-    scalar, (name, index) for an array cell. Index evaluation may raise."""
-    if isinstance(t, Var):
-        return (t.name, None)
-    if isinstance(t, ArrayRef):
-        idx = eval_expr(t.index, s)
-        pos = s.layout.array_pos[t.name]
-        lo, hi = s.layout.array_bounds[pos]
-        if idx < lo or idx > hi:
-            raise EvalError(f"index {format_value(idx)} outside '{t.name}[{lo}..{hi}]'")
-        return (t.name, idx)
-    raise EvalError("bad assignment target")
-
-
 def apply_parallel_assign(targets: tuple[Expr, ...], values: tuple[Value, ...],
                           s: State) -> State:
     """Write already-evaluated values to targets simultaneously.
@@ -250,17 +219,22 @@ def apply_parallel_assign(targets: tuple[Expr, ...], values: tuple[Value, ...],
     write. Two targets resolving to the same location is an aliasing
     failure, not a left-to-right overwrite.
     """
-    locs = [resolve_target(t, s) for t in targets]
+    layout = s.layout
+    locs = []
+    for t in targets:
+        is_cell = isinstance(t, ArrayRef)
+        pos = layout._at(t.name, is_cell)
+        locs.append((pos, layout._offset(pos, eval_expr(t.index, s)) if is_cell else None))
     if len(set(locs)) != len(locs):
         raise EvalError("parallel assignment targets collide at runtime",
                         reason="aliasing")
-    out = s
-    for (name, idx), v in zip(locs, values):
-        if idx is None:
-            out = out.set_scalar(name, v)
-        else:
-            out = out.set_cell(name, idx, v)
-    return out
+    out = list(s.values)
+    for (pos, off), v in zip(locs, values):
+        if off is not None:
+            cells = out[pos]
+            v = cells[:off] + (v,) + cells[off + 1:]
+        out[pos] = v
+    return State(layout, tuple(out))
 
 
 def execute_assign(a: Assign, s: State) -> State:

@@ -108,6 +108,22 @@ def test_failure_details_show_integers_past_the_str_digit_limit(
     assert f"outcome: failed[eval-error] ({detail}) :: " in out
 
 
+def test_erratic_choice_failure_matches_demonic(tmp_path, capsys):
+    f = tmp_path / "choice.gcl"
+    f.write_text("var x: int = 2; var n: int = 14; var c: int;\n"
+                 "do n > 0 -> x, n := x * x, n - 1 od;\nc := choice(0 - x)\n")
+    failed = f"failed[eval-error] (choice(-{BIG}) has no value) :: c=0 n=0 x={BIG}"
+    for mode in (["--mode", "demonic"], ["--mode", "erratic", "--seed", "1"]):
+        code, out, err = run_cli(capsys, "run", f, *mode)
+        assert (code, err) == (1, "")
+        assert out.endswith(f"\noutcome: {failed}\n")
+        code, out, err = run_cli(capsys, "run", f, *mode, "--format", "json")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["outcomes"] == [
+            {"kind": "failed", "reason": "eval-error", "state": f"c=0 n=0 x={BIG}",
+             "detail": f"choice(-{BIG}) has no value"}]
+
+
 @pytest.mark.parametrize("levels", [101, 10_000])
 def test_run_deep_nesting_exit_64(tmp_path, capsys, levels):
     f = tmp_path / "deep.gcl"
@@ -282,6 +298,17 @@ def test_lts_bisim_verdict(capsys):
     assert out.strip() == "false: (p2,q2) differ on c"
     code, out, _ = run_cli(capsys, "lts", "bisim", CORPUS / "P.lts", CORPUS / "P.lts")
     assert code == 0 and out.strip() == "true"
+
+
+def test_lts_bisim_partitions_once(capsys, monkeypatch):
+    from gclab import equiv
+    calls = []
+    partition = equiv._partition
+    monkeypatch.setattr(equiv, "_partition", lambda p, q: calls.append(1) or partition(p, q))
+    for other, code in (("Q.lts", 1), ("P.lts", 0)):
+        calls.clear()
+        assert run_cli(capsys, "lts", "bisim", CORPUS / "P.lts", CORPUS / other)[0] == code
+        assert len(calls) == 1
 
 
 def test_lts_may(capsys):

@@ -1,7 +1,10 @@
+import decimal
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gclab.errors import EvalError
+from gclab.errors import CheckError, EvalError
 from gclab.parser import parse_gcl
 from gclab.state import apply_parallel_assign, eval_expr, initial_state
 from gclab.syntax import ArrayRef, BinOp, Builtin, Declaration, IntLit, Var
@@ -115,3 +118,138 @@ def test_swap_twice_restores(x, y):
 def test_restricted_projection():
     _, s = _state("var x: int = 1; var y: int = 2; var a: int[0..1] = [7,8];")
     assert s.restricted({"x", "a"}) == (("a", (7, 8)), ("x", 1))
+
+
+# ---------------------------------------------------------------------------
+# State format
+# ---------------------------------------------------------------------------
+
+def _starred_canonical(s, hidden):
+    """The former key of an inexact divergence lasso, which split the
+    canonical text; kept as the reference for `canonical(hidden)`."""
+    parts = []
+    for piece in s.canonical().split(" "):
+        name = piece.split("=", 1)[0]
+        parts.append(f"{name}=*" if name in hidden else piece)
+    return " ".join(parts)
+
+
+def _text(v):
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(decimal.Decimal(v))
+
+
+# small values, and values past the 4,300 digits `str()` converts
+_INTS = st.one_of(st.integers(-12, 12),
+                  st.builds(lambda k, sign: sign * (2 ** 16384 + k),
+                            st.integers(0, 9), st.sampled_from([1, -1])))
+
+
+@st.composite
+def _layouts(draw):
+    names = draw(st.lists(st.text("ab1", min_size=1, max_size=3),
+                          min_size=1, max_size=6, unique=True))
+    decls = []
+    for name in names:
+        kind = draw(st.sampled_from(["int", "bool", "int[]"]))
+        if kind == "int[]":
+            lo = draw(st.integers(-2, 2))
+            cells = tuple(draw(st.lists(_INTS, min_size=1, max_size=3)))
+            decls.append(Declaration(name, kind, lo, lo + len(cells) - 1, cells))
+        else:
+            init = draw(st.booleans() if kind == "bool" else _INTS)
+            decls.append(Declaration(name, kind, init=init))
+    return tuple(decls), draw(st.sets(st.sampled_from(names)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_layouts())
+def test_canonical_hidden_matches_split_reference(layout):
+    decls, hidden = layout
+    s = initial_state(decls)
+    assert s.canonical(hidden) == _starred_canonical(s, hidden)
+    expected = []
+    for d in sorted(decls, key=lambda d: d.name):
+        v = d.init
+        text = f"[{','.join(map(_text, v))}]" if d.is_array else _text(v)
+        expected.append(f"{d.name}={text}")
+    assert s.canonical() == " ".join(expected)
+
+
+def test_canonical_hides_arrays_and_several_names():
+    _, s = _state("var b: int[1..2] = [3,4]; var a1: bool; var a: int = 5; var bb: int;")
+    assert s.canonical() == "a=5 a1=false b=[3,4] bb=0"
+    assert s.canonical({"b", "a"}) == "a=* a1=false b=* bb=0"
+
+
+_A_I, _A_J, _A_0, _X = (ArrayRef("a", Var("i")), ArrayRef("a", Var("j")),
+                        ArrayRef("a", IntLit(0)), Var("x"))
+
+
+@pytest.mark.parametrize("targets, after", [
+    ((_A_I, _A_J), None),
+    ((_X, _X), None),
+    ((_A_I, _A_0), "a=[8,0,7,0] i=2 j=2 x=0"),
+    ((_X, _A_I), "a=[0,0,8,0] i=2 j=2 x=7"),
+], ids=("two-cells", "one-scalar", "distinct-cells", "scalar-and-cell"))
+def test_aliasing_is_per_location(targets, after):
+    _, s = _state("var a: int[0..3]; var x: int; var i: int = 2; var j: int = 2;")
+    if after is None:
+        with pytest.raises(EvalError) as err:
+            apply_parallel_assign(targets, (7, 8), s)
+        assert (err.value.reason, err.value.detail) == (
+            "aliasing", "parallel assignment targets collide at runtime")
+    else:
+        assert apply_parallel_assign(targets, (7, 8), s).canonical() == after
+
+
+def test_index_error_comes_before_aliasing():
+    _, s = _state("var a: int[0..3]; var i: int = 2;")
+    with pytest.raises(EvalError) as err:
+        apply_parallel_assign((ArrayRef("a", Var("i")), ArrayRef("a", Var("i")),
+                               ArrayRef("a", IntLit(-4))), (1, 2, 3), s)
+    assert (err.value.reason, err.value.detail) == ("eval-error", "index -4 outside 'a[0..3]'")
+
+
+def test_out_of_range_message_at_read_write_and_target():
+    _, s = _state("var x: int; var a: int[1..3];")
+    message = "index 9 outside 'a[1..3]'"
+    with pytest.raises(EvalError, match=re.escape(message)):
+        s.cell("a", 9)
+    with pytest.raises(EvalError, match=re.escape(message)):
+        s.set_cell("a", 9, 1)
+    with pytest.raises(EvalError, match=re.escape("index 0 outside 'a[1..3]'")):
+        s.set_cell("a", 0, 1)
+    with pytest.raises(EvalError) as err:
+        apply_parallel_assign((Var("x"), ArrayRef("a", IntLit(9))), (1, 2), s)
+    assert (err.value.reason, err.value.detail) == ("eval-error", message)
+    assert s.set_cell("a", 3, 5).array("a") == (0, 0, 5)
+
+
+@pytest.mark.parametrize("access", [
+    lambda s: s.scalar("a"), lambda s: s.array("x"), lambda s: s.cell("x", 0),
+    lambda s: s.set_scalar("a", 1), lambda s: s.set_cell("x", 0, 1),
+    lambda s: apply_parallel_assign((ArrayRef("x", IntLit(0)),), (1,), s),
+    lambda s: s.scalar("y"), lambda s: s.array("y"),
+], ids=("scalar", "array", "cell", "set_scalar", "set_cell", "target", "undeclared",
+        "undeclared-array"))
+def test_access_by_the_other_kind_is_a_key_error(access):
+    _, s = _state("var x: int; var a: int[0..1];")
+    with pytest.raises(KeyError):
+        access(s)
+
+
+@pytest.mark.parametrize("binds, message", [
+    ({"y": 1}, "binding for undeclared variable 'y'"),
+    ({"b": 1}, "binding for 'b' must be a bool"),
+    ({"x": True}, "binding for 'x' must be an int"),
+    ({"a": (1, 2)}, "binding for array 'a' needs exactly 3 cells"),
+    ({"a": 1}, "binding for array 'a' needs exactly 3 cells"),
+    ({"x": 1, "y": 1, "b": 1}, "binding for undeclared variable 'y'"),
+])
+def test_with_bindings_errors(binds, message):
+    p = parse_gcl("var x: int; var b: bool; var a: int[1..3];\nskip")
+    with pytest.raises(CheckError) as err:
+        initial_state(p.decls, binds)
+    assert str(err.value) == message
