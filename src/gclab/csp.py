@@ -19,7 +19,7 @@ from .engine import (
     Expansion, ExplorationReport, Failed, GraphSearch, Limits,
 )
 from .errors import CheckError, EvalError
-from .state import State, eval_expr, execute_assign, initial_state
+from .state import State, compile_assign, compile_expr, initial_state
 from .syntax import (
     Assign, BinOp, CspSystem, Do, Expr, GclProgram, GuardedCommand, If,
     Input, IoCommand, Output, Skip, Stmt, Var, conj, not_, seq,
@@ -137,36 +137,38 @@ def run_csp(sys: CspSystem, s0: State | None = None,
     decls = sys.all_decls()
     if s0 is None:
         s0 = initial_state(decls)
-    pairs = sorted(correspondence_pairs(sys))
-    guards = [[(g.cond, g.io, g.body) for g in p.loop] for p in sys.processes]
+    conds = [[compile_expr(g.cond) for g in p.loop] for p in sys.processes]
+    # (pair, compiled joint effect, the two guard bodies), in pair order
+    pairs = []
+    for pair in sorted(correspondence_pairs(sys)):
+        gi = sys.processes[pair.i].loop[pair.j]
+        gr = sys.processes[pair.r].loop[pair.s]
+        pairs.append((pair, compile_assign(eff(gi.io, gr.io)), gi.body, gr.body))
 
     def final_of(s: State) -> State | None:
         try:
-            for row in guards:
-                for cond, _, _ in row:
-                    if eval_expr(cond, s):
+            for row in conds:
+                for cond in row:
+                    if cond(s):
                         return None
         except EvalError:
             return None  # expand() reports the failure
         return s
 
-    def expand(s: State, _choice_bound: int) -> Expansion:
+    def expand(s: State, _choice_bound: int, _max_configs: int) -> Expansion:
         try:
-            enabled = [[bool(eval_expr(cond, s)) for cond, _, _ in row]
-                       for row in guards]
+            enabled = [[bool(cond(s)) for cond in row] for row in conds]
         except EvalError as e:
             return Expansion(failure=(e.reason, e.detail, s))
         trans: list[tuple[str, State]] = []
         extra: list = []
         attempted = False
-        for pair in pairs:
+        for pair, joint, bi, br in pairs:
             if not (enabled[pair.i][pair.j] and enabled[pair.r][pair.s]):
                 continue
             attempted = True
-            _, ioi, bi = guards[pair.i][pair.j]
-            _, ior, br = guards[pair.r][pair.s]
             try:
-                s1 = execute_assign(eff(ioi, ior), s)
+                s1 = joint(s)
             except EvalError as e:
                 extra.append(Failed(e.reason, s, e.detail))
                 continue

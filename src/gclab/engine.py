@@ -5,11 +5,15 @@ residue (the tuple of pending statements) lowered once, the first time a
 search reaches it, and interned by structure in a `Points` table: each
 structurally distinct residue has one `Point`, which caches its head
 statement, its rendered key, the variables its head reads and writes,
-and its successor points. Configurations of one table therefore compare
-by point identity plus the state, and hash by the point's stored hash,
-without walking the syntax tree. A program step rewrites the head of the
-residue; `step` returns an `Expansion`, the one record of what a node
-expands to (a failure, or labelled successors). On top of `step` sit:
+its successor points, and its compiled head: on the first step the
+head's assignment, guards or `choice` bound are lowered to closures
+(`state.compile_assign`, `compile_guards`, `compile_expr`), which every
+later step from that point calls without walking the syntax tree.
+Configurations of one table therefore compare by point identity plus the
+state, and hash by the point's stored hash. A program step rewrites the
+head of the residue; `step` returns an `Expansion`, the one record of
+what a node expands to (a failure, or labelled successors). On top of
+`step` sit:
 
 * `explore_demonic` - exhaustive depth-first exploration of the whole
   computation tree with memoization, lasso-based divergence detection and
@@ -33,7 +37,10 @@ from typing import Any, Callable
 
 from .errors import EvalError
 from .printer import render_stmt_inline
-from .state import State, eval_expr, execute_assign, format_value, initial_state
+from .state import (  # eval_expr is re-exported: bench/tracer.py wraps engine.eval_expr
+    State, compile_assign, compile_expr, compile_guards, eval_expr, format_value,
+    initial_state,
+)
 from .syntax import (
     PARTIAL, ArrayRef, Assign, BinOp, Builtin, ChoiceAssign, Do, Fail,
     GclProgram, If, RandomAssign, Seq, Skip, Stmt, UnaryOp, expr_names,
@@ -43,7 +50,9 @@ from .syntax import (
 @dataclass(frozen=True, slots=True)
 class Limits:
     """Exploration budgets. `choice_bound` caps the values enumerated for
-    `x := ?` during exhaustive search (the construct itself is unbounded)."""
+    `x := ?` during exhaustive search (the construct itself is unbounded);
+    `max_configs` caps the configurations expanded, and the values
+    enumerated for `x := choice(t)`."""
 
     max_configs: int = 100_000
     max_depth: int = 500
@@ -83,7 +92,7 @@ class Point:
     computed at most once, on first use."""
 
     __slots__ = ("points", "residue", "head", "hash", "_key", "_label",
-                 "_effects", "_rest", "_arms")
+                 "_effects", "_rest", "_arms", "_code")
 
     def __init__(self, points: Points, residue: tuple[Stmt, ...]):
         self.points = points
@@ -95,6 +104,7 @@ class Point:
         self._effects: tuple[frozenset[str], frozenset[str]] | None = None
         self._rest: Point | None = None
         self._arms: list[Point | None] | None = None
+        self._code: Callable | tuple | None = None
 
     @property
     def key(self) -> str:
@@ -117,6 +127,25 @@ class Point:
             reads, writes = _head_effects(self.head)
             self._effects = (frozenset(reads), frozenset(writes))
         return self._effects
+
+    def compiled(self) -> Callable | tuple:
+        """The head's expressions lowered to closures (`state`), built on
+        the first step: the assignment of an assignment head, the bound
+        of a `choice` head, the guards of an if-fi or do-od head (one
+        closure giving every guard's value), and () for any other head."""
+        code = self._code
+        if code is None:
+            head = self.head
+            if isinstance(head, Assign):
+                code = compile_assign(head)
+            elif isinstance(head, ChoiceAssign):
+                code = compile_expr(head.bound)
+            elif isinstance(head, (If, Do)):
+                code = compile_guards(tuple(arm.guard for arm in head.arms))
+            else:
+                code = ()
+            self._code = code
+        return code
 
     def rest(self) -> Point:
         """After the head: the successor of a simple statement and the
@@ -363,35 +392,40 @@ def _outcome_json(o: Outcome) -> dict:
 @dataclass(slots=True)
 class Expansion:
     """What a non-terminal node expands to: a failure (reason, detail,
-    state) or labelled successors. `truncated` marks a cut `x := ?`
-    range; `side_outcomes` close branches inside an atomic step."""
+    state) or labelled successors. `truncated` names the limit that cut
+    the successors ('choice-bound' for `x := ?`, 'max-configs' for a
+    `choice(t)` wider than the configuration budget); `side_outcomes`
+    close branches inside an atomic step."""
 
     transitions: list[tuple[str, Any]] | tuple = ()
     failure: tuple[str, str, State] | None = None
-    truncated: bool = False
+    truncated: str | None = None
     side_outcomes: list[Outcome] | tuple = ()
 
 
-def _choice_bound(head: ChoiceAssign, s: State) -> int:
-    """The bound t of `x := choice(t)` in `s`; EvalError when t < 1."""
-    bound = eval_expr(head.bound, s)
+def _choice_bound(bound_of: Callable[[State], int], s: State) -> int:
+    """The bound t of `x := choice(t)` in `s`, from the compiled bound;
+    EvalError when t < 1."""
+    bound = bound_of(s)
     if bound < 1:
         raise EvalError(f"choice({format_value(bound)}) has no value")
     return bound
 
 
-def step(c: Config, choice_bound: int) -> Expansion:
+def step(c: Config, choice_bound: int, max_configs: int | None = None) -> Expansion:
     """Successors of a non-terminal configuration.
 
     Assignments and skip have one successor; if-fi has one per true guard
     and fails when none holds; do-od has one per true guard plus a single
     exit successor when none holds; `x := ?` enumerates 0..choice_bound;
-    `x := choice(t)` enumerates 1..t and fails when t < 1. A guard or
-    right-hand side that fails to evaluate fails the whole command.
+    `x := choice(t)` enumerates 1..t, cut to 1..max_configs when t is
+    larger, and fails when t < 1. A guard or right-hand side that fails
+    to evaluate fails the whole command.
     """
     pt = c.point
     head = pt.head
     s = c.state
+    code = pt.compiled()
 
     if isinstance(head, Skip):
         return Expansion([("skip", Config(pt.rest(), s))])
@@ -401,7 +435,7 @@ def step(c: Config, choice_bound: int) -> Expansion:
 
     if isinstance(head, Assign):
         try:
-            s2 = execute_assign(head, s)
+            s2 = code(s)
         except EvalError as e:
             return Expansion(failure=(e.reason, e.detail, s))
         return Expansion([(pt.label, Config(pt.rest(), s2))])
@@ -411,29 +445,28 @@ def step(c: Config, choice_bound: int) -> Expansion:
         trans = [(f"{head.target} := {v}",
                   Config(rest, s.set_scalar(head.target, v)))
                  for v in range(choice_bound + 1)]
-        return Expansion(trans, truncated=True)
+        return Expansion(trans, truncated="choice-bound")
 
     if isinstance(head, ChoiceAssign):
         try:
-            bound = _choice_bound(head, s)
+            bound = _choice_bound(code, s)
         except EvalError as e:
             return Expansion(failure=(e.reason, e.detail, s))
+        cut = max_configs is not None and bound > max_configs
         rest = pt.rest()
         trans = [(f"{head.target} := {v}",
                   Config(rest, s.set_scalar(head.target, v)))
-                 for v in range(1, bound + 1)]
-        return Expansion(trans)
+                 for v in range(1, (max_configs if cut else bound) + 1)]
+        return Expansion(trans, truncated="max-configs" if cut else None)
 
     if isinstance(head, (If, Do)):
+        try:
+            enabled = code(s)
+        except EvalError as e:
+            return Expansion(failure=(e.reason, e.detail, s))
         tag = "if" if isinstance(head, If) else "do"
-        trans = []
-        for i, arm in enumerate(head.arms):
-            try:
-                enabled = eval_expr(arm.guard, s)
-            except EvalError as e:
-                return Expansion(failure=(e.reason, e.detail, s))
-            if enabled:
-                trans.append((f"{tag}#{i + 1}", Config(pt.arm(i), s)))
+        trans = [(f"{tag}#{i + 1}", Config(pt.arm(i), s))
+                 for i, on in enumerate(enabled) if on]
         if trans:
             return Expansion(trans)
         if tag == "if":
@@ -454,12 +487,13 @@ class GraphSearch:
     with a genuine lasso witness. A node met off-path is not re-expanded,
     unless its earlier subtree hit a bound and the new visit is strictly
     shallower (a shallower visit can fit more of the tree inside the
-    depth budget). `expand(node, choice_bound)` says what a node expands
-    to; `step` is the expander of guarded-commands configurations.
+    depth budget). `expand(node, choice_bound, max_configs)` says what a
+    node expands to; `step` is the expander of guarded-commands
+    configurations.
     """
 
     def __init__(self, lim: Limits,
-                 expand: Callable[[Any, int], Expansion],
+                 expand: Callable[[Any, int, int], Expansion],
                  key_of: Callable[[Any], str],
                  final_of: Callable[[Any], State | None],
                  revisit_scan: Callable[[list, Any, str], Divergent | None] | None = None):
@@ -553,7 +587,7 @@ class GraphSearch:
             self.close(BoundExceeded(bound))
             self._taint(stack)
             return None
-        exp = self.expand(node, self.lim.choice_bound)
+        exp = self.expand(node, self.lim.choice_bound, self.lim.max_configs)
         for o in exp.side_outcomes:
             self.close(o)
         if exp.failure is not None:
@@ -561,7 +595,7 @@ class GraphSearch:
             self.close(Failed(reason, st, detail))
             return None
         if exp.truncated:
-            self.record(BoundExceeded("choice-bound"))
+            self.record(BoundExceeded(exp.truncated))
         if not exp.transitions:
             if exp.truncated:
                 self._taint(stack)
@@ -763,7 +797,7 @@ def run_erratic(p: GclProgram, s0: State | None = None, seed: int = 0,
             continue
         if isinstance(head, ChoiceAssign):
             try:
-                v = rng.randint(1, _choice_bound(head, cfg.state))
+                v = rng.randint(1, _choice_bound(cfg.point.compiled(), cfg.state))
             except EvalError as e:
                 return Failed(e.reason, cfg.state, e.detail)
             cfg = Config(cfg.point.rest(), cfg.state.set_scalar(head.target, v))

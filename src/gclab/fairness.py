@@ -27,7 +27,7 @@ from .engine import (
 )
 from .errors import CheckError, EvalError
 from .printer import render_stmt_inline
-from .state import State, eval_expr, initial_state
+from .state import State, compile_expr, compile_guards, initial_state
 from .syntax import (
     BINARY, COMPARE_BP, Assign, BinOp, BoolLit, Builtin, ChoiceAssign,
     Declaration, Do, Expr, GclProgram, GuardedCommand, If, IntLit,
@@ -274,14 +274,16 @@ def _run_deterministic(pt: Point, s: State, fuel: int) -> tuple[State | None, Ou
 
 class _FairLoop:
     """A one-level program prepared for fair runs: its shape proved once,
-    its initialization and arm bodies lowered into one points table."""
+    its initialization and arm bodies lowered into one points table, and
+    its guards compiled to one closure that evaluates each distinct guard
+    once."""
 
     __slots__ = ("init", "guards", "bodies")
 
     def __init__(self, olp: OneLevelProgram):
         points = Points()
         self.init = points.lower((olp.init,))
-        self.guards = tuple(arm.guard for arm in olp.loop.arms)
+        self.guards = compile_guards(tuple(arm.guard for arm in olp.loop.arms))
         self.bodies = tuple(points.lower((arm.body,)) for arm in olp.loop.arms)
 
 
@@ -346,7 +348,7 @@ def run_fair_traced(p: GclProgram, s0: State | None = None,
     fuel -= used
 
     guards = loop.guards
-    n = len(guards)
+    n = len(loop.bodies)
     counters = ([_fresh_priority(rng) for _ in range(n)] if policy == "weak"
                 else [0] * n)
 
@@ -354,7 +356,7 @@ def run_fair_traced(p: GclProgram, s0: State | None = None,
         if fuel <= 0:
             return BoundExceeded("fuel"), trace
         try:
-            enabled = [i for i in range(n) if eval_expr(guards[i], s)]
+            enabled = [i for i, on in enumerate(guards(s)) if on]
         except EvalError as e:
             return Failed(e.reason, s, e.detail), trace
         if not enabled:
@@ -433,13 +435,14 @@ class FixpointInstance:
                     raise FixpointError("component expressions must be integer-valued")
             except CheckError as err:
                 raise FixpointError(f"bad component expression: {err}") from None
+        components = tuple(compile_expr(e) for e in exprs)
         layout_state = initial_state(decls)
         table: dict[LatticePoint, LatticePoint] = {}
         for pt in itertools.product(range(height + 1), repeat=n):
             s = layout_state
             for k, v in enumerate(pt):
                 s = s.set_scalar(f"x{k + 1}", v)
-            img = tuple(eval_expr(e, s) for e in exprs)
+            img = tuple(f(s) for f in components)
             table[pt] = img
         return cls(n, height, table, tuple(exprs))
 

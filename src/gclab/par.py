@@ -19,7 +19,7 @@ from .engine import (
     Expansion, ExplorationReport, Failed, GraphSearch, Limits,
 )
 from .errors import CheckError, EvalError
-from .state import State, eval_expr, execute_assign, initial_state
+from .state import State, compile_assign, compile_expr, initial_state
 from .syntax import (
     Assign, Await, BinOp, Declaration, Do, Expr, GclProgram,
     GuardedCommand, If, IfElse, IntLit, ParSystem, Seq, Skip, Stmt, Var,
@@ -208,17 +208,21 @@ def run_par_direct(sys: ParSystem, s0: State | None = None,
     if s0 is None:
         s0 = initial_state(sys.decls)
     comps = label_components(sys)
+    # per component: source label -> [(action, compiled guard, compiled effect)]
     by_source = []
     for comp in comps:
-        table: dict[int, list[AtomicAction]] = {}
+        table: dict[int, list] = {}
         for act in comp.actions:
-            table.setdefault(act.source, []).append(act)
+            table.setdefault(act.source, []).append((
+                act,
+                None if act.guard is None else compile_expr(act.guard),
+                None if act.effect is None else compile_assign(act.effect)))
         by_source.append(table)
     exits = tuple(c.exit for c in comps)
 
     # nodes are (cvs, state) while running and ("done", state) after the
     # epilogue; the latter are terminal (final_of), so never expanded
-    def expand(node, _choice_bound: int) -> Expansion:
+    def expand(node, _choice_bound: int, _max_configs: int) -> Expansion:
         cvs, s = node
         if cvs == exits:
             fin: list = []
@@ -228,17 +232,17 @@ def run_par_direct(sys: ParSystem, s0: State | None = None,
         trans = []
         extra: list = []
         for ci, comp in enumerate(comps):
-            for act in by_source[ci].get(cvs[ci], ()):
-                if act.guard is not None:
+            for act, guard, effect in by_source[ci].get(cvs[ci], ()):
+                if guard is not None:
                     try:
-                        if not eval_expr(act.guard, s):
+                        if not guard(s):
                             continue
                     except EvalError as e:
                         return Expansion(failure=(e.reason, e.detail, s))
                 s2 = s
-                if act.effect is not None:
+                if effect is not None:
                     try:
-                        s2 = execute_assign(act.effect, s)
+                        s2 = effect(s)
                     except EvalError as e:
                         extra.append(Failed(e.reason, s, e.detail))
                         continue

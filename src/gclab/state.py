@@ -1,4 +1,4 @@
-"""Program states and total expression evaluation.
+"""Program states and the expression compiler.
 
 Values are unbounded Python ints and bools. A State is an immutable,
 hashable snapshot of every declared variable: one tuple holding one
@@ -6,11 +6,18 @@ value per variable in name order, a scalar or the tuple of an array's
 cells. Only this module knows that layout and writes a state's text.
 Scalars default to 0/false and array cells to 0, unless the declaration
 carries an initializer.
+
+Expressions are not interpreted node by node. `compile_expr` lowers an
+expression once to a closure from states to values, `compile_guards`
+the guards of one command to a closure giving all their values, and
+`compile_assign` a parallel assignment to a closure from state to state;
+the engines build these once per program point and call them at every
+step. `eval_expr` compiles and evaluates in one call.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Callable, Collection
 from dataclasses import dataclass, field
 
 from .errors import CheckError, EvalError
@@ -164,79 +171,154 @@ def initial_state(decls: tuple[Declaration, ...],
 
 
 # ---------------------------------------------------------------------------
-# Expression evaluation
+# Expression compilation
 # ---------------------------------------------------------------------------
 
-def eval_expr(e: Expr, s: State) -> Value:
-    """Total, side-effect-free evaluation of a type-checked expression.
+def compile_expr(e: Expr) -> Callable[[State], Value]:
+    """Lower an expression to a closure that evaluates it in a state.
 
-    Raises EvalError on out-of-bounds array access and on div/mod by zero;
-    the engines turn that into a failure outcome. Binary operators mean
-    what their `syntax.BINARY` row says, except that `and` and `or`
-    short-circuit here.
+    Compile once per program point and call per step: the closure does
+    no dispatch on node types. Evaluation is total and side-effect-free
+    on type-checked expressions: it raises EvalError on an out-of-bounds
+    array access and on div/mod by zero, which the engines turn into a
+    failure outcome. Operands are evaluated left to right; `and` and `or`
+    short-circuit and return an operand's own value; the other binary
+    operators mean what their `syntax.BINARY` row says. An unknown
+    operator raises when it is evaluated, after its operands. Names are
+    looked up through the state's layout when the closure runs, so one
+    closure serves states of any layout.
     """
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, BoolLit):
-        return e.value
+    if isinstance(e, (IntLit, BoolLit)):
+        value = e.value
+        return lambda s: value
     if isinstance(e, Var):  # type-checked: a scalar
-        return s.values[s.layout.pos[e.name]]
+        name = e.name
+        return lambda s: s.values[s.layout.pos[name]]
     if isinstance(e, ArrayRef):
-        pos = s.layout.pos[e.name]
-        return s.values[pos][s.layout._offset(pos, eval_expr(e.index, s))]
+        name, index = e.name, compile_expr(e.index)
+
+        def cell(s: State) -> Value:
+            layout = s.layout
+            pos = layout.pos[name]
+            return s.values[pos][layout._offset(pos, index(s))]
+        return cell
     if isinstance(e, BinOp):
-        op = e.op
+        op, left, right = e.op, compile_expr(e.left), compile_expr(e.right)
         if op == "and":
-            return eval_expr(e.left, s) and eval_expr(e.right, s)
+            return lambda s: left(s) and right(s)
         if op == "or":
-            return eval_expr(e.left, s) or eval_expr(e.right, s)
-        l = eval_expr(e.left, s)
-        r = eval_expr(e.right, s)
-        try:
-            meaning = BINARY[op].meaning
-        except KeyError:
-            raise EvalError(f"unknown operator {op!r}") from None
-        return meaning(l, r)
+            return lambda s: left(s) or right(s)
+        row = BINARY.get(op)
+        if row is None:
+            return _raises_after((left, right), lambda: EvalError(f"unknown operator {op!r}"))
+        # a variable or literal operand is read in place, not through a
+        # closure call of its own: most guards compare a variable with one
+        meaning = row.meaning
+        lvar = e.left.name if isinstance(e.left, Var) else None
+        if isinstance(e.right, (IntLit, BoolLit)):
+            const = e.right.value
+            if lvar is not None:
+                return lambda s: meaning(s.values[s.layout.pos[lvar]], const)
+            return lambda s: meaning(left(s), const)
+        if lvar is not None and isinstance(e.right, Var):
+            rvar = e.right.name
+            return lambda s: meaning(s.values[s.layout.pos[lvar]],
+                                     s.values[s.layout.pos[rvar]])
+        return lambda s: meaning(left(s), right(s))
     if isinstance(e, UnaryOp):
-        v = eval_expr(e.operand, s)
-        if e.op == "neg":
-            return -v
-        if e.op == "not":
-            return not v
-        raise EvalError(f"unknown unary operator {e.op!r}")
+        op, operand = e.op, compile_expr(e.operand)
+        if op == "neg":
+            return lambda s: -operand(s)
+        if op == "not":
+            return lambda s: not operand(s)
+        return _raises_after((operand,), lambda: EvalError(f"unknown unary operator {op!r}"))
     if isinstance(e, Builtin):
-        a = eval_expr(e.args[0], s)
-        b = eval_expr(e.args[1], s)
-        return BUILTINS[e.func](a, b)
-    raise EvalError(f"cannot evaluate {type(e).__name__}")
+        func, a, b = e.func, compile_expr(e.args[0]), compile_expr(e.args[1])
+        apply = BUILTINS.get(func)
+        if apply is None:
+            return _raises_after((a, b), lambda: KeyError(func))
+        return lambda s: apply(a(s), b(s))
+    kind = type(e).__name__
+    return _raises_after((), lambda: EvalError(f"cannot evaluate {kind}"))
+
+
+def _raises_after(operands: tuple, error: Callable[[], Exception]) -> Callable[[State], Value]:
+    """A closure that evaluates `operands` left to right, then raises a
+    fresh `error()`."""
+    def fail(s: State) -> Value:
+        for operand in operands:
+            operand(s)
+        raise error()
+    return fail
+
+
+def eval_expr(e: Expr, s: State) -> Value:
+    """Evaluate an expression once: `compile_expr(e)(s)`."""
+    return compile_expr(e)(s)
+
+
+def compile_guards(guards: tuple[Expr, ...]) -> Callable[[State], list[Value]]:
+    """Lower the guards of one command to a closure giving every guard's
+    value, in guard order. Equal guards are compiled and evaluated once
+    per call; an EvalError comes from the first guard, in order, that
+    fails."""
+    distinct: dict[Expr, int] = {}
+    slots = [distinct.setdefault(g, len(distinct)) for g in guards]
+    evals = tuple(compile_expr(g) for g in distinct)
+    if len(evals) == len(guards):
+        return lambda s: [ev(s) for ev in evals]
+
+    def shared(s: State) -> list[Value]:
+        values = [ev(s) for ev in evals]
+        return [values[k] for k in slots]
+    return shared
+
+
+def _compile_targets(targets: tuple[Expr, ...]) -> Callable[[State, tuple[Value, ...]], State]:
+    """Lower assignment targets to a closure that writes already-evaluated
+    values to them simultaneously.
+
+    All reads (target indices) happen against the state before any
+    write. Two targets resolving to the same location is an aliasing
+    failure, not a left-to-right overwrite.
+    """
+    specs = tuple((t.name, compile_expr(t.index) if isinstance(t, ArrayRef) else None)
+                  for t in targets)
+
+    def write(s: State, values: tuple[Value, ...]) -> State:
+        layout = s.layout
+        locs = []
+        for name, index in specs:
+            pos = layout._at(name, index is not None)
+            locs.append((pos, None if index is None else layout._offset(pos, index(s))))
+        if len(set(locs)) != len(locs):
+            raise EvalError("parallel assignment targets collide at runtime",
+                            reason="aliasing")
+        out = list(s.values)
+        for (pos, off), v in zip(locs, values):
+            if off is not None:
+                cells = out[pos]
+                v = cells[:off] + (v,) + cells[off + 1:]
+            out[pos] = v
+        return State(layout, tuple(out))
+    return write
 
 
 def apply_parallel_assign(targets: tuple[Expr, ...], values: tuple[Value, ...],
                           s: State) -> State:
-    """Write already-evaluated values to targets simultaneously.
-
-    All reads (values AND target indices) happen against `s` before any
-    write. Two targets resolving to the same location is an aliasing
-    failure, not a left-to-right overwrite.
-    """
-    layout = s.layout
-    locs = []
-    for t in targets:
-        is_cell = isinstance(t, ArrayRef)
-        pos = layout._at(t.name, is_cell)
-        locs.append((pos, layout._offset(pos, eval_expr(t.index, s)) if is_cell else None))
-    if len(set(locs)) != len(locs):
-        raise EvalError("parallel assignment targets collide at runtime",
-                        reason="aliasing")
-    out = list(s.values)
-    for (pos, off), v in zip(locs, values):
-        if off is not None:
-            cells = out[pos]
-            v = cells[:off] + (v,) + cells[off + 1:]
-        out[pos] = v
-    return State(layout, tuple(out))
+    """Write already-evaluated values to targets simultaneously, reading
+    every target index in `s` first; colliding targets fail with reason
+    'aliasing'."""
+    return _compile_targets(targets)(s, values)
 
 
-def execute_assign(a: Assign, s: State) -> State:
-    """Evaluate every right-hand side of `a` in `s`, then write them all."""
-    return apply_parallel_assign(a.targets, tuple([eval_expr(v, s) for v in a.values]), s)
+def compile_assign(a: Assign) -> Callable[[State], State]:
+    """Lower a parallel assignment to a closure from state to state: every
+    right-hand side is evaluated, left to right, before any target is
+    resolved or written."""
+    values = tuple(compile_expr(v) for v in a.values)
+    if len(values) == len(a.targets) == 1 and isinstance(a.targets[0], Var):
+        name, value = a.targets[0].name, values[0]
+        return lambda s: s.set_scalar(name, value(s))
+    write = _compile_targets(a.targets)
+    return lambda s: write(s, tuple([v(s) for v in values]))

@@ -3,13 +3,16 @@
 All nodes are frozen dataclasses built over tuples, so structural equality
 and hashing come for free. The engines use them once per residue, when
 they intern it as a program point (`engine.Points`); memoization and
-divergence detection then compare points by identity. Nodes carry no
-source positions (the parser reports positions at parse time), which
-keeps `parse(render(p)) == p` a plain `==`.
+divergence detection then compare points by identity, and the point's
+guards, right-hand sides and bounds are compiled to closures
+(`state.compile_expr`) the first time it is stepped, so no step walks
+an expression tree. Nodes carry no source positions (the parser reports
+positions at parse time), which keeps `parse(render(p)) == p` a plain
+`==`.
 
 Each binary operator's binding power, typing and meaning are one row of
-`BINARY`; the parser, printer, checker and evaluator all read that row,
-so they agree by construction.
+`BINARY`; the parser, printer, checker and expression compiler all read
+that row, so they agree by construction.
 """
 
 from __future__ import annotations
@@ -65,10 +68,9 @@ OR_BP, AND_BP, NOT_BP, COMPARE_BP, ADD_BP, MUL_BP, NEG_BP = range(1, 8)
 class Operator:
     """A binary operator. Operands of type `operand` (None: either type,
     but the same on both sides) give a `result`; `meaning` applies it to
-    values, and is None for `and`/`or`, which the evaluator short-circuits.
-    Operators of power COMPARE_BP do not chain; the others associate to
-    the left. Slotted, because the evaluator reads `meaning` at every
-    operator node, and a slot is the fastest attribute to read."""
+    values, and is None for `and`/`or`, which compiled expressions
+    short-circuit. Operators of power COMPARE_BP do not chain; the others
+    associate to the left."""
 
     __slots__ = ("power", "operand", "result", "meaning")
 

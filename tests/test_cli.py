@@ -124,6 +124,36 @@ def test_erratic_choice_failure_matches_demonic(tmp_path, capsys):
              "detail": f"choice(-{BIG}) has no value"}]
 
 
+@pytest.mark.parametrize("mode", ["demonic", "angelic"])
+def test_choice_wider_than_max_configs_is_cut(tmp_path, capsys, mode):
+    """`x := choice(t)` enumerates at most max-configs values, and the
+    demonic report says that bound fired; choice(10) is not cut."""
+    f = tmp_path / "choice.gcl"
+    terms = [f"outcome: terminated :: c={v}" for v in range(1, 11)]
+    if mode == "demonic":
+        terms.sort()  # by canonical state
+        head = ["limits max-configs=10 max-depth=500 choice-bound=8",
+                "counts configs=1 edges=10 paths=10"]
+    else:
+        head = ["mode angelic successes 10"]
+    for t, tail in (("100000", ["outcome: bound-exceeded :: max-configs"]), ("10", [])):
+        f.write_text(f"var c: int;\nc := choice({t})\n")
+        code, out, err = run_cli(capsys, "run", f, "--mode", mode, "--max-configs", "10")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["schema 1", *head, *terms,
+                                    *(tail if mode == "demonic" else [])]
+
+
+@pytest.mark.parametrize("mode", [["demonic"], ["angelic"], ["erratic", "--seed", "1"]],
+                         ids=lambda m: m[0])
+def test_long_operator_chain_runs(tmp_path, capsys, mode):
+    f = tmp_path / "chain.gcl"
+    f.write_text("var x: int;\nx := " + "+".join(["1"] * 450) + "\n")
+    code, out, err = run_cli(capsys, "run", f, "--mode", *mode)
+    assert (code, err) == (0, "")
+    assert out.endswith("\noutcome: terminated :: x=450\n")
+
+
 @pytest.mark.parametrize("levels", [101, 10_000])
 def test_run_deep_nesting_exit_64(tmp_path, capsys, levels):
     f = tmp_path / "deep.gcl"

@@ -72,6 +72,16 @@ def test_step_choice_enumerates_one_to_t():
     assert [eval_expr_x(c) for _, c in res.transitions] == [1, 2, 3]
 
 
+def test_step_choice_is_cut_at_max_configs():
+    p = parse_gcl("var x: int; x := choice(1000)")
+    c = make_config((p.body,), _init(p))
+    res = step(c, 8, 3)
+    assert res.truncated == "max-configs"
+    assert [eval_expr_x(c) for _, c in res.transitions] == [1, 2, 3]
+    res = step(c, 8, 1000)
+    assert res.truncated is None and len(res.transitions) == 1000
+
+
 def test_step_choice_below_one_fails():
     p = parse_gcl("var x: int; x := choice(0)")
     res = step(make_config((p.body,), _init(p)), 8)

@@ -1,0 +1,212 @@
+"""The expression compiler (`state.compile_expr`, `compile_guards`,
+`compile_assign`) against the recursive evaluator it replaced
+(`eval_reference.py`): random well-typed and ill-typed trees, evaluated
+over random states of two layouts, must give the same values of the same
+types, or raise the same exception with the same reason and detail."""
+
+from random import Random
+
+import pytest
+
+from gclab.errors import EvalError
+from gclab.state import (
+    apply_parallel_assign, compile_assign, compile_expr, compile_guards,
+    eval_expr, initial_state,
+)
+from gclab.syntax import (
+    BINARY, ArrayRef, Assign, BinOp, BoolLit, Builtin, Declaration, IntLit,
+    Skip, UnaryOp, Var,
+)
+
+import eval_reference
+
+INTS = ("x", "y", "z")
+BOOLS = ("b", "c")
+# `^`, `~` and `abs` are unknown operators; `Skip()` is not an expression
+BINARY_OPS = tuple(BINARY) + ("^",)
+UNARY_OPS = ("neg", "not", "~")
+FUNCS = ("min", "max", "abs")
+
+
+def _layouts():
+    """Two declaration lists over the same variables; the second adds
+    names that shift every position, so one closure meets both."""
+    base = ([Declaration(n, "int") for n in INTS]
+            + [Declaration(n, "bool") for n in BOOLS]
+            + [Declaration("a", "int[]", lo=-1, hi=2)])
+    shifted = base + [Declaration("aa", "int"), Declaration("bb", "bool"),
+                      Declaration("w", "int[]", lo=0, hi=1)]
+    return tuple(base), tuple(shifted)
+
+
+def _state(rng: Random, decls):
+    binds = {n: rng.randint(-3, 3) for n in INTS}
+    binds.update({n: rng.random() < 0.5 for n in BOOLS})
+    binds["a"] = tuple(rng.randint(-3, 3) for _ in range(4))
+    return initial_state(decls, binds)
+
+
+def _expr(rng: Random, depth: int, typed: bool, want: str = "int"):
+    """A random expression. Typed trees respect operand types (they can
+    still fail on a division by zero or an index out of range); untyped
+    ones mix ints, bools, the array itself and unknown operators."""
+    if depth == 0 or rng.random() < 0.25:
+        return _leaf(rng, typed, want)
+    r = rng.random()
+    if r < 0.15:
+        return ArrayRef("a", _expr(rng, depth - 1, typed))
+    if r < 0.30:
+        op = rng.choice(UNARY_OPS if not typed else
+                        ("not",) if want == "bool" else ("neg",))
+        return UnaryOp(op, _expr(rng, depth - 1, typed, want))
+    if r < 0.40 and (want == "int" or not typed):
+        func = rng.choice(FUNCS if not typed else FUNCS[:2])
+        return Builtin(func, (_expr(rng, depth - 1, typed),
+                              _expr(rng, depth - 1, typed)))
+    if not typed:
+        op = rng.choice(BINARY_OPS)
+        return BinOp(op, _expr(rng, depth - 1, typed), _expr(rng, depth - 1, typed))
+    ops = [op for op, row in BINARY.items() if row.result == want]
+    op = rng.choice(ops)
+    operand = BINARY[op].operand or rng.choice(("int", "bool"))
+    return BinOp(op, _expr(rng, depth - 1, typed, operand),
+                 _expr(rng, depth - 1, typed, operand))
+
+
+def _leaf(rng: Random, typed: bool, want: str):
+    if not typed:
+        return rng.choice((
+            IntLit(rng.randint(-2, 2)), BoolLit(rng.random() < 0.5),
+            Var(rng.choice(INTS + BOOLS)), Var("a"), ArrayRef("b", IntLit(0)),
+            Skip()))
+    if want == "bool":
+        return BoolLit(rng.random() < 0.5) if rng.random() < 0.4 else Var(rng.choice(BOOLS))
+    return IntLit(rng.randint(-2, 2)) if rng.random() < 0.4 else Var(rng.choice(INTS))
+
+
+def _outcome(f, *args):
+    """What a call gives: ('value', type, value) or ('raised', class,
+    reason, detail, message)."""
+    try:
+        v = f(*args)
+    except Exception as e:  # compared class by class below
+        return ("raised", type(e), getattr(e, "reason", None),
+                getattr(e, "detail", None), str(e))
+    return ("value", type(v), v)
+
+
+def _trees(seed: int, count: int):
+    rng = Random(seed)
+    layouts = _layouts()
+    for k in range(count):
+        typed = k % 2 == 0
+        e = _expr(rng, rng.randint(1, 5), typed, rng.choice(("int", "bool")))
+        yield rng, e, [_state(rng, layouts[j % 2]) for j in range(4)]
+
+
+def test_compiled_expressions_match_the_reference():
+    seen = set()
+    for _, e, states in _trees(9, 3000):
+        f = compile_expr(e)  # one closure for every state and layout
+        for s in states:
+            want = _outcome(eval_reference.eval_expr, e, s)
+            assert _outcome(f, s) == want, e
+            assert _outcome(eval_expr, e, s) == want, e
+            seen.add(want[0] if want[0] == "value" else (want[1], want[2]))
+    # every kind of result was met: values, evaluation errors and others
+    assert {"value", (EvalError, "eval-error"), (TypeError, None),
+            (KeyError, None)} <= seen
+
+
+@pytest.mark.parametrize("text,e,value", [
+    ("false and 1 div 0 = 0",
+     BinOp("and", BoolLit(False), BinOp("=", BinOp("div", IntLit(1), IntLit(0)), IntLit(0))),
+     False),
+    ("true or a[9] = 0",
+     BinOp("or", BoolLit(True), BinOp("=", ArrayRef("a", IntLit(9)), IntLit(0))), True),
+    ("0 and 1 div 0", BinOp("and", IntLit(0), BinOp("div", IntLit(1), IntLit(0))), 0),
+])
+def test_and_or_short_circuit_and_return_an_operand(text, e, value):
+    s = initial_state(_layouts()[0])
+    got = compile_expr(e)(s)
+    assert got is value or (type(got), got) == (type(value), value), text
+
+
+@pytest.mark.parametrize("e,exc,detail", [
+    (BinOp("^", BinOp("div", IntLit(1), IntLit(0)), IntLit(1)), EvalError, "div by zero"),
+    (BinOp("^", IntLit(1), ArrayRef("a", IntLit(9))), EvalError,
+     "index 9 outside 'a[-1..2]'"),
+    (BinOp("^", IntLit(1), IntLit(2)), EvalError, "unknown operator '^'"),
+    (UnaryOp("~", BinOp("mod", IntLit(1), IntLit(0))), EvalError, "mod by zero"),
+    (UnaryOp("~", IntLit(1)), EvalError, "unknown unary operator '~'"),
+    (Builtin("abs", (IntLit(1), BinOp("div", IntLit(1), IntLit(0)))), EvalError,
+     "div by zero"),
+    (Builtin("abs", (IntLit(1), IntLit(2))), KeyError, None),
+    (BinOp("+", BinOp("div", IntLit(1), IntLit(0)), ArrayRef("a", IntLit(9))),
+     EvalError, "div by zero"),
+])
+def test_unknown_operators_raise_after_their_operands(e, exc, detail):
+    s = initial_state(_layouts()[0])
+    f = compile_expr(e)  # compiling never raises
+    with pytest.raises(exc) as err:
+        f(s)
+    with pytest.raises(exc) as ref:
+        eval_reference.eval_expr(e, s)
+    assert getattr(err.value, "detail", None) == getattr(ref.value, "detail", None) == detail
+
+
+def test_compiled_guards_match_the_reference_in_arm_order():
+    rng = Random(5)
+    for _, e, states in _trees(17, 600):
+        other = _expr(rng, 3, False)
+        guards = rng.choice(((e, e), (e, other, e), (other, e, other, e), (e,)))
+        f = compile_guards(guards)
+        for s in states:
+            want = []
+            try:
+                for g in guards:
+                    want.append(eval_reference.eval_expr(g, s))
+            except Exception as ex:
+                want = ("raised", type(ex), getattr(ex, "detail", None), str(ex))
+            got = _outcome(f, s)
+            if got[0] == "value":
+                got = [(type(v), v) for v in got[2]]
+                want = [(type(v), v) for v in want]
+            else:
+                got = ("raised", got[1], got[3], got[4])
+            assert got == want, guards
+
+
+def _assign(rng: Random) -> Assign:
+    targets = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            targets.append(Var(rng.choice(INTS[:2])))
+        else:
+            targets.append(ArrayRef("a", _expr(rng, 2, True)))
+    values = tuple(_expr(rng, 2, True) for _ in targets)
+    return Assign(tuple(targets), values)
+
+
+def test_compiled_assignments_match_reference_values_written_in_parallel():
+    rng = Random(23)
+    layouts = _layouts()
+    seen = set()
+    for _ in range(2000):
+        a = _assign(rng)
+        f = compile_assign(a)
+        for j in range(4):
+            s = _state(rng, layouts[j % 2])
+
+            def reference(s):
+                values = tuple(eval_reference.eval_expr(v, s) for v in a.values)
+                return apply_parallel_assign(a.targets, values, s)
+            want = _outcome(reference, s)
+            got = _outcome(f, s)
+            assert got == want, a
+            if want[0] == "value":
+                assert got[2].canonical() == want[2].canonical()
+                seen.add("value")
+            else:
+                seen.add(want[2])
+    assert seen == {"value", "eval-error", "aliasing"}

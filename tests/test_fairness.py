@@ -1,12 +1,15 @@
 import itertools
+from random import Random
 
 import pytest
 
 from gclab import fairness
 from gclab.check import check_program
 from gclab.engine import (
-    BoundExceeded, Divergent, Limits, Terminated, explore_demonic,
+    BoundExceeded, Divergent, Failed, Limits, Points, Terminated,
+    explore_demonic,
 )
+from gclab.errors import EvalError
 from gclab.fairness import (
     FairnessError, FixpointError, FixpointInstance, chaotic_iteration_program,
     format_fixpoint, is_one_level_nondeterministic, kleene_lfp, one_level_of,
@@ -17,6 +20,7 @@ from gclab.printer import render, render_expr
 from gclab.state import initial_state
 from gclab.syntax import BinOp, Builtin, Do, IntLit, Var
 
+import eval_reference
 from conftest import corpus_text
 from oracles import (
     has_stuttering_cycle, monotone_component_maps, weak_fair_reachable,
@@ -400,3 +404,100 @@ def test_chaotic_exhaustive_height_one():
                 out = run_fair(prog, policy="weak", seed=seed)
                 assert isinstance(out, Terminated)
                 assert (out.state.scalar("x1"), out.state.scalar("x2")) == mu
+
+
+# ---------------------------------------------------------------------------
+# compiled guards against the reference evaluator
+# ---------------------------------------------------------------------------
+
+def _reference_fair_traced(p, policy, seed, fuel=100_000):
+    """`run_fair_traced` as it was before its guards were compiled: every
+    arm's guard evaluated by the recursive reference evaluator, in arm
+    order, on every iteration."""
+    olp = one_level_of(p)
+    points = Points()
+    rng = Random(seed)
+    trace = []
+    s, failure, used = fairness._run_deterministic(
+        points.lower((olp.init,)), initial_state(p.decls), fuel)
+    if failure is not None:
+        return failure, trace
+    fuel -= used
+    guards = [arm.guard for arm in olp.loop.arms]
+    n = len(guards)
+    counters = ([fairness._fresh_priority(rng) for _ in range(n)] if policy == "weak"
+                else [0] * n)
+    while True:
+        if fuel <= 0:
+            return BoundExceeded("fuel"), trace
+        try:
+            enabled = [i for i in range(n) if eval_reference.eval_expr(guards[i], s)]
+        except EvalError as e:
+            return Failed(e.reason, s, e.detail), trace
+        if not enabled:
+            return Terminated(s), trace
+        if policy == "strong":
+            for i in enabled:
+                counters[i] += 1
+        best = (min if policy == "weak" else max)(counters[i] for i in enabled)
+        candidates = [i for i in enabled if counters[i] == best]
+        pick = candidates[rng.randrange(len(candidates))]
+        trace.append((tuple(enabled), tuple(counters), pick))
+        fuel -= 1
+        if policy == "weak":
+            counters[pick] = fairness._fresh_priority(rng)
+            for j in range(n):
+                if j != pick:
+                    counters[j] = (counters[j] - 1 if j in enabled
+                                   else fairness._fresh_priority(rng))
+        else:
+            counters[pick] = 0
+        s, failure, used = fairness._run_deterministic(
+            points.lower((olp.loop.arms[pick].body,)), s, fuel)
+        if failure is not None:
+            return failure, trace
+        fuel -= used
+
+
+def _chain_instance():
+    return FixpointInstance.from_exprs(3, 2, [
+        Builtin("min", (BinOp("+", Var("x2"), IntLit(1)), IntLit(2))),
+        Builtin("min", (BinOp("+", Var("x3"), IntLit(1)), IntLit(2))),
+        Builtin("max", (Var("x1"), IntLit(1))),
+    ])
+
+
+@pytest.mark.parametrize("policy", ["weak", "strong"])
+def test_fair_traces_on_chaotic_programs_match_reference_guards(policy):
+    """Every arm of a chaotic-iteration program shares one guard, which
+    the fair loop evaluates once per iteration; the schedules and
+    outcomes are those of evaluating it once per arm."""
+    for expr_inst in (_diag_instance(), _chain_instance()):
+        table_inst = FixpointInstance.from_table(expr_inst.n, expr_inst.height,
+                                                 expr_inst.table)
+        for inst in (expr_inst, table_inst):
+            prog = chaotic_iteration_program(inst)
+            guards = [arm.guard for arm in one_level_of(prog).loop.arms]
+            assert all(g is guards[0] for g in guards)
+            for seed in range(10):
+                got = run_fair_traced(prog, policy=policy, seed=seed)
+                assert got == _reference_fair_traced(prog, policy, seed)
+                assert isinstance(got[0], Terminated) and got[1]
+
+
+@pytest.mark.parametrize("policy", ["weak", "strong"])
+@pytest.mark.parametrize("guards,detail", [
+    (["x div y > 0", "x div y > 0"], "div by zero"),
+    (["x > 5", "x div y > 0", "a[x] > 0", "x div y > 0"], "div by zero"),
+    (["x > 5", "a[x + 9] > 0", "x div y > 0", "a[x + 9] > 0"], "index 10 outside 'a[0..2]'"),
+])
+def test_shared_failing_guard_fails_like_the_reference(policy, guards, detail):
+    arms = " [] ".join(f"{g} -> x := x + 1" for g in guards)
+    p = parse_gcl(f"var x: int; var y: int; var a: int[0..2];\nx := 1; do {arms} od")
+    out, trace = run_fair_traced(p, policy=policy, seed=3)
+    want, want_trace = _reference_fair_traced(p, policy, 3)
+    assert (out, trace) == (want, want_trace) and not trace
+    assert isinstance(out, Failed)
+    assert (out.reason, out.detail, out.state.canonical()) == (
+        want.reason, want.detail, want.state.canonical()) == (
+        "eval-error", detail, "a=[0,0,0] x=1 y=0")
