@@ -184,8 +184,9 @@ def _cmd_run(args) -> int:
         out = run_erratic(program, s0, seed=args.seed, fuel=args.fuel)
         return _single_report(out, args.mode, args.seed, args.format)
     if args.mode == "angelic":
-        results = solve_angelic(program, s0, lim)
-        _print_report(args.format, results,
+        cut: list = []
+        results = solve_angelic(program, s0, lim, cut)
+        _print_report(args.format, results + cut,
                       f"mode angelic successes {len(results)}", {"mode": "angelic"})
         return 0 if results else 1
     policy = "weak" if args.mode == "fair-weak" else "strong"

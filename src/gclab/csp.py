@@ -155,7 +155,7 @@ def run_csp(sys: CspSystem, s0: State | None = None,
             return None  # expand() reports the failure
         return s
 
-    def expand(s: State, _choice_bound: int, _max_configs: int) -> Expansion:
+    def expand(s: State) -> Expansion:
         try:
             enabled = [[bool(cond(s)) for cond in row] for row in conds]
         except EvalError as e:

@@ -412,15 +412,16 @@ def _choice_bound(bound_of: Callable[[State], int], s: State) -> int:
     return bound
 
 
-def step(c: Config, choice_bound: int, max_configs: int | None = None) -> Expansion:
+def step(c: Config, choice_bound: int, max_configs: int = Limits().max_configs) -> Expansion:
     """Successors of a non-terminal configuration.
 
     Assignments and skip have one successor; if-fi has one per true guard
     and fails when none holds; do-od has one per true guard plus a single
     exit successor when none holds; `x := ?` enumerates 0..choice_bound;
-    `x := choice(t)` enumerates 1..t, cut to 1..max_configs when t is
-    larger, and fails when t < 1. A guard or right-hand side that fails
-    to evaluate fails the whole command.
+    `x := choice(t)` enumerates 1..t, cut to 1..max_configs (a search
+    passes its own budget) when t is larger, and fails when t < 1. A
+    guard or right-hand side that fails to evaluate fails the whole
+    command.
     """
     pt = c.point
     head = pt.head
@@ -452,12 +453,11 @@ def step(c: Config, choice_bound: int, max_configs: int | None = None) -> Expans
             bound = _choice_bound(code, s)
         except EvalError as e:
             return Expansion(failure=(e.reason, e.detail, s))
-        cut = max_configs is not None and bound > max_configs
         rest = pt.rest()
         trans = [(f"{head.target} := {v}",
                   Config(rest, s.set_scalar(head.target, v)))
-                 for v in range(1, (max_configs if cut else bound) + 1)]
-        return Expansion(trans, truncated="max-configs" if cut else None)
+                 for v in range(1, min(bound, max_configs) + 1)]
+        return Expansion(trans, truncated="max-configs" if bound > max_configs else None)
 
     if isinstance(head, (If, Do)):
         try:
@@ -487,13 +487,13 @@ class GraphSearch:
     with a genuine lasso witness. A node met off-path is not re-expanded,
     unless its earlier subtree hit a bound and the new visit is strictly
     shallower (a shallower visit can fit more of the tree inside the
-    depth budget). `expand(node, choice_bound, max_configs)` says what a
-    node expands to; `step` is the expander of guarded-commands
-    configurations.
+    depth budget). `expand(node)` says what a node expands to, under the
+    limits its maker bound into it; `step` under the search's limits
+    (`_expander`) is the expander of guarded-commands configurations.
     """
 
     def __init__(self, lim: Limits,
-                 expand: Callable[[Any, int, int], Expansion],
+                 expand: Callable[[Any], Expansion],
                  key_of: Callable[[Any], str],
                  final_of: Callable[[Any], State | None],
                  revisit_scan: Callable[[list, Any, str], Divergent | None] | None = None):
@@ -587,7 +587,7 @@ class GraphSearch:
             self.close(BoundExceeded(bound))
             self._taint(stack)
             return None
-        exp = self.expand(node, self.lim.choice_bound, self.lim.max_configs)
+        exp = self.expand(node)
         for o in exp.side_outcomes:
             self.close(o)
         if exp.failure is not None:
@@ -718,13 +718,19 @@ def _control_lasso_scan(path: list, nxt: Config, label: str) -> Divergent | None
     return None
 
 
+def _expander(lim: Limits) -> Callable[[Config], Expansion]:
+    """`step` under the limits of one search."""
+    choice_bound, max_configs = lim.choice_bound, lim.max_configs
+    return lambda c: step(c, choice_bound, max_configs)
+
+
 def _final(cfg: Config) -> State | None:
     return cfg.state if cfg.terminated else None
 
 
 def explore_statement(stmt: Stmt, s0: State, lim: Limits) -> ExplorationReport:
     """Exhaustive demonic exploration of a statement from a given state."""
-    search = GraphSearch(lim, step, config_key, _final,
+    search = GraphSearch(lim, _expander(lim), config_key, _final,
                          revisit_scan=_control_lasso_scan)
     search.run(Config(_root(stmt), s0))
     return search.report()
@@ -817,16 +823,21 @@ def run_erratic(p: GclProgram, s0: State | None = None, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def solve_angelic(p: GclProgram, s0: State | None = None,
-                  lim: Limits = Limits()) -> list[Terminated]:
+                  lim: Limits = Limits(), cut: list | None = None) -> list[Terminated]:
     """Backtracking enumeration of the successful terminal states.
 
     The demonic search, reading only its terminal states: depth-first
     with choice values ascending, failures closing their branch, on-path
     repeats (divergence) and exhausted budgets pruning theirs. Results
-    are deduplicated by final state, in first-found order.
+    are deduplicated by final state, in first-found order. When the
+    configuration budget cut the answer (it stopped the search, or cut
+    a `choice(t)` to max_configs values), `BoundExceeded("max-configs")`
+    is appended to `cut`, if given.
     """
     if s0 is None:
         s0 = initial_state(p.decls)
-    search = GraphSearch(lim, step, config_key, _final)
+    search = GraphSearch(lim, _expander(lim), config_key, _final)
     search.run(Config(_root(p.body), s0))
+    if cut is not None and BoundExceeded("max-configs") in search.outcomes:
+        cut.append(BoundExceeded("max-configs"))
     return [o for o in search.outcomes if isinstance(o, Terminated)]

@@ -222,7 +222,7 @@ def run_par_direct(sys: ParSystem, s0: State | None = None,
 
     # nodes are (cvs, state) while running and ("done", state) after the
     # epilogue; the latter are terminal (final_of), so never expanded
-    def expand(node, _choice_bound: int, _max_configs: int) -> Expansion:
+    def expand(node) -> Expansion:
         cvs, s = node
         if cvs == exits:
             fin: list = []

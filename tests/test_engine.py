@@ -391,6 +391,21 @@ def test_angelic_ascending_first_found_order():
     assert [t.state.scalar("x") for t in res] == [1, 2, 3, 4]
 
 
+def test_angelic_reports_a_configuration_budget_cut():
+    """`cut` receives max-configs when the budget stopped the search or
+    cut a `choice(t)`, and stays empty for a complete answer."""
+    for src, lim, want in [
+        ("var x: int; do x < 100 -> x := x + 1 od", Limits(max_configs=10), 0),
+        ("var x: int; x := choice(20)", Limits(max_configs=10), 10),
+    ]:
+        cut: list = []
+        assert len(solve_angelic(parse_gcl(src), lim=lim, cut=cut)) == want, src
+        assert cut == [BoundExceeded("max-configs")], src
+        cut = []
+        solve_angelic(parse_gcl(src), cut=cut)
+        assert cut == [], src
+
+
 def test_angelic_equals_demonic_terminated():
     for src, lim in [
         ("var x: int; x := choice(5); if x mod 2 = 0 -> skip [] x mod 2 = 1 -> fail fi",
