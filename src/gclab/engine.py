@@ -1,19 +1,19 @@
 """Small-step semantics and the three execution disciplines.
 
 A configuration is a program point plus a state. A program point is a
-residue (the tuple of pending statements) lowered once, the first time a
-search reaches it, and interned by structure in a `Points` table: each
-structurally distinct residue has one `Point`, which caches its head
-statement, its rendered key, the variables its head reads and writes,
-its successor points, and its compiled head: on the first step the
-head's assignment, guards or `choice` bound are lowered to closures
-(`state.compile_assign`, `compile_guards`, `compile_expr`), which every
-later step from that point calls without walking the syntax tree.
-Configurations of one table therefore compare by point identity plus the
-state, and hash by the point's stored hash. A program step rewrites the
-head of the residue; `step` returns an `Expansion`, the one record of
-what a node expands to (a failure, or labelled successors). On top of
-`step` sit:
+head statement linked to the point after it (`next`); following `next`
+to the table's `end` point gives the residue, the tuple of pending
+statements. Points are lowered on first use and interned in a `Points`
+table by head (by structure) and next point (by identity), so each
+structurally distinct residue has one `Point`. A point caches its
+rendered key, the variables its head reads and writes, its arm points,
+and its compiled head: on the first step the head's assignment, guards
+or `choice` bound are lowered to closures (`state.compile_assign`,
+`compile_guards`, `compile_expr`), which every later step calls without
+walking the syntax tree. Configurations of one table therefore compare
+by point identity plus the state, and hash by the point's stored hash.
+`step` returns an `Expansion`, the one record of what a node expands to
+(a failure, or labelled successors). On top of `step` sit:
 
 * `explore_demonic` - exhaustive depth-first exploration of the whole
   computation tree with memoization, lasso-based divergence detection and
@@ -25,7 +25,10 @@ what a node expands to (a failure, or labelled successors). On top of
 Both searches run on one DFS core (`GraphSearch`), which the direct
 semantics of the communication and interleaving fragments share too:
 they explore other node types through the same traversal and run their
-atomic sub-steps with `GraphSearch.absorb`.
+atomic sub-steps with `GraphSearch.absorb`. Single computations run on
+one loop (`run_path`), which walks the program's points and leaves each
+choice to its caller: `run_erratic` picks at random, and the fair
+schedulers (`fairness.run_fair_traced`) pick at the top loop.
 """
 
 from __future__ import annotations
@@ -69,42 +72,58 @@ class Limits:
 
 class Points:
     """Intern table of program points, scoped to one search or one
-    program: one `Point` per structurally distinct residue."""
+    program: one `Point` per head statement (by structure) and next point
+    (by identity), and one `end` point, where a computation terminates."""
 
-    __slots__ = ("_table",)
+    __slots__ = ("_table", "end")
 
     def __init__(self):
-        self._table: dict[tuple[Stmt, ...], Point] = {}
+        self._table: dict[tuple[Stmt, Point], Point] = {}
+        self.end = Point(self, None, None)
 
-    def lower(self, residue: tuple[Stmt, ...]) -> Point:
-        """The point of a residue. Sequences at the head unfold
-        structurally; they are not steps."""
-        while residue and isinstance(residue[0], Seq):
-            residue = residue[0].stmts + residue[1:]
-        pt = self._table.get(residue)
+    def lower(self, stmt: Stmt, nxt: Point) -> Point:
+        """The point that runs `stmt` and then continues at `nxt`. A
+        sequence unfolds into a chain of points; it is not a step."""
+        if isinstance(stmt, Seq):
+            for sub in reversed(stmt.stmts):
+                nxt = self.lower(sub, nxt)
+            return nxt
+        pt = self._table.get((stmt, nxt))
         if pt is None:
-            pt = self._table[residue] = Point(self, residue)
+            pt = self._table[stmt, nxt] = Point(self, stmt, nxt)
         return pt
 
 
 class Point:
-    """One interned residue. Everything derived from the residue is
-    computed at most once, on first use."""
+    """One interned program point: a head statement linked to the point
+    after it. Everything derived from the head is computed at most once,
+    on first use."""
 
-    __slots__ = ("points", "residue", "head", "hash", "_key", "_label",
-                 "_effects", "_rest", "_arms", "_code")
+    __slots__ = ("points", "head", "next", "hash", "_key", "_label",
+                 "_effects", "_arms", "_code")
 
-    def __init__(self, points: Points, residue: tuple[Stmt, ...]):
+    def __init__(self, points: Points, head: Stmt | None, nxt: Point | None):
         self.points = points
-        self.residue = residue
-        self.head = residue[0] if residue else None
-        self.hash = hash(residue)
+        self.head = head
+        self.next = nxt
+        # by structure all along the chain, so that equal residues of
+        # different tables hash alike
+        self.hash = hash((head, nxt.hash)) if nxt is not None else 0
         self._key: str | None = None
         self._label: str | None = None
         self._effects: tuple[frozenset[str], frozenset[str]] | None = None
-        self._rest: Point | None = None
         self._arms: list[Point | None] | None = None
         self._code: Callable | tuple | None = None
+
+    @property
+    def residue(self) -> tuple[Stmt, ...]:
+        """The pending statements, from the head to the end."""
+        out = []
+        pt = self
+        while pt.head is not None:
+            out.append(pt.head)
+            pt = pt.next
+        return tuple(out)
 
     @property
     def key(self) -> str:
@@ -147,23 +166,16 @@ class Point:
             self._code = code
         return code
 
-    def rest(self) -> Point:
-        """After the head: the successor of a simple statement and the
-        exit of a repetition."""
-        if self._rest is None:
-            self._rest = self.points.lower(self.residue[1:])
-        return self._rest
-
     def arm(self, i: int) -> Point:
-        """Arm i of an if-fi head (its body, then the rest) or of a do-od
-        head (its body, then the loop again)."""
+        """Arm i of an if-fi head (its body, then the next point) or of a
+        do-od head (its body, then the loop again)."""
         arms = self._arms
         if arms is None:
             arms = self._arms = [None] * len(self.head.arms)
         pt = arms[i]
         if pt is None:
-            tail = self.residue if isinstance(self.head, Do) else self.residue[1:]
-            pt = arms[i] = self.points.lower((self.head.arms[i].body,) + tail)
+            after = self if isinstance(self.head, Do) else self.next
+            pt = arms[i] = self.points.lower(self.head.arms[i].body, after)
         return pt
 
 
@@ -210,7 +222,7 @@ class Config:
 def make_config(residue: tuple[Stmt, ...], state: State) -> Config:
     """Configuration of a residue in a table of its own; the successors
     `step` returns share that table."""
-    return Config(Points().lower(residue), state)
+    return Config(_lower(Seq(residue)), state)
 
 
 class IdentityCache:
@@ -245,8 +257,13 @@ class IdentityCache:
 _ROOTS = IdentityCache(64)
 
 
+def _lower(stmt: Stmt) -> Point:
+    points = Points()
+    return points.lower(stmt, points.end)
+
+
 def _root(stmt: Stmt) -> Point:
-    return _ROOTS.get(stmt, lambda st: Points().lower((st,)))
+    return _ROOTS.get(stmt, _lower)
 
 
 def config_key(c: Config) -> str:
@@ -402,6 +419,10 @@ class Expansion:
     truncated: str | None = None
     side_outcomes: list[Outcome] | tuple = ()
 
+    def failed(self) -> Failed:
+        reason, detail, st = self.failure
+        return Failed(reason, st, detail)
+
 
 def _choice_bound(bound_of: Callable[[State], int], s: State) -> int:
     """The bound t of `x := choice(t)` in `s`, from the compiled bound;
@@ -429,7 +450,7 @@ def step(c: Config, choice_bound: int, max_configs: int = Limits().max_configs) 
     code = pt.compiled()
 
     if isinstance(head, Skip):
-        return Expansion([("skip", Config(pt.rest(), s))])
+        return Expansion([("skip", Config(pt.next, s))])
 
     if isinstance(head, Fail):
         return Expansion(failure=("explicit-fail", head.keyword, s))
@@ -439,12 +460,12 @@ def step(c: Config, choice_bound: int, max_configs: int = Limits().max_configs) 
             s2 = code(s)
         except EvalError as e:
             return Expansion(failure=(e.reason, e.detail, s))
-        return Expansion([(pt.label, Config(pt.rest(), s2))])
+        return Expansion([(pt.label, Config(pt.next, s2))])
 
     if isinstance(head, RandomAssign):
-        rest = pt.rest()
+        nxt = pt.next
         trans = [(f"{head.target} := {v}",
-                  Config(rest, s.set_scalar(head.target, v)))
+                  Config(nxt, s.set_scalar(head.target, v)))
                  for v in range(choice_bound + 1)]
         return Expansion(trans, truncated="choice-bound")
 
@@ -453,9 +474,9 @@ def step(c: Config, choice_bound: int, max_configs: int = Limits().max_configs) 
             bound = _choice_bound(code, s)
         except EvalError as e:
             return Expansion(failure=(e.reason, e.detail, s))
-        rest = pt.rest()
+        nxt = pt.next
         trans = [(f"{head.target} := {v}",
-                  Config(rest, s.set_scalar(head.target, v)))
+                  Config(nxt, s.set_scalar(head.target, v)))
                  for v in range(1, min(bound, max_configs) + 1)]
         return Expansion(trans, truncated="max-configs" if bound > max_configs else None)
 
@@ -471,7 +492,7 @@ def step(c: Config, choice_bound: int, max_configs: int = Limits().max_configs) 
             return Expansion(trans)
         if tag == "if":
             return Expansion(failure=("guard-all-false-in-if", "", s))
-        return Expansion([("od", Config(pt.rest(), s))])
+        return Expansion([("od", Config(pt.next, s))])
 
     raise TypeError(f"{type(head).__name__} is not a guarded-commands statement")
 
@@ -591,8 +612,7 @@ class GraphSearch:
         for o in exp.side_outcomes:
             self.close(o)
         if exp.failure is not None:
-            reason, detail, st = exp.failure
-            self.close(Failed(reason, st, detail))
+            self.close(exp.failed())
             return None
         if exp.truncated:
             self.record(BoundExceeded(exp.truncated))
@@ -778,6 +798,23 @@ def _geometric(rng: Random) -> int:
     return k
 
 
+def run_path(stmt: Stmt, s0: State, fuel: int,
+             choose: Callable[[Config], Config | Failed]) -> Outcome:
+    """One computation of a statement from `s0`, on its program points
+    (`_root`): `choose(cfg)` takes each step, returning the next
+    configuration or the `Failed` that ends the run. Every step spends one
+    unit of fuel (the callers reject negative fuel); a computation still
+    running when the fuel is spent ends `BoundExceeded("fuel")`."""
+    cfg = Config(_root(stmt), s0)
+    for _ in range(fuel):
+        if cfg.terminated:
+            break
+        cfg = choose(cfg)
+        if isinstance(cfg, Failed):
+            return cfg
+    return Terminated(cfg.state) if cfg.terminated else BoundExceeded("fuel")
+
+
 def run_erratic(p: GclProgram, s0: State | None = None, seed: int = 0,
                 fuel: int = 100_000) -> Outcome:
     """One computation with uniformly random choices.
@@ -792,30 +829,24 @@ def run_erratic(p: GclProgram, s0: State | None = None, seed: int = 0,
     if s0 is None:
         s0 = initial_state(p.decls)
     rng = Random(seed)
-    cfg = Config(_root(p.body), s0)
-    for _ in range(fuel):
-        if cfg.terminated:
-            return Terminated(cfg.state)
-        head = cfg.point.head
+
+    def choose(cfg: Config) -> Config | Failed:
+        pt, s = cfg.point, cfg.state
+        head = pt.head
         if isinstance(head, RandomAssign):
-            v = _geometric(rng)
-            cfg = Config(cfg.point.rest(), cfg.state.set_scalar(head.target, v))
-            continue
+            return Config(pt.next, s.set_scalar(head.target, _geometric(rng)))
         if isinstance(head, ChoiceAssign):
             try:
-                v = rng.randint(1, _choice_bound(cfg.point.compiled(), cfg.state))
+                v = rng.randint(1, _choice_bound(pt.compiled(), s))
             except EvalError as e:
-                return Failed(e.reason, cfg.state, e.detail)
-            cfg = Config(cfg.point.rest(), cfg.state.set_scalar(head.target, v))
-            continue
-        res = step(cfg, 0)
-        if res.failure is not None:
-            reason, detail, st = res.failure
-            return Failed(reason, st, detail)
-        _, cfg = res.transitions[rng.randrange(len(res.transitions))]
-    if cfg.terminated:
-        return Terminated(cfg.state)
-    return BoundExceeded("fuel")
+                return Failed(e.reason, s, e.detail)
+            return Config(pt.next, s.set_scalar(head.target, v))
+        exp = step(cfg, 0)
+        if exp.failure is not None:
+            return exp.failed()
+        return exp.transitions[rng.randrange(len(exp.transitions))][1]
+
+    return run_path(p.body, s0, fuel, choose)
 
 
 # ---------------------------------------------------------------------------
@@ -829,15 +860,15 @@ def solve_angelic(p: GclProgram, s0: State | None = None,
     The demonic search, reading only its terminal states: depth-first
     with choice values ascending, failures closing their branch, on-path
     repeats (divergence) and exhausted budgets pruning theirs. Results
-    are deduplicated by final state, in first-found order. When the
-    configuration budget cut the answer (it stopped the search, or cut
-    a `choice(t)` to max_configs values), `BoundExceeded("max-configs")`
-    is appended to `cut`, if given.
+    are deduplicated by final state, in first-found order. Every bound
+    that cut the answer (`max-configs`, `max-depth`, `choice-bound`) is
+    appended to `cut`, if given, as a `BoundExceeded` in report order.
     """
     if s0 is None:
         s0 = initial_state(p.decls)
     search = GraphSearch(lim, _expander(lim), config_key, _final)
     search.run(Config(_root(p.body), s0))
-    if cut is not None and BoundExceeded("max-configs") in search.outcomes:
-        cut.append(BoundExceeded("max-configs"))
+    if cut is not None:
+        cut += sorted((o for o in search.outcomes if isinstance(o, BoundExceeded)),
+                      key=BoundExceeded.key)
     return [o for o in search.outcomes if isinstance(o, Terminated)]

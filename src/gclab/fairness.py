@@ -12,6 +12,11 @@ command holding the minimum priority is selected, its priority is reset
 arbitrarily, enabled competitors move up (decrement) and disabled ones
 are reset. Ignoring the priority variables, the transformed program's
 computations are the weakly fair ones.
+
+The fair schedulers run on the engine's single-computation loop
+(`engine.run_path`), on the same program points as erratic runs: at the
+top loop's point they pick an arm by priority or debt, and everywhere
+else they take the one successor of a deterministic step.
 """
 
 from __future__ import annotations
@@ -21,13 +26,10 @@ from dataclasses import dataclass
 from random import Random
 
 from .check import decl_map, type_of
-from .engine import (
-    BoundExceeded, Config, Failed, IdentityCache, Outcome, Point, Points,
-    Terminated, step,
-)
+from .engine import Config, Failed, IdentityCache, Outcome, run_path, step
 from .errors import CheckError, EvalError
 from .printer import render_stmt_inline
-from .state import State, compile_expr, compile_guards, initial_state
+from .state import State, compile_expr, initial_state
 from .syntax import (
     BINARY, COMPARE_BP, Assign, BinOp, BoolLit, Builtin, ChoiceAssign,
     Declaration, Do, Expr, GclProgram, GuardedCommand, If, IntLit,
@@ -247,65 +249,18 @@ def _fresh_priority(rng: Random) -> int:
     return rng.randint(0, 24)
 
 
-def _run_deterministic(pt: Point, s: State, fuel: int) -> tuple[State | None, Outcome | None, int]:
-    """Run a deterministic statement, lowered to its program point, to
-    completion.
-
-    Returns (final state, None, fuel_used) on success or (None, outcome,
-    fuel_used) on failure or fuel exhaustion.
-    """
-    cfg = Config(pt, s)
-    used = 0
-    while not cfg.terminated:
-        if used >= fuel:
-            return None, BoundExceeded("fuel"), used
-        res = step(cfg, 0)
-        if res.failure is not None:
-            reason, detail, st = res.failure
-            return None, Failed(reason, st, detail), used
-        if len(res.transitions) != 1:
-            raise FairnessError(
-                "deterministic body took a nondeterministic step; "
-                "the one-level check should have rejected this program")
-        cfg = res.transitions[0][1]
-        used += 1
-    return cfg.state, None, used
-
-
-class _FairLoop:
-    """A one-level program prepared for fair runs: its shape proved once,
-    its initialization and arm bodies lowered into one points table, and
-    its guards compiled to one closure that evaluates each distinct guard
-    once."""
-
-    __slots__ = ("init", "guards", "bodies")
-
-    def __init__(self, olp: OneLevelProgram):
-        points = Points()
-        self.init = points.lower((olp.init,))
-        self.guards = compile_guards(tuple(arm.guard for arm in olp.loop.arms))
-        self.bodies = tuple(points.lower((arm.body,)) for arm in olp.loop.arms)
-
-
-def _prepare(p: GclProgram) -> _FairLoop | str:
-    """The prepared loop, or the diagnostic of a program that is not
+def _top_loop(p: GclProgram) -> Do | str:
+    """The program's top loop, or the diagnostic of a program that is not
     one-level."""
     try:
-        return _FairLoop(one_level_of(p))
+        return one_level_of(p).loop
     except FairnessError as e:
         return str(e)
 
 
-# Prepared loops of recently run programs: a seed sweep over one program
-# proves its shape and lowers its bodies once.
+# Top loops of recently run programs: a seed sweep over one program proves
+# its shape once.
 _LOOPS = IdentityCache(64)
-
-
-def _fair_loop(p: GclProgram) -> _FairLoop:
-    loop = _LOOPS.get(p, _prepare)
-    if isinstance(loop, str):
-        raise FairnessError(loop)
-    return loop
 
 
 def run_fair(p: GclProgram, s0: State | None = None, policy: str = "weak",
@@ -330,48 +285,50 @@ def run_fair_traced(p: GclProgram, s0: State | None = None,
                     fuel: int = 100_000):
     """As run_fair, also returning the scheduling trace: one entry
     (enabled indices, counter snapshot, selected index) per iteration.
-    The one-level check and the lowering of the loop are done once per
-    program object and reused by later runs of the same object."""
+    The one-level check is done once per program object and reused by
+    later runs of the same object."""
     if policy not in ("weak", "strong"):
         raise ValueError(f"unknown policy {policy!r}")
     if fuel < 0:
         raise ValueError("fuel must not be negative")
-    loop = _fair_loop(p)
+    loop = _LOOPS.get(p, _top_loop)
+    if isinstance(loop, str):
+        raise FairnessError(loop)
     if s0 is None:
         s0 = initial_state(p.decls)
     rng = Random(seed)
     trace: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
-
-    s, failure, used = _run_deterministic(loop.init, s0, fuel)
-    if failure is not None:
-        return failure, trace
-    fuel -= used
-
-    guards = loop.guards
-    n = len(loop.bodies)
+    n = len(loop.arms)
     counters = ([_fresh_priority(rng) for _ in range(n)] if policy == "weak"
                 else [0] * n)
 
-    while True:
-        if fuel <= 0:
-            return BoundExceeded("fuel"), trace
+    def choose(cfg: Config) -> Config | Failed:
+        pt = cfg.point
+        # only the final occurrence of the loop is the top loop: a program
+        # built through the API may repeat the same object before it
+        if pt.head is not loop or pt.next.head is not None:
+            exp = step(cfg, 0)
+            if exp.failure is not None:
+                return exp.failed()
+            if len(exp.transitions) != 1:
+                raise FairnessError(
+                    "deterministic body took a nondeterministic step; "
+                    "the one-level check should have rejected this program")
+            return exp.transitions[0][1]
+        s = cfg.state
         try:
-            enabled = [i for i, on in enumerate(guards(s)) if on]
+            enabled = [i for i, on in enumerate(pt.compiled()(s)) if on]
         except EvalError as e:
-            return Failed(e.reason, s, e.detail), trace
+            return Failed(e.reason, s, e.detail)
         if not enabled:
-            return Terminated(s), trace
-        if policy == "weak":
-            best = min(counters[i] for i in enabled)
-            candidates = [i for i in enabled if counters[i] == best]
-        else:
+            return Config(pt.next, s)
+        if policy == "strong":
             for i in enabled:
                 counters[i] += 1
-            best = max(counters[i] for i in enabled)
-            candidates = [i for i in enabled if counters[i] == best]
+        best = (min if policy == "weak" else max)(counters[i] for i in enabled)
+        candidates = [i for i in enabled if counters[i] == best]
         pick = candidates[rng.randrange(len(candidates))]
         trace.append((tuple(enabled), tuple(counters), pick))
-        fuel -= 1
         if policy == "weak":
             counters[pick] = _fresh_priority(rng)
             for j in range(n):
@@ -383,10 +340,9 @@ def run_fair_traced(p: GclProgram, s0: State | None = None,
                     counters[j] = _fresh_priority(rng)
         else:
             counters[pick] = 0
-        s, failure, used = _run_deterministic(loop.bodies[pick], s, fuel)
-        if failure is not None:
-            return failure, trace
-        fuel -= used
+        return Config(pt.arm(pick), s)
+
+    return run_path(p.body, s0, fuel, choose), trace
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Abstract syntax for the three source languages.
 
 All nodes are frozen dataclasses built over tuples, so structural equality
-and hashing come for free. The engines use them once per residue, when
-they intern it as a program point (`engine.Points`); memoization and
-divergence detection then compare points by identity, and the point's
-guards, right-hand sides and bounds are compiled to closures
+and hashing come for free. The engines use them once per program point,
+when they intern it (`engine.Points`); memoization and divergence
+detection then compare points by identity, and the point's guards,
+right-hand sides and bounds are compiled to closures
 (`state.compile_expr`) the first time it is stepped, so no step walks
 an expression tree. Nodes carry no source positions (the parser reports
 positions at parse time), which keeps `parse(render(p)) == p` a plain

@@ -1,7 +1,13 @@
+import contextlib
 import decimal
+import io
 import json
+import pathlib
+import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gclab.cli import main
 from gclab.parser import parse_gcl
@@ -141,6 +147,30 @@ def test_choice_wider_than_max_configs_is_cut(tmp_path, capsys, mode):
         code, out, err = run_cli(capsys, "run", f, "--mode", mode, "--max-configs", "10")
         assert (code, err) == (0, "")
         assert out.splitlines() == ["schema 1", *head, *terms, *tail]
+
+
+def test_angelic_report_names_the_choice_bound_cut(tmp_path, capsys):
+    """The only successes lie beyond the values `x := ?` enumerates: the
+    angelic report says that the choice bound cut its answer."""
+    f = tmp_path / "far.gcl"
+    f.write_text("var x: int; x := ?; if x > 20 -> skip fi\n")
+    code, out, err = run_cli(capsys, "run", f, "--mode", "angelic")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ["schema 1", "mode angelic successes 0",
+                                "outcome: bound-exceeded :: choice-bound"]
+
+
+@pytest.mark.parametrize("mode", ["erratic", "fair-weak", "fair-strong"])
+@pytest.mark.parametrize("fuel, code, outcome", [
+    (5, 0, "terminated :: x=2"), (4, 3, "bound-exceeded :: fuel")])
+def test_fuel_counts_every_step_alike_in_seeded_modes(tmp_path, capsys, mode,
+                                                      fuel, code, outcome):
+    """Two iterations and the loop exit take five steps in every seeded
+    mode; a loop with no initialization spends no fuel before it."""
+    f = tmp_path / "loop.gcl"
+    f.write_text("var x: int;\ndo x < 2 -> x := x + 1 od\n")
+    got = run_cli(capsys, "run", f, "--mode", mode, "--seed", "1", "--fuel", fuel)
+    assert got == (code, f"schema 1\nmode {mode} seed 1\noutcome: {outcome}\n", "")
 
 
 @pytest.mark.parametrize("mode", [["demonic"], ["angelic"], ["erratic", "--seed", "1"]],
@@ -444,3 +474,104 @@ def test_corpus_smoke(argv, expected, capsys):
     full = [argv[0]] + [str(CORPUS / a) if "." in a else a for a in argv[1:]]
     code, _, _ = run_cli(capsys, *full)
     assert code == expected
+
+
+# ---------------------------------------------------------------------------
+# the error contract, on mutated corpus texts and drawn argv
+# ---------------------------------------------------------------------------
+
+EXIT_CODES = {0, 1, 2, 3, 64, 65, 70}
+TEXTS = {p.name: p.read_text(encoding="utf-8") for p in sorted(CORPUS.iterdir())
+         if p.suffix in (".gcl", ".csp", ".par", ".lts")}
+# the lexical units of the corpus: words, numbers, single symbols, spaces
+UNIT = re.compile(r"\w+|\s+|[^\w\s]")
+UNITS = sorted({u for text in TEXTS.values() for u in UNIT.findall(text)})
+CHARS = sorted(set("".join(TEXTS.values())) | set("?[]()-:=;.,#\"'\\\t"))
+# each option with values of every kind it can meet: valid, out of
+# range and malformed; no value is large enough to make a run long
+RUN_FLAGS = [
+    ["--mode", st.sampled_from(["demonic", "angelic", "erratic", "fair-weak",
+                                "fair-strong", "bogus"])],
+    ["--seed", st.sampled_from(["0", "1", "7", "-3", "x"])],
+    ["--fuel", st.sampled_from(["0", "1", "5", "-5", "x"])],
+    ["--max-configs", st.sampled_from(["1", "10", "0", "-1", "x"])],
+    ["--max-depth", st.sampled_from(["1", "10", "0", "x"])],
+    ["--choice-bound", st.sampled_from(["0", "3", "-1", "x"])],
+    ["--format", st.sampled_from(["text", "json", "xml"])],
+    ["--bind", st.sampled_from(["x=3", "y=-2", "goon=true", "a=[1,2]", "x=[1",
+                                "a=[1,b]", "x=y", "nope=1", "x"])],
+    ["--help"],
+]
+LIMITS = ["--max-configs", "500", "--max-depth", "50", "--fuel", "500"]
+
+
+@st.composite
+def _mutated(draw, suffixes):
+    """A corpus file name, mostly one with a suffix the command reads, and
+    its text with one character or one lexical unit deleted, inserted or
+    replaced."""
+    fitting = [n for n in TEXTS if n.endswith(suffixes)]
+    name = draw(st.sampled_from(draw(st.sampled_from([fitting, fitting, sorted(TEXTS)]))))
+    text = TEXTS[name]
+    if draw(st.booleans()):
+        parts, pool = list(text), CHARS
+    else:
+        parts, pool = UNIT.findall(text), UNITS
+    at = draw(st.integers(0, len(parts)))
+    op = draw(st.sampled_from(["delete", "insert", "replace"]))
+    if op == "insert":
+        parts.insert(at, draw(st.sampled_from(pool)))
+    elif at < len(parts):
+        if op == "delete":
+            del parts[at]
+        else:
+            parts[at] = draw(st.sampled_from(pool))
+    return name, "".join(parts)
+
+
+@st.composite
+def _invocation(draw):
+    """(mutated file name, its text, argv with FILE standing for its path)."""
+    command = draw(st.sampled_from(["run", "transform", "lts"]))
+    name, text = draw(_mutated(".lts" if command == "lts" else (".gcl", ".csp", ".par")))
+    if command == "run":
+        argv = ["run", "FILE"]
+        for flag in draw(st.lists(st.sampled_from(RUN_FLAGS), max_size=4)):
+            argv += [flag[0]] + [draw(v) for v in flag[1:]]
+        argv += LIMITS
+    elif command == "transform":
+        argv = ["transform", "FILE", "--kind", draw(st.sampled_from(["wf", "csp", "par", "x"]))]
+        if draw(st.booleans()):
+            argv += ["-o", "OUT"]
+    else:
+        other = str(CORPUS / draw(st.sampled_from(["P.lts", "Q.lts", "T.lts"])))
+        argv = ["lts", draw(st.sampled_from(["bisim", "may", "must", "refines", "x"]))]
+        argv += draw(st.permutations(["FILE", other]))
+        if draw(st.booleans()):
+            argv += ["--depth", draw(st.sampled_from(["0", "2", "4", "-1", "x"]))]
+    if draw(st.integers(0, 9)) == 0:  # a missing or surplus argument
+        argv = draw(st.sampled_from([argv[:-1], argv + ["extra"]]))
+    return name, text, argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_invocation())
+def test_any_invocation_keeps_the_error_contract(case):
+    """Every input ends with a documented exit code, and with nothing on
+    stderr or one `error:` line, never a traceback; `--help` exits 0."""
+    name, text, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / name
+        path.write_text(text, encoding="utf-8")
+        subst = {"FILE": str(path), "OUT": str(pathlib.Path(tmp) / "out.gcl")}
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([subst.get(a, a) for a in argv])
+            except SystemExit as e:  # argparse's --help
+                code = e.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in EXIT_CODES, (argv, text)
+    assert err == "" or (err.startswith("error:") and err.count("\n") == 1
+                         and err.endswith("\n")), (argv, err)
+    assert "Traceback" not in out + err

@@ -220,6 +220,17 @@ def test_residue_is_the_unfolded_tuple():
     assert last.residue == () and last.terminated
 
 
+def test_nested_sequence_past_the_head_unfolds():
+    """A hand-built residue may hold a sequence past its head; it unfolds
+    into points like one at the head. Parsed and transformed programs
+    hold flat sequences only, so their residues never show this."""
+    x1, x2, x3 = (Assign((Var("x"),), (IntLit(v),)) for v in (1, 2, 3))
+    p = GclProgram((Declaration("x", "int"),), x1)
+    cfg = make_config((x1, Seq((x2, x3))), _init(p))
+    assert cfg.residue == (x1, x2, x3)
+    assert cfg.residue_key() == "x := 1 ; x := 2 ; x := 3"
+
+
 def test_identity_cache_keeps_its_keys_alive_until_evicted():
     class Key:
         pass
@@ -404,6 +415,21 @@ def test_angelic_reports_a_configuration_budget_cut():
         cut = []
         solve_angelic(parse_gcl(src), cut=cut)
         assert cut == [], src
+
+
+def test_angelic_reports_depth_and_choice_bound_cuts():
+    """`cut` receives every bound that cut the answer, in report order:
+    choice-bound for `x := ?`, max-depth for a computation cut short."""
+    for src, lim, want, bounds in [
+        ("var x: int; x := ?; if x > 20 -> skip fi", Limits(), 0, ["choice-bound"]),
+        ("var x: int; do x < 100 -> x := x + 1 od", Limits(max_depth=10), 0,
+         ["max-depth"]),
+        ("var x: int; x := ?; do x < 5 -> x := x + 1 od", Limits(max_depth=6), 4,
+         ["choice-bound", "max-depth"]),
+    ]:
+        cut: list = []
+        assert len(solve_angelic(parse_gcl(src), lim=lim, cut=cut)) == want, src
+        assert cut == [BoundExceeded(b) for b in bounds], src
 
 
 def test_angelic_equals_demonic_terminated():

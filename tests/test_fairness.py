@@ -6,8 +6,8 @@ import pytest
 from gclab import fairness
 from gclab.check import check_program
 from gclab.engine import (
-    BoundExceeded, Divergent, Failed, Limits, Points, Terminated,
-    explore_demonic,
+    BoundExceeded, Config, Divergent, Failed, Limits, Outcome, Point, Points,
+    Terminated, explore_demonic, step,
 )
 from gclab.errors import EvalError
 from gclab.fairness import (
@@ -17,8 +17,8 @@ from gclab.fairness import (
 )
 from gclab.parser import parse_gcl
 from gclab.printer import render, render_expr
-from gclab.state import initial_state
-from gclab.syntax import BinOp, Builtin, Do, IntLit, Var
+from gclab.state import State, initial_state
+from gclab.syntax import BinOp, Builtin, Declaration, Do, GclProgram, IntLit, Seq, Var
 
 import eval_reference
 from conftest import corpus_text
@@ -410,16 +410,44 @@ def test_chaotic_exhaustive_height_one():
 # compiled guards against the reference evaluator
 # ---------------------------------------------------------------------------
 
+def _run_deterministic(pt: Point, s: State, fuel: int) -> tuple[State | None, Outcome | None, int]:
+    """Run a deterministic statement, lowered to its program point, to
+    completion.
+
+    Returns (final state, None, fuel_used) on success or (None, outcome,
+    fuel_used) on failure or fuel exhaustion.
+    """
+    cfg = Config(pt, s)
+    used = 0
+    while not cfg.terminated:
+        if used >= fuel:
+            return None, BoundExceeded("fuel"), used
+        res = step(cfg, 0)
+        if res.failure is not None:
+            reason, detail, st = res.failure
+            return None, Failed(reason, st, detail), used
+        if len(res.transitions) != 1:
+            raise FairnessError(
+                "deterministic body took a nondeterministic step; "
+                "the one-level check should have rejected this program")
+        cfg = res.transitions[0][1]
+        used += 1
+    return cfg.state, None, used
+
+
 def _reference_fair_traced(p, policy, seed, fuel=100_000):
-    """`run_fair_traced` as it was before its guards were compiled: every
-    arm's guard evaluated by the recursive reference evaluator, in arm
-    order, on every iteration."""
+    """`run_fair_traced` as it was before its guards were compiled and
+    before it ran on `engine.run_path`: every arm's guard evaluated by the
+    recursive reference evaluator, in arm order, on every iteration, and
+    the initialization and the chosen arm's body each run to completion
+    by `_run_deterministic`, its own stepping loop. A program without an
+    initialization spends one unit of fuel on a `skip` here."""
     olp = one_level_of(p)
     points = Points()
     rng = Random(seed)
     trace = []
-    s, failure, used = fairness._run_deterministic(
-        points.lower((olp.init,)), initial_state(p.decls), fuel)
+    s, failure, used = _run_deterministic(
+        points.lower(olp.init, points.end), initial_state(p.decls), fuel)
     if failure is not None:
         return failure, trace
     fuel -= used
@@ -452,11 +480,22 @@ def _reference_fair_traced(p, policy, seed, fuel=100_000):
                                    else fairness._fresh_priority(rng))
         else:
             counters[pick] = 0
-        s, failure, used = fairness._run_deterministic(
-            points.lower((olp.loop.arms[pick].body,)), s, fuel)
+        s, failure, used = _run_deterministic(
+            points.lower(olp.loop.arms[pick].body, points.end), s, fuel)
         if failure is not None:
             return failure, trace
         fuel -= used
+
+
+def test_only_the_final_occurrence_of_the_top_loop_is_scheduled():
+    """The same loop object as the initialization runs deterministically
+    there, unscheduled; the top loop then finds no guard true."""
+    loop = parse_gcl("var x: int; do x < 2 -> x := x + 1 od").body
+    p = GclProgram((Declaration("x", "int"),), Seq((loop, loop)))
+    for policy in ("weak", "strong"):
+        out, trace = run_fair_traced(p, policy=policy, seed=1)
+        assert (out.state.scalar("x"), trace) == (2, [])
+        assert (out, trace) == _reference_fair_traced(p, policy, 1)
 
 
 def _chain_instance():
