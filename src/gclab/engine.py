@@ -2,16 +2,19 @@
 
 A configuration is a program point plus a state. A program point is a
 head statement linked to the point after it (`next`); following `next`
-to the table's `end` point gives the residue, the tuple of pending
-statements. Points are lowered on first use and interned in a `Points`
-table by head (by structure) and next point (by identity), so each
-structurally distinct residue has one `Point`. A point caches its
+to the `END` point gives the residue, the tuple of pending statements.
+Syntax nodes are hash-consed, so equal statements are one object, and
+points live in one table keyed by head and next point by identity
+(`lower`): each distinct residue has one `Point`, in every search and
+every program that reaches it. A statement keeps its first point, and
+through it every later one, alive (`root`), so a program run many times
+is lowered once, and its points go when it does. A point caches its
 rendered key, the variables its head reads and writes, its arm points,
 and its compiled head: on the first step the head's assignment, guards
 or `choice` bound are lowered to closures (`state.compile_assign`,
 `compile_guards`, `compile_expr`), which every later step calls without
-walking the syntax tree. Configurations of one table therefore compare
-by point identity plus the state, and hash by the point's stored hash.
+walking the syntax tree. Configurations therefore compare by point
+identity plus the state, and hash by the point's identity and the state.
 `step` returns an `Expansion`, the one record of what a node expands to
 (a failure, or labelled successors). On top of `step` sit:
 
@@ -33,10 +36,10 @@ schedulers (`fairness.run_fair_traced`) pick at the top loop.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable
+from weakref import WeakValueDictionary
 
 from .errors import EvalError
 from .printer import render_stmt_inline
@@ -55,7 +58,7 @@ class Limits:
     """Exploration budgets. `choice_bound` caps the values enumerated for
     `x := ?` during exhaustive search (the construct itself is unbounded);
     `max_configs` caps the configurations expanded, and the values
-    enumerated for `x := choice(t)`."""
+    enumerated for `x := ?` and `x := choice(t)`."""
 
     max_configs: int = 100_000
     max_depth: int = 500
@@ -70,45 +73,17 @@ class Limits:
 # Program points
 # ---------------------------------------------------------------------------
 
-class Points:
-    """Intern table of program points, scoped to one search or one
-    program: one `Point` per head statement (by structure) and next point
-    (by identity), and one `end` point, where a computation terminates."""
-
-    __slots__ = ("_table", "end")
-
-    def __init__(self):
-        self._table: dict[tuple[Stmt, Point], Point] = {}
-        self.end = Point(self, None, None)
-
-    def lower(self, stmt: Stmt, nxt: Point) -> Point:
-        """The point that runs `stmt` and then continues at `nxt`. A
-        sequence unfolds into a chain of points; it is not a step."""
-        if isinstance(stmt, Seq):
-            for sub in reversed(stmt.stmts):
-                nxt = self.lower(sub, nxt)
-            return nxt
-        pt = self._table.get((stmt, nxt))
-        if pt is None:
-            pt = self._table[stmt, nxt] = Point(self, stmt, nxt)
-        return pt
-
-
 class Point:
     """One interned program point: a head statement linked to the point
     after it. Everything derived from the head is computed at most once,
     on first use."""
 
-    __slots__ = ("points", "head", "next", "hash", "_key", "_label",
-                 "_effects", "_arms", "_code")
+    __slots__ = ("head", "next", "_key", "_label", "_effects", "_arms",
+                 "_code", "__weakref__")
 
-    def __init__(self, points: Points, head: Stmt | None, nxt: Point | None):
-        self.points = points
+    def __init__(self, head: Stmt | None, nxt: Point | None):
         self.head = head
         self.next = nxt
-        # by structure all along the chain, so that equal residues of
-        # different tables hash alike
-        self.hash = hash((head, nxt.hash)) if nxt is not None else 0
         self._key: str | None = None
         self._label: str | None = None
         self._effects: tuple[frozenset[str], frozenset[str]] | None = None
@@ -175,17 +150,51 @@ class Point:
         pt = arms[i]
         if pt is None:
             after = self if isinstance(self.head, Do) else self.next
-            pt = arms[i] = self.points.lower(self.head.arms[i].body, after)
+            pt = arms[i] = lower(self.head.arms[i].body, after)
+        return pt
+
+
+# The point table. A point holds its head and next point, so neither id
+# is reused while its entry lives; the table holds points weakly, and
+# the statements they run keep them (`root`).
+_POINTS: WeakValueDictionary[tuple[int, int], Point] = WeakValueDictionary()
+
+# where a computation terminates
+END = Point(None, None)
+
+
+def lower(stmt: Stmt, nxt: Point) -> Point:
+    """The point that runs `stmt` and then continues at `nxt`. A
+    sequence unfolds into a chain of points; it is not a step."""
+    if isinstance(stmt, Seq):
+        for sub in reversed(stmt.stmts):
+            nxt = lower(sub, nxt)
+        return nxt
+    key = (id(stmt), id(nxt))
+    pt = _POINTS.get(key)
+    if pt is None:
+        pt = _POINTS[key] = Point(stmt, nxt)
+    return pt
+
+
+def root(stmt: Stmt) -> Point:
+    """The point that runs `stmt` to the end. The statement keeps it, and
+    so every point after it, while the statement lives: a statement run
+    many times (a seed sweep, the sub-searches of the concurrency
+    semantics) is lowered and compiled once."""
+    try:
+        return stmt._point
+    except AttributeError:
+        pt = lower(stmt, END)
+        object.__setattr__(stmt, "_point", pt)
         return pt
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Config:
-    """Node of the computation tree: a program point plus a state.
-
-    Within one `Points` table, equal configurations share their point, so
-    equality is point identity plus state equality; points of different
-    tables fall back to comparing residues."""
+    """Node of the computation tree: a program point plus a state. Equal
+    configurations share their point, so equality is point identity plus
+    state equality."""
 
     point: Point
     state: State
@@ -205,65 +214,22 @@ class Config:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Config):
             return NotImplemented
-        a, b = self.point, other.point
-        return ((a is b or (a.points is not b.points and a.residue == b.residue))
-                and self.state == other.state)
+        return self.point is other.point and self.state == other.state
 
     def __hash__(self) -> int:
         # computed on the first probe: a search looks each configuration up
         # several times, and the state hash walks its nested tuples
         h = self._hash
         if h is None:
-            h = hash((self.point.hash, self.state))
+            h = hash((self.point, self.state))
             object.__setattr__(self, "_hash", h)
         return h
 
 
 def make_config(residue: tuple[Stmt, ...], state: State) -> Config:
-    """Configuration of a residue in a table of its own; the successors
-    `step` returns share that table."""
-    return Config(_lower(Seq(residue)), state)
-
-
-class IdentityCache:
-    """Bounded cache of values derived from objects, keyed by identity.
-
-    Each entry holds its key object, so that object's id() cannot be
-    reused by another object while the entry exists; the least recently
-    used entry goes first once the bound is reached. Not thread-safe, like
-    the rest of the engine."""
-
-    __slots__ = ("_entries", "_size")
-
-    def __init__(self, size: int):
-        self._entries: OrderedDict[int, tuple[Any, Any]] = OrderedDict()
-        self._size = size
-
-    def get(self, obj: Any, make: Callable[[Any], Any]) -> Any:
-        entries = self._entries
-        entry = entries.get(id(obj))
-        if entry is None:
-            entry = entries[id(obj)] = (obj, make(obj))
-            if len(entries) > self._size:
-                entries.popitem(last=False)
-        else:
-            entries.move_to_end(id(obj))
-        return entry[1]
-
-
-# Root points of recently run statements: a program explored or run many
-# times (a seed sweep, the sub-searches of the concurrency semantics)
-# lowers each of its residues once.
-_ROOTS = IdentityCache(64)
-
-
-def _lower(stmt: Stmt) -> Point:
-    points = Points()
-    return points.lower(stmt, points.end)
-
-
-def _root(stmt: Stmt) -> Point:
-    return _ROOTS.get(stmt, _lower)
+    """Configuration of a residue; the successors `step` returns share
+    its points."""
+    return Config(lower(Seq(residue), END), state)
 
 
 def config_key(c: Config) -> str:
@@ -410,9 +376,9 @@ def _outcome_json(o: Outcome) -> dict:
 class Expansion:
     """What a non-terminal node expands to: a failure (reason, detail,
     state) or labelled successors. `truncated` names the limit that cut
-    the successors ('choice-bound' for `x := ?`, 'max-configs' for a
-    `choice(t)` wider than the configuration budget); `side_outcomes`
-    close branches inside an atomic step."""
+    the successors ('choice-bound' for `x := ?`, 'max-configs' for an
+    `x := ?` or `choice(t)` with more values than the configuration
+    budget); `side_outcomes` close branches inside an atomic step."""
 
     transitions: list[tuple[str, Any]] | tuple = ()
     failure: tuple[str, str, State] | None = None
@@ -433,16 +399,28 @@ def _choice_bound(bound_of: Callable[[State], int], s: State) -> int:
     return bound
 
 
+def _choices(pt: Point, s: State, first: int, last: int, max_configs: int,
+             truncated: str | None) -> Expansion:
+    """The successors `x := first` .. `x := last` of a choice head, cut to
+    the first `max_configs` of them ('max-configs'); `truncated` names the
+    limit that already cut the range, if any."""
+    target, nxt = pt.head.target, pt.next
+    stop = min(last, first + max_configs - 1)
+    trans = [(f"{target} := {v}", Config(nxt, s.set_scalar(target, v)))
+             for v in range(first, stop + 1)]
+    return Expansion(trans, truncated="max-configs" if stop < last else truncated)
+
+
 def step(c: Config, choice_bound: int, max_configs: int = Limits().max_configs) -> Expansion:
     """Successors of a non-terminal configuration.
 
     Assignments and skip have one successor; if-fi has one per true guard
     and fails when none holds; do-od has one per true guard plus a single
-    exit successor when none holds; `x := ?` enumerates 0..choice_bound;
-    `x := choice(t)` enumerates 1..t, cut to 1..max_configs (a search
-    passes its own budget) when t is larger, and fails when t < 1. A
-    guard or right-hand side that fails to evaluate fails the whole
-    command.
+    exit successor when none holds; `x := ?` enumerates 0..choice_bound
+    and `x := choice(t)` 1..t, either cut to its first max_configs values
+    (a search passes its own budget) when it has more, and `choice(t)`
+    fails when t < 1. A guard or right-hand side that fails to evaluate
+    fails the whole command.
     """
     pt = c.point
     head = pt.head
@@ -463,22 +441,14 @@ def step(c: Config, choice_bound: int, max_configs: int = Limits().max_configs) 
         return Expansion([(pt.label, Config(pt.next, s2))])
 
     if isinstance(head, RandomAssign):
-        nxt = pt.next
-        trans = [(f"{head.target} := {v}",
-                  Config(nxt, s.set_scalar(head.target, v)))
-                 for v in range(choice_bound + 1)]
-        return Expansion(trans, truncated="choice-bound")
+        return _choices(pt, s, 0, choice_bound, max_configs, "choice-bound")
 
     if isinstance(head, ChoiceAssign):
         try:
             bound = _choice_bound(code, s)
         except EvalError as e:
             return Expansion(failure=(e.reason, e.detail, s))
-        nxt = pt.next
-        trans = [(f"{head.target} := {v}",
-                  Config(nxt, s.set_scalar(head.target, v)))
-                 for v in range(1, min(bound, max_configs) + 1)]
-        return Expansion(trans, truncated="max-configs" if bound > max_configs else None)
+        return _choices(pt, s, 1, bound, max_configs, None)
 
     if isinstance(head, (If, Do)):
         try:
@@ -752,7 +722,7 @@ def explore_statement(stmt: Stmt, s0: State, lim: Limits) -> ExplorationReport:
     """Exhaustive demonic exploration of a statement from a given state."""
     search = GraphSearch(lim, _expander(lim), config_key, _final,
                          revisit_scan=_control_lasso_scan)
-    search.run(Config(_root(stmt), s0))
+    search.run(Config(root(stmt), s0))
     return search.report()
 
 
@@ -801,11 +771,11 @@ def _geometric(rng: Random) -> int:
 def run_path(stmt: Stmt, s0: State, fuel: int,
              choose: Callable[[Config], Config | Failed]) -> Outcome:
     """One computation of a statement from `s0`, on its program points
-    (`_root`): `choose(cfg)` takes each step, returning the next
+    (`root`): `choose(cfg)` takes each step, returning the next
     configuration or the `Failed` that ends the run. Every step spends one
     unit of fuel (the callers reject negative fuel); a computation still
     running when the fuel is spent ends `BoundExceeded("fuel")`."""
-    cfg = Config(_root(stmt), s0)
+    cfg = Config(root(stmt), s0)
     for _ in range(fuel):
         if cfg.terminated:
             break
@@ -867,7 +837,7 @@ def solve_angelic(p: GclProgram, s0: State | None = None,
     if s0 is None:
         s0 = initial_state(p.decls)
     search = GraphSearch(lim, _expander(lim), config_key, _final)
-    search.run(Config(_root(p.body), s0))
+    search.run(Config(root(p.body), s0))
     if cut is not None:
         cut += sorted((o for o in search.outcomes if isinstance(o, BoundExceeded)),
                       key=BoundExceeded.key)

@@ -24,9 +24,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from random import Random
+from weakref import WeakKeyDictionary
 
 from .check import decl_map, type_of
-from .engine import Config, Failed, IdentityCache, Outcome, run_path, step
+from .engine import Config, Failed, Outcome, run_path, step
 from .errors import CheckError, EvalError
 from .printer import render_stmt_inline
 from .state import State, compile_expr, initial_state
@@ -249,18 +250,9 @@ def _fresh_priority(rng: Random) -> int:
     return rng.randint(0, 24)
 
 
-def _top_loop(p: GclProgram) -> Do | str:
-    """The program's top loop, or the diagnostic of a program that is not
-    one-level."""
-    try:
-        return one_level_of(p).loop
-    except FairnessError as e:
-        return str(e)
-
-
-# Top loops of recently run programs: a seed sweep over one program proves
-# its shape once.
-_LOOPS = IdentityCache(64)
+# Top loops of live programs, or the diagnostic of one that is not
+# one-level: a seed sweep over one program proves its shape once.
+_LOOPS: WeakKeyDictionary[GclProgram, Do | str] = WeakKeyDictionary()
 
 
 def run_fair(p: GclProgram, s0: State | None = None, policy: str = "weak",
@@ -285,13 +277,19 @@ def run_fair_traced(p: GclProgram, s0: State | None = None,
                     fuel: int = 100_000):
     """As run_fair, also returning the scheduling trace: one entry
     (enabled indices, counter snapshot, selected index) per iteration.
-    The one-level check is done once per program object and reused by
-    later runs of the same object."""
+    The one-level check is done once per program and reused by later
+    runs of the program while it lives."""
     if policy not in ("weak", "strong"):
         raise ValueError(f"unknown policy {policy!r}")
     if fuel < 0:
         raise ValueError("fuel must not be negative")
-    loop = _LOOPS.get(p, _top_loop)
+    loop = _LOOPS.get(p)
+    if loop is None:
+        try:
+            loop = one_level_of(p).loop
+        except FairnessError as e:
+            loop = str(e)
+        _LOOPS[p] = loop
     if isinstance(loop, str):
         raise FairnessError(loop)
     if s0 is None:

@@ -1,14 +1,15 @@
 """Abstract syntax for the three source languages.
 
-All nodes are frozen dataclasses built over tuples, so structural equality
-and hashing come for free. The engines use them once per program point,
-when they intern it (`engine.Points`); memoization and divergence
-detection then compare points by identity, and the point's guards,
-right-hand sides and bounds are compiled to closures
-(`state.compile_expr`) the first time it is stepped, so no step walks
-an expression tree. Nodes carry no source positions (the parser reports
-positions at parse time), which keeps `parse(render(p)) == p` a plain
-`==`.
+Every node class derives from `Node`, which takes the class's
+`__slots__` as its fields and hash-conses its instances (Filliatre and
+Conchon, "Type-safe modular hash-consing", 2006): building a node equal
+to a live one returns the live one. Equal trees are one object, so `==`
+on nodes is `is` and a node hashes by identity; neither walks the tree.
+The engines key program points on node identity (`engine.lower`) and
+compile each point's expressions to closures (`state.compile_expr`) on
+its first step, so no step walks an expression tree. Nodes carry no
+source positions (the parser reports positions at parse time), which
+keeps `parse(render(p)) == p` a plain `==`.
 
 Each binary operator's binding power, typing and meaning are one row of
 `BINARY`; the parser, printer, checker and expression compiler all read
@@ -18,46 +19,114 @@ that row, so they agree by construction.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Any, Callable
+from weakref import ref
 
 from .errors import EvalError
+
+
+# ---------------------------------------------------------------------------
+# Hash-consed nodes
+# ---------------------------------------------------------------------------
+
+def _types(value: Any) -> Any:
+    """The types a field value is interned under, element by element for a
+    tuple: `1 == True`, but `IntLit(1)` is not `IntLit(True)`."""
+    return tuple(map(type, value)) if type(value) is tuple else type(value)
+
+
+class _Ref(ref):
+    """The intern table's weak reference to a node; it drops the node's
+    entry when the node dies."""
+
+    __slots__ = ("key",)
+
+
+def _drop(r: _Ref) -> None:
+    if _INTERNED.get(r.key) is r:
+        del _INTERNED[r.key]
+
+
+# (class, fields[, their types]) to the live node. Not a WeakValueDictionary:
+# its lookup, insertion and removal run in Python, and parsing was about a
+# quarter slower with it.
+_INTERNED: dict[tuple, _Ref] = {}
+
+
+class Node:
+    """A syntax node. A class names its fields, in order, as its
+    `__slots__`, and gives the defaults of trailing fields in `_defaults`.
+    The constructor takes the fields positionally or by keyword. It
+    returns the live node of the same class with the same field values,
+    comparing child nodes by identity, if there is one. A class whose
+    leaves may be ints or bools sets `_typed`, so that their types must
+    match too. Nodes cannot be changed."""
+
+    __slots__ = ("__weakref__",)
+    _defaults: dict[str, Any] = {}
+    _typed = False
+
+    def __init_subclass__(cls) -> None:
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> Any:
+        if kwargs or len(args) != len(cls._setters):
+            fields = cls.__slots__
+            given = dict(zip(fields, args))
+            values = {**cls._defaults, **given, **kwargs}
+            if len(args) > len(fields) or given.keys() & kwargs or values.keys() != set(fields):
+                raise TypeError(f"{cls.__name__} takes the fields {fields}, "
+                                f"not {args!r} and {kwargs!r}")
+            args = tuple(values[f] for f in fields)
+        key = (cls, args, tuple(map(_types, args))) if cls._typed else (cls, args)
+        r = _INTERNED.get(key)
+        node = r and r()
+        if node is None:
+            node = object.__new__(cls)
+            for set_field, value in zip(cls._setters, args):
+                set_field(node, value)
+            r = _INTERNED[key] = _Ref(node, _drop)
+            r.key = key
+        return node
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"cannot change field {name!r} of a syntax node")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
 
-class Expr:
+class Expr(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class IntLit(Expr):
-    value: int
+    __slots__ = ("value",)
+    _typed = True
 
 
-@dataclass(frozen=True, slots=True)
 class BoolLit(Expr):
-    value: bool
+    __slots__ = ("value",)
+    _typed = True
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
 class ArrayRef(Expr):
-    name: str
-    index: Expr
+    __slots__ = ("name", "index")
 
 
-@dataclass(frozen=True, slots=True)
 class UnaryOp(Expr):
-    op: str  # 'neg' | 'not'
-    operand: Expr
-
+    __slots__ = ("op", "operand")  # op: 'neg' | 'not'
 
 # Binding powers, loosest to tightest. A prefix `not` binds looser than
 # the comparisons, so `not x < y` reads as `not (x < y)`; unary minus
@@ -112,19 +181,14 @@ PARTIAL = frozenset({"div", "mod"})
 BUILTINS = {"min": min, "max": max}
 
 
-@dataclass(frozen=True, slots=True)
 class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Builtin(Expr):
     """Builtin call; only binary integer min/max exist."""
 
-    func: str  # 'min' | 'max'
-    args: tuple[Expr, ...]
+    __slots__ = ("func", "args")  # func: 'min' | 'max'; args: a tuple of two
 
 
 TRUE = BoolLit(True)
@@ -162,67 +226,57 @@ def disj(parts: list[Expr]) -> Expr:
 # Statements
 # ---------------------------------------------------------------------------
 
-class Stmt:
+class Stmt(Node):
+    # `_point`: the program point that runs this statement to the end
+    # (`engine.root`), kept while the statement lives
+    __slots__ = ("_point",)
+
+
+class Skip(Stmt):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Skip(Stmt):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
 class Fail(Stmt):
     """Improper termination. `abort` and `fail` are synonyms; the keyword
     used in the source is kept so rendering round-trips."""
 
-    keyword: str = "fail"
+    __slots__ = ("keyword",)
+    _defaults = {"keyword": "fail"}
 
 
-@dataclass(frozen=True, slots=True)
 class Assign(Stmt):
     """Parallel assignment. Targets are Var or ArrayRef nodes; all right-hand
     sides and target indices are evaluated before any write."""
 
-    targets: tuple[Expr, ...]
-    values: tuple[Expr, ...]
+    __slots__ = ("targets", "values")  # two tuples of the same length
 
 
-@dataclass(frozen=True, slots=True)
 class RandomAssign(Stmt):
     """x := ?  (any natural number)."""
 
-    target: str
+    __slots__ = ("target",)
 
 
-@dataclass(frozen=True, slots=True)
 class ChoiceAssign(Stmt):
     """x := choice(t)  (any integer 1..t; t < 1 fails)."""
 
-    target: str
-    bound: Expr
+    __slots__ = ("target", "bound")
 
 
-@dataclass(frozen=True, slots=True)
 class Seq(Stmt):
-    stmts: tuple[Stmt, ...]
+    __slots__ = ("stmts",)
 
 
-@dataclass(frozen=True, slots=True)
-class GuardedCommand:
-    guard: Expr
-    body: Stmt
+class GuardedCommand(Node):
+    __slots__ = ("guard", "body")
 
 
-@dataclass(frozen=True, slots=True)
 class If(Stmt):
-    arms: tuple[GuardedCommand, ...]
+    __slots__ = ("arms",)  # a tuple of GuardedCommand
 
 
-@dataclass(frozen=True, slots=True)
 class Do(Stmt):
-    arms: tuple[GuardedCommand, ...]
-
+    __slots__ = ("arms",)
 
 def seq(stmts: list[Stmt]) -> Stmt:
     """Smart sequence constructor: flattens nested Seqs, drops the wrapper
@@ -243,96 +297,74 @@ def seq(stmts: list[Stmt]) -> Stmt:
 # Statements specific to the shared-variable parallel fragment. They never
 # appear in GCL programs; the engine rejects them.
 
-@dataclass(frozen=True, slots=True)
 class IfElse(Stmt):
-    cond: Expr
-    then_branch: Stmt
-    else_branch: Stmt
+    __slots__ = ("cond", "then_branch", "else_branch")
 
 
-@dataclass(frozen=True, slots=True)
 class While(Stmt):
-    cond: Expr
-    body: Stmt
+    __slots__ = ("cond", "body")
 
 
-@dataclass(frozen=True, slots=True)
 class Await(Stmt):
-    cond: Expr
+    __slots__ = ("cond",)
 
 
 # ---------------------------------------------------------------------------
 # Declarations and programs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Declaration:
+class Declaration(Node):
     """`var name: int` / `var name: bool` / `var name: int[lo..hi]`.
 
-    For arrays the optional initializer is either a full cell list or a
-    single value broadcast to every cell.
+    `kind` is 'int', 'bool' or 'int[]'. For arrays the optional
+    initializer is either a full cell list (a tuple) or a single value
+    broadcast to every cell.
     """
 
-    name: str
-    kind: str  # 'int' | 'bool' | 'int[]'
-    lo: int | None = None
-    hi: int | None = None
-    init: int | bool | tuple[int, ...] | None = None
+    __slots__ = ("name", "kind", "lo", "hi", "init")
+    _defaults = {"lo": None, "hi": None, "init": None}
+    _typed = True
 
     @property
     def is_array(self) -> bool:
         return self.kind == "int[]"
 
 
-@dataclass(frozen=True, slots=True)
-class GclProgram:
-    decls: tuple[Declaration, ...]
-    body: Stmt
+class GclProgram(Node):
+    __slots__ = ("decls", "body")
 
 
 # ---------------------------------------------------------------------------
 # CSP fragment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Input:
+class Input(Node):
     """`PEER ? x` : receive into scalar x."""
 
-    peer: str
-    target: str
+    __slots__ = ("peer", "target")
 
 
-@dataclass(frozen=True, slots=True)
-class Output:
+class Output(Node):
     """`PEER ! e` : offer value of e."""
 
-    peer: str
-    expr: Expr
+    __slots__ = ("peer", "expr")
 
 
 IoCommand = Input | Output
 
 
-@dataclass(frozen=True, slots=True)
-class ExtGuard:
+class ExtGuard(Node):
     """Extended guard `B ; io -> body` of a process main loop."""
 
-    cond: Expr
-    io: IoCommand
-    body: Stmt
+    __slots__ = ("cond", "io", "body")
 
 
-@dataclass(frozen=True, slots=True)
-class CspProcess:
-    name: str
-    decls: tuple[Declaration, ...]
-    init: Stmt
-    loop: tuple[ExtGuard, ...]
+class CspProcess(Node):
+    __slots__ = ("name", "decls", "init", "loop")  # loop: a tuple of ExtGuard
 
 
-@dataclass(frozen=True, slots=True)
-class CspSystem:
-    processes: tuple[CspProcess, ...]
+class CspSystem(Node):
+    __slots__ = ("processes",)
 
     def all_decls(self) -> tuple[Declaration, ...]:
         out: list[Declaration] = []
@@ -345,12 +377,8 @@ class CspSystem:
 # Shared-variable parallel fragment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class ParSystem:
-    decls: tuple[Declaration, ...]
-    init: Stmt
-    components: tuple[Stmt, ...]
-    epilogue: Stmt
+class ParSystem(Node):
+    __slots__ = ("decls", "init", "components", "epilogue")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ reference for `test_angelic_reference.py`.
 
 from __future__ import annotations
 
-from gclab.engine import Config, Limits, Terminated, _root, step
+from gclab.engine import Config, Limits, Terminated, root as _root, step
 from gclab.state import State, initial_state
 from gclab.syntax import GclProgram
 

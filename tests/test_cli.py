@@ -176,11 +176,12 @@ def test_fuel_counts_every_step_alike_in_seeded_modes(tmp_path, capsys, mode,
 @pytest.mark.parametrize("mode", [["demonic"], ["angelic"], ["erratic", "--seed", "1"]],
                          ids=lambda m: m[0])
 def test_long_operator_chain_runs(tmp_path, capsys, mode):
-    f = tmp_path / "chain.gcl"
-    f.write_text("var x: int;\nx := " + "+".join(["1"] * 450) + "\n")
-    code, out, err = run_cli(capsys, "run", f, "--mode", *mode)
-    assert (code, err) == (0, "")
-    assert out.endswith("\noutcome: terminated :: x=450\n")
+    for terms in (450, 900):
+        f = tmp_path / f"chain{terms}.gcl"
+        f.write_text("var x: int;\nx := " + "+".join(["1"] * terms) + "\n")
+        code, out, err = run_cli(capsys, "run", f, "--mode", *mode)
+        assert (code, err) == (0, "")
+        assert out.endswith(f"\noutcome: terminated :: x={terms}\n")
 
 
 @pytest.mark.parametrize("levels", [101, 10_000])
@@ -488,7 +489,8 @@ UNIT = re.compile(r"\w+|\s+|[^\w\s]")
 UNITS = sorted({u for text in TEXTS.values() for u in UNIT.findall(text)})
 CHARS = sorted(set("".join(TEXTS.values())) | set("?[]()-:=;.,#\"'\\\t"))
 # each option with values of every kind it can meet: valid, out of
-# range and malformed; no value is large enough to make a run long
+# range and malformed; no run is long, since LIMITS caps every search and
+# the values an `x := ?` enumerates under any --choice-bound
 RUN_FLAGS = [
     ["--mode", st.sampled_from(["demonic", "angelic", "erratic", "fair-weak",
                                 "fair-strong", "bogus"])],
@@ -496,7 +498,7 @@ RUN_FLAGS = [
     ["--fuel", st.sampled_from(["0", "1", "5", "-5", "x"])],
     ["--max-configs", st.sampled_from(["1", "10", "0", "-1", "x"])],
     ["--max-depth", st.sampled_from(["1", "10", "0", "x"])],
-    ["--choice-bound", st.sampled_from(["0", "3", "-1", "x"])],
+    ["--choice-bound", st.sampled_from(["0", "3", "200000", "-1", "x"])],
     ["--format", st.sampled_from(["text", "json", "xml"])],
     ["--bind", st.sampled_from(["x=3", "y=-2", "goon=true", "a=[1,2]", "x=[1",
                                 "a=[1,b]", "x=y", "nope=1", "x"])],

@@ -3,8 +3,8 @@ import itertools
 import weakref
 
 from gclab.engine import (
-    BoundExceeded, Divergent, Failed, IdentityCache, Limits, Terminated,
-    explore_demonic, make_config, replay, run_erratic, solve_angelic, step,
+    BoundExceeded, Divergent, Failed, Limits, Terminated, explore_demonic,
+    make_config, replay, root, run_erratic, solve_angelic, step,
 )
 from gclab.parser import parse_gcl
 from gclab.state import initial_state
@@ -184,10 +184,10 @@ def test_goon_control_lasso_witness():
 def test_independent_parses_give_equal_configs():
     text = corpus_text("goon.gcl")
     p1, p2 = parse_gcl(text), parse_gcl(text)
-    assert p1.body is not p2.body
+    assert p1.body is p2.body
     s0 = _init(p1)
     c1, c2 = make_config((p1.body,), s0), make_config((p2.body,), s0)
-    assert c1.point is not c2.point
+    assert c1.point is c2.point
     assert c1 == c2 and hash(c1) == hash(c2) and len({c1, c2}) == 1
     n1, n2 = step(c1, 8).transitions[0][1], step(c2, 8).transitions[0][1]
     assert n1 == n2 and hash(n1) == hash(n2)
@@ -195,10 +195,10 @@ def test_independent_parses_give_equal_configs():
 
 
 def test_equal_arms_share_a_point_and_merge_in_the_memo():
-    # the parser builds the two arm bodies as separate, equal objects
+    # the parser builds the two equal arm bodies as one object
     p = parse_gcl("var x: int;\nif true -> x := 1; x := 2 [] true -> x := 1; x := 2 fi")
     arms = p.body.arms
-    assert arms[0].body is not arms[1].body
+    assert arms[0].body is arms[1].body
     (_, a), (_, b) = step(make_config((p.body,), _init(p)), 8).transitions
     assert a.point is b.point
     rep = explore_demonic(p)
@@ -231,22 +231,21 @@ def test_nested_sequence_past_the_head_unfolds():
     assert cfg.residue_key() == "x := 1 ; x := 2 ; x := 3"
 
 
-def test_identity_cache_keeps_its_keys_alive_until_evicted():
-    class Key:
-        pass
-
-    cache = IdentityCache(2)
-    first = Key()
-    ref = weakref.ref(first)
-    assert cache.get(first, lambda k: "v1") == "v1"
-    assert cache.get(first, lambda k: "again") == "v1"
-    del first
+def test_dropped_program_releases_its_nodes_and_points():
+    p = parse_gcl("var dropped_u: int;\n"
+                  "do dropped_u < 3 -> dropped_u := dropped_u + 1\n"
+                  "[] dropped_u < 2 -> dropped_u := dropped_u + 2 od")
+    assert explore_demonic(p).terminated_states()
+    first = weakref.ref(root(p.body))
     gc.collect()
-    assert ref() is not None  # its id() cannot be reused while cached
-    assert cache.get(Key(), lambda k: "v2") == "v2"
-    assert cache.get(Key(), lambda k: "v3") == "v3"
+    # kept by the program: lowered and compiled once while it lives
+    pt = root(p.body)
+    assert pt is first()
+    refs = [weakref.ref(x) for x in (p, p.body, p.body.arms[0].guard,
+                                      p.decls[0], pt, pt.arm(0))]
+    del p, pt
     gc.collect()
-    assert ref() is None  # least recently used, evicted at the bound
+    assert [r() for r in refs] == [None] * len(refs)
 
 
 def test_max_paths_counter():

@@ -1,0 +1,114 @@
+"""The hash-consed syntax nodes against the frozen dataclasses they
+replaced (`syntax_reference.py`): two random trees, built both ways from
+one description, are one node exactly when their references are equal,
+and every node prints byte for byte as its reference does."""
+
+import gc
+
+from hypothesis import given, settings, strategies as st
+
+from gclab import syntax
+from gclab.syntax import BoolLit, Declaration, IntLit
+
+import syntax_reference
+
+
+def build(module, spec):
+    """A tree of `module`'s classes from a description: a list is a node
+    (its class name, then its fields, then optionally a dict of keyword
+    fields), a tuple is a tuple, anything else a leaf."""
+    if isinstance(spec, list):
+        cls = getattr(module, spec[0])
+        args = spec[1:]
+        kwargs = args.pop() if args and isinstance(args[-1], dict) else {}
+        return cls(*(build(module, a) for a in args),
+                   **{k: build(module, v) for k, v in kwargs.items()})
+    if isinstance(spec, tuple):
+        return tuple(build(module, a) for a in spec)
+    return spec
+
+
+# Few leaf values, so that equal trees are common. A field is always a
+# bool or always an int here: the reference counts `1 == True`, which
+# test_bool_and_int_leaves_stay_distinct covers.
+NAMES = st.sampled_from(["x", "y"])
+INTS = st.integers(-1, 1)
+
+
+def _node(name, *fields):
+    return st.tuples(*fields).map(lambda fs: [name, *fs])
+
+
+EXPRS = st.recursive(
+    st.one_of(_node("IntLit", INTS), _node("BoolLit", st.booleans()), _node("Var", NAMES)),
+    lambda kids: st.one_of(
+        _node("ArrayRef", NAMES, kids),
+        _node("UnaryOp", st.sampled_from(["neg", "not"]), kids),
+        _node("BinOp", st.sampled_from(["+", "and", "<"]), kids, kids),
+        _node("Builtin", st.sampled_from(["min", "max"]), st.tuples(kids, kids))),
+    max_leaves=5)
+
+TARGETS = st.one_of(_node("Var", NAMES), _node("ArrayRef", NAMES, EXPRS))
+
+
+def _arms(kids):
+    return st.lists(_node("GuardedCommand", EXPRS, kids), min_size=1, max_size=2).map(tuple)
+
+
+STMTS = st.recursive(
+    st.one_of(
+        st.just(["Skip"]),
+        st.sampled_from([["Fail"], ["Fail", "fail"], ["Fail", {"keyword": "fail"}],
+                         ["Fail", "abort"]]),
+        _node("Assign", st.tuples(TARGETS), st.tuples(EXPRS)),
+        _node("RandomAssign", NAMES),
+        _node("ChoiceAssign", NAMES, EXPRS),
+        _node("Await", EXPRS)),
+    lambda kids: st.one_of(
+        _node("Seq", st.lists(kids, min_size=2, max_size=3).map(tuple)),
+        _node("If", _arms(kids)),
+        _node("Do", _arms(kids)),
+        _node("IfElse", EXPRS, kids, kids),
+        _node("While", EXPRS, kids)),
+    max_leaves=4)
+
+DECLS = st.one_of(
+    _node("Declaration", NAMES, st.just("int")),
+    st.tuples(NAMES, st.one_of(st.none(), INTS)).map(
+        lambda t: ["Declaration", t[0], "int", {"init": t[1]}]),
+    st.tuples(NAMES, st.booleans()).map(lambda t: ["Declaration", t[0], "bool", None, None, t[1]]),
+    st.tuples(NAMES, st.one_of(st.none(), INTS, st.tuples(INTS, INTS))).map(
+        lambda t: ["Declaration", t[0], "int[]", {"lo": 0, "hi": 1, "init": t[1]}]))
+
+TREES = st.one_of(
+    EXPRS, STMTS, DECLS,
+    _node("GclProgram", st.lists(DECLS, max_size=2).map(tuple), STMTS))
+
+
+@settings(max_examples=400, deadline=None)
+@given(TREES, TREES)
+def test_interned_nodes_match_the_reference(a, b):
+    na, nb = build(syntax, a), build(syntax, b)
+    ra, rb = build(syntax_reference, a), build(syntax_reference, b)
+    assert (na is nb) == (ra == rb)
+    assert (na == nb) == (ra == rb)
+    assert repr(na) == repr(ra) and repr(nb) == repr(rb)
+    assert build(syntax, a) is na
+
+
+def test_bool_and_int_leaves_stay_distinct():
+    pairs = [
+        (IntLit, 1, True),
+        (BoolLit, True, 1),
+        (lambda v: Declaration("distinct_x", "int", init=v), 1, True),
+        (lambda v: Declaration("distinct_x", "int", init=v), 0, False),
+        (lambda v: Declaration("distinct_a", "int[]", lo=0, hi=1, init=v), (1, 0), (True, False)),
+    ]
+    for make, a, b in pairs:
+        for first, second in ((a, b), (b, a)):
+            x, y = make(first), make(second)
+            assert x is not y and x != y
+            assert repr(x) != repr(y)
+            assert (x, y) == (make(first), make(second))
+            del x, y
+            gc.collect()
