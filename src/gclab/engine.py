@@ -154,9 +154,10 @@ class Point:
         return pt
 
 
-# The point table. A point holds its head and next point, so neither id
-# is reused while its entry lives; the table holds points weakly, and
-# the statements they run keep them (`root`).
+# The point table, holding points weakly; the statements they run keep
+# them (`root`). It is keyed by ids, since a key holding a statement would
+# keep it, and the points on it, alive for good; a point holds its head
+# and next point, so neither id is reused while its entry lives.
 _POINTS: WeakValueDictionary[tuple[int, int], Point] = WeakValueDictionary()
 
 # where a computation terminates
