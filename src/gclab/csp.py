@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .check import decl_map, type_of
 from .engine import (
-    Expansion, ExplorationReport, Failed, GraphSearch, Limits,
+    Expansion, ExplorationReport, Failed, GraphSearch, Limits, SubSearches,
 )
 from .errors import CheckError, EvalError
 from .state import State, compile_assign, compile_expr, initial_state
@@ -144,6 +144,7 @@ def run_csp(sys: CspSystem, s0: State | None = None,
         gi = sys.processes[pair.i].loop[pair.j]
         gr = sys.processes[pair.r].loop[pair.s]
         pairs.append((pair, compile_assign(eff(gi.io, gr.io)), gi.body, gr.body))
+    subs = SubSearches(lim, sys)
 
     def final_of(s: State) -> State | None:
         try:
@@ -173,8 +174,8 @@ def run_csp(sys: CspSystem, s0: State | None = None,
                 extra.append(Failed(e.reason, s, e.detail))
                 continue
             k = 0
-            for sm in search.absorb(bi, s1, extra):
-                for sf in search.absorb(br, sm, extra):
+            for sm in subs.absorb(bi, s1, extra):
+                for sf in subs.absorb(br, sm, extra):
                     label = f"comm({pair.i},{pair.j},{pair.r},{pair.s})#{k}"
                     trans.append((label, sf))
                     k += 1
@@ -183,13 +184,13 @@ def run_csp(sys: CspSystem, s0: State | None = None,
             return Expansion(failure=("deadlock", "no corresponding pair enabled", s))
         return Expansion(transitions=trans, side_outcomes=extra)
 
-    search = GraphSearch(lim, expand, lambda s: s.canonical(), final_of)
+    search = GraphSearch(lim, expand, lambda s: s.canonical(), final_of, subs=subs)
     init_outcomes: list = []
     states = [s0]
     for p in sys.processes:
         nxt: list[State] = []
         for s in states:
-            nxt.extend(search.absorb(p.init, s, init_outcomes))
+            nxt.extend(subs.absorb(p.init, s, init_outcomes))
         seen = {}
         for s in nxt:
             seen.setdefault(s.canonical(), s)

@@ -4,11 +4,11 @@ A configuration is a program point plus a state. A program point is a
 head statement linked to the point after it (`next`); following `next`
 to the `END` point gives the residue, the tuple of pending statements.
 Syntax nodes are hash-consed, so equal statements are one object, and
-points live in one table keyed by head and next point by identity
-(`lower`): each distinct residue has one `Point`, in every search and
-every program that reaches it. A statement keeps its first point, and
-through it every later one, alive (`root`), so a program run many times
-is lowered once, and its points go when it does. A point caches its
+points are interned with them, keyed by head and next point by identity
+(`lower`): each distinct residue has one live `Point`, in every search
+and every program that reaches it. A program keeps the points of its
+statements alive (`root`), so a program run many times is lowered once,
+and its points go when it does. A point caches its
 rendered key, the variables its head reads and writes, its arm points,
 and its compiled head: on the first step the head's assignment, guards
 or `choice` bound are lowered to closures (`state.compile_assign`,
@@ -28,7 +28,7 @@ identity plus the state, and hash by the point's identity and the state.
 Both searches run on one DFS core (`GraphSearch`), which the direct
 semantics of the communication and interleaving fragments share too:
 they explore other node types through the same traversal and run their
-atomic sub-steps with `GraphSearch.absorb`. Single computations run on
+atomic sub-steps with `SubSearches.absorb`. Single computations run on
 one loop (`run_path`), which walks the program's points and leaves each
 choice to its caller: `run_erratic` picks at random, and the fair
 schedulers (`fairness.run_fair_traced`) pick at the top loop.
@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable
-from weakref import WeakValueDictionary
 
 from .errors import EvalError
 from .printer import render_stmt_inline
@@ -49,7 +48,8 @@ from .state import (  # eval_expr is re-exported: bench/tracer.py wraps engine.e
 )
 from .syntax import (
     PARTIAL, ArrayRef, Assign, BinOp, Builtin, ChoiceAssign, Do, Fail,
-    GclProgram, If, RandomAssign, Seq, Skip, Stmt, UnaryOp, expr_names,
+    GclProgram, If, Program, RandomAssign, Seq, Skip, Stmt, UnaryOp, expr_names,
+    intern, interned,
 )
 
 
@@ -154,12 +154,6 @@ class Point:
         return pt
 
 
-# The point table, holding points weakly; the statements they run keep
-# them (`root`). It is keyed by ids, since a key holding a statement would
-# keep it, and the points on it, alive for good; a point holds its head
-# and next point, so neither id is reused while its entry lives.
-_POINTS: WeakValueDictionary[tuple[int, int], Point] = WeakValueDictionary()
-
 # where a computation terminates
 END = Point(None, None)
 
@@ -171,24 +165,47 @@ def lower(stmt: Stmt, nxt: Point) -> Point:
         for sub in reversed(stmt.stmts):
             nxt = lower(sub, nxt)
         return nxt
-    key = (id(stmt), id(nxt))
-    pt = _POINTS.get(key)
-    if pt is None:
-        pt = _POINTS[key] = Point(stmt, nxt)
-    return pt
+    key = (Point, stmt, nxt)
+    return interned(key) or intern(key, Point(stmt, nxt))
 
 
-def root(stmt: Stmt) -> Point:
-    """The point that runs `stmt` to the end. The statement keeps it, and
-    so every point after it, while the statement lives: a statement run
-    many times (a seed sweep, the sub-searches of the concurrency
-    semantics) is lowered and compiled once."""
+class _Roots(dict):
+    """A program's points, by the statement they run to the end (`root`).
+    A do-od point reaches itself through its arms: when the program goes,
+    its points' arms are dropped, so that reference counting frees them
+    at once. A point shared with a live program lowers them again."""
+
+    __slots__ = ()
+
+    def __del__(self) -> None:
+        todo, seen = list(self.values()), set()
+        while todo:
+            pt = todo.pop()
+            if pt.head is None or id(pt) in seen:
+                continue
+            seen.add(id(pt))
+            todo.append(pt.next)
+            if pt._arms is not None:
+                todo += (a for a in pt._arms if a is not None)
+                pt._arms = None
+
+
+def root(stmt: Stmt, owner: Program | None = None) -> Point:
+    """The point that runs `stmt` to the end. `owner`, the program of
+    `stmt`, keeps it and every later point while it lives, so a program
+    run many times (a seed sweep, csp/par sub-searches) is lowered and
+    compiled once. Without one, they live as long as their search."""
+    if owner is None:
+        return lower(stmt, END)
     try:
-        return stmt._point
+        roots = owner._points
     except AttributeError:
-        pt = lower(stmt, END)
-        object.__setattr__(stmt, "_point", pt)
-        return pt
+        roots = _Roots()
+        object.__setattr__(owner, "_points", roots)
+    pt = roots.get(stmt)
+    if pt is None:
+        pt = roots[stmt] = lower(stmt, END)
+    return pt
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -482,14 +499,17 @@ class GraphSearch:
     depth budget). `expand(node)` says what a node expands to, under the
     limits its maker bound into it; `step` under the search's limits
     (`_expander`) is the expander of guarded-commands configurations.
+    The report adds the counts of the sub-searches `subs` ran, if given.
     """
 
     def __init__(self, lim: Limits,
                  expand: Callable[[Any], Expansion],
                  key_of: Callable[[Any], str],
                  final_of: Callable[[Any], State | None],
-                 revisit_scan: Callable[[list, Any, str], Divergent | None] | None = None):
+                 revisit_scan: Callable[[list, Any, str], Divergent | None] | None = None,
+                 subs: SubSearches | None = None):
         self.lim = lim
+        self.subs = subs
         self.expand = expand
         self.key_of = key_of
         self.final_of = final_of
@@ -501,7 +521,6 @@ class GraphSearch:
         self.configs = 0
         self.edges = 0
         self.paths = 0
-        self.sub_counts = [0, 0, 0]  # configs, edges, paths of absorb()
         self.stopped = False
 
     def record(self, o: Outcome) -> None:
@@ -597,32 +616,45 @@ class GraphSearch:
         if stack:
             stack[-1][4] = False
 
+    def report(self) -> ExplorationReport:
+        outcomes = tuple(sorted(self.outcomes, key=lambda o: o.key()))
+        configs, edges, paths = self.subs.counts if self.subs else (0, 0, 0)
+        return ExplorationReport(outcomes, self.configs + configs,
+                                 self.edges + edges, self.paths + paths,
+                                 self.lim)
+
+
+class SubSearches:
+    """Statements of one program run as atomic sub-steps of a search over
+    another node type (the csp and par semantics). It stands apart from
+    the `GraphSearch`, whose expander calls it, so that the expander does
+    not hold its search, and with it the program and its points, in a
+    reference cycle."""
+
+    def __init__(self, lim: Limits, owner: Program):
+        self.lim = lim
+        self.owner = owner
+        self.counts = [0, 0, 0]  # configs, edges, paths
+
     def absorb(self, stmt: Stmt, s: State, sink: list) -> list[State]:
-        """Run a statement from `s` as one atomic sub-step of this search:
+        """Run a statement of the program from `s` as one atomic sub-step:
         a whole demonic exploration under the same limits. Its non-terminal
         outcomes go to `sink`; its terminal states come back in canonical
         order (the order its report lists them in). Its counts go into
-        this search's report, but not into `configs`, which the
+        the search's report, but not into its `configs`, which the
         `max_configs` budget reads."""
-        rep = explore_statement(stmt, s, self.lim)
+        rep = explore_statement(stmt, s, self.lim, self.owner)
         finals = []
         for o in rep.outcomes:
             if isinstance(o, Terminated):
                 finals.append(o.state)
             else:
                 sink.append(o)
-        sub = self.sub_counts
+        sub = self.counts
         sub[0] += rep.configs
         sub[1] += rep.edges
         sub[2] += max(rep.paths - len(finals), 0)
         return finals
-
-    def report(self) -> ExplorationReport:
-        outcomes = tuple(sorted(self.outcomes, key=lambda o: o.key()))
-        configs, edges, paths = self.sub_counts
-        return ExplorationReport(outcomes, self.configs + configs,
-                                 self.edges + edges, self.paths + paths,
-                                 self.lim)
 
 
 # ---------------------------------------------------------------------------
@@ -719,11 +751,13 @@ def _final(cfg: Config) -> State | None:
     return cfg.state if cfg.terminated else None
 
 
-def explore_statement(stmt: Stmt, s0: State, lim: Limits) -> ExplorationReport:
-    """Exhaustive demonic exploration of a statement from a given state."""
+def explore_statement(stmt: Stmt, s0: State, lim: Limits,
+                      owner: Program | None = None) -> ExplorationReport:
+    """Exhaustive demonic exploration of a statement from a given state;
+    `owner`, if given, is the program the statement belongs to (`root`)."""
     search = GraphSearch(lim, _expander(lim), config_key, _final,
                          revisit_scan=_control_lasso_scan)
-    search.run(Config(root(stmt), s0))
+    search.run(Config(root(stmt, owner), s0))
     return search.report()
 
 
@@ -738,7 +772,7 @@ def explore_demonic(p: GclProgram, s0: State | None = None,
     """
     if s0 is None:
         s0 = initial_state(p.decls)
-    return explore_statement(p.body, s0, lim)
+    return explore_statement(p.body, s0, lim, p)
 
 
 def replay(p: GclProgram, s0: State, labels: tuple[str, ...],
@@ -769,14 +803,14 @@ def _geometric(rng: Random) -> int:
     return k
 
 
-def run_path(stmt: Stmt, s0: State, fuel: int,
+def run_path(p: GclProgram, s0: State, fuel: int,
              choose: Callable[[Config], Config | Failed]) -> Outcome:
-    """One computation of a statement from `s0`, on its program points
+    """One computation of a program from `s0`, on its program points
     (`root`): `choose(cfg)` takes each step, returning the next
     configuration or the `Failed` that ends the run. Every step spends one
     unit of fuel (the callers reject negative fuel); a computation still
     running when the fuel is spent ends `BoundExceeded("fuel")`."""
-    cfg = Config(root(stmt), s0)
+    cfg = Config(root(p.body, p), s0)
     for _ in range(fuel):
         if cfg.terminated:
             break
@@ -817,7 +851,7 @@ def run_erratic(p: GclProgram, s0: State | None = None, seed: int = 0,
             return exp.failed()
         return exp.transitions[rng.randrange(len(exp.transitions))][1]
 
-    return run_path(p.body, s0, fuel, choose)
+    return run_path(p, s0, fuel, choose)
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +872,7 @@ def solve_angelic(p: GclProgram, s0: State | None = None,
     if s0 is None:
         s0 = initial_state(p.decls)
     search = GraphSearch(lim, _expander(lim), config_key, _final)
-    search.run(Config(root(p.body), s0))
+    search.run(Config(root(p.body, p), s0))
     if cut is not None:
         cut += sorted((o for o in search.outcomes if isinstance(o, BoundExceeded)),
                       key=BoundExceeded.key)

@@ -340,7 +340,7 @@ def run_fair_traced(p: GclProgram, s0: State | None = None,
             counters[pick] = 0
         return Config(pt.arm(pick), s)
 
-    return run_path(p.body, s0, fuel, choose), trace
+    return run_path(p, s0, fuel, choose), trace
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import string
 from dataclasses import dataclass
 
 from .engine import (
-    Expansion, ExplorationReport, Failed, GraphSearch, Limits,
+    Expansion, ExplorationReport, Failed, GraphSearch, Limits, SubSearches,
 )
 from .errors import CheckError, EvalError
 from .state import State, compile_assign, compile_expr, initial_state
@@ -219,6 +219,7 @@ def run_par_direct(sys: ParSystem, s0: State | None = None,
                 None if act.effect is None else compile_assign(act.effect)))
         by_source.append(table)
     exits = tuple(c.exit for c in comps)
+    subs = SubSearches(lim, sys)
 
     # nodes are (cvs, state) while running and ("done", state) after the
     # epilogue; the latter are terminal (final_of), so never expanded
@@ -226,7 +227,7 @@ def run_par_direct(sys: ParSystem, s0: State | None = None,
         cvs, s = node
         if cvs == exits:
             fin: list = []
-            outs = search.absorb(sys.epilogue, s, fin)
+            outs = subs.absorb(sys.epilogue, s, fin)
             trans = [(f"epilogue#{k}", ("done", sf)) for k, sf in enumerate(outs)]
             return Expansion(transitions=trans, side_outcomes=fin)
         trans = []
@@ -255,10 +256,10 @@ def run_par_direct(sys: ParSystem, s0: State | None = None,
 
     search = GraphSearch(lim, expand,
                          lambda nd: f"{nd[0]} @ {nd[1].canonical()}",
-                         lambda nd: nd[1] if nd[0] == "done" else None)
+                         lambda nd: nd[1] if nd[0] == "done" else None, subs=subs)
     init_outcomes: list = []
     entries = tuple(c.entry for c in comps)
-    for s in search.absorb(sys.init, s0, init_outcomes):
+    for s in subs.absorb(sys.init, s0, init_outcomes):
         search.run((entries, s))
     for o in init_outcomes:
         search.close(o)

@@ -47,10 +47,23 @@ def _drop(r: _Ref) -> None:
         del _INTERNED[r.key]
 
 
-# (class, fields[, their types]) to the live node. Not a WeakValueDictionary:
-# its lookup, insertion and removal run in Python, and parsing was about a
-# quarter slower with it.
+# (class, fields[, their types]) to the live node, or to the live program
+# point (`engine.lower`). Not a WeakValueDictionary: its lookup, insertion
+# and removal run in Python, and parsing was about a quarter slower with it.
 _INTERNED: dict[tuple, _Ref] = {}
+
+
+def interned(key: tuple) -> Any:
+    """The live object entered under `key`, or None."""
+    r = _INTERNED.get(key)
+    return r and r()
+
+
+def intern(key: tuple, obj: Any) -> Any:
+    """Enter `obj` under `key` until `obj` dies; the key holds its fields."""
+    r = _INTERNED[key] = _Ref(obj, _drop)
+    r.key = key
+    return obj
 
 
 class Node:
@@ -85,8 +98,7 @@ class Node:
             node = object.__new__(cls)
             for set_field, value in zip(cls._setters, args):
                 set_field(node, value)
-            r = _INTERNED[key] = _Ref(node, _drop)
-            r.key = key
+            intern(key, node)
         return node
 
     def __setattr__(self, name: str, value: Any = None) -> None:
@@ -227,9 +239,7 @@ def disj(parts: list[Expr]) -> Expr:
 # ---------------------------------------------------------------------------
 
 class Stmt(Node):
-    # `_point`: the program point that runs this statement to the end
-    # (`engine.root`), kept while the statement lives
-    __slots__ = ("_point",)
+    __slots__ = ()
 
 
 class Skip(Stmt):
@@ -330,7 +340,12 @@ class Declaration(Node):
         return self.kind == "int[]"
 
 
-class GclProgram(Node):
+class Program(Node):
+    # `_points`: the program points of its statements (`engine.root`)
+    __slots__ = ("_points",)
+
+
+class GclProgram(Program):
     __slots__ = ("decls", "body")
 
 
@@ -363,7 +378,7 @@ class CspProcess(Node):
     __slots__ = ("name", "decls", "init", "loop")  # loop: a tuple of ExtGuard
 
 
-class CspSystem(Node):
+class CspSystem(Program):
     __slots__ = ("processes",)
 
     def all_decls(self) -> tuple[Declaration, ...]:
@@ -377,7 +392,7 @@ class CspSystem(Node):
 # Shared-variable parallel fragment
 # ---------------------------------------------------------------------------
 
-class ParSystem(Node):
+class ParSystem(Program):
     __slots__ = ("decls", "init", "components", "epilogue")
 
 

@@ -6,7 +6,9 @@ from gclab.engine import (
     BoundExceeded, Divergent, Failed, Limits, Terminated, explore_demonic,
     make_config, replay, root, run_erratic, solve_angelic, step,
 )
-from gclab.parser import parse_gcl
+from gclab.csp import run_csp
+from gclab.par import run_par_direct
+from gclab.parser import parse_csp, parse_gcl, parse_par
 from gclab.state import initial_state
 from gclab.syntax import Assign, Declaration, GclProgram, IntLit, Seq, Skip, Var
 
@@ -231,21 +233,58 @@ def test_nested_sequence_past_the_head_unfolds():
     assert cfg.residue_key() == "x := 1 ; x := 2 ; x := 3"
 
 
+def _gone_without_the_cycle_collector(drop, refs):
+    """Whether every referent of `refs` dies when `drop()` releases the
+    last references: by reference counting alone, so no reference cycle
+    keeps a dropped program's nodes or points for the collector."""
+    gc.disable()
+    try:
+        drop()
+        return [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
 def test_dropped_program_releases_its_nodes_and_points():
     p = parse_gcl("var dropped_u: int;\n"
                   "do dropped_u < 3 -> dropped_u := dropped_u + 1\n"
                   "[] dropped_u < 2 -> dropped_u := dropped_u + 2 od")
     assert explore_demonic(p).terminated_states()
-    first = weakref.ref(root(p.body))
+    first = weakref.ref(root(p.body, p))
     gc.collect()
     # kept by the program: lowered and compiled once while it lives
-    pt = root(p.body)
-    assert pt is first()
+    pt = root(p.body, p)
+    assert pt is first() and pt.arm(0).next is pt
     refs = [weakref.ref(x) for x in (p, p.body, p.body.arms[0].guard,
                                       p.decls[0], pt, pt.arm(0))]
+    names = {"p": p, "pt": pt}
     del p, pt
+    assert _gone_without_the_cycle_collector(names.clear, refs)
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_dropped_concurrent_programs_release_their_points():
+    # every statement is unique to the test, so no live program shares
+    # its points
+    csp = parse_csp("process DROPPED_P var dp: int; dp := 0;\n"
+                    "  do dp < 2 ; DROPPED_Q ! dp -> dp := dp + 1 od end\n"
+                    "process DROPPED_Q var dq: int; dq := 0;\n"
+                    "  do dq < 2 ; DROPPED_P ? dq -> if dq = 1 -> dq := dq + 1\n"
+                    "  [] dq != 1 -> dq := dq - 9 fi od end")
+    par = parse_par("var dropped_v: int;\n"
+                    "init dropped_v := 0\n"
+                    "component dropped_v := dropped_v + 1 end\n"
+                    "epilogue do dropped_v < 3 -> dropped_v := dropped_v + 1 od")
+    assert run_csp(csp).terminated_states()
+    assert run_par_direct(par).terminated_states()
+    systems = {"csp": csp, "par": par}
+    # each keeps the points of its sub-searches: inits, bodies, epilogue
+    assert [len(sys._points) for sys in systems.values()] == [4, 2]
+    points = [pt for sys in systems.values() for pt in sys._points.values()]
+    refs = [weakref.ref(x) for x in (csp, par, *points)]
+    del csp, par, points
+    assert _gone_without_the_cycle_collector(systems.clear, refs)
 
 
 def test_max_paths_counter():

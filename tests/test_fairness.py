@@ -290,7 +290,8 @@ def test_fair_checks_the_shape_once_per_program(monkeypatch):
     real = fairness.one_level_of
     monkeypatch.setattr(fairness, "one_level_of",
                         lambda p: calls.append(p) or real(p))
-    # equal programs are one object, which earlier tests may have run
+    # equal programs are one object, which a test's parameters may keep
+    # alive and other tests may have run
     monkeypatch.setattr(fairness, "_LOOPS", weakref.WeakKeyDictionary())
     p, q = _prog("goon.gcl"), _prog("goon.gcl")
     want = [run_fair(p, policy="weak", seed=seed) for seed in range(5)]
