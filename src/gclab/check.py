@@ -13,7 +13,7 @@ from .errors import CheckError
 from .syntax import (
     BINARY, BUILTINS, ArrayRef, Assign, Await, BinOp, BoolLit, Builtin,
     ChoiceAssign, Declaration, Do, Expr, Fail, GclProgram, If, IfElse,
-    IntLit, RandomAssign, Seq, Skip, Stmt, UnaryOp, Var, While,
+    IntLit, RandomAssign, Seq, Skip, Stmt, UnaryOp, Var, While, chain,
 )
 
 BUILTIN_NAMES = tuple(BUILTINS)
@@ -97,14 +97,17 @@ def type_of(e: Expr, decls: DeclMap) -> str:
             return "bool"
         raise CheckError(f"unknown unary operator {e.op!r}")
     if isinstance(e, BinOp):
-        lt = type_of(e.left, decls)
-        rt = type_of(e.right, decls)
-        row = BINARY.get(e.op)
-        if row is None:
-            raise CheckError(f"unknown operator {e.op!r}")
-        if lt != rt or row.operand not in (None, lt):
-            raise CheckError(f"'{e.op}' {_MISTYPED[row.operand, row.result]}")
-        return row.result
+        first, pairs = chain(e)
+        lt = type_of(first, decls)
+        for op, right in pairs:
+            rt = type_of(right, decls)
+            row = BINARY.get(op)
+            if row is None:
+                raise CheckError(f"unknown operator {op!r}")
+            if lt != rt or row.operand not in (None, lt):
+                raise CheckError(f"'{op}' {_MISTYPED[row.operand, row.result]}")
+            lt = row.result
+        return lt
     if isinstance(e, Builtin):
         if e.func not in BUILTIN_NAMES:
             raise CheckError(f"unknown builtin '{e.func}'")

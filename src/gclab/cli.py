@@ -10,8 +10,8 @@ Every command exits 64 with one `error:` line on a usage error (a bad
 option value, a missing argument). `lts` exits 0 (holds) or 1 (does not
 hold); 65 flags a divergence error from the failures model. Any command
 exits 70 with a one-line `error: internal error: ...` when gclab itself
-fails unexpectedly (for instance an operator chain too long for its
-recursive walkers). Reports are byte-identical for identical inputs.
+fails unexpectedly, which is a bug in gclab. Reports are byte-identical
+for identical inputs.
 """
 
 from __future__ import annotations

@@ -47,9 +47,8 @@ from .state import (  # eval_expr is re-exported: bench/tracer.py wraps engine.e
     initial_state,
 )
 from .syntax import (
-    PARTIAL, ArrayRef, Assign, BinOp, Builtin, ChoiceAssign, Do, Fail,
-    GclProgram, If, Program, RandomAssign, Seq, Skip, Stmt, UnaryOp, expr_names,
-    intern, interned,
+    PARTIAL, ArrayRef, Assign, BinOp, ChoiceAssign, Do, Fail, GclProgram, If,
+    Program, RandomAssign, Seq, Skip, Stmt, expr_names, intern, interned, nodes,
 )
 
 
@@ -667,21 +666,12 @@ def _sensitive_vars(e, acc: set[str]) -> None:
     `syntax.PARTIAL` operator), or the whole guard and choice-bound
     expressions (collected by the caller). Plain arithmetic over
     unbounded integers is total and therefore not sensitive."""
-    if isinstance(e, ArrayRef):
-        acc.add(e.name)
-        expr_names(e.index, acc)
-    elif isinstance(e, BinOp):
-        if e.op in PARTIAL:
-            expr_names(e.right, acc)
-            _sensitive_vars(e.left, acc)
-        else:
-            _sensitive_vars(e.left, acc)
-            _sensitive_vars(e.right, acc)
-    elif isinstance(e, UnaryOp):
-        _sensitive_vars(e.operand, acc)
-    elif isinstance(e, Builtin):
-        for a in e.args:
-            _sensitive_vars(a, acc)
+    for n in nodes(e):
+        if isinstance(n, ArrayRef):
+            acc.add(n.name)
+            expr_names(n.index, acc)
+        elif isinstance(n, BinOp) and n.op in PARTIAL:
+            expr_names(n.right, acc)
 
 
 def _head_effects(head: Stmt) -> tuple[set[str], set[str]]:

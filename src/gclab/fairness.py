@@ -34,8 +34,8 @@ from .state import State, compile_expr, initial_state
 from .syntax import (
     BINARY, COMPARE_BP, Assign, BinOp, BoolLit, Builtin, ChoiceAssign,
     Declaration, Do, Expr, GclProgram, GuardedCommand, If, IntLit,
-    RandomAssign, Seq, Skip, Stmt, UnaryOp, Var, conj, disj, not_,
-    program_names, seq,
+    RandomAssign, Seq, Skip, Stmt, UnaryOp, Var, chain, conj, disj, nodes,
+    not_, program_names, seq,
 )
 
 
@@ -67,9 +67,10 @@ class OneLevelProgram:
 
 
 def _conj_atoms(e: Expr) -> list[Expr]:
-    if isinstance(e, BinOp) and e.op == "and":
-        return _conj_atoms(e.left) + _conj_atoms(e.right)
-    return [e]
+    if not (isinstance(e, BinOp) and e.op == "and"):
+        return [e]
+    first, pairs = chain(e)
+    return [first] + [atom for _, operand in pairs for atom in _conj_atoms(operand)]
 
 
 # The comparison operators' meanings; one (left, right) pair per order: <, =, >
@@ -114,34 +115,19 @@ def _atoms_exclusive(a: Expr, b: Expr) -> bool:
     return True
 
 
-def _guards_exclusive(g1: Expr, g2: Expr) -> bool:
-    atoms1 = _conj_atoms(g1)
-    atoms2 = _conj_atoms(g2)
-    return any(_atoms_exclusive(a, b) for a in atoms1 for b in atoms2)
-
-
 def _deterministic(s: Stmt, where: str) -> str | None:
-    """None when syntactically deterministic, else a diagnostic."""
-    if isinstance(s, (RandomAssign, ChoiceAssign)):
-        return f"{where}: '{render_stmt_inline(s)}' is a nondeterministic assignment"
-    if isinstance(s, Seq):
-        for sub in s.stmts:
-            bad = _deterministic(sub, where)
-            if bad:
-                return bad
-        return None
-    if isinstance(s, (If, Do)):
-        arms = s.arms
-        for i in range(len(arms)):
-            for j in range(i + 1, len(arms)):
-                if not _guards_exclusive(arms[i].guard, arms[j].guard):
+    """None when syntactically deterministic, else a diagnostic. Guards are
+    exclusive when some atom of one's conjunction excludes some atom of
+    the other's."""
+    for node in nodes(s):
+        if isinstance(node, (RandomAssign, ChoiceAssign)):
+            return f"{where}: '{render_stmt_inline(node)}' is a nondeterministic assignment"
+        if isinstance(node, (If, Do)):
+            atoms = [_conj_atoms(arm.guard) for arm in node.arms]
+            for i, j in itertools.combinations(range(len(atoms)), 2):
+                if not any(_atoms_exclusive(a, b) for a in atoms[i] for b in atoms[j]):
                     return (f"{where}: guards {i + 1} and {j + 1} of "
-                            f"'{render_stmt_inline(s)[:60]}' may overlap")
-        for arm in arms:
-            bad = _deterministic(arm.body, where)
-            if bad:
-                return bad
-        return None
+                            f"'{render_stmt_inline(node)[:60]}' may overlap")
     return None
 
 

@@ -77,50 +77,42 @@ def label_component(component: Stmt) -> LabeledComponent:
     the final label. A single assignment yields two labels and one
     action; `await B` yields one guarded, effect-free action.
     """
-    counter = [0]
     actions: list[AtomicAction] = []
-
-    def alloc() -> int:
-        counter[0] += 1
-        return counter[0] - 1
-
-    def wire(s: Stmt, entry: int, exit_: int) -> None:
-        if isinstance(s, Skip):
-            actions.append(AtomicAction(entry, None, None, exit_))
-        elif isinstance(s, Assign):
-            actions.append(AtomicAction(entry, None, s, exit_))
-        elif isinstance(s, Await):
-            actions.append(AtomicAction(entry, s.cond, None, exit_))
-        elif isinstance(s, Seq):
-            cur = entry
-            for sub in s.stmts[:-1]:
-                nxt = alloc()
-                wire(sub, cur, nxt)
-                cur = nxt
-            wire(s.stmts[-1], cur, exit_)
-        elif isinstance(s, While):
-            body_entry = alloc()
-            actions.append(AtomicAction(entry, s.cond, None, body_entry))
-            actions.append(AtomicAction(entry, not_(s.cond), None, exit_))
-            wire(s.body, body_entry, entry)
-        elif isinstance(s, IfElse):
-            then_entry = alloc()
-            else_entry = alloc()
-            actions.append(AtomicAction(entry, s.cond, None, then_entry))
-            actions.append(AtomicAction(entry, not_(s.cond), None, else_entry))
-            wire(s.then_branch, then_entry, exit_)
-            wire(s.else_branch, else_entry, exit_)
-        else:
-            raise CheckError(f"{type(s).__name__} is outside the parallel fragment")
-
-    entry = alloc()
-    wire(component, entry, _EXIT)
-    exit_ = alloc()
+    exit_ = _wire(component, 0, _EXIT, 1, actions)
     actions = [AtomicAction(a.source, a.guard, a.effect,
                             exit_ if a.target == _EXIT else a.target)
                for a in actions]
-    labels = tuple(_label_name(k) for k in range(counter[0]))
-    return LabeledComponent(tuple(actions), entry, exit_, labels)
+    labels = tuple(_label_name(k) for k in range(exit_ + 1))
+    return LabeledComponent(tuple(actions), 0, exit_, labels)
+
+
+def _wire(s: Stmt, entry: int, exit_: int, free: int,
+          actions: list[AtomicAction]) -> int:
+    """Append the actions that take `s` from `entry` to `exit_`, labelling
+    its inner control points from `free` on; returns the next free label."""
+    if isinstance(s, Skip):
+        actions.append(AtomicAction(entry, None, None, exit_))
+    elif isinstance(s, Assign):
+        actions.append(AtomicAction(entry, None, s, exit_))
+    elif isinstance(s, Await):
+        actions.append(AtomicAction(entry, s.cond, None, exit_))
+    elif isinstance(s, Seq):
+        for sub in s.stmts[:-1]:  # each ends where the next one starts
+            entry, free = free, _wire(sub, entry, free, free + 1, actions)
+        free = _wire(s.stmts[-1], entry, exit_, free, actions)
+    elif isinstance(s, While):
+        actions.append(AtomicAction(entry, s.cond, None, free))
+        actions.append(AtomicAction(entry, not_(s.cond), None, exit_))
+        free = _wire(s.body, free, entry, free + 1, actions)
+    elif isinstance(s, IfElse):
+        then_entry, else_entry = free, free + 1
+        actions.append(AtomicAction(entry, s.cond, None, then_entry))
+        actions.append(AtomicAction(entry, not_(s.cond), None, else_entry))
+        free = _wire(s.then_branch, then_entry, exit_, free + 2, actions)
+        free = _wire(s.else_branch, else_entry, exit_, free, actions)
+    else:
+        raise CheckError(f"{type(s).__name__} is outside the parallel fragment")
+    return free
 
 
 def label_components(sys: ParSystem) -> list[LabeledComponent]:

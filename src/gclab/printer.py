@@ -12,7 +12,7 @@ from .syntax import (
     BINARY, COMPARE_BP, NEG_BP, NOT_BP, ArrayRef, Assign, Await, BinOp,
     BoolLit, Builtin, ChoiceAssign, CspSystem, Declaration, Do, Expr, Fail,
     GclProgram, If, IfElse, Input, IntLit, Output, ParSystem, RandomAssign,
-    Seq, Skip, Stmt, UnaryOp, Var, While,
+    Seq, Skip, Stmt, UnaryOp, Var, While, chain,
 )
 
 # the parser's binding powers, and a literal's, tighter than any operator
@@ -55,13 +55,14 @@ def render_expr(e: Expr) -> str:
         # chain), so an equal-precedence right child always needs parens
         # for the reparse to rebuild the identical tree
         my = BINARY[e.op].power
-        left = render_expr(e.left)
-        right = render_expr(e.right)
-        if _prec(e.left) < my or (my == COMPARE_BP and _prec(e.left) == my):
-            left = f"({left})"
-        if _prec(e.right) <= my:
-            right = f"({right})"
-        return f"{left} {e.op} {right}"
+        first, pairs = chain(e)
+        parts = [render_expr(first)]
+        if _prec(first) < my or (my == COMPARE_BP and _prec(first) == my):
+            parts[0] = f"({parts[0]})"
+        for op, right in pairs:
+            text = render_expr(right)
+            parts.append(f"{op} ({text})" if _prec(right) <= my else f"{op} {text}")
+        return " ".join(parts)
     raise ValueError(f"cannot render {type(e).__name__}")
 
 

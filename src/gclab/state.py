@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .errors import CheckError, EvalError
 from .syntax import (
     BINARY, BUILTINS, ArrayRef, Assign, BinOp, BoolLit, Builtin, Declaration,
-    Expr, IntLit, UnaryOp, Var,
+    Expr, IntLit, UnaryOp, Var, chain,
 )
 
 Value = int | bool
@@ -203,6 +203,9 @@ def compile_expr(e: Expr) -> Callable[[State], Value]:
             return s.values[pos][layout._offset(pos, index(s))]
         return cell
     if isinstance(e, BinOp):
+        first, pairs = chain(e)
+        if len(pairs) > 1:
+            return _compile_run(compile_expr(first), pairs)
         op, left, right = e.op, compile_expr(e.left), compile_expr(e.right)
         if op == "and":
             return lambda s: left(s) and right(s)
@@ -228,6 +231,33 @@ def compile_expr(e: Expr) -> Callable[[State], Value]:
         return lambda s: apply(a(s), b(s))
     kind = type(e).__name__
     return _raises_after((), lambda: EvalError(f"cannot evaluate {kind}"))
+
+
+def _compile_run(first: Callable[[State], Value],
+                 pairs: list[tuple[str, Expr]]) -> Callable[[State], Value]:
+    """One closure for a run of two or more operators (`syntax.chain`), so
+    that evaluating the run nests no calls. A run of one keeps its binary
+    closure, which is quicker to call."""
+    operands = tuple(compile_expr(x) for _, x in pairs)
+    if pairs[0][0] in ("and", "or"):  # then the run holds no other operator
+        stop = pairs[0][0] == "or"
+
+        def shortcut(s: State) -> Value:
+            v = first(s)
+            for operand in operands:
+                if bool(v) is stop:
+                    return v
+                v = operand(s)
+            return v
+        return shortcut
+    steps = tuple(zip([BINARY[op].meaning for op, _ in pairs], operands))
+
+    def fold(s: State) -> Value:
+        v = first(s)
+        for meaning, operand in steps:
+            v = meaning(v, operand(s))
+        return v
+    return fold
 
 
 def _raises_after(operands: tuple, error: Callable[[], Exception]) -> Callable[[State], Value]:

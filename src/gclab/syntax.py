@@ -14,12 +14,19 @@ keeps `parse(render(p)) == p` a plain `==`.
 Each binary operator's binding power, typing and meaning are one row of
 `BINARY`; the parser, printer, checker and expression compiler all read
 that row, so they agree by construction.
+
+Walkers recurse by nesting depth, never by the length of a chain like
+`1 + 1 + ... + 1`. Those that only look for some nodes loop over `nodes`,
+a pre-order walk from an explicit stack. The checker, printer, compiler
+and guard-atom split loop over the run of one binding power that
+`chain` returns, and recurse only into its operands.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable
+from functools import partial, reduce
+from typing import Any, Callable, Iterator
 from weakref import ref
 
 from .errors import EvalError
@@ -217,21 +224,11 @@ def not_(e: Expr) -> Expr:
 
 def conj(parts: list[Expr]) -> Expr:
     """Left-nested conjunction; empty conjunction is true."""
-    if not parts:
-        return TRUE
-    out = parts[0]
-    for p in parts[1:]:
-        out = BinOp("and", out, p)
-    return out
+    return reduce(partial(BinOp, "and"), parts) if parts else TRUE
 
 
 def disj(parts: list[Expr]) -> Expr:
-    if not parts:
-        return FALSE
-    out = parts[0]
-    for p in parts[1:]:
-        out = BinOp("or", out, p)
-    return out
+    return reduce(partial(BinOp, "or"), parts) if parts else FALSE
 
 
 # ---------------------------------------------------------------------------
@@ -400,49 +397,50 @@ class ParSystem(Program):
 # Structural helpers
 # ---------------------------------------------------------------------------
 
-def expr_names(e: Expr, acc: set[str]) -> None:
-    if isinstance(e, Var):
-        acc.add(e.name)
-    elif isinstance(e, ArrayRef):
-        acc.add(e.name)
-        expr_names(e.index, acc)
-    elif isinstance(e, UnaryOp):
-        expr_names(e.operand, acc)
-    elif isinstance(e, BinOp):
-        expr_names(e.left, acc)
-        expr_names(e.right, acc)
-    elif isinstance(e, Builtin):
-        for a in e.args:
-            expr_names(a, acc)
+def nodes(tree: Node) -> Iterator[Node]:
+    """Every node of `tree` in pre-order: a node, then the nodes of its
+    fields in `__slots__` order, the elements of a tuple field in order.
+    The walk keeps its own stack, so it nests no calls."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        for f in reversed(node.__slots__):  # the first field on top
+            v = getattr(node, f)
+            if isinstance(v, Node):
+                stack.append(v)
+            elif type(v) is tuple:
+                stack += [x for x in reversed(v) if isinstance(x, Node)]
 
 
-def stmt_names(s: Stmt, acc: set[str]) -> None:
-    if isinstance(s, Assign):
-        for t in s.targets:
-            expr_names(t, acc)
-        for v in s.values:
-            expr_names(v, acc)
-    elif isinstance(s, RandomAssign):
-        acc.add(s.target)
-    elif isinstance(s, ChoiceAssign):
-        acc.add(s.target)
-        expr_names(s.bound, acc)
-    elif isinstance(s, Seq):
-        for sub in s.stmts:
-            stmt_names(sub, acc)
-    elif isinstance(s, (If, Do)):
-        for arm in s.arms:
-            expr_names(arm.guard, acc)
-            stmt_names(arm.body, acc)
-    elif isinstance(s, IfElse):
-        expr_names(s.cond, acc)
-        stmt_names(s.then_branch, acc)
-        stmt_names(s.else_branch, acc)
-    elif isinstance(s, While):
-        expr_names(s.cond, acc)
-        stmt_names(s.body, acc)
-    elif isinstance(s, Await):
-        expr_names(s.cond, acc)
+# the binding power of each operator that chains (`chain`)
+_CHAINING = {op: row.power for op, row in BINARY.items() if row.power != COMPARE_BP}
+
+
+def chain(e: BinOp) -> tuple[Expr, list[tuple[str, Expr]]]:
+    """The left-associated run of operators of one binding power that ends
+    at `e`: its first operand, then its (operator, operand) pairs in
+    order. A comparison or an unknown operator is a run of one."""
+    power = _CHAINING.get(e.op)
+    pairs = [(e.op, e.right)]
+    first = e.left
+    while power and isinstance(first, BinOp) and _CHAINING.get(first.op) == power:
+        pairs.append((first.op, first.right))
+        first = first.left
+    pairs.reverse()
+    return first, pairs
+
+
+def expr_names(tree: Node, acc: set[str]) -> None:
+    """Add to `acc` every variable that `tree` reads or writes."""
+    for n in nodes(tree):
+        if isinstance(n, (Var, ArrayRef)):
+            acc.add(n.name)
+        elif isinstance(n, (RandomAssign, ChoiceAssign)):
+            acc.add(n.target)
+
+
+stmt_names = expr_names  # one walk serves statements and expressions
 
 
 def program_names(p: GclProgram) -> set[str]:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from gclab.cli import main
 from gclab.parser import parse_gcl
+from gclab.syntax import BinOp, Var
 
 from conftest import CORPUS
 
@@ -176,12 +177,25 @@ def test_fuel_counts_every_step_alike_in_seeded_modes(tmp_path, capsys, mode,
 @pytest.mark.parametrize("mode", [["demonic"], ["angelic"], ["erratic", "--seed", "1"]],
                          ids=lambda m: m[0])
 def test_long_operator_chain_runs(tmp_path, capsys, mode):
-    for terms in (450, 900):
+    for terms in (450, 900, 3000, 20_000):
         f = tmp_path / f"chain{terms}.gcl"
         f.write_text("var x: int;\nx := " + "+".join(["1"] * terms) + "\n")
         code, out, err = run_cli(capsys, "run", f, "--mode", *mode)
         assert (code, err) == (0, "")
         assert out.endswith(f"\noutcome: terminated :: x={terms}\n")
+
+
+def test_one_level_loop_with_a_long_guard_runs_fair_and_transforms(tmp_path, capsys):
+    f = tmp_path / "guard.gcl"
+    atoms = " and ".join(f"x < {k}" for k in range(1, 3002))
+    f.write_text(f"var x: int;\ndo {atoms} -> x := x + 1 od\n")
+    got = run_cli(capsys, "run", f, "--mode", "fair-weak", "--seed", "1")
+    assert got == (0, "schema 1\nmode fair-weak seed 1\noutcome: terminated :: x=1\n", "")
+    code, out, err = run_cli(capsys, "transform", f, "--kind", "wf")
+    assert (code, err) == (0, "")
+    guard = parse_gcl(f.read_text()).body.arms[0].guard
+    assert parse_gcl(out).body.stmts[-1].arms[0].guard == BinOp(
+        "and", guard, BinOp("=", Var("z1"), Var("z1")))
 
 
 @pytest.mark.parametrize("levels", [101, 10_000])
@@ -426,17 +440,17 @@ def test_lts_refines_long_tau_chain(tmp_path, capsys):
     assert err == "error: divergent: internal cycle s4998 -> s4999 -> s4998\n"
 
 
-@pytest.mark.parametrize("body", [
-    "x := " + "+".join(["1"] * 3000),
-], ids=["long-operator-chain"])
-def test_internal_error_exits_seventy(tmp_path, capsys, body):
-    f = tmp_path / "deep.gcl"
-    f.write_text(f"var x: int;\n{body}\n")
-    code, out, err = run_cli(capsys, "run", f)
+def test_internal_error_exits_seventy(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("an unexpected failure\n  spread over two lines")
+    monkeypatch.setattr("gclab.cli.explore_demonic", broken)
+    code, out, err = run_cli(capsys, "run", CORPUS / "euclid.gcl")
     assert code == 70
     assert out == ""
-    assert err.startswith("error: internal error: RecursionError: ")
+    assert err.startswith("error: internal error: RuntimeError: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert err == ("error: internal error: RuntimeError: "
+                   "an unexpected failure spread over two lines\n")
 
 
 def test_deep_statement_nesting_exits_sixty_four(tmp_path, capsys):

@@ -177,6 +177,63 @@ def test_compiled_guards_match_the_reference_in_arm_order():
             assert got == want, guards
 
 
+def _run(first, pairs):
+    """The left-associated run `first op operand op operand ...` of the
+    (op, operand) pairs."""
+    e = first
+    for op, operand in pairs:
+        e = BinOp(op, e, operand)
+    return e
+
+
+def test_long_runs_match_the_reference():
+    """A run of two or more operators compiles to one closure that loops
+    over its operands: random runs of up to 300 operators give the
+    reference's value, or raise its error at the same operand."""
+    rng = Random(31)
+    layouts = _layouts()
+    families = [(("+", "-"), "int"), (("*", "div", "mod"), "int"),
+                (("and",), "bool"), (("or",), "bool")]
+    seen = set()
+    for n in (2, 3, 7, 40, 300):
+        for ops, want in families:
+            for typed in (True, False):
+                e = _run(_expr(rng, 2, typed, want),
+                         [(rng.choice(ops), _expr(rng, 2, typed, want)) for _ in range(n)])
+                f = compile_expr(e)
+                for j in range(4):
+                    s = _state(rng, layouts[j % 2])
+                    ref = _outcome(eval_reference.eval_expr, e, s)
+                    assert _outcome(f, s) == ref, (n, ops)
+                    seen.add((n, ref[0] == "value"))
+    assert {(300, True), (300, False)} <= seen
+
+
+@pytest.mark.parametrize("op,stop", [("and", False), ("or", True)])
+def test_long_and_or_runs_stop_at_the_deciding_operand(op, stop):
+    """The deciding operand sits mid-run, before an operand that fails
+    and one that is not even an expression; its own value comes back."""
+    s = initial_state(_layouts()[0])
+    fails = BinOp("=", BinOp("div", IntLit(1), IntLit(0)), IntLit(0))
+    for decider in (BoolLit(stop), IntLit(7 if stop else 0)):
+        rest = [BoolLit(not stop)] * 149 + [decider, fails, Skip()] + [BoolLit(not stop)] * 148
+        e = _run(BoolLit(not stop), [(op, x) for x in rest])
+        got = compile_expr(e)(s)
+        assert (type(got), got) == (type(decider.value), decider.value)
+        assert _outcome(compile_expr(e), s) == _outcome(eval_reference.eval_expr, e, s)
+
+
+@pytest.mark.parametrize("op", ["div", "mod"])
+def test_division_by_zero_mid_run_fails_before_later_operands(op):
+    s = initial_state(_layouts()[0])
+    pairs = ([("*", IntLit(5)), (op, IntLit(3))] * 75 + [(op, BinOp("-", Var("x"), Var("x")))]
+             + [(op, ArrayRef("a", IntLit(9)))] * 149)
+    e = _run(IntLit(10 ** 20), pairs)
+    got = _outcome(compile_expr(e), s)
+    assert got == _outcome(eval_reference.eval_expr, e, s)
+    assert got[:4] == ("raised", EvalError, "eval-error", f"{op} by zero")
+
+
 def _assign(rng: Random) -> Assign:
     targets = []
     for _ in range(rng.randint(1, 3)):

@@ -410,6 +410,21 @@ def test_chaotic_exhaustive_height_one():
                 assert (out.state.scalar("x1"), out.state.scalar("x2")) == mu
 
 
+def test_chaotic_iteration_over_a_thousand_points_reaches_the_least_fixpoint():
+    """Two components of height 31: 1,024 lattice points, so the loop
+    guard is an `or` over the 1,023 points that the operator moves."""
+    h = 31
+    table = {(a, b): (min(a + 1, h), min(b + 1, h))
+             for a, b in itertools.product(range(h + 1), repeat=2)}
+    inst = FixpointInstance.from_table(2, h, table)
+    assert kleene_lfp(inst) == (h, h)
+    rep = explore_demonic(chaotic_iteration_program(inst))
+    terms = {(o.state.scalar("x1"), o.state.scalar("x2"))
+             for o in rep.outcomes if isinstance(o, Terminated)}
+    assert terms == {(h, h)}
+    assert not rep.has(BoundExceeded)
+
+
 # ---------------------------------------------------------------------------
 # compiled guards against the reference evaluator
 # ---------------------------------------------------------------------------

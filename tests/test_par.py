@@ -1,4 +1,5 @@
 import itertools
+import weakref
 
 from gclab.engine import Failed, Limits, Terminated, explore_demonic
 from gclab.par import (
@@ -12,6 +13,7 @@ from gclab.syntax import Do, If
 
 from conftest import corpus_text
 from oracles import zero_search_k
+from test_engine import _gone_without_the_cycle_collector
 
 
 def _zs():
@@ -72,6 +74,24 @@ def test_all_labels_reachable_from_entry():
                     seen.add(t)
                     todo.append(t)
         assert seen == set(range(len(comp.labels)))
+
+
+def test_labelled_component_is_freed_without_the_cycle_collector():
+    # every name is unique to the test, so no live program shares its nodes
+    sysm = parse_par("var freed_u: int; var freed_v: int;\n"
+                     "component\n"
+                     "  while freed_u < 3 do\n"
+                     "    if freed_v = 0 then freed_v := 1 else await freed_u > 0 fi;\n"
+                     "    freed_u := freed_u + 1\n"
+                     "  od\n"
+                     "end")
+    comp = label_component(sysm.components[0])
+    loop_exit = comp.actions[1].guard  # `not freed_u < 3`, made by the labelling
+    refs = [weakref.ref(x) for x in (sysm, sysm.components[0], loop_exit,
+                                      comp.actions[-1].effect)]
+    names = {"sysm": sysm, "comp": comp}
+    del sysm, comp, loop_exit
+    assert _gone_without_the_cycle_collector(names.clear, refs)
 
 
 def test_one_action_enabled_per_component():

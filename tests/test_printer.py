@@ -195,3 +195,16 @@ def test_every_operator_pairing_round_trips(outer):
                 assert parse_gcl(render(prog)) == prog, render_expr(e)
                 pairings += 1
     assert pairings >= 2 * 5
+
+
+def test_long_mixed_additive_run_round_trips():
+    """3,000 terms of `+` and `-` in one run, some of them parenthesized
+    differences that must stay parenthesized."""
+    e = Var("x")
+    for k in range(1, 3000):
+        operand = BinOp("-", Var("y"), IntLit(k)) if k % 7 == 0 else IntLit(k)
+        e = BinOp("-" if k % 3 else "+", e, operand)
+    prog = GclProgram(_INT_DECLS, Assign((Var("x"),), (e,)))
+    text = render(prog)
+    assert text.count("(y - ") == 2999 // 7
+    assert parse_gcl(text) == prog

@@ -1,9 +1,13 @@
 """The hash-consed syntax nodes against the frozen dataclasses they
 replaced (`syntax_reference.py`): two random trees, built both ways from
 one description, are one node exactly when their references are equal,
-and every node prints byte for byte as its reference does."""
+and every node prints byte for byte as its reference does. The two walks
+(`syntax.nodes` and `syntax.chain`) are checked against recursion over
+the reference's fields and against folding a run back up."""
 
+import dataclasses
 import gc
+from functools import reduce
 
 from hypothesis import given, settings, strategies as st
 
@@ -112,3 +116,59 @@ def test_bool_and_int_leaves_stay_distinct():
             assert (x, y) == (make(first), make(second))
             del x, y
             gc.collect()
+
+
+def _reference_preorder(tree):
+    """The reference tree's nodes in pre-order, by recursion over each
+    node's dataclass fields in order."""
+    out = [tree]
+    for f in dataclasses.fields(tree):
+        value = getattr(tree, f.name)
+        for x in value if isinstance(value, tuple) else (value,):
+            if dataclasses.is_dataclass(x):
+                out += _reference_preorder(x)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(TREES)
+def test_nodes_walks_every_field_in_preorder(spec):
+    walked = [repr(n) for n in syntax.nodes(build(syntax, spec))]
+    assert walked == [repr(r) for r in _reference_preorder(build(syntax_reference, spec))]
+
+
+def _fold(run):
+    first, pairs = run
+    return reduce(lambda left, pair: ["BinOp", pair[0], left, pair[1]], pairs, first)
+
+
+# left-associated runs of operators of mixed binding powers; `^` is unknown
+RUNS = st.recursive(
+    st.one_of(_node("IntLit", INTS), _node("Var", NAMES)),
+    lambda kids: st.one_of(
+        st.tuples(kids, st.lists(st.tuples(
+            st.sampled_from(["+", "-", "*", "div", "and", "or", "<", "=", "^"]), kids),
+            min_size=1, max_size=8)).map(_fold),
+        _node("UnaryOp", st.just("neg"), kids)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RUNS)
+def test_chain_folds_back_to_its_expression(spec):
+    """For every binary node, `chain` gives the longest run of its binding
+    power ending there, and folding the run back with `BinOp` rebuilds
+    the node itself."""
+    power = {op: row.power for op, row in syntax.BINARY.items()
+             if row.power != syntax.COMPARE_BP}
+    for e in syntax.nodes(build(syntax, spec)):
+        if not isinstance(e, syntax.BinOp):
+            continue
+        first, pairs = syntax.chain(e)
+        assert reduce(lambda left, pair: syntax.BinOp(pair[0], left, pair[1]),
+                      pairs, first) is e
+        if e.op not in power:
+            assert len(pairs) == 1
+            continue
+        assert {power.get(op) for op, _ in pairs} == {power[e.op]}
+        assert not (isinstance(first, syntax.BinOp) and power.get(first.op) == power[e.op])
