@@ -28,6 +28,9 @@ _MISTYPED = {
 
 DeclMap = Mapping[str, Declaration]
 
+# the most cells an array declaration may have
+MAX_ARRAY_CELLS = 1 << 20
+
 
 def decl_map(decls: tuple[Declaration, ...]) -> dict[str, Declaration]:
     """Name -> declaration table; rejects duplicates and reserved names."""
@@ -45,9 +48,12 @@ def check_declaration(d: Declaration) -> None:
     if d.is_array:
         if d.lo is None or d.hi is None or d.lo > d.hi:
             raise CheckError(f"array '{d.name}' needs bounds lo..hi with lo <= hi")
+        size = d.hi - d.lo + 1
+        if size > MAX_ARRAY_CELLS:
+            raise CheckError(
+                f"array '{d.name}' has {size} cells, more than the {MAX_ARRAY_CELLS} allowed")
         if d.init is not None:
             if isinstance(d.init, tuple):
-                size = d.hi - d.lo + 1
                 if len(d.init) != size:
                     raise CheckError(
                         f"array '{d.name}' initializer has {len(d.init)} cells, expected {size}")

@@ -23,7 +23,7 @@ import sys
 from . import csp as csp_mod
 from . import equiv, fairness, par
 from .engine import (
-    BoundExceeded, Divergent, ExplorationReport, Failed, Limits, Outcome,
+    FUEL, BoundExceeded, Divergent, ExplorationReport, Failed, Limits,
     explore_demonic, report_json, report_text, run_erratic, solve_angelic,
 )
 from .errors import SourceError
@@ -71,15 +71,16 @@ class _ArgumentParser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     top = _ArgumentParser(prog="gclab")
     sub = top.add_subparsers(dest="command", required=True)
+    lim = Limits()
 
     run = sub.add_parser("run", help="execute a .gcl/.csp/.par file")
     run.add_argument("file")
     run.add_argument("--mode", choices=MODES, default="demonic")
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--fuel", type=int, default=100_000)
-    run.add_argument("--max-configs", type=int, default=100_000)
-    run.add_argument("--max-depth", type=int, default=500)
-    run.add_argument("--choice-bound", type=int, default=8)
+    run.add_argument("--fuel", type=int, default=FUEL)
+    run.add_argument("--max-configs", type=int, default=lim.max_configs)
+    run.add_argument("--max-depth", type=int, default=lim.max_depth)
+    run.add_argument("--choice-bound", type=int, default=lim.choice_bound)
     run.add_argument("--format", choices=("text", "json"), default="text")
     run.add_argument("--bind", action="append", type=_parse_binding,
                      default=[], metavar="NAME=VALUE",
@@ -111,6 +112,9 @@ def main(argv: list[str] | None = None) -> int:
             ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
+    except equiv.DivergenceError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return DATA_ERROR
     except Exception as e:  # never a traceback, never an outcome code
         detail = " ".join(str(e).split())
         print(f"error: internal error: {type(e).__name__}: {detail}",
@@ -134,92 +138,81 @@ def _exit_code(outcomes) -> int:
     return 0
 
 
-def _print_report(fmt: str, outcomes, text_header: str, json_header: dict) -> None:
+def _print_report(fmt: str, outcomes, text_header: list[str], json_header: dict) -> None:
+    """Every run mode's schema-1 report, in text or JSON."""
     if fmt == "json":
         print(json.dumps(report_json(json_header, outcomes), indent=2, sort_keys=True))
     else:
-        sys.stdout.write(report_text([text_header], outcomes))
+        sys.stdout.write(report_text(text_header, outcomes))
 
 
-def _single_report(outcome: Outcome, mode: str, seed, fmt: str) -> int:
-    _print_report(fmt, [outcome], f"mode {mode} seed {seed}",
-                  {"mode": mode, "seed": seed})
-    return _exit_code([outcome])
+def _emit_report(rep: ExplorationReport, fmt: str, mode: str) -> int:
+    lines, fields = rep.header()
+    _print_report(fmt, rep.outcomes, lines, fields | {"mode": mode})
+    return _exit_code(rep.outcomes)
 
 
 def _cmd_run(args) -> int:
     lim = Limits(args.max_configs, args.max_depth, args.choice_bound)
-    binds = dict(args.bind)
+    binds = dict(args.bind) or None
     if args.mode in ("erratic", "fair-weak", "fair-strong") and args.seed is None:
         print("error: --seed is required for seeded modes", file=sys.stderr)
         return USAGE_ERROR
     path = args.file
-
-    if path.endswith(".csp"):
+    # suffix -> (parser, the system's declarations, its direct semantics),
+    # built per call so that it reads this module's current bindings
+    systems = {
+        ".csp": (parse_csp, lambda system: system.all_decls(), csp_mod.run_csp),
+        ".par": (parse_par, lambda system: system.decls, par.run_par_direct),
+    }
+    suffix = path[path.rfind("."):]
+    if suffix in systems:
         if args.mode != "demonic":
-            print("error: .csp files run under --mode demonic only",
+            print(f"error: {suffix} files run under --mode demonic only",
                   file=sys.stderr)
             return USAGE_ERROR
-        system = parse_csp(_read(path))
-        s0 = initial_state(system.all_decls(), binds or None)
-        rep = csp_mod.run_csp(system, s0, lim)
-        return _emit_report(rep, args.format, args.mode)
-
-    if path.endswith(".par"):
-        if args.mode != "demonic":
-            print("error: .par files run under --mode demonic only",
-                  file=sys.stderr)
-            return USAGE_ERROR
-        system = parse_par(_read(path))
-        s0 = initial_state(system.decls, binds or None)
-        rep = par.run_par_direct(system, s0, lim)
+        parse, decls_of, run_direct = systems[suffix]
+        system = parse(_read(path))
+        rep = run_direct(system, initial_state(decls_of(system), binds), lim)
         return _emit_report(rep, args.format, args.mode)
 
     program = parse_gcl(_read(path))
-    s0 = initial_state(program.decls, binds or None)
+    s0 = initial_state(program.decls, binds)
     if args.mode == "demonic":
         return _emit_report(explore_demonic(program, s0, lim),
                             args.format, args.mode)
-    if args.mode == "erratic":
-        out = run_erratic(program, s0, seed=args.seed, fuel=args.fuel)
-        return _single_report(out, args.mode, args.seed, args.format)
     if args.mode == "angelic":
         cut: list = []
         results = solve_angelic(program, s0, lim, cut)
         _print_report(args.format, results + cut,
-                      f"mode angelic successes {len(results)}", {"mode": "angelic"})
+                      [f"mode angelic successes {len(results)}"], {"mode": "angelic"})
         return 0 if results else 1
-    policy = "weak" if args.mode == "fair-weak" else "strong"
-    out = fairness.run_fair(program, s0, policy, seed=args.seed, fuel=args.fuel)
-    return _single_report(out, args.mode, args.seed, args.format)
-
-
-def _emit_report(rep: ExplorationReport, fmt: str, mode: str) -> int:
-    if fmt == "json":
-        print(json.dumps(rep.to_json_dict() | {"mode": mode}, indent=2, sort_keys=True))
+    if args.mode == "erratic":
+        out = run_erratic(program, s0, seed=args.seed, fuel=args.fuel)
     else:
-        sys.stdout.write(rep.to_text())
-    return _exit_code(rep.outcomes)
+        policy = "weak" if args.mode == "fair-weak" else "strong"
+        out = fairness.run_fair(program, s0, policy, seed=args.seed, fuel=args.fuel)
+    _print_report(args.format, [out], [f"mode {args.mode} seed {args.seed}"],
+                  {"mode": args.mode, "seed": args.seed})
+    return _exit_code([out])
+
+
+def _translate_par(text: str) -> str:
+    system = parse_par(text)
+    return par.label_table(system) + render(par.translate_par(system))
 
 
 def _cmd_transform(args) -> int:
-    path = args.file
-    if args.kind == "wf":
-        if not path.endswith(".gcl"):
-            print("error: --kind wf expects a .gcl file", file=sys.stderr)
-            return USAGE_ERROR
-        out_text = render(fairness.transform_wf(parse_gcl(_read(path))))
-    elif args.kind == "csp":
-        if not path.endswith(".csp"):
-            print("error: --kind csp expects a .csp file", file=sys.stderr)
-            return USAGE_ERROR
-        out_text = render(csp_mod.translate_csp(parse_csp(_read(path))))
-    else:
-        if not path.endswith(".par"):
-            print("error: --kind par expects a .par file", file=sys.stderr)
-            return USAGE_ERROR
-        system = parse_par(_read(path))
-        out_text = par.label_table(system) + render(par.translate_par(system))
+    # kind -> (the suffix its input file needs, its transformation of the text)
+    suffix, transform = {
+        "wf": (".gcl", lambda text: render(fairness.transform_wf(parse_gcl(text)))),
+        "csp": (".csp", lambda text: render(csp_mod.translate_csp(parse_csp(text)))),
+        "par": (".par", _translate_par),
+    }[args.kind]
+    if not args.file.endswith(suffix):
+        print(f"error: --kind {args.kind} expects a {suffix} file", file=sys.stderr)
+        return USAGE_ERROR
+    out_text = transform(_read(args.file))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out_text)
@@ -232,37 +225,24 @@ def _cmd_lts(args) -> int:
     a = equiv.parse_lts(_read(args.files[0]))
     b = equiv.parse_lts(_read(args.files[1]))
     sub = args.subcommand
+    # why the relation does not hold: None when it holds, "" for no witness
     if sub == "bisim":
         w = equiv.bisimilar_witness(a, b)
-        if w is None:
-            print("true")
-            return 0
-        sp, sq, lab = w
-        print(f"false: ({sp},{sq}) differ on {lab}")
-        return 1
-    if sub == "may":
-        ok = equiv.may_pass(a, b)
-        print("true" if ok else "false")
-        return 0 if ok else 1
-    if sub == "must":
+        why = w and "({},{}) differ on {}".format(*w)
+    elif sub == "may":
+        why = None if equiv.may_pass(a, b) else ""
+    elif sub == "must":
         w = equiv.must_witness(a, b)
-        if w is None:
-            print("true")
-            return 0
-        kind, (sp, st) = w
-        what = "stuck at" if kind == "stuck" else "success-avoiding cycle at"
-        print(f"false: {what} ({sp},{st})")
-        return 1
-    depth = args.depth if args.depth is not None else (len(a.states) + len(b.states))
-    try:
+        why = w and "{} at ({},{})".format(
+            "stuck" if w[0] == "stuck" else "success-avoiding cycle", *w[1])
+    else:
+        depth = args.depth if args.depth is not None else (len(a.states) + len(b.states))
         cx = equiv.refinement_counterexample(a, b, depth)
-    except equiv.DivergenceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return DATA_ERROR
-    if cx is None:
+        why = cx and f"failure {cx.describe()} not allowed"
+    if why is None:
         print("true")
         return 0
-    print(f"false: failure {cx.describe()} not allowed")
+    print(f"false: {why}" if why else "false")
     return 1
 
 

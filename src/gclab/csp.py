@@ -160,7 +160,7 @@ def run_csp(sys: CspSystem, s0: State | None = None,
         try:
             enabled = [[bool(cond(s)) for cond in row] for row in conds]
         except EvalError as e:
-            return Expansion(failure=(e.reason, e.detail, s))
+            return Expansion(failure=Failed(e.reason, s, e.detail))
         trans: list[tuple[str, State]] = []
         extra: list = []
         attempted = False
@@ -181,7 +181,7 @@ def run_csp(sys: CspSystem, s0: State | None = None,
                     k += 1
         if not attempted:
             # guards are live somewhere (final_of said no) but no pair matches
-            return Expansion(failure=("deadlock", "no corresponding pair enabled", s))
+            return Expansion(failure=Failed("deadlock", s, "no corresponding pair enabled"))
         return Expansion(transitions=trans, side_outcomes=extra)
 
     search = GraphSearch(lim, expand, lambda s: s.canonical(), final_of, subs=subs)

@@ -57,7 +57,8 @@ class Limits:
     """Exploration budgets. `choice_bound` caps the values enumerated for
     `x := ?` during exhaustive search (the construct itself is unbounded);
     `max_configs` caps the configurations expanded, and the values
-    enumerated for `x := ?` and `x := choice(t)`."""
+    enumerated for `x := ?` and `x := choice(t)`. Its field defaults are
+    gclab's default budgets."""
 
     max_configs: int = 100_000
     max_depth: int = 500
@@ -66,6 +67,10 @@ class Limits:
     def __post_init__(self):
         if self.max_configs < 1 or self.max_depth < 1 or self.choice_bound < 0:
             raise ValueError("limits must be positive")
+
+
+# the default step budget of a seeded run (`run_erratic`, `fairness.run_fair`)
+FUEL = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -342,22 +347,25 @@ class ExplorationReport:
     def has(self, kind: type) -> bool:
         return any(isinstance(o, kind) for o in self.outcomes)
 
-    def to_text(self) -> str:
-        return report_text([
-            f"limits max-configs={self.limits.max_configs} "
-            f"max-depth={self.limits.max_depth} "
-            f"choice-bound={self.limits.choice_bound}",
-            f"counts configs={self.configs} edges={self.edges} paths={self.paths}",
-        ], self.outcomes)
-
-    def to_json_dict(self) -> dict:
-        return report_json({
-            "limits": {"max-configs": self.limits.max_configs,
-                       "max-depth": self.limits.max_depth,
-                       "choice-bound": self.limits.choice_bound},
+    def header(self) -> tuple[list[str], dict]:
+        """The limits and counts, as text header lines (`limits
+        max-configs=N ...`) and as JSON header fields."""
+        lim = self.limits
+        fields = {
+            "limits": {"max-configs": lim.max_configs, "max-depth": lim.max_depth,
+                       "choice-bound": lim.choice_bound},
             "counts": {"configs": self.configs, "edges": self.edges,
                        "paths": self.paths},
-        }, self.outcomes)
+        }
+        lines = [name + "".join(f" {k}={v}" for k, v in group.items())
+                 for name, group in fields.items()]
+        return lines, fields
+
+    def to_text(self) -> str:
+        return report_text(self.header()[0], self.outcomes)
+
+    def to_json_dict(self) -> dict:
+        return report_json(self.header()[1], self.outcomes)
 
 
 def report_text(header: list[str], outcomes) -> str:
@@ -391,20 +399,16 @@ def _outcome_json(o: Outcome) -> dict:
 
 @dataclass(slots=True)
 class Expansion:
-    """What a non-terminal node expands to: a failure (reason, detail,
-    state) or labelled successors. `truncated` names the limit that cut
+    """What a non-terminal node expands to: the `Failed` outcome that ends
+    it, or labelled successors. `truncated` names the limit that cut
     the successors ('choice-bound' for `x := ?`, 'max-configs' for an
     `x := ?` or `choice(t)` with more values than the configuration
     budget); `side_outcomes` close branches inside an atomic step."""
 
     transitions: list[tuple[str, Any]] | tuple = ()
-    failure: tuple[str, str, State] | None = None
+    failure: Failed | None = None
     truncated: str | None = None
     side_outcomes: list[Outcome] | tuple = ()
-
-    def failed(self) -> Failed:
-        reason, detail, st = self.failure
-        return Failed(reason, st, detail)
 
 
 def _choice_bound(bound_of: Callable[[State], int], s: State) -> int:
@@ -448,13 +452,13 @@ def step(c: Config, choice_bound: int, max_configs: int = Limits().max_configs) 
         return Expansion([("skip", Config(pt.next, s))])
 
     if isinstance(head, Fail):
-        return Expansion(failure=("explicit-fail", head.keyword, s))
+        return Expansion(failure=Failed("explicit-fail", s, head.keyword))
 
     if isinstance(head, Assign):
         try:
             s2 = code(s)
         except EvalError as e:
-            return Expansion(failure=(e.reason, e.detail, s))
+            return Expansion(failure=Failed(e.reason, s, e.detail))
         return Expansion([(pt.label, Config(pt.next, s2))])
 
     if isinstance(head, RandomAssign):
@@ -464,21 +468,21 @@ def step(c: Config, choice_bound: int, max_configs: int = Limits().max_configs) 
         try:
             bound = _choice_bound(code, s)
         except EvalError as e:
-            return Expansion(failure=(e.reason, e.detail, s))
+            return Expansion(failure=Failed(e.reason, s, e.detail))
         return _choices(pt, s, 1, bound, max_configs, None)
 
     if isinstance(head, (If, Do)):
         try:
             enabled = code(s)
         except EvalError as e:
-            return Expansion(failure=(e.reason, e.detail, s))
+            return Expansion(failure=Failed(e.reason, s, e.detail))
         tag = "if" if isinstance(head, If) else "do"
         trans = [(f"{tag}#{i + 1}", Config(pt.arm(i), s))
                  for i, on in enumerate(enabled) if on]
         if trans:
             return Expansion(trans)
         if tag == "if":
-            return Expansion(failure=("guard-all-false-in-if", "", s))
+            return Expansion(failure=Failed("guard-all-false-in-if", s))
         return Expansion([("od", Config(pt.next, s))])
 
     raise TypeError(f"{type(head).__name__} is not a guarded-commands statement")
@@ -601,7 +605,7 @@ class GraphSearch:
         for o in exp.side_outcomes:
             self.close(o)
         if exp.failure is not None:
-            self.close(exp.failed())
+            self.close(exp.failure)
             return None
         if exp.truncated:
             self.record(BoundExceeded(exp.truncated))
@@ -766,7 +770,7 @@ def explore_demonic(p: GclProgram, s0: State | None = None,
 
 
 def replay(p: GclProgram, s0: State, labels: tuple[str, ...],
-           choice_bound: int = 8) -> Config:
+           choice_bound: int = Limits().choice_bound) -> Config:
     """Follow a label sequence from the initial configuration; used to
     verify lasso witnesses. Raises if a label does not match."""
     cfg = make_config((p.body,), s0)
@@ -811,7 +815,7 @@ def run_path(p: GclProgram, s0: State, fuel: int,
 
 
 def run_erratic(p: GclProgram, s0: State | None = None, seed: int = 0,
-                fuel: int = 100_000) -> Outcome:
+                fuel: int = FUEL) -> Outcome:
     """One computation with uniformly random choices.
 
     Reproducible: the same (program, state, seed, fuel) gives the same
@@ -838,7 +842,7 @@ def run_erratic(p: GclProgram, s0: State | None = None, seed: int = 0,
             return Config(pt.next, s.set_scalar(head.target, v))
         exp = step(cfg, 0)
         if exp.failure is not None:
-            return exp.failed()
+            return exp.failure
         return exp.transitions[rng.randrange(len(exp.transitions))][1]
 
     return run_path(p, s0, fuel, choose)

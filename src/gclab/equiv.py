@@ -168,40 +168,29 @@ def bisimilar(p: Lts, q: Lts) -> bool:
 
 def bisimilar_witness(p: Lts, q: Lts) -> tuple[str, str, str] | None:
     """None when bisimilar; otherwise a distinguishing (p-state, q-state,
-    label): a pair reached by matching moves from the initial states where
-    one side moves on the label into some class the other cannot match
-    (or cannot move on it at all)."""
+    label): the first pair, breadth-first from the initial states along
+    matching moves, where one side moves on the label and the other
+    cannot (the usual narrative of a failed simulation attempt). One
+    exists: reachable pairs that agree on every label form a
+    bisimulation."""
     block = _partition(p, q)
     if block[f"0:{p.init}"] == block[f"1:{q.init}"]:
         return None
     pmv, qmv = p.moves(), q.moves()
     labels = sorted(set(p.alphabet) | set(q.alphabet) | {TAU})
 
-    # breadth-first over state pairs along shared labels, hunting for a
-    # pair where a label is available on one side only; that mirrors the
-    # usual narrative of a failed simulation attempt
-    start = (p.init, q.init)
-    seen = {start}
-    todo = deque([start])
-    fallback: tuple[str, str, str] | None = None
-    while todo:
-        u, v = todo.popleft()
+    def succ(pair):
+        u, v = pair
         for lab in labels:
-            un = pmv[u].get(lab, set())
-            vn = qmv[v].get(lab, set())
-            if (un and not vn) or (vn and not un):
+            for x in sorted(pmv[u].get(lab, ())):
+                for y in sorted(qmv[v].get(lab, ())):
+                    yield (x, y)
+
+    for u, v in _reach(((p.init, q.init),), succ):
+        for lab in labels:
+            if (lab in pmv[u]) != (lab in qmv[v]):
                 return (u, v, lab)
-            if fallback is None and block[f"0:{u}"] != block[f"1:{v}"]:
-                ublocks = {block[f"0:{x}"] for x in un}
-                vblocks = {block[f"1:{x}"] for x in vn}
-                if ublocks != vblocks:
-                    fallback = (u, v, lab)
-            for x in sorted(un):
-                for y in sorted(vn):
-                    if (x, y) not in seen:
-                        seen.add((x, y))
-                        todo.append((x, y))
-    return fallback or (p.init, q.init, labels[0])
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -256,37 +245,53 @@ def must_witness(proc: Lts, test: Lts) -> tuple[str, tuple[str, str]] | None:
     """None when the process must pass; otherwise ('stuck'|'cycle', pair)
     naming a deadlocked or cycling product node that avoids success."""
     _require_test(test)
-    succ = _product_moves(proc, test)
     start = (proc.init, test.init)
     if start[1] in test.success:
         return None
-    # iterative DFS over non-success nodes; a back edge is a cycle
-    color: dict[tuple[str, str], int] = {start: 1}  # 1 gray, 2 black
-    stack: list[tuple[tuple[str, str], list, int]] = []
-    first_moves = succ(start)
-    if not first_moves:
-        return ("stuck", start)
-    stack.append((start, first_moves, 0))
-    while stack:
-        node, moves, idx = stack[-1]
-        if idx >= len(moves):
-            stack.pop()
-            color[node] = 2
+    trap = _trap((start,), _product_moves(proc, test),
+                 avoid=lambda node: node[1] in test.success, dead_ends=True)
+    return trap and (trap[0], trap[1][-1])
+
+
+def _trap(roots, succ, avoid=None, dead_ends: bool = False):
+    """The first trap met by an iterative gray/black depth-first search
+    from each root in turn, along `succ` in its order, never entering a
+    node that `avoid` accepts: ('cycle', path) for a move back onto the
+    current path, the path running from the repeated node round to it
+    again, or with `dead_ends`, ('stuck', [node]) for an entered node
+    with no successors. None when there is neither."""
+    color: dict = {}  # 1 gray (on the path), 2 black (done)
+    path: list = []
+    stack: list = []
+
+    def enter(node):
+        moves = succ(node)
+        if dead_ends and not moves:
+            return ("stuck", [node])
+        color[node] = 1
+        path.append(node)
+        stack.append(iter(moves))
+        return None
+
+    for root in roots:
+        if root in color:
             continue
-        stack[-1] = (node, moves, idx + 1)
-        nxt = moves[idx]
-        if nxt[1] in test.success:
-            continue  # success visited: this branch is fine
-        c = color.get(nxt)
-        if c == 1:
-            return ("cycle", nxt)
-        if c == 2:
-            continue
-        nxt_moves = succ(nxt)
-        if not nxt_moves:
-            return ("stuck", nxt)
-        color[nxt] = 1
-        stack.append((nxt, nxt_moves, 0))
+        trap = enter(root)
+        while trap is None and stack:
+            for nxt in stack[-1]:
+                if avoid is not None and avoid(nxt):
+                    continue
+                c = color.get(nxt)
+                if c == 1:
+                    return ("cycle", path[path.index(nxt):] + [nxt])
+                if c is None:
+                    trap = enter(nxt)
+                    break
+            else:
+                stack.pop()
+                color[path.pop()] = 2
+        if trap is not None:
+            return trap
     return None
 
 
@@ -318,32 +323,13 @@ class DivergenceError(Exception):
 
 
 def _check_divergence_free(l: Lts) -> None:
-    """Raise DivergenceError on a reachable internal cycle.
-
-    Iterative gray/black DFS over tau moves (like must_witness), with
-    roots and successors in sorted order, so the cycle reported is the
-    first one met however long the tau chains are."""
+    """Raise DivergenceError on a reachable internal cycle: the first one
+    that a depth-first search over tau moves meets (`_trap`), with roots
+    and successors in sorted order, however long the tau chains are."""
     mv = l.moves()
-    color: dict[str, int] = {}  # 1 gray, 2 black
-    for root in sorted(l.reachable()):
-        if root in color:
-            continue
-        color[root] = 1
-        trail = [root]
-        stack = [iter(sorted(mv[root].get(TAU, ())))]
-        while stack:
-            for d in stack[-1]:
-                c = color.get(d)
-                if c == 1:
-                    raise DivergenceError(trail[trail.index(d):] + [d])
-                if c is None:
-                    color[d] = 1
-                    trail.append(d)
-                    stack.append(iter(sorted(mv[d].get(TAU, ()))))
-                    break
-            else:
-                stack.pop()
-                color[trail.pop()] = 2
+    trap = _trap(sorted(l.reachable()), lambda s: sorted(mv[s].get(TAU, ())))
+    if trap is not None:
+        raise DivergenceError(trap[1])
 
 
 def _tau_closure(states, mv) -> frozenset[str]:

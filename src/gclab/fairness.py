@@ -27,7 +27,7 @@ from random import Random
 from weakref import WeakKeyDictionary
 
 from .check import decl_map, type_of
-from .engine import Config, Failed, Outcome, run_path, step
+from .engine import FUEL, Config, Failed, Outcome, run_path, step
 from .errors import CheckError, EvalError
 from .printer import render_stmt_inline
 from .state import State, compile_expr, initial_state
@@ -174,11 +174,12 @@ def _fresh_names(base: str, n: int, taken: set[str]) -> list[str]:
 
 
 def _min_of(names: list[str]) -> Expr:
-    """Right-folded binary min over priority variables."""
-    out: Expr = Var(names[-1])
-    for nm in reversed(names[:-1]):
-        out = Builtin("min", (Var(nm), out))
-    return out
+    """Binary min over priority variables, folded by halves so that it
+    nests ceil(log2 n) deep: min(z1, min(z2, z3)) for three."""
+    if len(names) == 1:
+        return Var(names[0])
+    half = len(names) // 2
+    return Builtin("min", (_min_of(names[:half]), _min_of(names[half:])))
 
 
 def transform_wf(p: GclProgram | OneLevelProgram) -> GclProgram:
@@ -200,22 +201,16 @@ def transform_wf(p: GclProgram | OneLevelProgram) -> GclProgram:
     znames = _fresh_names("z", n, taken)
     zdecls = tuple(Declaration(nm, "int") for nm in znames)
     min_expr = _min_of(znames)
+    # competitor j's priority update, built once for every other arm
+    updates = [
+        If((GuardedCommand(arm.guard, Assign((Var(z),), (BinOp("-", Var(z), IntLit(1)),))),
+            GuardedCommand(not_(arm.guard), RandomAssign(z))))
+        for arm, z in zip(arms, znames)]
 
     new_arms = []
     for i, arm in enumerate(arms):
         guard = BinOp("and", arm.guard, BinOp("=", Var(znames[i]), min_expr))
-        body: list[Stmt] = [RandomAssign(znames[i])]
-        for j, other in enumerate(arms):
-            if j == i:
-                continue
-            zj = znames[j]
-            body.append(If((
-                GuardedCommand(other.guard,
-                               Assign((Var(zj),),
-                                      (BinOp("-", Var(zj), IntLit(1)),))),
-                GuardedCommand(not_(other.guard), RandomAssign(zj)),
-            )))
-        body.append(arm.body)
+        body = [RandomAssign(znames[i]), *updates[:i], *updates[i + 1:], arm.body]
         new_arms.append(GuardedCommand(guard, seq(body)))
 
     prologue: list[Stmt] = [] if isinstance(olp.init, Skip) else [olp.init]
@@ -242,7 +237,7 @@ _LOOPS: WeakKeyDictionary[GclProgram, Do | str] = WeakKeyDictionary()
 
 
 def run_fair(p: GclProgram, s0: State | None = None, policy: str = "weak",
-             seed: int = 0, fuel: int = 100_000) -> Outcome:
+             seed: int = 0, fuel: int = FUEL) -> Outcome:
     """Fair execution of a one-level program's top loop.
 
     weak: per-command priority counters mirror the source transformation;
@@ -260,7 +255,7 @@ def run_fair(p: GclProgram, s0: State | None = None, policy: str = "weak",
 
 def run_fair_traced(p: GclProgram, s0: State | None = None,
                     policy: str = "weak", seed: int = 0,
-                    fuel: int = 100_000):
+                    fuel: int = FUEL):
     """As run_fair, also returning the scheduling trace: one entry
     (enabled indices, counter snapshot, selected index) per iteration.
     The one-level check is done once per program and reused by later
@@ -293,7 +288,7 @@ def run_fair_traced(p: GclProgram, s0: State | None = None,
         if pt.head is not loop or pt.next.head is not None:
             exp = step(cfg, 0)
             if exp.failure is not None:
-                return exp.failed()
+                return exp.failure
             if len(exp.transitions) != 1:
                 raise FairnessError(
                     "deterministic body took a nondeterministic step; "
@@ -404,14 +399,20 @@ class FixpointInstance:
         return all(x <= y for x, y in zip(a, b))
 
     def validate_monotone(self) -> None:
-        """Exhaustive monotonicity check; quadratic in lattice size."""
-        pts = list(self.points())
-        for a in pts:
-            for b in pts:
-                if self.leq(a, b) and not self.leq(self.table[a], self.table[b]):
+        """Exhaustive monotonicity check on covering pairs: each point
+        against the points one step above it in one component. On a
+        product of chains every a <= b is a run of such steps, so this
+        decides F(a) <= F(b) for all of them in O(N n) comparisons."""
+        table = self.table
+        for a in self.points():
+            for k in range(self.n):
+                if a[k] == self.height:
+                    continue
+                b = a[:k] + (a[k] + 1,) + a[k + 1:]
+                if not self.leq(table[a], table[b]):
                     raise FixpointError(
-                        f"not monotone: {a} <= {b} but F{a} = {self.table[a]} "
-                        f"!<= F{b} = {self.table[b]}")
+                        f"not monotone: {a} <= {b} but F{a} = {table[a]} "
+                        f"!<= F{b} = {table[b]}")
 
 
 def kleene_lfp(inst: FixpointInstance) -> LatticePoint:

@@ -231,7 +231,7 @@ def run_par_direct(sys: ParSystem, s0: State | None = None,
                         if not guard(s):
                             continue
                     except EvalError as e:
-                        return Expansion(failure=(e.reason, e.detail, s))
+                        return Expansion(failure=Failed(e.reason, s, e.detail))
                 s2 = s
                 if effect is not None:
                     try:
@@ -243,7 +243,7 @@ def run_par_direct(sys: ParSystem, s0: State | None = None,
                 label = f"c{ci + 1}:{comp.labels[act.source]}->{comp.labels[act.target]}"
                 trans.append((label, (cvs2, s2)))
         if not trans and not extra:
-            return Expansion(failure=("deadlock", _stuck_detail(cvs, comps), s))
+            return Expansion(failure=Failed("deadlock", s, _stuck_detail(cvs, comps)))
         return Expansion(transitions=trans, side_outcomes=extra)
 
     search = GraphSearch(lim, expand,

@@ -82,6 +82,14 @@ def test_keyword_int_is_not_an_integer_literal(tmp_path, capsys, text, error):
     assert run_cli(capsys, "run", f) == (64, "", f"error: {error}\n")
 
 
+def test_run_rejects_an_array_past_the_cell_cap(tmp_path, capsys):
+    f = tmp_path / "big.gcl"
+    f.write_text("var a: int[0..1048576];\na[0] := 1\n")
+    assert run_cli(capsys, "run", f) == (64, "", (
+        "error: line 1, col 5: array 'a' has 1048577 cells, "
+        "more than the 1048576 allowed\n"))
+
+
 # leaves 2**16384 in x: 4,933 digits, more than `str()` converts by default
 SQUARING = ("var a: int[0..1]; var x: int = 2; var n: int = 14;\n"
             "do n > 0 -> x, n := x * x, n - 1 od")

@@ -46,7 +46,7 @@ def test_step_if_no_guard_true_fails():
     p = parse_gcl("var x: int; if x > 0 -> skip fi")
     res = step(make_config((p.body,), _init(p)), 8)
     assert res.failure is not None
-    assert res.failure[0] == "guard-all-false-in-if"
+    assert res.failure.reason == "guard-all-false-in-if"
 
 
 def test_step_do_exit():
@@ -87,14 +87,14 @@ def test_step_choice_is_cut_at_max_configs():
 def test_step_choice_below_one_fails():
     p = parse_gcl("var x: int; x := choice(0)")
     res = step(make_config((p.body,), _init(p)), 8)
-    assert res.failure is not None and res.failure[0] == "eval-error"
+    assert res.failure is not None and res.failure.reason == "eval-error"
 
 
 def test_step_guard_eval_error_fails_whole_command():
     p = parse_gcl("var a: int[0..1]; var i: int = 5;\n"
                   "if a[i] = 0 -> skip [] true -> skip fi")
     res = step(make_config((p.body,), _init(p)), 8)
-    assert res.failure is not None and res.failure[0] == "eval-error"
+    assert res.failure is not None and res.failure.reason == "eval-error"
 
 
 def test_explicit_fail_and_abort_synonymous():

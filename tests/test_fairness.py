@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from gclab import fairness
-from gclab.check import check_program
+from gclab.check import check_program, decl_map, type_of
 from gclab.engine import (
     END, BoundExceeded, Config, Divergent, Failed, Limits, Outcome, Point,
     Terminated, explore_demonic, lower, step,
@@ -18,7 +18,7 @@ from gclab.fairness import (
 )
 from gclab.parser import parse_gcl
 from gclab.printer import render, render_expr
-from gclab.state import State, initial_state
+from gclab.state import State, compile_expr, initial_state
 from gclab.syntax import BinOp, Builtin, Declaration, Do, GclProgram, IntLit, Seq, Var
 
 import eval_reference
@@ -101,6 +101,31 @@ def test_transform_single_guard_degenerate_min():
              for o in explore_demonic(t, lim=Limits(choice_bound=3)).outcomes
              if isinstance(o, Terminated)}
     assert terms == {0}
+
+
+def test_transform_nests_the_priority_minimum_by_halves():
+    p = parse_gcl("var x: int; do " + " [] ".join(
+        f"x = {k} -> x := x + 1" for k in range(5)) + " od")
+    t = transform_wf(p)
+    assert render_expr(t.body.stmts[-1].arms[0].guard) == \
+        "x = 0 and z1 = min(min(z1, z2), min(z3, min(z4, z5)))"
+
+
+def test_transform_of_a_wide_loop_stays_shallow():
+    """A 1,200-arm loop: the priority minimum nests 11 deep, so its
+    guards render, type and compile, and each competitor's update is one
+    node shared by the other arms."""
+    n = 1200
+    p = parse_gcl("var x: int; do " + " [] ".join(
+        f"x = {k} -> x := x + 1" for k in range(n)) + " od")
+    t = transform_wf(p)
+    loop = t.body.stmts[-1]
+    guard = loop.arms[0].guard
+    assert render_expr(guard).startswith("x = 0 and z1 = min(min(min(")
+    assert type_of(guard, decl_map(t.decls)) == "bool"
+    assert compile_expr(guard)(initial_state(t.decls)) is True
+    first, second = loop.arms[0].body.stmts, loop.arms[1].body.stmts
+    assert len(first) == n + 1 and first[2] is second[2]
 
 
 def test_transform_fresh_name_collision_escalates():
@@ -333,6 +358,40 @@ def test_non_monotone_rejected():
         kleene_lfp(inst)
 
 
+def _monotone_all_pairs(inst):
+    """The definition: F(a) <= F(b) for every a <= b."""
+    pts = list(inst.points())
+    return all(inst.leq(inst.table[a], inst.table[b])
+               for a in pts for b in pts if inst.leq(a, b))
+
+
+def test_covering_pair_check_agrees_with_all_pairs():
+    """Random tables on small products of chains, half of them made
+    monotone (each point's image joined with the images below it) and
+    then possibly disturbed in one entry."""
+    rng = Random(13)
+    verdicts = set()
+    for _ in range(600):
+        n, h = rng.randint(1, 3), rng.randint(0, 3)
+        pts = list(itertools.product(range(h + 1), repeat=n))
+        table = {pt: tuple(rng.randint(0, h) for _ in range(n)) for pt in pts}
+        if rng.random() < 0.5:
+            table = {a: tuple(max(table[b][k] for b in pts
+                                  if FixpointInstance.leq(b, a)) for k in range(n))
+                     for a in pts}
+            if rng.random() < 0.5:
+                table[rng.choice(pts)] = tuple(rng.randint(0, h) for _ in range(n))
+        inst = FixpointInstance.from_table(n, h, table)
+        expected = _monotone_all_pairs(inst)
+        verdicts.add(expected)
+        if expected:
+            inst.validate_monotone()
+        else:
+            with pytest.raises(FixpointError):
+                inst.validate_monotone()
+    assert verdicts == {True, False}
+
+
 def test_out_of_lattice_rejected():
     with pytest.raises(FixpointError):
         FixpointInstance.from_table(1, 1, {(0,): (2,), (1,): (1,)})
@@ -443,8 +502,8 @@ def _run_deterministic(pt: Point, s: State, fuel: int) -> tuple[State | None, Ou
             return None, BoundExceeded("fuel"), used
         res = step(cfg, 0)
         if res.failure is not None:
-            reason, detail, st = res.failure
-            return None, Failed(reason, st, detail), used
+            f = res.failure
+            return None, Failed(f.reason, f.state, f.detail), used
         if len(res.transitions) != 1:
             raise FairnessError(
                 "deterministic body took a nondeterministic step; "

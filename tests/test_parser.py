@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from gclab.check import check_program
+from gclab.check import MAX_ARRAY_CELLS, check_program
 from gclab.csp import run_csp
 from gclab.engine import Terminated, explore_demonic
 from gclab.errors import CheckError, ParseError
@@ -77,6 +77,16 @@ def test_array_declaration_and_access():
 def test_bad_array_bounds():
     with pytest.raises(CheckError):
         parse_gcl("var a: int[5..2]; skip")
+
+
+def test_array_size_is_capped():
+    p = parse_gcl(f"var a: int[1..{MAX_ARRAY_CELLS}]; a[1] := 1")
+    assert p.decls[0].hi - p.decls[0].lo + 1 == MAX_ARRAY_CELLS == 2 ** 20
+    with pytest.raises(CheckError, match=(
+            r"^line 2, col 5: array 'b' has 1048577 cells, more than the 1048576 allowed$")):
+        parse_gcl(f"var x: int;\nvar b: int[-1..{MAX_ARRAY_CELLS - 1}]; skip")
+    with pytest.raises(CheckError):
+        check_program(GclProgram((Declaration("c", "int[]", 0, 2 ** 20),), Skip()))
 
 
 def test_array_initializer_length_checked():
