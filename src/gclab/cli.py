@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     lts.add_argument("subcommand", choices=("bisim", "may", "must", "refines"))
     lts.add_argument("files", nargs=2, metavar="FILE")
     lts.add_argument("--depth", type=int, default=None,
-                     help="trace depth for refines (default: state counts)")
+                     help="check refines only up to this trace depth "
+                     "(default: a conclusive check)")
     return top
 
 
@@ -236,8 +237,7 @@ def _cmd_lts(args) -> int:
         why = w and "{} at ({},{})".format(
             "stuck" if w[0] == "stuck" else "success-avoiding cycle", *w[1])
     else:
-        depth = args.depth if args.depth is not None else (len(a.states) + len(b.states))
-        cx = equiv.refinement_counterexample(a, b, depth)
+        cx = equiv.refinement_counterexample(a, b, args.depth)
         why = cx and f"failure {cx.describe()} not allowed"
     if why is None:
         print("true")

@@ -364,9 +364,6 @@ class ExplorationReport:
     def to_text(self) -> str:
         return report_text(self.header()[0], self.outcomes)
 
-    def to_json_dict(self) -> dict:
-        return report_json(self.header()[1], self.outcomes)
-
 
 def report_text(header: list[str], outcomes) -> str:
     """A schema-1 text report: the schema line, the caller's header lines,

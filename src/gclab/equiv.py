@@ -7,12 +7,12 @@ a test by reaching success in some (may) or every (must) maximal
 computation of their synchronous product, where visible labels
 synchronize and internal moves of either side go alone.
 
-Failures refinement up to a trace depth is decided without listing
-traces: a depth-first search over pairs of the tau-closed state sets
-that p and q reach by the same trace (q's subset construction, built as
-the search meets it), memoised per pair. It has the bounded meaning of
-the trace-by-trace definition and gives the same witness;
-`max_refusals` and `failures` still list traces, as an oracle.
+Stable failures are computed over each system's subset construction
+(`_Subsets`), built as a search meets it. Refinement is decided without
+listing traces, over the pairs of tau-closed sets that p and q reach by
+the same trace: conclusively by default, or up to a trace depth, with
+the bounded meaning of the trace-by-trace definition and the same
+witness. `max_refusals` and `failures` list traces.
 """
 
 from __future__ import annotations
@@ -332,26 +332,44 @@ def _check_divergence_free(l: Lts) -> None:
         raise DivergenceError(trap[1])
 
 
-def _tau_closure(states, mv) -> frozenset[str]:
-    return frozenset(_reach(states, lambda s: mv[s].get(TAU, ())))
+class _Subsets:
+    """One system's subset construction: its tau-closed state sets, as
+    the searches meet them, each set's successor on a label and its
+    maximal refusals computed once. Raises DivergenceError if divergent."""
 
+    def __init__(self, l: Lts):
+        _check_divergence_free(l)
+        self.mv = l.moves()
+        self.sigma = frozenset(l.alphabet)
+        self.start = self._closure((l.init,))
+        self._successors: dict[tuple[frozenset[str], str], frozenset[str]] = {}
+        self._maxima: dict[frozenset[str], list[frozenset[str]]] = {}
 
-def _after(states: frozenset[str], lab: str, mv) -> frozenset[str]:
-    """The tau-closed set reached from `states` by one `lab` move; empty
-    when no state has one."""
-    targets: set[str] = set()
-    for s in states:
-        targets.update(mv[s].get(lab, ()))
-    return _tau_closure(targets, mv)
+    def _closure(self, states) -> frozenset[str]:
+        mv = self.mv
+        return frozenset(_reach(states, lambda s: mv[s].get(TAU, ())))
 
+    def after(self, states: frozenset[str], lab: str) -> frozenset[str]:
+        """The tau-closed set one `lab` move leads to; empty if none does."""
+        key = (states, lab)
+        out = self._successors.get(key)
+        if out is None:
+            targets: set[str] = set()
+            for s in states:
+                targets.update(self.mv[s].get(lab, ()))
+            out = self._successors[key] = self._closure(targets)
+        return out
 
-def _maximal_refusals(states: frozenset[str], mv,
-                      sigma: frozenset[str]) -> list[frozenset[str]]:
-    """The subset-maximal refusals of the stable states in a state set
-    (one per stable state shape), sorted by their sorted labels."""
-    refs = {sigma.difference(mv[s]) for s in states if TAU not in mv[s]}
-    return sorted((r for r in refs if not any(r < other for other in refs)),
-                  key=sorted)
+    def refusals(self, states: frozenset[str]) -> list[frozenset[str]]:
+        """The subset-maximal refusals of the set's stable states, sorted."""
+        out = self._maxima.get(states)
+        if out is None:
+            mv, sigma = self.mv, self.sigma
+            refs = {sigma.difference(mv[s]) for s in states if TAU not in mv[s]}
+            out = self._maxima[states] = sorted(
+                (r for r in refs if not any(r < other for other in refs)),
+                key=sorted)
+        return out
 
 
 def max_refusals(l: Lts, depth: int) -> dict[tuple[str, ...], list[frozenset[str]]]:
@@ -360,20 +378,18 @@ def max_refusals(l: Lts, depth: int) -> dict[tuple[str, ...], list[frozenset[str
     DivergenceError, and ValueError on negative depth."""
     if depth < 0:
         raise ValueError("depth must not be negative")
-    _check_divergence_free(l)
-    mv = l.moves()
-    sigma = frozenset(l.alphabet)
+    subsets = _Subsets(l)
     out: dict[tuple[str, ...], list[frozenset[str]]] = {}
-    frontier = {(): _tau_closure((l.init,), mv)}
+    frontier = {(): subsets.start}
     for _ in range(depth + 1):
         nxt: dict[tuple[str, ...], frozenset[str]] = {}
         for trace, states in sorted(frontier.items()):
-            maxima = _maximal_refusals(states, mv, sigma)
+            maxima = subsets.refusals(states)
             if maxima:
-                out[trace] = maxima
+                out[trace] = list(maxima)
             if len(trace) < depth:
-                for lab in sorted(sigma):
-                    reached = _after(states, lab, mv)
+                for lab in sorted(subsets.sigma):
+                    reached = subsets.after(states, lab)
                     if reached:
                         nxt[trace + (lab,)] = reached
         frontier = nxt
@@ -399,42 +415,11 @@ def failures(p: Lts, depth: int) -> set[Failure]:
     return out
 
 
-def refines(p: Lts, q: Lts, depth: int) -> bool:
-    """failures(p) subset of failures(q) up to the given trace depth.
-
-    Decided by the pair search of `refinement_counterexample`, which
-    enumerates no traces and has the same bounded meaning: conclusive
-    for acyclic systems once depth exceeds both state counts; for cyclic
-    systems a bounded check at the stated depth.
-    """
+def refines(p: Lts, q: Lts, depth: int | None = None) -> bool:
+    """failures(p) subset of failures(q), decided by
+    `refinement_counterexample`: conclusively with no depth, else for the
+    traces of at most `depth` labels."""
     return refinement_counterexample(p, q, depth) is None
-
-
-class _Subsets:
-    """One system's subset construction, built as the pair search meets
-    it: each tau-closed state set's successor on a label and its maximal
-    refusals are computed once."""
-
-    def __init__(self, l: Lts):
-        self.mv = l.moves()
-        self.sigma = frozenset(l.alphabet)
-        self.start = _tau_closure((l.init,), self.mv)
-        self._successors: dict[tuple[frozenset[str], str], frozenset[str]] = {}
-        self._maxima: dict[frozenset[str], list[frozenset[str]]] = {}
-
-    def after(self, states: frozenset[str], lab: str) -> frozenset[str]:
-        key = (states, lab)
-        out = self._successors.get(key)
-        if out is None:
-            out = self._successors[key] = _after(states, lab, self.mv)
-        return out
-
-    def refusals(self, states: frozenset[str]) -> list[frozenset[str]]:
-        out = self._maxima.get(states)
-        if out is None:
-            out = self._maxima[states] = _maximal_refusals(
-                states, self.mv, self.sigma)
-        return out
 
 
 def _uncovered(refusals: list[frozenset[str]],
@@ -456,28 +441,55 @@ def _uncovered(refusals: list[frozenset[str]],
     return None
 
 
-def refinement_counterexample(p: Lts, q: Lts, depth: int) -> Failure | None:
-    """A failure of p that q does not have, with a trace of at most
-    `depth` labels, or None.
+def _witness_depth(ps: _Subsets, qs: _Subsets, labels: list[str]) -> int | None:
+    """The length of a shortest trace that holds a witness, or None: the
+    distance of the first pair with one that a breadth-first search of
+    the pairs reachable by p's labels meets."""
+    root = (ps.start, qs.start)
+    dist = {root: 0}
 
-    The witness is the one on the least trace in sorted (lexicographic)
-    order, not necessarily a shortest one. Whether a trace holds one
-    depends only on the pair of tau-closed state sets p and q reach by
-    it (q's is empty when q cannot follow), so the search walks pairs
-    depth-first in sorted label order, not traces, and remembers for
-    each pair how many further steps are known to hold no witness.
-    Raises DivergenceError for p, then q; ValueError on negative depth.
+    def succ(pair):
+        for lab in labels:
+            reached = ps.after(pair[0], lab)
+            if reached:
+                child = (reached, qs.after(pair[1], lab))
+                dist.setdefault(child, dist[pair] + 1)
+                yield child
+
+    for pair in _reach((root,), succ):
+        if _uncovered(ps.refusals(pair[0]), qs.refusals(pair[1])) is not None:
+            return dist[pair]
+    return None
+
+
+def refinement_counterexample(p: Lts, q: Lts, depth: int | None = None) -> Failure | None:
+    """A failure of p that q does not have, or None. With no depth the
+    answer is conclusive, and the witness is on the least trace in sorted
+    (lexicographic) order among the shortest; with a depth, on the least
+    trace of at most `depth` labels, not necessarily a shortest one.
+
+    Whether a trace holds a witness depends only on the pair of
+    tau-closed state sets p and q reach by it (q's is empty when q cannot
+    follow), so the search walks pairs depth-first in sorted label order,
+    not traces, and remembers for each pair how many further steps are
+    known to hold no witness. With no depth, a breadth-first search of
+    the pairs, which are finitely many, first finds the length of a
+    shortest witness; in the worst case it takes time exponential in the
+    state counts. Raises DivergenceError for p, then q; ValueError on
+    negative depth.
     """
-    if depth < 0:
+    if depth is not None and depth < 0:
         raise ValueError("depth must not be negative")
-    _check_divergence_free(p)
-    _check_divergence_free(q)
     ps, qs = _Subsets(p), _Subsets(q)
+    labels = sorted(p.alphabet)
+    if depth is None:
+        depth = _witness_depth(ps, qs, labels)
+        if depth is None:
+            return None
     root = (ps.start, qs.start)
     found = _uncovered(ps.refusals(root[0]), qs.refusals(root[1]))
     if found is not None:
         return Failure((), found)
-    labels = sorted(p.alphabet)
     # pair -> the most steps below it known to hold no witness; -1 while
     # only the pair itself is known to be clean
     clean = {root: -1}

@@ -25,7 +25,6 @@ from .syntax import (
     GuardedCommand, If, IfElse, IntLit, ParSystem, Seq, Skip, Stmt, Var,
     While, conj, not_, seq, stmt_names,
 )
-from .printer import render_stmt_inline
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,15 +37,6 @@ class AtomicAction:
     guard: Expr | None
     effect: Assign | None
     target: int
-
-    def describe(self, names: tuple[str, ...]) -> str:
-        parts = [f"{names[self.source]}->{names[self.target]}"]
-        if self.guard is not None:
-            from .printer import render_expr
-            parts.append(f"when {render_expr(self.guard)}")
-        if self.effect is not None:
-            parts.append(render_stmt_inline(self.effect))
-        return " ".join(parts)
 
 
 @dataclass(frozen=True, slots=True)

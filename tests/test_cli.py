@@ -416,6 +416,14 @@ def test_lts_refines(capsys):
     assert "(<i>, {c})" in out
 
 
+def test_lts_refines_is_conclusive_without_depth(capsys):
+    files = (CORPUS / "cycle5.lts", CORPUS / "cycle4.lts")
+    code, out, err = run_cli(capsys, "lts", "refines", *files)
+    assert (code, err) == (1, "")
+    assert out == ("false: failure (<" + "a," * 15 + "b>, {a,b}) not allowed\n")
+    assert run_cli(capsys, "lts", "refines", *files, "--depth", "12") == (0, "true\n", "")
+
+
 def test_lts_refines_negative_depth_exit_64(capsys):
     code, out, err = run_cli(capsys, "lts", "refines", CORPUS / "Q.lts",
                              CORPUS / "P.lts", "--depth", "-1")
@@ -489,6 +497,7 @@ SMOKE = [
     (("lts", "bisim", "P.lts", "Q.lts"), 1),
     (("lts", "must", "Q.lts", "T.lts"), 1),
     (("lts", "refines", "P.lts", "Q.lts"), 0),
+    (("lts", "refines", "cycle5.lts", "cycle4.lts"), 1),
 ]
 
 

@@ -9,8 +9,11 @@ from gclab.equiv import (
 )
 from gclab.errors import CheckError
 
+import refinement_reference
 from conftest import corpus_text
 from oracles import random_system
+
+ALPHABETS = [("a",), ("a", "b"), ("a", "b", "c"), ("b", "c")]
 
 
 def _P():
@@ -229,15 +232,78 @@ def _cycle(prefix: str, phases: int, offers_b, tau_to_dead: bool) -> Lts:
     (15, None),
     (16, Failure(("a",) * 15 + ("b",), frozenset({"a", "b"}))),
     (40, Failure(("a",) * 35 + ("b",), frozenset({"a", "b"}))),
+    (None, Failure(("a",) * 15 + ("b",), frozenset({"a", "b"}))),
 ])
 def test_refinement_witness_is_least_in_trace_order(depth, want):
-    """The cyclic pair that the default depth |P|+|Q| = 12 misses: P can
-    do a^k b whenever 5 divides k, Q only when k mod 4 is not 3. At depth
-    40 the witness is a^35 b, which sorts before the shorter a^15 b."""
+    """The cyclic pair that a depth of |P|+|Q| = 12 misses: P can do
+    a^k b whenever 5 divides k, Q only when k mod 4 is not 3. At depth
+    40 the witness is a^35 b, which sorts before the shorter a^15 b; with
+    no depth it is the shortest, a^15 b."""
     P = _cycle("p", 5, [0], tau_to_dead=False)
     Q = _cycle("q", 4, [0, 1, 2], tau_to_dead=True)
     assert refinement_counterexample(P, Q, depth) == want
     assert refines(P, Q, depth) == (want is None)
+
+
+def test_cycle_pair_in_the_corpus():
+    assert parse_lts(corpus_text("cycle5.lts")) == _cycle("p", 5, [0], tau_to_dead=False)
+    assert parse_lts(corpus_text("cycle4.lts")) == _cycle(
+        "q", 4, [0, 1, 2], tau_to_dead=True)
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except DivergenceError as e:
+        return ("divergent", e.cycle)
+
+
+def test_max_refusals_agree_with_the_reference():
+    """The subset construction lists the same maximal refusals per trace
+    as the trace enumeration of `refinement_reference`, or raises on the
+    same cycle."""
+    rng = Random(5150)
+    systems = [parse_lts(corpus_text(n)) for n in ("P.lts", "Q.lts", "T.lts")]
+    systems += [random_system(rng, rng.randint(1, 6), alphabet, allow_tau=tau)
+                for alphabet in ALPHABETS for tau in (False, True)
+                for _ in range(25)]
+    divergent = 0
+    for l in systems:
+        for depth in range(7):
+            got = _outcome(max_refusals, l, depth)
+            assert got == _outcome(refinement_reference.max_refusals, l, depth)
+        divergent += isinstance(got, tuple)
+    assert divergent > 10
+
+
+def test_conclusive_witness_is_a_shortest_one():
+    """With no depth: a witness w is the reference's witness at depth
+    len(w.trace), and the reference finds none one step shallower; no
+    witness means the reference finds none at depth 6."""
+    rng = Random(6262)
+    kinds = {"holds": 0, "witness": 0, "divergent": 0}
+    reference = refinement_reference.refinement_counterexample
+    for _ in range(300):
+        pa = rng.choice(ALPHABETS)
+        p = random_system(rng, rng.randint(1, 6), pa, allow_tau=rng.random() < 0.6)
+        q = random_system(rng, rng.randint(1, 6), rng.choice([pa] + ALPHABETS),
+                          allow_tau=rng.random() < 0.6)
+        for x, y in ((p, q), (p, p), (q, p)):
+            w = _outcome(refinement_counterexample, x, y)
+            if isinstance(w, tuple):
+                assert w == _outcome(reference, x, y, 0)
+                kinds["divergent"] += 1
+            elif w is None:
+                assert reference(x, y, 6) is None
+                assert refines(x, y)
+                kinds["holds"] += 1
+            else:
+                assert reference(x, y, len(w.trace)) == w
+                if w.trace:
+                    assert reference(x, y, len(w.trace) - 1) is None
+                assert not refines(x, y)
+                kinds["witness"] += 1
+    assert min(kinds.values()) > 100, kinds
 
 
 def test_refines_on_divergent_input_raises():
