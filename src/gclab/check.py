@@ -1,13 +1,13 @@
-"""Type and invariant checking over already-built syntax trees.
-
-The parsers call these helpers inline (attaching source positions); the
-same functions revalidate programs produced by the transformations, where
-errors carry no position.
+"""The static rules of the source languages, each written once: names,
+declarations, types, and the targets and arity of assignments. The parsers
+apply each rule where the construct it concerns is parsed, placing its
+error at a token there; `check_program` applies them all to a built tree,
+such as a transformation's output, with the same messages and no position.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import CheckError
 from .syntax import (
@@ -32,14 +32,19 @@ DeclMap = Mapping[str, Declaration]
 MAX_ARRAY_CELLS = 1 << 20
 
 
+def check_name(name: str, decls: DeclMap) -> None:
+    """A name declared beside `decls`: new, and not a builtin's."""
+    if name in decls:
+        raise CheckError(f"duplicate declaration of '{name}'")
+    if name in BUILTIN_NAMES:
+        raise CheckError(f"'{name}' is a builtin function name and cannot be declared")
+
+
 def decl_map(decls: tuple[Declaration, ...]) -> dict[str, Declaration]:
     """Name -> declaration table; rejects duplicates and reserved names."""
     table: dict[str, Declaration] = {}
     for d in decls:
-        if d.name in table:
-            raise CheckError(f"duplicate declaration of '{d.name}'")
-        if d.name in BUILTIN_NAMES:
-            raise CheckError(f"'{d.name}' is a builtin function name and cannot be declared")
+        check_name(d.name, table)
         table[d.name] = d
     return table
 
@@ -67,6 +72,12 @@ def check_declaration(d: Declaration) -> None:
             raise CheckError(f"'{d.name}': bool initializer required")
     else:
         raise CheckError(f"'{d.name}': unknown kind {d.kind!r}")
+
+
+def check_type(t: str, want: str) -> None:
+    """A `t` expression where a `want` one belongs: a guard, a choice bound."""
+    if t != want:
+        raise CheckError(f"expected a {want} expression, got {t}")
 
 
 def type_of(e: Expr, decls: DeclMap) -> str:
@@ -138,7 +149,7 @@ def _target_key(t: Expr) -> tuple:
 
 def check_assign(s: Assign, decls: DeclMap) -> None:
     if not s.targets or len(s.targets) != len(s.values):
-        raise CheckError("parallel assignment needs equally many targets and values")
+        raise CheckError(f"{len(s.targets)} target(s) but {len(s.values)} value(s)")
     seen: set[tuple] = set()
     for t in s.targets:
         key = _target_key(t)
@@ -158,12 +169,17 @@ def check_assign(s: Assign, decls: DeclMap) -> None:
             raise CheckError(f"cannot assign {vt} value to {tt} target")
 
 
-def _check_int_scalar_target(name: str, decls: DeclMap, what: str) -> None:
+def scalar_target(targets: Sequence[Expr], decls: DeclMap) -> str:
+    """The one integer scalar that `x := ?` or `x := choice(t)` assigns."""
+    if len(targets) != 1 or not isinstance(targets[0], Var):
+        raise CheckError("'?' and choice assign to a single integer scalar")
+    name = targets[0].name
     d = decls.get(name)
     if d is None:
         raise CheckError(f"undeclared identifier '{name}'")
     if d.kind != "int":
-        raise CheckError(f"{what} target '{name}' must be an integer scalar")
+        raise CheckError(f"'{name}' must be an integer scalar")
+    return name
 
 
 def check_stmt(s: Stmt, decls: DeclMap) -> None:
@@ -175,12 +191,11 @@ def check_stmt(s: Stmt, decls: DeclMap) -> None:
         check_assign(s, decls)
         return
     if isinstance(s, RandomAssign):
-        _check_int_scalar_target(s.target, decls, "random assignment")
+        scalar_target((Var(s.target),), decls)
         return
     if isinstance(s, ChoiceAssign):
-        _check_int_scalar_target(s.target, decls, "choice assignment")
-        if type_of(s.bound, decls) != "int":
-            raise CheckError("choice bound must be an integer expression")
+        check_type(type_of(s.bound, decls), "int")
+        scalar_target((Var(s.target),), decls)
         return
     if isinstance(s, Seq):
         for sub in s.stmts:
@@ -190,8 +205,7 @@ def check_stmt(s: Stmt, decls: DeclMap) -> None:
         if not s.arms:
             raise CheckError("alternative/repetitive command needs at least one guard")
         for arm in s.arms:
-            if type_of(arm.guard, decls) != "bool":
-                raise CheckError("guard must be boolean")
+            check_type(type_of(arm.guard, decls), "bool")
             check_stmt(arm.body, decls)
         return
     if isinstance(s, IfElse):

@@ -26,8 +26,8 @@ from .engine import (
     FUEL, BoundExceeded, Divergent, ExplorationReport, Failed, Limits,
     explore_demonic, report_json, report_text, run_erratic, solve_angelic,
 )
-from .errors import SourceError
-from .parser import parse_csp, parse_gcl, parse_par
+from .errors import ParseError, SourceError
+from .parser import parse_csp, parse_gcl, parse_par, parse_value
 from .printer import render
 from .state import initial_state
 
@@ -39,24 +39,14 @@ MODES = ("demonic", "erratic", "angelic", "fair-weak", "fair-strong")
 
 
 def _parse_binding(text: str):
+    """`name=value`, the value written as a declaration initializer."""
     if "=" not in text:
         raise argparse.ArgumentTypeError(f"binding {text!r} is not name=value")
     name, raw = text.split("=", 1)
-    raw = raw.strip()
-    if raw in ("true", "false"):
-        return name.strip(), raw == "true"
-    if raw.startswith("["):
-        if not raw.endswith("]"):
-            raise argparse.ArgumentTypeError(f"unterminated list in {text!r}")
-        cells = [c.strip() for c in raw[1:-1].split(",") if c.strip()]
-        try:
-            return name.strip(), tuple(int(c) for c in cells)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"non-integer cell in {text!r}")
     try:
-        return name.strip(), int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse value in {text!r}")
+        return name.strip(), parse_value(raw)
+    except ParseError as e:
+        raise argparse.ArgumentTypeError(f"value of {text!r}: {e}") from None
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -109,8 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "transform":
             return _cmd_transform(args)
         return _cmd_lts(args)
-    except (SourceError, fairness.FairnessError, fairness.FixpointError,
-            ValueError, OSError) as e:
+    except (SourceError, fairness.FairnessError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     except equiv.DivergenceError as e:

@@ -607,8 +607,6 @@ class GraphSearch:
         if exp.truncated:
             self.record(BoundExceeded(exp.truncated))
         if not exp.transitions:
-            if exp.truncated:
-                self._taint(stack)
             return None
         return [node, exp.transitions, 0, depth, not exp.truncated]
 

@@ -36,19 +36,20 @@ class Lts:
     def __post_init__(self):
         known = set(self.states)
         if self.init not in known:
-            raise CheckError(f"initial state '{self.init}' not declared")
+            raise _fault(f"initial state '{self.init}' not declared", "init")
         if TAU in self.alphabet:
-            raise CheckError("'tau' is reserved for internal moves")
+            raise _fault("'tau' is reserved for internal moves", "alphabet", TAU)
         labels = set(self.alphabet) | {TAU}
         moves: dict[str, dict[str, set[str]]] = {s: {} for s in self.states}
-        for (src, lab, dst) in self.transitions:
+        for k, (src, lab, dst) in enumerate(self.transitions):
             if src not in known or dst not in known:
-                raise CheckError(f"transition {src} -{lab}-> {dst} uses unknown state")
+                raise _fault(f"transition {src} -{lab}-> {dst} uses unknown state", "trans", k)
             if lab not in labels:
-                raise CheckError(f"label '{lab}' not in the alphabet")
+                raise _fault(f"label '{lab}' not in the alphabet", "trans", k)
             moves[src].setdefault(lab, set()).add(dst)
         if not self.success <= known:
-            raise CheckError("success marks an unknown state")
+            raise _fault("success marks an unknown state",
+                         "success", min(self.success - known))
         # kept beside the fields, so eq, hash and repr ignore it
         object.__setattr__(self, "_moves", moves)
 
@@ -63,6 +64,14 @@ class Lts:
         mv = self._moves
         return set(_reach((self.init,), lambda s: (
             d for dsts in mv[s].values() for d in dsts)))
+
+
+def _fault(message: str, *where) -> CheckError:
+    """A validation error of an Lts; `where` names the part at fault, which
+    `parse_lts` turns into the line of its directive."""
+    err = CheckError(message)
+    err.where = where
+    return err
 
 
 def _reach(starts, succ):
@@ -91,6 +100,7 @@ def parse_lts(text: str) -> Lts:
     init: str | None = None
     trans: list[tuple[str, str, str]] = []
     success: set[str] = set()
+    line_of: dict[tuple, int] = {}  # a part that _fault names -> its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -99,18 +109,22 @@ def parse_lts(text: str) -> Lts:
         kw, args = parts[0], parts[1:]
         if kw == "alphabet":
             alphabet.extend(args)
+            line_of = {("alphabet", a): lineno for a in args} | line_of
         elif kw == "states":
             states.extend(args)
         elif kw == "init":
             if len(args) != 1:
                 raise ParseError("init needs exactly one state", lineno, 1)
             init = args[0]
+            line_of[("init",)] = lineno
         elif kw == "trans":
             if len(args) != 3:
                 raise ParseError("trans needs: source label target", lineno, 1)
+            line_of[("trans", len(trans))] = lineno
             trans.append((args[0], args[1], args[2]))
         elif kw == "success":
             success.update(args)
+            line_of = {("success", s): lineno for s in args} | line_of
         else:
             raise ParseError(f"unknown directive {kw!r}", lineno, 1)
     if init is None:
@@ -119,7 +133,7 @@ def parse_lts(text: str) -> Lts:
         return Lts(tuple(states), tuple(alphabet), tuple(trans), init,
                    frozenset(success))
     except CheckError as e:
-        raise CheckError(e.message, 1, 1) from None
+        raise CheckError(e.message, line_of[e.where], 1) from None
 
 
 def format_lts(l: Lts) -> str:

@@ -60,11 +60,6 @@ class OneLevelProgram:
     init: Stmt
     loop: Do
 
-    @property
-    def program(self) -> GclProgram:
-        body = self.loop if isinstance(self.init, Skip) else seq([self.init, self.loop])
-        return GclProgram(self.decls, body)
-
 
 def _conj_atoms(e: Expr) -> list[Expr]:
     if not (isinstance(e, BinOp) and e.op == "and"):
@@ -182,7 +177,7 @@ def _min_of(names: list[str]) -> Expr:
     return Builtin("min", (_min_of(names[:half]), _min_of(names[half:])))
 
 
-def transform_wf(p: GclProgram | OneLevelProgram) -> GclProgram:
+def transform_wf(p: GclProgram) -> GclProgram:
     """Compile weak fairness away.
 
     Emits: init; z_1 := ?; ...; z_n := ?;
@@ -194,10 +189,10 @@ def transform_wf(p: GclProgram | OneLevelProgram) -> GclProgram:
     with the j-iteration unrolled (n is static). The priority variables
     are fresh integer scalars that do not occur in the input program.
     """
-    olp = p if isinstance(p, OneLevelProgram) else one_level_of(p)
+    olp = one_level_of(p)
     arms = olp.loop.arms
     n = len(arms)
-    taken = program_names(olp.program)
+    taken = program_names(p)
     znames = _fresh_names("z", n, taken)
     zdecls = tuple(Declaration(nm, "int") for nm in znames)
     min_expr = _min_of(znames)

@@ -11,16 +11,18 @@ arguments may nest `MAX_NESTING` levels deep, and so may `if`, `do` and
 `while` statements.
 
 Parsing and checking are interleaved: every name is resolved against the
-declarations in scope at the point of use and every expression is typed as
-soon as it is built, so no parse ever returns an ill-typed tree and every
-diagnostic carries a line and column.
+declarations in scope at the point of use, and each rule of `check` is
+applied as soon as its construct is built, with its error placed at a token
+there; so no parse returns an ill-typed tree, and every diagnostic carries
+a line and column. `parse_value` reads an initializer alone (`--bind`).
 """
 
 from __future__ import annotations
 
 import sys
 
-from .check import BUILTIN_NAMES, check_assign, check_declaration, type_of
+from .check import (BUILTIN_NAMES, check_assign, check_declaration, check_name,
+                    check_type, scalar_target, type_of)
 from .errors import CheckError, ParseError
 from .lexer import Token, tokenize
 from .syntax import (
@@ -88,13 +90,17 @@ class Parser:
 
     # -- error-position plumbing for the checker ----------------------------
 
-    def _typed(self, e: Expr, tok: Token, want: str | None = None) -> Expr:
+    def _check_at(self, tok: Token, check, *args):
+        """`check(*args)`, with the CheckError it raises placed at `tok`."""
         try:
-            t = type_of(e, self.decls)
+            return check(*args)
         except CheckError as err:
             raise CheckError(err.message, tok.line, tok.col) from None
-        if want is not None and t != want:
-            raise CheckError(f"expected a {want} expression, got {t}", tok.line, tok.col)
+
+    def _typed(self, e: Expr, tok: Token, want: str | None = None) -> Expr:
+        t = self._check_at(tok, type_of, e, self.decls)
+        if want is not None:
+            self._check_at(tok, check_type, t, want)
         return e
 
     # -- declarations -------------------------------------------------------
@@ -104,12 +110,7 @@ class Parser:
         while self.accept("var"):
             name_tok = self.expect("ident", "a variable name")
             name = name_tok.text
-            if name in self.decls:
-                raise CheckError(f"duplicate declaration of '{name}'",
-                                 name_tok.line, name_tok.col)
-            if name in BUILTIN_NAMES:
-                raise CheckError(f"'{name}' is a builtin function name and cannot be declared",
-                                 name_tok.line, name_tok.col)
+            self._check_at(name_tok, check_name, name, self.decls)
             self.expect(":")
             if self.accept("bool"):
                 kind, lo, hi = "bool", None, None
@@ -125,12 +126,9 @@ class Parser:
                     kind, lo, hi = "int", None, None
             init = None
             if self.accept("="):
-                init = self._parse_initializer(kind)
+                init = self._parse_initializer()
             d = Declaration(name, kind, lo, hi, init)
-            try:
-                check_declaration(d)
-            except CheckError as err:
-                raise CheckError(err.message, name_tok.line, name_tok.col) from None
+            self._check_at(name_tok, check_declaration, d)
             self.decls[name] = d
             self.decl_positions[name] = name_tok
             out.append(d)
@@ -141,7 +139,7 @@ class Parser:
         sign = -1 if self.accept("-") else 1
         return sign * self._integer(self.expect("number", "an integer"))
 
-    def _parse_initializer(self, kind: str):
+    def _parse_initializer(self):
         if self.at("true") or self.at("false"):
             return self.advance().kind == "true"
         if self.accept("["):
@@ -338,37 +336,20 @@ class Parser:
         if self.accept("?"):
             if fragment == "par":
                 self.fail("random assignment is not part of the parallel fragment", start)
-            return RandomAssign(self._scalar_target_name(targets, start))
+            return RandomAssign(self._check_at(start, scalar_target, targets, self.decls))
         if self.accept("choice"):
             if fragment == "par":
                 self.fail("choice assignment is not part of the parallel fragment", start)
             self.expect("(")
             bound = self.typed_expr("int")
             self.expect(")")
-            return ChoiceAssign(self._scalar_target_name(targets, start), bound)
+            return ChoiceAssign(self._check_at(start, scalar_target, targets, self.decls), bound)
         values = [self.parse_expr()]
         while self.accept(","):
             values.append(self.parse_expr())
-        if len(values) != len(targets):
-            raise CheckError(
-                f"{len(targets)} target(s) but {len(values)} value(s)",
-                start.line, start.col)
         node = Assign(tuple(targets), tuple(values))
-        try:
-            check_assign(node, self.decls)
-        except CheckError as err:
-            raise CheckError(err.message, start.line, start.col) from None
+        self._check_at(start, check_assign, node, self.decls)
         return node
-
-    def _scalar_target_name(self, targets, start: Token) -> str:
-        if len(targets) != 1 or not isinstance(targets[0], Var):
-            raise CheckError("'?' and choice assign to a single integer scalar",
-                             start.line, start.col)
-        name = targets[0].name
-        if self.decls[name].kind != "int":
-            raise CheckError(f"'{name}' must be an integer scalar",
-                             start.line, start.col)
-        return name
 
     def _parse_target(self) -> Expr:
         t = self.expect("ident", "an assignment target")
@@ -395,6 +376,15 @@ def parse_gcl(text: str) -> GclProgram:
     body = p.parse_stmt_seq("gcl")
     p.expect("eof", "';' or end of program")
     return GclProgram(decls, body)
+
+
+def parse_value(text: str):
+    """A declaration initializer and nothing after it: exactly what may
+    follow `=` in a `var` declaration."""
+    p = Parser(text)
+    value = p._parse_initializer()
+    p.expect("eof", "end of value")
+    return value
 
 
 def parse_csp(text: str) -> CspSystem:

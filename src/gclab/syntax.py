@@ -214,10 +214,6 @@ TRUE = BoolLit(True)
 FALSE = BoolLit(False)
 
 
-def neg(e: Expr) -> Expr:
-    return UnaryOp("neg", e)
-
-
 def not_(e: Expr) -> Expr:
     return UnaryOp("not", e)
 

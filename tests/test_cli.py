@@ -608,3 +608,66 @@ def test_any_invocation_keeps_the_error_contract(case):
     assert err == "" or (err.startswith("error:") and err.count("\n") == 1
                          and err.endswith("\n")), (argv, err)
     assert "Traceback" not in out + err
+
+
+# ---------------------------------------------------------------------------
+# --bind values are declaration initializers
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def bind_gcl(tmp_path):
+    path = tmp_path / "b.gcl"
+    path.write_text("var x: int; var a: int[0..2]; var b: bool;\nskip\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("bind, shown", [
+    ("x=-3", "x=-3"), ("x= 7 ", "x=7"), ("a=[1, -2, 3]", "a=[1,-2,3]"),
+    ("b=true", "b=true"), ("x=0 # a comment", "x=0"),
+])
+def test_bind_reads_what_a_declaration_accepts(capsys, bind_gcl, bind, shown):
+    code, out, err = run_cli(capsys, "run", bind_gcl, "--bind", bind)
+    assert code == 0 and err == ""
+    assert shown in out.splitlines()[-1].split(" :: ")[1].split()
+
+
+@pytest.mark.parametrize("bind, detail", [
+    ("x=٣", "line 1, col 1: unexpected character"),
+    ("x=1_000", "line 1, col 2: expected end of value, found '_000'"),
+    ("x=+5", "line 1, col 1: expected an integer, found '+'"),
+    ("a=[1,,2,3]", "line 1, col 4: expected an integer, found ','"),
+    ("a=[1,2,3,]", "line 1, col 8: expected an integer, found ']'"),
+    ("x=[1", "line 1, col 3: expected ']', found 'end of input'"),
+    ("x=", "line 1, col 1: expected an integer, found 'end of input'"),
+    ("x=y", "line 1, col 1: expected an integer, found 'y'"),
+    ("x", "is not name=value"),
+])
+def test_bind_rejects_what_no_declaration_accepts(capsys, bind_gcl, bind, detail):
+    code, out, err = run_cli(capsys, "run", bind_gcl, "--bind", bind)
+    assert code == 64 and out == ""
+    assert err.startswith("error: argument --bind: ") and err.count("\n") == 1
+    assert detail in err
+
+
+@pytest.mark.parametrize("bind, detail", [
+    ("x=true", "binding for 'x' must be an int"),
+    ("b=1", "binding for 'b' must be a bool"),
+    ("a=[1,2]", "binding for array 'a' needs exactly 3 cells"),
+    ("a=5", "binding for array 'a' needs exactly 3 cells"),
+])
+def test_bind_of_the_wrong_kind_is_rejected_by_the_state(capsys, bind_gcl, bind, detail):
+    code, out, err = run_cli(capsys, "run", bind_gcl, "--bind", bind)
+    assert code == 64 and out == "" and err == f"error: {detail}\n"
+
+
+# ---------------------------------------------------------------------------
+# .lts validation errors name the directive's line
+# ---------------------------------------------------------------------------
+
+def test_lts_validation_error_names_its_line(capsys, tmp_path):
+    path = tmp_path / "bad.lts"
+    path.write_text("alphabet a\nstates s0 s1\ninit s0\n# a comment\n\ntrans s0 a zz\n",
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "lts", "bisim", path, CORPUS / "P.lts")
+    assert code == 64 and out == ""
+    assert err == "error: line 6, col 1: transition s0 -a-> zz uses unknown state\n"

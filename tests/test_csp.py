@@ -375,3 +375,86 @@ def test_gamma_invariant_under_guard_reordering():
     # same set of communication partners, guard indices swapped for FILTER
     assert {(p.i, p.r) for p in remap} == {(0, 1), (1, 2)}
     assert len(remap) == len(correspondence_pairs(base)) == 2
+
+
+# ---------------------------------------------------------------------------
+# failures inside atomic steps: the direct semantics against the checked
+# translation
+# ---------------------------------------------------------------------------
+
+def outcome_set(rep, names):
+    """Outcomes compared as acceptance c10-c12 compare them: a deadlock of
+    the direct semantics is the translation's `guard-all-false-in-if`,
+    and states are restricted to the program's variables."""
+    out = set()
+    for o in rep.outcomes:
+        reason = "terminated" if isinstance(o, Terminated) else o.reason
+        out.add(("guard-all-false-in-if" if reason == "deadlock" else reason,
+                 o.state.restricted(names)))
+    return out
+
+
+FAILING_CSP = [
+    # a guard body divides by zero on the third communication
+    ("""
+process P
+  var i: int; var y: int;
+  do i < 3 ; Q ! i -> i := i + 1; y := 6 div (2 - i) od
+end
+process Q
+  var v: int; var k: int;
+  do k < 3 ; P ? v -> k := k + 1 od
+end
+""", "counts configs=9 edges=7 paths=2\n"
+     "outcome: failed[eval-error] (div by zero) :: i=2 k=1 v=1 y=6\n"),
+    # an output expression divides by zero
+    ("""
+process P
+  var i: int; var d: int = 2;
+  do i < 3 ; Q ! 6 div d -> i := i + 1; d := d - 1 od
+end
+process Q
+  var v: int;
+  do v >= 0 ; P ? v -> skip od
+end
+""", "counts configs=11 edges=10 paths=1\n"
+     "outcome: failed[eval-error] (div by zero) :: d=0 i=2 v=6\n"),
+    # an initialization that can reach `fail`
+    ("""
+process P
+  var i: int;
+  if true -> i := 1 [] true -> fail fi;
+  do i < 2 ; Q ! i -> i := i + 1 od
+end
+process Q
+  var v: int;
+  do v < 1 ; P ? v -> skip od
+end
+""", "counts configs=7 edges=7 paths=3\n"
+     "outcome: terminated :: i=2 v=1\n"
+     "outcome: failed[explicit-fail] (fail) :: i=0 v=0\n"),
+    # a boolean guard part that raises once d reaches 0
+    ("""
+process P
+  var i: int; var d: int = 1;
+  do 2 div d > i ; Q ! i -> i := i + 1; d := d - 1 od
+end
+process Q
+  var v: int;
+  do v < 1 ; P ? v -> skip od
+end
+""", "counts configs=7 edges=6 paths=1\n"
+     "outcome: failed[eval-error] (div by zero) :: d=0 i=1 v=0\n"),
+]
+
+
+@pytest.mark.parametrize("text, report", FAILING_CSP,
+                         ids=["body", "output", "init", "guard"])
+def test_failure_inside_an_atomic_step_matches_the_translation(text, report):
+    sysm = parse_csp(text)
+    direct = run_csp(sysm)
+    names = {d.name for d in sysm.all_decls()}
+    assert outcome_set(direct, names) == outcome_set(
+        explore_demonic(translate_csp_checked(sysm)), names)
+    assert direct.to_text() == (
+        "schema 1\nlimits max-configs=100000 max-depth=500 choice-bound=8\n" + report)

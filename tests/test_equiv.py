@@ -426,3 +426,38 @@ def test_deterministic_lts_bisimilar_to_trace_quotient():
     quotient = Lts(qstates, det.alphabet, qtrans, rep[det.init])
     assert len(qstates) < len(det.states)  # s1 and s2 merge
     assert bisimilar(det, quotient)
+
+
+# ---------------------------------------------------------------------------
+# validation errors of a parsed Lts name the directive at fault
+# ---------------------------------------------------------------------------
+
+LTS_HEAD = "alphabet a b\nstates s0 s1\n# a comment\ninit s0\n\n"
+
+
+@pytest.mark.parametrize("tail, message, line", [
+    ("trans s0 a s1\ninit zz\n", "initial state 'zz' not declared", 7),
+    ("alphabet c tau\n", "'tau' is reserved for internal moves", 6),
+    ("trans s0 a s1\ntrans s1 b zz\n", "transition s1 -b-> zz uses unknown state", 7),
+    ("trans s0 a s1\ntrans yy b s0\n", "transition yy -b-> s0 uses unknown state", 7),
+    ("trans s0 tau s1\n\ntrans s1 c s0\n", "label 'c' not in the alphabet", 8),
+    ("success s1\nsuccess s0 zz\n", "success marks an unknown state", 7),
+])
+def test_parsed_lts_error_names_the_line_at_fault(tail, message, line):
+    with pytest.raises(CheckError) as err:
+        parse_lts(LTS_HEAD + tail)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, 1)
+
+
+def test_lts_built_through_the_api_keeps_a_position_free_error():
+    with pytest.raises(CheckError) as err:
+        Lts(("s0",), ("a",), (("s0", "a", "zz"),), "s0")
+    assert (err.value.message, err.value.line) == (
+        "transition s0 -a-> zz uses unknown state", None)
+
+
+def test_a_test_that_moves_on_tau_first():
+    p = parse_lts("alphabet a\nstates p0 p1\ninit p0\ntrans p0 a p1\n")
+    t = parse_lts("alphabet a\nstates t0 t1 t2\ninit t0\n"
+                  "trans t0 tau t1\ntrans t1 a t2\nsuccess t2\n")
+    assert may_pass(p, t) and must_pass(p, t)

@@ -617,3 +617,21 @@ def test_shared_failing_guard_fails_like_the_reference(policy, guards, detail):
     assert (out.reason, out.detail, out.state.canonical()) == (
         want.reason, want.detail, want.state.canonical()) == (
         "eval-error", detail, "a=[0,0,0] x=1 y=0")
+
+
+def test_fair_run_whose_chosen_body_fails():
+    """A body that divides by zero ends the fair run with its failure:
+    weak seed 1 increments to x=3, weak seeds 2-4 pick the dividing arm
+    at once, and strong fairness picks it once x=1."""
+    p = parse_gcl("var x: int; var y: int;\n"
+                  "do x < 3 -> x := x + 1 [] x < 2 -> x := x div y od")
+    for policy in ("weak", "strong"):
+        for seed in range(10):
+            got = run_fair_traced(p, policy=policy, seed=seed)
+            assert got == _reference_fair_traced(p, policy, seed), (policy, seed)
+    out = [run_fair_traced(p, policy="weak", seed=seed)[0] for seed in (1, 2, 3, 4)]
+    assert out[0] == Terminated(out[0].state) and out[0].state.scalar("x") == 3
+    assert all(o.key()[:2] == ("1-failed", "eval-error") and o.state.scalar("x") == 0
+               for o in out[1:])
+    strong, _ = run_fair_traced(p, policy="strong", seed=1)
+    assert strong.key()[:2] == ("1-failed", "eval-error") and strong.state.scalar("x") == 1

@@ -1,6 +1,8 @@
 import itertools
 import weakref
 
+import pytest
+
 from gclab.engine import Failed, Limits, Terminated, explore_demonic
 from gclab.par import (
     label_component, label_components, label_table, run_par_direct,
@@ -13,6 +15,7 @@ from gclab.syntax import Do, If
 
 from conftest import corpus_text
 from oracles import zero_search_k
+from test_csp import outcome_set
 from test_engine import _gone_without_the_cycle_collector
 
 
@@ -211,3 +214,55 @@ def test_zero_search_all_binary_arrays_and_cv_hiding():
         t = {s.restricted(PROGRAM_VARS) for s in translated.terminated_states()}
         assert d == t, bits
         assert not direct.has(Failed) and not translated.has(Failed)
+
+
+# ---------------------------------------------------------------------------
+# failures inside atomic steps: the direct semantics against the translation
+# ---------------------------------------------------------------------------
+
+FAILING_PAR = [
+    # an initialization that can reach `fail`
+    ("""
+var x: int; var y: int;
+init if true -> x := 1 [] true -> fail fi
+component y := 2 div x end
+""", "counts configs=6 edges=6 paths=3\n"
+     "outcome: terminated :: x=1 y=2\n"
+     "outcome: failed[explicit-fail] (fail) :: x=0 y=0\n"),
+    # an effect that divides by zero
+    ("""
+var x: int; var y: int;
+init x := 2
+component while x > 0 do x := x - 1 od; y := 6 div x end
+""", "counts configs=7 edges=6 paths=1\n"
+     "outcome: failed[eval-error] (div by zero) :: x=0 y=0\n"),
+    # an epilogue that fails
+    ("""
+var x: int; var y: int;
+component x := 1 end
+component y := 1 end
+epilogue if x = y -> fail [] x != y -> skip fi
+""", "counts configs=10 edges=7 paths=4\n"
+     "outcome: failed[explicit-fail] (fail) :: x=1 y=1\n"),
+    # one component's effect fails (mod) and another's guard raises (div):
+    # only the guard's failure is reported, as in the translation, which
+    # evaluates every guard before any arm runs
+    ("""
+var x: int; var y: int; var z: int;
+component y := 1 mod x end
+component if 1 div z = 0 then skip fi end
+""", "counts configs=2 edges=1 paths=1\n"
+     "outcome: failed[eval-error] (div by zero) :: x=0 y=0 z=0\n"),
+]
+
+
+@pytest.mark.parametrize("text, report", FAILING_PAR,
+                         ids=["init", "effect", "epilogue", "effect-and-guard"])
+def test_failure_inside_an_atomic_step_matches_the_translation(text, report):
+    sysm = parse_par(text)
+    direct = run_par_direct(sysm)
+    names = {d.name for d in sysm.decls}
+    assert outcome_set(direct, names) == outcome_set(
+        explore_demonic(translate_par(sysm)), names)
+    assert direct.to_text() == (
+        "schema 1\nlimits max-configs=100000 max-depth=500 choice-bound=8\n" + report)

@@ -208,3 +208,10 @@ def test_long_mixed_additive_run_round_trips():
     text = render(prog)
     assert text.count("(y - ") == 2999 // 7
     assert parse_gcl(text) == prog
+
+
+def test_bool_initializer_round_trips():
+    p = parse_gcl("var b: bool = true; var c: bool = false;\nb := c")
+    text = render(p)
+    assert "var b: bool = true;" in text and "var c: bool = false;" in text
+    assert parse_gcl(text) == p
