@@ -77,7 +77,8 @@ def check_declaration(d: Declaration) -> None:
 def check_type(t: str, want: str) -> None:
     """A `t` expression where a `want` one belongs: a guard, a choice bound."""
     if t != want:
-        raise CheckError(f"expected a {want} expression, got {t}")
+        article = "an" if want[0] in "aeiou" else "a"
+        raise CheckError(f"expected {article} {want} expression, got {t}")
 
 
 def type_of(e: Expr, decls: DeclMap) -> str:

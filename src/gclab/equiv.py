@@ -7,12 +7,24 @@ a test by reaching success in some (may) or every (must) maximal
 computation of their synchronous product, where visible labels
 synchronize and internal moves of either side go alone.
 
+Every algorithm reads one int-indexed view of each Lts (`_Index`), built
+once when the Lts is made: states numbered in sorted-name order, state k
+as bit `1 << k` of a mask, per-label successor masks and, per state, the
+mask of the states that tau moves reach. Names come back only in results,
+so every walk that sorts by name keeps its order.
+
+Strong bisimilarity splits blocks by signatures, the sets of (label,
+successor block) pairs. Only the states whose successors moved are
+signed again, and each split keeps its largest part in place, the rule
+that Valmari's "Simple bisimilarity minimization in O(m log n) time"
+(2009) also uses, so a state moves at most log2 n times.
+
 Stable failures are computed over each system's subset construction
-(`_Subsets`), built as a search meets it. Refinement is decided without
-listing traces, over the pairs of tau-closed sets that p and q reach by
-the same trace: conclusively by default, or up to a trace depth, with
-the bounded meaning of the trace-by-trace definition and the same
-witness. `max_refusals` and `failures` list traces.
+(`_Subsets`), on masks, built as a search meets it. Refinement is decided
+without listing traces, over the pairs of tau-closed sets that p and q
+reach by the same trace: conclusively by default, or up to a trace
+depth, with the bounded meaning of the trace-by-trace definition and the
+same witness. `max_refusals` and `failures` list traces.
 """
 
 from __future__ import annotations
@@ -34,36 +46,140 @@ class Lts:
     success: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        known = set(self.states)
-        if self.init not in known:
+        names = sorted(set(self.states))
+        index = {s: k for k, s in enumerate(names)}
+        if self.init not in index:
             raise _fault(f"initial state '{self.init}' not declared", "init")
         if TAU in self.alphabet:
             raise _fault("'tau' is reserved for internal moves", "alphabet", TAU)
-        labels = set(self.alphabet) | {TAU}
-        moves: dict[str, dict[str, set[str]]] = {s: {} for s in self.states}
+        succ = {lab: [0] * len(names) for lab in (*self.alphabet, TAU)}
         for k, (src, lab, dst) in enumerate(self.transitions):
-            if src not in known or dst not in known:
+            if src not in index or dst not in index:
                 raise _fault(f"transition {src} -{lab}-> {dst} uses unknown state", "trans", k)
-            if lab not in labels:
+            row = succ.get(lab)
+            if row is None:
                 raise _fault(f"label '{lab}' not in the alphabet", "trans", k)
-            moves[src].setdefault(lab, set()).add(dst)
-        if not self.success <= known:
-            raise _fault("success marks an unknown state",
-                         "success", min(self.success - known))
+            row[index[src]] |= 1 << index[dst]
+        unknown = [s for s in self.success if s not in index]
+        if unknown:
+            first = min(unknown)
+            raise _fault(f"success marks unknown state '{first}'", "success", first)
+        rows = {lab: tuple(row) for lab, row in succ.items()}
         # kept beside the fields, so eq, hash and repr ignore it
-        object.__setattr__(self, "_moves", moves)
+        object.__setattr__(self, "_index", _Index(
+            tuple(names), rows, _tau_plus(rows[TAU]), index[self.init],
+            sum(1 << index[s] for s in self.success)))
 
     # -- derived views ------------------------------------------------------
 
     def moves(self) -> dict[str, dict[str, set[str]]]:
-        """state -> label -> successor set, built once and shared: callers
-        must not mutate it."""
-        return self._moves
+        """state -> label -> successor set, built on the first call and
+        shared: callers must not mutate it. `equiv` itself reads only the
+        indexed view."""
+        mv = self.__dict__.get("_moves")
+        if mv is None:
+            mv = {s: {} for s in self.states}
+            for src, lab, dst in self.transitions:
+                mv[src].setdefault(lab, set()).add(dst)
+            object.__setattr__(self, "_moves", mv)
+        return mv
 
     def reachable(self) -> set[str]:
-        mv = self._moves
-        return set(_reach((self.init,), lambda s: (
-            d for dsts in mv[s].values() for d in dsts)))
+        ix = self._index
+        return {ix.names[k] for k in _bits(_reachable(ix))}
+
+
+class _Index:
+    """An Lts with its states numbered in sorted-name order, so that state
+    k is bit `1 << k` of a state-set mask and ascending numbers list
+    states in sorted order. Built once per Lts; every algorithm below
+    reads it, and maps numbers back to names only in what it returns."""
+
+    __slots__ = ("names", "succ", "tau_plus", "init", "success")
+
+    def __init__(self, names: tuple[str, ...], succ: dict[str, tuple[int, ...]],
+                 tau_plus: tuple[int, ...], init: int, success: int):
+        self.names = names
+        self.succ = succ  # label (alphabet and tau) -> per-state successor mask
+        self.tau_plus = tau_plus  # per state, the states one or more tau moves reach
+        self.init = init
+        self.success = success  # mask
+
+
+def _bits(mask: int):
+    """The state numbers in `mask`, ascending: from a table when the mask
+    holds only states 0-7, else by clearing the lowest bit in turn."""
+    if mask < 256:
+        return _BYTE_BITS[mask]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _byte_bits() -> tuple[tuple[int, ...], ...]:
+    """Entry m lists the bits of m < 256: the masks with bit k set are
+    those below 1 << k, each with k added."""
+    table: list[tuple[int, ...]] = [()]
+    for k in range(8):
+        table += [low + (k,) for low in table]
+    return tuple(table)
+
+
+_BYTE_BITS = _byte_bits()
+
+
+def _tau_plus(tau: tuple[int, ...]) -> tuple[int, ...]:
+    """Per state, the mask of the states that one or more tau moves reach.
+    Each state's mask is its successors' masks joined to its own tau
+    successors, recomputed over a depth-first post-order of the tau graph
+    until nothing changes: a state comes after the successors it does not
+    reach back from, so an acyclic tau graph settles in the first pass."""
+    order: list[int] = []
+    seen = [False] * len(tau)
+    for root in range(len(tau)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(_bits(tau[root])))]
+        while stack:
+            node, todo = stack[-1]
+            for d in todo:
+                if not seen[d]:
+                    seen[d] = True
+                    stack.append((d, iter(_bits(tau[d]))))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
+    plus = list(tau)
+    changed = True
+    while changed:
+        changed = False
+        for k in order:
+            reach = tau[k]
+            for d in _bits(tau[k]):
+                reach |= plus[d]
+            if reach != plus[k]:
+                plus[k] = reach
+                changed = True
+    return tuple(plus)
+
+
+def _reachable(ix: _Index) -> int:
+    """The mask of the states reachable from the initial one."""
+    rows = tuple(ix.succ.values())
+    seen = todo = 1 << ix.init
+    while todo:
+        nxt = 0
+        for k in _bits(todo):
+            for row in rows:
+                nxt |= row[k]
+        todo = nxt & ~seen
+        seen |= todo
+    return seen
 
 
 def _fault(message: str, *where) -> CheckError:
@@ -149,35 +265,77 @@ def format_lts(l: Lts) -> str:
 # Strong bisimilarity by partition refinement
 # ---------------------------------------------------------------------------
 
-def _partition(p: Lts, q: Lts) -> dict[str, int]:
-    """Coarsest strong bisimulation partition of the disjoint union;
-    returns block ids keyed by tagged state names ('0:s' and '1:s')."""
-    mv: dict[str, dict[str, set[str]]] = {}
-    for tag, l in (("0", p), ("1", q)):
-        for s, row in l.moves().items():
-            mv[f"{tag}:{s}"] = {lab: {f"{tag}:{d}" for d in dsts}
-                                for lab, dsts in row.items()}
-    block = {s: 0 for s in mv}
-    while True:
-        sigs: dict[tuple, int] = {}
-        nxt: dict[str, int] = {}
-        for s, row in sorted(mv.items()):
-            sig = (block[s],
-                   tuple(sorted((lab, tuple(sorted({block[d] for d in dsts})))
-                                for lab, dsts in row.items())))
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            nxt[s] = sigs[sig]
-        if nxt == block:
-            return block
-        block = nxt
+def _partition(p: Lts, q: Lts) -> list[int]:
+    """Coarsest strong bisimulation partition of the disjoint union: a
+    block id per state, p's states first and then q's, each system's in
+    its own numbering.
+
+    A state's signature is the set of its (label, block of the successor)
+    pairs, and a block splits by the signatures of its members (Valmari,
+    "Simple bisimilarity minimization in O(m log n) time", 2009, splits
+    by the same rule). Only a state one of whose successors changed block
+    is signed again; the other members of its block still share the
+    signature they had, and form one part. A split keeps its largest part
+    under the old id and moves the others to new ids, so a state moves
+    only into a block at most half as large as the one it leaves, at most
+    log2 n times, and a state with k moves out is signed at most
+    k * log2 n + 1 times."""
+    out: list[list[tuple[str, int]]] = []  # state -> its (label, successor) pairs
+    pred: list[list[int]] = []  # state -> the states with a move to it
+    for l in (p, q):
+        base, ix = len(out), l._index
+        out += [[] for _ in ix.names]
+        pred += [[] for _ in ix.names]
+        for lab, row in ix.succ.items():
+            for k, mask in enumerate(row, base):
+                if mask:
+                    for d in _bits(mask):
+                        out[k].append((lab, base + d))
+                        pred[base + d].append(k)
+    block = [0] * len(out)
+    members = [set(range(len(out)))]
+    touched = {0: set(range(len(out)))}  # block -> members to sign again
+    while touched:
+        b, signed = touched.popitem()
+        mem = members[b]
+        parts: dict[frozenset, list[int]] = {}
+        for s in signed:
+            sig = frozenset([(lab, block[d]) for lab, d in out[s]])
+            part = parts.get(sig)
+            if part is None:
+                parts[sig] = [s]
+            else:
+                part.append(s)
+        # the members none of whose successors moved keep the signature
+        # they shared, which no signed member has: a moved successor sits
+        # in a block made since
+        rest = len(mem) - len(signed)
+        moving = sorted(parts.values(), key=len)
+        if not rest:
+            moving.pop()
+        elif len(moving[-1]) > rest:
+            moving[-1] = list(mem - signed)
+        for part in moving:
+            mem.difference_update(part)
+            for s in part:
+                block[s] = len(members)
+            members.append(set(part))
+        for part in moving:
+            for s in part:
+                for y in pred[s]:
+                    ys = touched.get(block[y])
+                    if ys is None:
+                        touched[block[y]] = {y}
+                    else:
+                        ys.add(y)
+    return block
 
 
 def bisimilar(p: Lts, q: Lts) -> bool:
     """Strong bisimilarity of the initial states (`tau` treated as an
     ordinary label)."""
     block = _partition(p, q)
-    return block[f"0:{p.init}"] == block[f"1:{q.init}"]
+    return block[p._index.init] == block[len(p._index.names) + q._index.init]
 
 
 def bisimilar_witness(p: Lts, q: Lts) -> tuple[str, str, str] | None:
@@ -187,23 +345,26 @@ def bisimilar_witness(p: Lts, q: Lts) -> tuple[str, str, str] | None:
     cannot (the usual narrative of a failed simulation attempt). One
     exists: reachable pairs that agree on every label form a
     bisimulation."""
+    pix, qix = p._index, q._index
     block = _partition(p, q)
-    if block[f"0:{p.init}"] == block[f"1:{q.init}"]:
+    if block[pix.init] == block[len(pix.names) + qix.init]:
         return None
-    pmv, qmv = p.moves(), q.moves()
-    labels = sorted(set(p.alphabet) | set(q.alphabet) | {TAU})
+    pnone, qnone = (0,) * len(pix.names), (0,) * len(qix.names)
+    rows = [(lab, pix.succ.get(lab, pnone), qix.succ.get(lab, qnone))
+            for lab in sorted(pix.succ.keys() | qix.succ.keys())]
 
     def succ(pair):
         u, v = pair
-        for lab in labels:
-            for x in sorted(pmv[u].get(lab, ())):
-                for y in sorted(qmv[v].get(lab, ())):
-                    yield (x, y)
+        for _, prow, qrow in rows:
+            if prow[u] and qrow[v]:
+                for x in _bits(prow[u]):
+                    for y in _bits(qrow[v]):
+                        yield (x, y)
 
-    for u, v in _reach(((p.init, q.init),), succ):
-        for lab in labels:
-            if (lab in pmv[u]) != (lab in qmv[v]):
-                return (u, v, lab)
+    for u, v in _reach(((pix.init, qix.init),), succ):
+        for lab, prow, qrow in rows:
+            if bool(prow[u]) != bool(qrow[v]):
+                return (pix.names[u], qix.names[v], lab)
     return None
 
 
@@ -212,21 +373,23 @@ def bisimilar_witness(p: Lts, q: Lts) -> tuple[str, str, str] | None:
 # ---------------------------------------------------------------------------
 
 def _product_moves(proc: Lts, test: Lts):
-    """Transition function of the synchronous product: shared visible
-    labels synchronize, internal moves interleave."""
-    pmv, tmv = proc.moves(), test.moves()
+    """Transition function of the synchronous product, over pairs of state
+    numbers: shared visible labels synchronize, internal moves
+    interleave."""
+    pix, tix = proc._index, test._index
+    ptau, ttau = pix.succ[TAU], tix.succ[TAU]
+    shared = [(pix.succ[lab], tix.succ[lab])
+              for lab in sorted(set(proc.alphabet) & set(test.alphabet))]
 
-    def succ(node: tuple[str, str]) -> list[tuple[str, str]]:
+    def succ(node: tuple[int, int]) -> list[tuple[int, int]]:
         s, t = node
-        out = []
-        for d in sorted(pmv[s].get(TAU, ())):
-            out.append((d, t))
-        for d in sorted(tmv[t].get(TAU, ())):
-            out.append((s, d))
-        for lab in sorted(set(pmv[s]) & set(tmv[t]) - {TAU}):
-            for ds in sorted(pmv[s][lab]):
-                for dt in sorted(tmv[t][lab]):
-                    out.append((ds, dt))
+        out = [(d, t) for d in _bits(ptau[s])]
+        out += [(s, d) for d in _bits(ttau[t])]
+        for prow, trow in shared:
+            if prow[s] and trow[t]:
+                for ds in _bits(prow[s]):
+                    for dt in _bits(trow[t]):
+                        out.append((ds, dt))
         return out
 
     return succ
@@ -241,8 +404,9 @@ def may_pass(proc: Lts, test: Lts) -> bool:
     """Does some maximal product computation visit a success state?
     Equivalent to reachability of a success-marked product node."""
     _require_test(test)
-    nodes = _reach(((proc.init, test.init),), _product_moves(proc, test))
-    return any(t in test.success for _, t in nodes)
+    start, success = (proc._index.init, test._index.init), test._index.success
+    nodes = _reach((start,), _product_moves(proc, test))
+    return any(success >> t & 1 for _, t in nodes)
 
 
 def must_pass(proc: Lts, test: Lts) -> bool:
@@ -259,12 +423,15 @@ def must_witness(proc: Lts, test: Lts) -> tuple[str, tuple[str, str]] | None:
     """None when the process must pass; otherwise ('stuck'|'cycle', pair)
     naming a deadlocked or cycling product node that avoids success."""
     _require_test(test)
-    start = (proc.init, test.init)
-    if start[1] in test.success:
+    pix, tix = proc._index, test._index
+    if tix.success >> tix.init & 1:
         return None
-    trap = _trap((start,), _product_moves(proc, test),
-                 avoid=lambda node: node[1] in test.success, dead_ends=True)
-    return trap and (trap[0], trap[1][-1])
+    trap = _trap(((pix.init, tix.init),), _product_moves(proc, test),
+                 avoid=lambda node: tix.success >> node[1] & 1, dead_ends=True)
+    if trap is None:
+        return None
+    s, t = trap[1][-1]
+    return (trap[0], (pix.names[s], tix.names[t]))
 
 
 def _trap(roots, succ, avoid=None, dead_ends: bool = False):
@@ -340,46 +507,56 @@ def _check_divergence_free(l: Lts) -> None:
     """Raise DivergenceError on a reachable internal cycle: the first one
     that a depth-first search over tau moves meets (`_trap`), with roots
     and successors in sorted order, however long the tau chains are."""
-    mv = l.moves()
-    trap = _trap(sorted(l.reachable()), lambda s: sorted(mv[s].get(TAU, ())))
+    ix = l._index
+    tau = ix.succ[TAU]
+    trap = _trap(_bits(_reachable(ix)), lambda s: _bits(tau[s]))
     if trap is not None:
-        raise DivergenceError(trap[1])
+        raise DivergenceError([ix.names[s] for s in trap[1]])
 
 
 class _Subsets:
     """One system's subset construction: its tau-closed state sets, as
-    the searches meet them, each set's successor on a label and its
-    maximal refusals computed once. Raises DivergenceError if divergent."""
+    masks, as the searches meet them, each set's successor on a label and
+    its maximal refusals computed once. Raises DivergenceError if
+    divergent."""
 
     def __init__(self, l: Lts):
         _check_divergence_free(l)
-        self.mv = l.moves()
+        ix = l._index
+        self.succ, self.tau_plus = ix.succ, ix.tau_plus
         self.sigma = frozenset(l.alphabet)
-        self.start = self._closure((l.init,))
-        self._successors: dict[tuple[frozenset[str], str], frozenset[str]] = {}
-        self._maxima: dict[frozenset[str], list[frozenset[str]]] = {}
+        self.start = self._closure(1 << ix.init)
+        self._successors: dict[tuple[int, str], int] = {}
+        self._maxima: dict[int, list[frozenset[str]]] = {}
 
-    def _closure(self, states) -> frozenset[str]:
-        mv = self.mv
-        return frozenset(_reach(states, lambda s: mv[s].get(TAU, ())))
+    def _closure(self, states: int) -> int:
+        plus = self.tau_plus
+        out = states
+        for s in _bits(states):
+            out |= plus[s]
+        return out
 
-    def after(self, states: frozenset[str], lab: str) -> frozenset[str]:
+    def after(self, states: int, lab: str) -> int:
         """The tau-closed set one `lab` move leads to; empty if none does."""
         key = (states, lab)
         out = self._successors.get(key)
         if out is None:
-            targets: set[str] = set()
-            for s in states:
-                targets.update(self.mv[s].get(lab, ()))
+            row = self.succ.get(lab)
+            targets = 0
+            if row is not None:
+                for s in _bits(states):
+                    targets |= row[s]
             out = self._successors[key] = self._closure(targets)
         return out
 
-    def refusals(self, states: frozenset[str]) -> list[frozenset[str]]:
+    def refusals(self, states: int) -> list[frozenset[str]]:
         """The subset-maximal refusals of the set's stable states, sorted."""
         out = self._maxima.get(states)
         if out is None:
-            mv, sigma = self.mv, self.sigma
-            refs = {sigma.difference(mv[s]) for s in states if TAU not in mv[s]}
+            tau = self.succ[TAU]
+            rows = [(lab, self.succ[lab]) for lab in self.sigma]
+            refs = {frozenset([lab for lab, row in rows if not row[s]])
+                    for s in _bits(states) if not tau[s]}
             out = self._maxima[states] = sorted(
                 (r for r in refs if not any(r < other for other in refs)),
                 key=sorted)

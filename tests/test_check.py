@@ -77,7 +77,7 @@ CASES = [
      GclProgram((X,), _if(Var("x")))),
     ("var x: int;\ndo x + 1 -> skip od", "expected a bool expression, got int", 2, 4,
      GclProgram((X,), Do((GuardedCommand(BinOp("+", Var("x"), IntLit(1)), Skip()),)))),
-    ("var x: int;\nx := choice(true)", "expected a int expression, got bool", 2, 13,
+    ("var x: int;\nx := choice(true)", "expected an int expression, got bool", 2, 13,
      GclProgram((X,), ChoiceAssign("x", TRUE))),
     # the target of `?` and of `choice` is an integer scalar
     ("var b: bool;\nb := ?", "'b' must be an integer scalar", 2, 1,

@@ -1,3 +1,4 @@
+import time
 from random import Random
 
 import pytest
@@ -54,6 +55,28 @@ def test_lts_validation():
 def test_vending_machines_not_bisimilar_with_witness():
     assert not bisimilar(_P(), _Q())
     assert bisimilar_witness(_P(), _Q()) == ("p2", "q2", "c")
+
+
+def _a_chain(n: int, b_loop: bool = False) -> Lts:
+    """s0 -a-> s1 -a-> ... -a-> s(n-1), optionally with a `b` loop on the
+    last state."""
+    names = tuple(f"s{k}" for k in range(n))
+    trans = tuple((names[k], "a", names[k + 1]) for k in range(n - 1))
+    if b_loop:
+        trans += ((names[-1], "b", names[-1]),)
+    return Lts(names, ("a", "b"), trans, names[0])
+
+
+def test_long_chains_split_within_ten_seconds():
+    """The chains differ at their last states, and the difference reaches
+    the initial states one split at a time: re-signing every state in
+    every round takes time quadratic in the length, signing again only
+    the states whose successors moved does not."""
+    p, q = _a_chain(20000), _a_chain(20000, b_loop=True)
+    start = time.perf_counter()
+    assert bisimilar_witness(p, q) == ("s19999", "s19999", "b")
+    assert not bisimilar(p, q)
+    assert time.perf_counter() - start < 10
 
 
 def test_bisimilar_reflexive():
@@ -441,7 +464,7 @@ LTS_HEAD = "alphabet a b\nstates s0 s1\n# a comment\ninit s0\n\n"
     ("trans s0 a s1\ntrans s1 b zz\n", "transition s1 -b-> zz uses unknown state", 7),
     ("trans s0 a s1\ntrans yy b s0\n", "transition yy -b-> s0 uses unknown state", 7),
     ("trans s0 tau s1\n\ntrans s1 c s0\n", "label 'c' not in the alphabet", 8),
-    ("success s1\nsuccess s0 zz\n", "success marks an unknown state", 7),
+    ("success s1\nsuccess s0 zz\n", "success marks unknown state 'zz'", 7),
 ])
 def test_parsed_lts_error_names_the_line_at_fault(tail, message, line):
     with pytest.raises(CheckError) as err:
