@@ -9,9 +9,8 @@ synchronize and internal moves of either side go alone.
 
 Every algorithm reads one int-indexed view of each Lts (`_Index`), built
 once when the Lts is made: states numbered in sorted-name order, state k
-as bit `1 << k` of a mask, per-label successor masks and, per state, the
-mask of the states that tau moves reach. Names come back only in results,
-so every walk that sorts by name keeps its order.
+as bit `1 << k` of a mask, and per-label successor masks. Names come back
+only in results, so every walk that sorts by name keeps its order.
 
 Strong bisimilarity splits blocks by signatures, the sets of (label,
 successor block) pairs. Only the states whose successors moved are
@@ -67,7 +66,7 @@ class Lts:
         rows = {lab: tuple(row) for lab, row in succ.items()}
         # kept beside the fields, so eq, hash and repr ignore it
         object.__setattr__(self, "_index", _Index(
-            tuple(names), rows, _tau_plus(rows[TAU]), index[self.init],
+            tuple(names), rows, index[self.init],
             sum(1 << index[s] for s in self.success)))
 
     # -- derived views ------------------------------------------------------
@@ -95,13 +94,12 @@ class _Index:
     states in sorted order. Built once per Lts; every algorithm below
     reads it, and maps numbers back to names only in what it returns."""
 
-    __slots__ = ("names", "succ", "tau_plus", "init", "success")
+    __slots__ = ("names", "succ", "init", "success")
 
     def __init__(self, names: tuple[str, ...], succ: dict[str, tuple[int, ...]],
-                 tau_plus: tuple[int, ...], init: int, success: int):
+                 init: int, success: int):
         self.names = names
         self.succ = succ  # label (alphabet and tau) -> per-state successor mask
-        self.tau_plus = tau_plus  # per state, the states one or more tau moves reach
         self.init = init
         self.success = success  # mask
 
@@ -129,43 +127,6 @@ def _byte_bits() -> tuple[tuple[int, ...], ...]:
 
 
 _BYTE_BITS = _byte_bits()
-
-
-def _tau_plus(tau: tuple[int, ...]) -> tuple[int, ...]:
-    """Per state, the mask of the states that one or more tau moves reach.
-    Each state's mask is its successors' masks joined to its own tau
-    successors, recomputed over a depth-first post-order of the tau graph
-    until nothing changes: a state comes after the successors it does not
-    reach back from, so an acyclic tau graph settles in the first pass."""
-    order: list[int] = []
-    seen = [False] * len(tau)
-    for root in range(len(tau)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [(root, iter(_bits(tau[root])))]
-        while stack:
-            node, todo = stack[-1]
-            for d in todo:
-                if not seen[d]:
-                    seen[d] = True
-                    stack.append((d, iter(_bits(tau[d]))))
-                    break
-            else:
-                stack.pop()
-                order.append(node)
-    plus = list(tau)
-    changed = True
-    while changed:
-        changed = False
-        for k in order:
-            reach = tau[k]
-            for d in _bits(tau[k]):
-                reach |= plus[d]
-            if reach != plus[k]:
-                plus[k] = reach
-                changed = True
-    return tuple(plus)
 
 
 def _reachable(ix: _Index) -> int:
@@ -523,18 +484,45 @@ class _Subsets:
     def __init__(self, l: Lts):
         _check_divergence_free(l)
         ix = l._index
-        self.succ, self.tau_plus = ix.succ, ix.tau_plus
+        self.succ = ix.succ
         self.sigma = frozenset(l.alphabet)
+        # per state, the mask of the states one or more tau moves reach;
+        # None until a closure meets the state
+        self._tau_plus: list[int | None] = [None] * len(ix.names)
         self.start = self._closure(1 << ix.init)
         self._successors: dict[tuple[int, str], int] = {}
         self._maxima: dict[int, list[frozenset[str]]] = {}
 
     def _closure(self, states: int) -> int:
-        plus = self.tau_plus
+        plus = self._tau_plus
         out = states
         for s in _bits(states):
-            out |= plus[s]
+            reach = plus[s]
+            out |= self._settle(s) if reach is None else reach
         return out
+
+    def _settle(self, root: int) -> int:
+        """Fill in the tau reach of `root` and of the unsettled states its
+        tau moves reach, in one depth-first post-order, each from its tau
+        successors' reach. Only reachable states get here, and the
+        divergence check has ruled out a reachable tau cycle, so a
+        state's tau successors are settled before it, and each state is
+        settled once."""
+        tau, plus = self.succ[TAU], self._tau_plus
+        stack = [(root, iter(_bits(tau[root])))]
+        while stack:
+            node, todo = stack[-1]
+            for d in todo:
+                if plus[d] is None:
+                    stack.append((d, iter(_bits(tau[d]))))
+                    break
+            else:
+                stack.pop()
+                reach = tau[node]
+                for d in _bits(tau[node]):
+                    reach |= plus[d]
+                plus[node] = reach
+        return plus[root]
 
     def after(self, states: int, lab: str) -> int:
         """The tau-closed set one `lab` move leads to; empty if none does."""

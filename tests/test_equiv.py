@@ -360,6 +360,28 @@ def test_divergence_check_on_long_tau_chain():
     assert err.value.cycle == ["s4998", "s4999", "s4998"]
 
 
+def _two_way_tau_chain_text(n: int) -> str:
+    """s0 .. s(n-1), with tau moves both ways between neighbours."""
+    names = [f"s{k}" for k in range(n)]
+    return f"alphabet a\nstates {' '.join(names)}\ninit s0\n" + "".join(
+        f"trans {a} tau {b}\ntrans {b} tau {a}\n" for a, b in zip(names, names[1:]))
+
+
+def test_two_way_tau_chain_diverges_at_once():
+    """Tau closures are built only past the divergence check, so a long tau
+    cycle costs a parse and one depth-first search, not a closure per
+    state."""
+    one = parse_lts("alphabet a\nstates o\ninit o\n")
+    start = time.perf_counter()
+    chain = parse_lts(_two_way_tau_chain_text(4000))
+    for depth in (None, 2):
+        with pytest.raises(DivergenceError) as err:
+            refines(chain, one, depth)
+        assert err.value.cycle == ["s0", "s1", "s0"]
+    assert not bisimilar(chain, one)
+    assert time.perf_counter() - start < 5
+
+
 def _recursive_divergence_cycle(l: Lts):
     """The divergence check as a recursive DFS: the cycle it reports, or
     None."""
