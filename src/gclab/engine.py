@@ -8,15 +8,17 @@ points are interned with them, keyed by head and next point by identity
 (`lower`): each distinct residue has one live `Point`, in every search
 and every program that reaches it. A program keeps the points of its
 statements alive (`root`), so a program run many times is lowered once,
-and its points go when it does. A point caches its
-rendered key, the variables its head reads and writes, its arm points,
-and its compiled head: on the first step the head's assignment, guards
-or `choice` bound are lowered to closures (`state.compile_assign`,
-`compile_guards`, `compile_expr`), which every later step calls without
-walking the syntax tree. Configurations therefore compare by point
-identity plus the state, and hash by the point's identity and the state.
-`step` returns an `Expansion`, the one record of what a node expands to
-(a failure, or labelled successors). On top of `step` sit:
+and its points go when it does. A point holds the step labels of its
+arms and caches its rendered key and step label, the variables its head
+reads and writes, its arm points, and its compiled head: on the first
+step the head's assignment, guards or `choice` bound are lowered to
+closures (`state.compile_assign`, `compile_guards`, `compile_expr`),
+which every later step calls without walking the syntax tree. A
+configuration (`Config`) is a slotted record written once; it compares
+by point identity plus the state, and hashes by the point's identity and
+the state, a hash cached on the first probe. `step` returns an
+`Expansion`, the one record of what a node expands to (a failure, or
+labelled successors). On top of `step` sit:
 
 * `explore_demonic` - exhaustive depth-first exploration of the whole
   computation tree with memoization, lasso-based divergence detection and
@@ -31,7 +33,9 @@ they explore other node types through the same traversal and run their
 atomic sub-steps with `SubSearches.absorb`. Single computations run on
 one loop (`run_path`), which walks the program's points and leaves each
 choice to its caller: `run_erratic` picks at random, and the fair
-schedulers (`fairness.run_fair_traced`) pick at the top loop.
+schedulers (`fairness.run_fair_traced`) pick at the top loop. A search's
+report sorts its outcomes by kind and canonical state; a report of one
+outcome, the common case of an atomic sub-step, is not sorted at all.
 """
 
 from __future__ import annotations
@@ -50,6 +54,10 @@ from .syntax import (
     PARTIAL, ArrayRef, Assign, BinOp, ChoiceAssign, Do, Fail, GclProgram, If,
     Program, RandomAssign, Seq, Skip, Stmt, expr_names, intern, interned, nodes,
 )
+
+
+# writes a field of a `Config` once, in its `__init__`
+_set = object.__setattr__
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,12 +90,17 @@ class Point:
     after it. Everything derived from the head is computed at most once,
     on first use."""
 
-    __slots__ = ("head", "next", "_key", "_label", "_effects", "_arms",
-                 "_code", "__weakref__")
+    __slots__ = ("head", "next", "arm_labels", "_key", "_label", "_effects",
+                 "_arms", "_code", "__weakref__")
 
     def __init__(self, head: Stmt | None, nxt: Point | None):
         self.head = head
         self.next = nxt
+        # the step labels of an if-fi or do-od head's arms: `if#1`, ...
+        self.arm_labels: tuple[str, ...] = ()
+        if isinstance(head, (If, Do)):
+            tag = "if" if isinstance(head, If) else "do"
+            self.arm_labels = tuple(f"{tag}#{i + 1}" for i in range(len(head.arms)))
         self._key: str | None = None
         self._label: str | None = None
         self._effects: tuple[frozenset[str], frozenset[str]] | None = None
@@ -212,15 +225,27 @@ def root(stmt: Stmt, owner: Program | None = None) -> Point:
     return pt
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Config:
-    """Node of the computation tree: a program point plus a state. Equal
-    configurations share their point, so equality is point identity plus
-    state equality."""
+    """Node of the computation tree: a program point plus a state. A
+    slotted record, written once in `__init__`. Equal configurations
+    share their point, so equality is point identity plus state equality;
+    the hash, `hash((point, state))`, is cached on the first probe (a
+    search looks each configuration up several times)."""
 
-    point: Point
-    state: State
-    _hash: int | None = field(default=None, init=False, repr=False)
+    __slots__ = ("point", "state", "_hash")
+
+    def __init__(self, point: Point, state: State):
+        _set(self, "point", point)
+        _set(self, "state", state)
+        _set(self, "_hash", None)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot change field {name!r} of a Config")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"Config(point={self.point!r}, state={self.state!r})"
 
     @property
     def residue(self) -> tuple[Stmt, ...]:
@@ -239,12 +264,10 @@ class Config:
         return self.point is other.point and self.state == other.state
 
     def __hash__(self) -> int:
-        # computed on the first probe: a search looks each configuration up
-        # several times, and the state hash walks its nested tuples
         h = self._hash
         if h is None:
             h = hash((self.point, self.state))
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
         return h
 
 
@@ -443,20 +466,36 @@ def step(c: Config, choice_bound: int, max_configs: int = Limits().max_configs) 
     pt = c.point
     head = pt.head
     s = c.state
-    code = pt.compiled()
+    code = pt._code
+    if code is None:
+        code = pt.compiled()
 
-    if isinstance(head, Skip):
-        return Expansion([("skip", Config(pt.next, s))])
-
-    if isinstance(head, Fail):
-        return Expansion(failure=Failed("explicit-fail", s, head.keyword))
-
+    # the head kinds in the order of how often the workloads meet them
     if isinstance(head, Assign):
         try:
             s2 = code(s)
         except EvalError as e:
             return Expansion(failure=Failed(e.reason, s, e.detail))
         return Expansion([(pt.label, Config(pt.next, s2))])
+
+    if isinstance(head, (If, Do)):
+        try:
+            enabled = code(s)
+        except EvalError as e:
+            return Expansion(failure=Failed(e.reason, s, e.detail))
+        labels = pt.arm_labels
+        trans = [(labels[i], Config(pt.arm(i), s)) for i, on in enumerate(enabled) if on]
+        if trans:
+            return Expansion(trans)
+        if isinstance(head, If):
+            return Expansion(failure=Failed("guard-all-false-in-if", s))
+        return Expansion([("od", Config(pt.next, s))])
+
+    if isinstance(head, Skip):
+        return Expansion([("skip", Config(pt.next, s))])
+
+    if isinstance(head, Fail):
+        return Expansion(failure=Failed("explicit-fail", s, head.keyword))
 
     if isinstance(head, RandomAssign):
         return _choices(pt, s, 0, choice_bound, max_configs, "choice-bound")
@@ -467,20 +506,6 @@ def step(c: Config, choice_bound: int, max_configs: int = Limits().max_configs) 
         except EvalError as e:
             return Expansion(failure=Failed(e.reason, s, e.detail))
         return _choices(pt, s, 1, bound, max_configs, None)
-
-    if isinstance(head, (If, Do)):
-        try:
-            enabled = code(s)
-        except EvalError as e:
-            return Expansion(failure=Failed(e.reason, s, e.detail))
-        tag = "if" if isinstance(head, If) else "do"
-        trans = [(f"{tag}#{i + 1}", Config(pt.arm(i), s))
-                 for i, on in enumerate(enabled) if on]
-        if trans:
-            return Expansion(trans)
-        if tag == "if":
-            return Expansion(failure=Failed("guard-all-false-in-if", s))
-        return Expansion([("od", Config(pt.next, s))])
 
     raise TypeError(f"{type(head).__name__} is not a guarded-commands statement")
 
@@ -517,7 +542,9 @@ class GraphSearch:
         # equal outcomes have equal keys, so outcomes dedupe by value and
         # a key is rendered only to sort the report
         self.outcomes: dict[Outcome, None] = {}
-        self.black: dict[Any, tuple[int, bool]] = {}
+        # every node met: its index in the path while it is on it, then
+        # (depth, clean) once its subtree is done
+        self.black: dict[Any, int | tuple[int, bool]] = {}
         self.configs = 0
         self.edges = 0
         self.paths = 0
@@ -536,26 +563,26 @@ class GraphSearch:
         if first is None:
             return
         stack = [first]
-        path_index: dict[Any, int] = {root: 0}
         path: list[tuple[Any, str | None]] = [(root, None)]
+        black = self.black
+        black[root] = 0
         while stack:
             frame = stack[-1]
             node, trans, idx, depth, clean = frame
             if idx >= len(trans):
                 stack.pop()
                 path.pop()
-                del path_index[node]
-                self.black[node] = (depth, clean)
+                black[node] = (depth, clean)
                 if stack:
                     stack[-1][4] = stack[-1][4] and clean
                 continue
             frame[2] += 1
             label, nxt = trans[idx]
             self.edges += 1
-            if nxt in path_index:
-                at = path_index[nxt]
-                stem = tuple(lab for _, lab in path[1:at + 1])
-                cycle = tuple(lab for _, lab in path[at + 1:]) + (label,)
+            seen = black.get(nxt)
+            if seen.__class__ is int:  # on the path, at index `seen`: a lasso
+                stem = tuple(lab for _, lab in path[1:seen + 1])
+                cycle = tuple(lab for _, lab in path[seen + 1:]) + (label,)
                 self.close(Divergent(self.key_of(nxt), True, stem, cycle))
                 continue
             if self.revisit_scan is not None:
@@ -564,19 +591,18 @@ class GraphSearch:
                     self.record(div)
                     # the branch stays open: unlike an exact repeat, the
                     # successor has genuinely new terminal states below it
-            seen = self.black.get(nxt)
             if seen is not None:
                 prev_depth, prev_clean = seen
                 if prev_clean or depth + 1 >= prev_depth:
                     self.paths += 1
                     frame[4] = frame[4] and prev_clean
                     continue
-                del self.black[nxt]  # shallower revisit of a truncated subtree
+                del black[nxt]  # shallower revisit of a truncated subtree
             child = self._enter(nxt, depth + 1, stack)
             if child is None:
                 continue
             stack.append(child)
-            path_index[nxt] = len(path)
+            black[nxt] = len(path)
             path.append((nxt, label))
 
     def _enter(self, node: Any, depth: int, stack: list):
@@ -615,7 +641,9 @@ class GraphSearch:
             stack[-1][4] = False
 
     def report(self) -> ExplorationReport:
-        outcomes = tuple(sorted(self.outcomes, key=lambda o: o.key()))
+        outcomes = tuple(self.outcomes)
+        if len(outcomes) > 1:  # most reports hold one outcome: nothing to sort
+            outcomes = tuple(sorted(outcomes, key=lambda o: o.key()))
         configs, edges, paths = self.subs.counts if self.subs else (0, 0, 0)
         return ExplorationReport(outcomes, self.configs + configs,
                                  self.edges + edges, self.paths + paths,
@@ -737,7 +765,7 @@ def _expander(lim: Limits) -> Callable[[Config], Expansion]:
 
 
 def _final(cfg: Config) -> State | None:
-    return cfg.state if cfg.terminated else None
+    return cfg.state if cfg.point.head is None else None
 
 
 def explore_statement(stmt: Stmt, s0: State, lim: Limits,

@@ -190,15 +190,17 @@ def run_par_direct(sys: ParSystem, s0: State | None = None,
     if s0 is None:
         s0 = initial_state(sys.decls)
     comps = label_components(sys)
-    # per component: source label -> [(action, compiled guard, compiled effect)]
+    # per component: source label -> [(target, compiled guard, compiled
+    # effect, step label)]
     by_source = []
-    for comp in comps:
+    for ci, comp in enumerate(comps):
         table: dict[int, list] = {}
         for act in comp.actions:
             table.setdefault(act.source, []).append((
-                act,
+                act.target,
                 None if act.guard is None else compile_expr(act.guard),
-                None if act.effect is None else compile_assign(act.effect)))
+                None if act.effect is None else compile_assign(act.effect),
+                f"c{ci + 1}:{comp.labels[act.source]}->{comp.labels[act.target]}"))
         by_source.append(table)
     exits = tuple(c.exit for c in comps)
     subs = SubSearches(lim, sys)
@@ -214,8 +216,8 @@ def run_par_direct(sys: ParSystem, s0: State | None = None,
             return Expansion(transitions=trans, side_outcomes=fin)
         trans = []
         extra: list = []
-        for ci, comp in enumerate(comps):
-            for act, guard, effect in by_source[ci].get(cvs[ci], ()):
+        for ci, table in enumerate(by_source):
+            for target, guard, effect, label in table.get(cvs[ci], ()):
                 if guard is not None:
                     try:
                         if not guard(s):
@@ -229,9 +231,7 @@ def run_par_direct(sys: ParSystem, s0: State | None = None,
                     except EvalError as e:
                         extra.append(Failed(e.reason, s, e.detail))
                         continue
-                cvs2 = cvs[:ci] + (act.target,) + cvs[ci + 1:]
-                label = f"c{ci + 1}:{comp.labels[act.source]}->{comp.labels[act.target]}"
-                trans.append((label, (cvs2, s2)))
+                trans.append((label, (cvs[:ci] + (target,) + cvs[ci + 1:], s2)))
         if not trans and not extra:
             return Expansion(failure=Failed("deadlock", s, _stuck_detail(cvs, comps)))
         return Expansion(transitions=trans, side_outcomes=extra)

@@ -18,7 +18,6 @@ step. `eval_expr` compiles and evaluates in one call.
 from __future__ import annotations
 
 from collections.abc import Callable, Collection
-from dataclasses import dataclass, field
 
 from .errors import CheckError, EvalError
 from .syntax import (
@@ -64,10 +63,47 @@ class Layout:
         return index - lo
 
 
-@dataclass(frozen=True, slots=True)
+# writes a field of a `State` once, in its `__init__`; the class's own
+# `__setattr__` refuses every assignment
+_set = object.__setattr__
+
+
 class State:
-    layout: Layout = field(compare=False, repr=False)
-    values: tuple[Value | tuple[int, ...], ...]
+    """An immutable snapshot of every declared variable over a `Layout`.
+
+    A slotted record, written once in `__init__`. Equality and hashing
+    read `values` only: states of equal values are equal whatever layout
+    object they carry, and hash as `(values,)`. The hash and the plain
+    `canonical()` text are cached on first use, in slots that equality
+    ignores.
+    """
+
+    __slots__ = ("layout", "values", "_hash", "_text")
+
+    def __init__(self, layout: Layout, values: tuple[Value | tuple[int, ...], ...]):
+        _set(self, "layout", layout)
+        _set(self, "values", values)
+        _set(self, "_hash", None)  # `_text` stays unset until `canonical()`
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot change field {name!r} of a State")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not State:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.values,))
+            _set(self, "_hash", h)
+        return h
+
+    def __repr__(self) -> str:
+        return f"State(values={self.values!r})"
 
     # -- reads (KeyError unless `name` is declared with that kind) ---------
 
@@ -109,6 +145,8 @@ class State:
                 raise CheckError(f"binding for '{name}' must be an int")
             if kind == "int[]" and not (isinstance(v, tuple) and len(v) == len(old)):
                 raise CheckError(f"binding for array '{name}' needs exactly {len(old)} cells")
+            if kind == "int[]" and any(type(c) is not int for c in v):
+                raise CheckError(f"binding for array '{name}' must hold ints")
             values[pos] = v
         return State(layout, tuple(values))
 
@@ -117,13 +155,27 @@ class State:
     def canonical(self, hidden: Collection[str] = ()) -> str:
         """Deterministic one-line serialization: variables in lexicographic
         name order, arrays as bracketed cell lists, and `name=*` for each
-        name in `hidden`."""
+        name in `hidden`. Only the text without hidden names is cached."""
+        if hidden:
+            return self._render(hidden)
+        try:
+            return self._text
+        except AttributeError:  # the first plain rendering of this state
+            text = self._render(())
+            _set(self, "_text", text)
+            return text
+
+    def _render(self, hidden: Collection[str]) -> str:
         parts = []
         for name, v in zip(self.layout.names, self.values):
             if name in hidden:
                 parts.append(f"{name}=*")
             elif type(v) is tuple:
-                parts.append(f"{name}=[{','.join(map(format_value, v))}]")
+                try:
+                    cells = ",".join(map(str, v))  # array cells are ints
+                except ValueError:  # a cell past `str()`'s digit limit
+                    cells = ",".join(map(format_value, v))
+                parts.append(f"{name}=[{cells}]")
             else:
                 parts.append(f"{name}={format_value(v)}")
         return " ".join(parts)
@@ -215,6 +267,17 @@ def compile_expr(e: Expr) -> Callable[[State], Value]:
         if row is None:
             return _raises_after((left, right), lambda: EvalError(f"unknown operator {op!r}"))
         meaning = row.meaning
+        # an operator on a variable and a constant or a second variable
+        # (most guards, and counters such as `x + 1`) reads its operands
+        # in place, without a call per operand
+        if isinstance(e.left, Var) and isinstance(e.right, (Var, IntLit, BoolLit)):
+            name = e.left.name
+            if isinstance(e.right, Var):
+                other = e.right.name
+                return lambda s: meaning(s.values[s.layout.pos[name]],
+                                         s.values[s.layout.pos[other]])
+            value = e.right.value
+            return lambda s: meaning(s.values[s.layout.pos[name]], value)
         return lambda s: meaning(left(s), right(s))
     if isinstance(e, UnaryOp):
         op, operand = e.op, compile_expr(e.operand)

@@ -2,15 +2,19 @@ import gc
 import itertools
 import weakref
 
+import pytest
+
 from gclab.engine import (
-    BoundExceeded, Divergent, Failed, Limits, Terminated, explore_demonic,
+    BoundExceeded, Config, Divergent, Failed, Limits, Terminated, explore_demonic,
     make_config, replay, root, run_erratic, solve_angelic, step,
 )
 from gclab.csp import run_csp
 from gclab.par import run_par_direct
 from gclab.parser import parse_csp, parse_gcl, parse_par
 from gclab.state import initial_state
-from gclab.syntax import Assign, Declaration, GclProgram, IntLit, Seq, Skip, Var
+from gclab.syntax import (
+    Assign, Await, Declaration, GclProgram, IfElse, IntLit, Seq, Skip, Var, While,
+)
 
 from conftest import corpus_text
 from oracles import bfs_terminated, gcd, argmax_set
@@ -177,6 +181,57 @@ def test_goon_control_lasso_witness():
                                   " @ goon=true x=*")
         assert div.stem == ("goon := true", "x := 1")
         assert div.cycle == ("do#1", "x := x + 1")
+
+
+def test_if_and_do_arm_labels_in_a_lasso_witness():
+    p = parse_gcl("var x: int; var y: int; y := 1;"
+                  " do x = 0 -> if y = 2 -> x := 1 [] y = 1 -> skip fi od")
+    rep = explore_demonic(p)
+    (div,) = [o for o in rep.outcomes if isinstance(o, Divergent)]
+    assert div.exact
+    assert div.stem == ("y := 1",)
+    assert div.cycle == ("do#1", "if#2", "skip")
+    s0 = _init(p)
+    assert replay(p, s0, div.stem) == replay(p, s0, div.stem + div.cycle)
+
+
+@pytest.mark.parametrize("head", [
+    While(Var("b"), Skip()), Await(Var("b")), IfElse(Var("b"), Skip(), Skip()),
+], ids=("While", "Await", "IfElse"))
+def test_step_refuses_a_parallel_fragment_head(head):
+    s = initial_state((Declaration("b", "bool"),))
+    with pytest.raises(TypeError) as err:
+        step(Config(root(head), s), 8)
+    assert str(err.value) == f"{type(head).__name__} is not a guarded-commands statement"
+
+
+# ---------------------------------------------------------------------------
+# The Config record
+# ---------------------------------------------------------------------------
+
+def test_config_fields_refuse_assignment():
+    p = _prog("max.gcl")
+    cfg = make_config((p.body,), _init(p))
+    hash(cfg)
+    for name in ("point", "state", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(cfg, name, None)
+        with pytest.raises(AttributeError):
+            delattr(cfg, name)
+
+
+def test_config_equality_is_point_identity_and_state_equality():
+    p = parse_gcl("var x: int; x := 1; x := 1")
+    s0, s1 = _init(p), _init(p, x=1)
+    first = root(p.body, p)
+    second = first.next
+    assert first.head is second.head  # equal statements, distinct points
+    c = Config(first, s0)
+    assert c == Config(first, _init(p)) and hash(c) == hash(Config(first, _init(p)))
+    assert hash(c) == hash((first, s0))
+    assert c != Config(second, s0)
+    assert c != Config(first, s1)
+    assert (c == (first, s0)) is False
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import weakref
 
 import pytest
 
-from gclab.engine import Failed, Limits, Terminated, explore_demonic
+from gclab.engine import Divergent, Failed, Limits, Terminated, explore_demonic
 from gclab.par import (
     label_component, label_components, label_table, run_par_direct,
     translate_par,
@@ -198,6 +198,26 @@ def test_single_component_equals_sequential_run():
     """)
     (sout,) = explore_demonic(seq).outcomes
     assert sout.state.canonical() == out.state.canonical()
+
+
+def test_diverging_run_prints_its_action_labels():
+    sysm = parse_par("""
+    var x: int;
+    component
+      x := 0; while x = 0 do skip od
+    end
+    component
+      x := 1
+    end
+    """)
+    rep = run_par_direct(sysm)
+    divs = [(o.repeat_key, o.exact, o.stem, o.cycle)
+            for o in rep.outcomes if isinstance(o, Divergent)]
+    assert divs == [
+        ("(1, 0) @ x=0", True, ("c1:a->b",), ("c1:b->c", "c1:c->b")),
+        ("(1, 1) @ x=0", True, ("c2:a->b", "c1:a->b"), ("c1:b->c", "c1:c->b")),
+    ]
+    assert (rep.configs, rep.edges, rep.paths) == (11, 14, 4)
 
 
 def test_zero_search_all_binary_arrays_and_cv_hiding():

@@ -177,6 +177,21 @@ def test_canonical_hidden_matches_split_reference(layout):
     assert s.canonical() == " ".join(expected)
 
 
+def test_canonical_cache_never_serves_a_hidden_rendering():
+    big = 7 ** 6000  # past the 4,300 digits `str()` converts
+    decls = (Declaration("a", "int[]", 0, 1, (big, -3)), Declaration("b", "bool"),
+             Declaration("x", "int", init=-big))
+    plain = f"a=[{_text(big)},-3] b=false x={_text(-big)}"
+    for hidden in ({"a"}, {"x", "b"}, {"a", "b", "x"}):
+        first_hidden, first_plain = initial_state(decls), initial_state(decls)
+        assert first_hidden.canonical(hidden) == _starred_canonical(first_hidden, hidden)
+        assert first_hidden.canonical() == plain
+        assert first_plain.canonical() == plain
+        assert first_plain.canonical(hidden) == _starred_canonical(first_plain, hidden)
+        assert first_plain.canonical() == plain
+    assert initial_state(decls).canonical(()) == initial_state(decls).canonical(set()) == plain
+
+
 def test_canonical_hides_arrays_and_several_names():
     _, s = _state("var b: int[1..2] = [3,4]; var a1: bool; var a: int = 5; var bb: int;")
     assert s.canonical() == "a=5 a1=false b=[3,4] bb=0"
@@ -247,9 +262,37 @@ def test_access_by_the_other_kind_is_a_key_error(access):
     ({"a": (1, 2)}, "binding for array 'a' needs exactly 3 cells"),
     ({"a": 1}, "binding for array 'a' needs exactly 3 cells"),
     ({"x": 1, "y": 1, "b": 1}, "binding for undeclared variable 'y'"),
+    ({"a": (1, True, 3)}, "binding for array 'a' must hold ints"),
 ])
 def test_with_bindings_errors(binds, message):
     p = parse_gcl("var x: int; var b: bool; var a: int[1..3];\nskip")
     with pytest.raises(CheckError) as err:
         initial_state(p.decls, binds)
     assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The State record
+# ---------------------------------------------------------------------------
+
+def test_state_fields_refuse_assignment():
+    _, s = _state("var x: int = 1; var a: int[0..1];")
+    s.canonical()
+    hash(s)
+    for name in ("layout", "values", "_hash", "_text", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, None)
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    assert s.values == ((0, 0), 1) and s.canonical() == "a=[0,0] x=1"
+
+
+def test_state_equality_and_hash_read_the_values_only():
+    decls = (Declaration("x", "int", init=3), Declaration("a", "int[]", 0, 1, (1, 2)))
+    s1, s2 = initial_state(decls), initial_state(decls)
+    assert s1.layout is not s2.layout
+    assert s1 == s2 and hash(s1) == hash(s2) and len({s1, s2}) == 1
+    assert hash(s1) == hash((s1.values,))
+    s3 = s1.set_scalar("x", 4)
+    assert s3 != s1 and hash(s3) == hash((s3.values,))
+    assert s1 != s1.values and (s1 == s1.values) is False
