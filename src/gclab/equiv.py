@@ -20,10 +20,12 @@ that Valmari's "Simple bisimilarity minimization in O(m log n) time"
 
 Stable failures are computed over each system's subset construction
 (`_Subsets`), on masks, built as a search meets it. Refinement is decided
-without listing traces, over the pairs of tau-closed sets that p and q
-reach by the same trace: conclusively by default, or up to a trace
-depth, with the bounded meaning of the trace-by-trace definition and the
-same witness. `max_refusals` and `failures` list traces.
+without listing traces, by one breadth-first search of the pairs of
+tau-closed sets that p and q reach by the same trace: conclusively by
+default, or up to a trace depth, with the bounded meaning of the
+trace-by-trace definition. In both modes the witness is on the least of
+the shortest traces that hold one. `max_refusals` and `failures` list
+traces.
 """
 
 from __future__ import annotations
@@ -595,7 +597,7 @@ def failures(p: Lts, depth: int) -> set[Failure]:
 
 
 def refines(p: Lts, q: Lts, depth: int | None = None) -> bool:
-    """failures(p) subset of failures(q), decided by
+    """failures(p) subset of failures(q), decided by the one search of
     `refinement_counterexample`: conclusively with no depth, else for the
     traces of at most `depth` labels."""
     return refinement_counterexample(p, q, depth) is None
@@ -620,81 +622,48 @@ def _uncovered(refusals: list[frozenset[str]],
     return None
 
 
-def _witness_depth(ps: _Subsets, qs: _Subsets, labels: list[str]) -> int | None:
-    """The length of a shortest trace that holds a witness, or None: the
-    distance of the first pair with one that a breadth-first search of
-    the pairs reachable by p's labels meets."""
-    root = (ps.start, qs.start)
-    dist = {root: 0}
-
-    def succ(pair):
-        for lab in labels:
-            reached = ps.after(pair[0], lab)
-            if reached:
-                child = (reached, qs.after(pair[1], lab))
-                dist.setdefault(child, dist[pair] + 1)
-                yield child
-
-    for pair in _reach((root,), succ):
-        if _uncovered(ps.refusals(pair[0]), qs.refusals(pair[1])) is not None:
-            return dist[pair]
-    return None
-
-
 def refinement_counterexample(p: Lts, q: Lts, depth: int | None = None) -> Failure | None:
-    """A failure of p that q does not have, or None. With no depth the
-    answer is conclusive, and the witness is on the least trace in sorted
-    (lexicographic) order among the shortest; with a depth, on the least
-    trace of at most `depth` labels, not necessarily a shortest one.
+    """A failure of p that q does not have, or None: conclusive with no
+    depth, else for the traces of at most `depth` labels. In both modes
+    the witness is on the least trace in sorted (lexicographic) order
+    among the shortest ones that hold a witness.
 
     Whether a trace holds a witness depends only on the pair of
     tau-closed state sets p and q reach by it (q's is empty when q cannot
-    follow), so the search walks pairs depth-first in sorted label order,
-    not traces, and remembers for each pair how many further steps are
-    known to hold no witness. With no depth, a breadth-first search of
-    the pairs, which are finitely many, first finds the length of a
-    shortest witness; in the worst case it takes time exponential in the
-    state counts. Raises DivergenceError for p, then q; ValueError on
-    negative depth.
+    follow), so the search walks pairs, not traces: breadth-first, one
+    layer per trace length, children in sorted label order, entering each
+    pair once with its least shortest trace. A depth stops it after that
+    layer; with none it stops when the pairs, which are finitely many,
+    run out, in the worst case after time exponential in the state
+    counts. Raises DivergenceError for p, then q; ValueError on negative
+    depth.
     """
     if depth is not None and depth < 0:
         raise ValueError("depth must not be negative")
     ps, qs = _Subsets(p), _Subsets(q)
     labels = sorted(p.alphabet)
-    if depth is None:
-        depth = _witness_depth(ps, qs, labels)
-        if depth is None:
-            return None
     root = (ps.start, qs.start)
     found = _uncovered(ps.refusals(root[0]), qs.refusals(root[1]))
     if found is not None:
         return Failure((), found)
-    # pair -> the most steps below it known to hold no witness; -1 while
-    # only the pair itself is known to be clean
-    clean = {root: -1}
-    trace: list[str] = []
-    stack = [(root, depth, iter(labels if depth else ()))]
-    while stack:
-        (pstates, qstates), left, todo = stack[-1]
-        for lab in todo:
-            reached = ps.after(pstates, lab)
-            if not reached:
-                continue
-            child = (reached, qs.after(qstates, lab))
-            known = clean.get(child)
-            if known is None:
-                found = _uncovered(ps.refusals(child[0]), qs.refusals(child[1]))
-                if found is not None:
-                    return Failure(tuple(trace) + (lab,), found)
-                clean[child] = -1
-            elif known >= left - 1:
-                continue
-            trace.append(lab)
-            stack.append((child, left - 1, iter(labels if left > 1 else ())))
-            break
-        else:
-            # deeper visits of this pair, done inside it, had fewer steps
-            clean[stack.pop()[0]] = left
-            if trace:
-                trace.pop()
+    # each layer lists its pairs in the order of their least traces, so
+    # the first pair a child is met from gives it its least one
+    seen = {root}
+    layer = [(root, ())]
+    length = 0  # of the traces in `layer`
+    while layer and (depth is None or length < depth):
+        length += 1
+        nxt = []
+        for (pstates, qstates), trace in layer:
+            for lab in labels:
+                reached = ps.after(pstates, lab)
+                if reached:
+                    child = (reached, qs.after(qstates, lab))
+                    if child not in seen:
+                        found = _uncovered(ps.refusals(reached), qs.refusals(child[1]))
+                        if found is not None:
+                            return Failure(trace + (lab,), found)
+                        seen.add(child)
+                        nxt.append((child, trace + (lab,)))
+        layer = nxt
     return None

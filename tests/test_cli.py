@@ -285,9 +285,15 @@ def test_run_csp_direct(capsys):
     assert "c=[2,3,-1,0]" in out
 
 
-def test_run_csp_wrong_mode(capsys):
-    code, _, err = run_cli(capsys, "run", CORPUS / "sfr.csp", "--mode", "erratic")
+@pytest.mark.parametrize("name,mode", [
+    ("sfr.csp", "erratic"), ("sfr.csp", "angelic"),
+    ("zerosearch.par", "erratic"), ("zerosearch.par", "angelic"),
+])
+def test_run_csp_wrong_mode(capsys, name, mode):
+    code, out, err = run_cli(capsys, "run", CORPUS / name, "--mode", mode, "--seed", "1")
     assert code == 64
+    assert out == ""
+    assert err == f"error: {pathlib.Path(name).suffix} files run under --mode demonic only\n"
 
 
 def test_run_par_direct(capsys):

@@ -11,7 +11,7 @@ from gclab.equiv import (
 from gclab.errors import CheckError
 
 import refinement_reference
-from conftest import corpus_text
+from conftest import CORPUS, corpus_text
 from oracles import random_system
 
 ALPHABETS = [("a",), ("a", "b"), ("a", "b", "c"), ("b", "c")]
@@ -254,14 +254,14 @@ def _cycle(prefix: str, phases: int, offers_b, tau_to_dead: bool) -> Lts:
     (12, None),
     (15, None),
     (16, Failure(("a",) * 15 + ("b",), frozenset({"a", "b"}))),
-    (40, Failure(("a",) * 35 + ("b",), frozenset({"a", "b"}))),
+    (40, Failure(("a",) * 15 + ("b",), frozenset({"a", "b"}))),
     (None, Failure(("a",) * 15 + ("b",), frozenset({"a", "b"}))),
 ])
-def test_refinement_witness_is_least_in_trace_order(depth, want):
+def test_refinement_witness_is_least_among_the_shortest(depth, want):
     """The cyclic pair that a depth of |P|+|Q| = 12 misses: P can do
     a^k b whenever 5 divides k, Q only when k mod 4 is not 3. At depth
-    40 the witness is a^35 b, which sorts before the shorter a^15 b; with
-    no depth it is the shortest, a^15 b."""
+    40 the witness is the shortest, a^15 b, as with no depth, though
+    a^35 b sorts before it."""
     P = _cycle("p", 5, [0], tau_to_dead=False)
     Q = _cycle("q", 4, [0, 1, 2], tau_to_dead=True)
     assert refinement_counterexample(P, Q, depth) == want
@@ -272,6 +272,22 @@ def test_cycle_pair_in_the_corpus():
     assert parse_lts(corpus_text("cycle5.lts")) == _cycle("p", 5, [0], tau_to_dead=False)
     assert parse_lts(corpus_text("cycle4.lts")) == _cycle(
         "q", 4, [0, 1, 2], tau_to_dead=True)
+
+
+def test_every_depth_cuts_the_conclusive_witness_on_the_corpus():
+    """For every ordered pair of corpus systems, a depth d gives the
+    conclusive witness when its trace has at most d labels, else None."""
+    systems = [parse_lts(path.read_text(encoding="utf-8"))
+               for path in sorted(CORPUS.glob("*.lts"))]
+    witnesses = 0
+    for a in systems:
+        for b in systems:
+            full = refinement_counterexample(a, b)
+            witnesses += full is not None
+            for depth in range(21):
+                want = full if full is not None and len(full.trace) <= depth else None
+                assert refinement_counterexample(a, b, depth) == want
+    assert witnesses >= 5, witnesses
 
 
 def _outcome(search, *args):

@@ -19,7 +19,7 @@ from gclab.fairness import (
 from gclab.parser import parse_gcl
 from gclab.printer import render, render_expr
 from gclab.state import State, compile_expr, initial_state
-from gclab.syntax import BinOp, Builtin, Declaration, Do, GclProgram, IntLit, Seq, Var
+from gclab.syntax import BinOp, BoolLit, Builtin, Declaration, Do, GclProgram, IntLit, Seq, Var
 
 import eval_reference
 from conftest import corpus_text
@@ -407,6 +407,33 @@ def test_fixpoint_text_round_trip():
 def test_parse_fixpoint_rejects_incomplete_table():
     with pytest.raises(FixpointError):
         parse_fixpoint("lfp 1 1\n0 -> 0\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "empty fixpoint description"),
+    ("lfp 1\n", "bad header 'lfp 1', expected 'lfp n h'"),
+    ("lfp a b\n", "bad header 'lfp a b'"),
+    ("lfp 1 1\n0 1\n", "bad table line '0 1'"),
+    ("lfp 1 1\n0 -> x\n", "bad table line '0 -> x'"),
+    ("lfp 1 1\n0 -> 0 0\n", "arity mismatch in '0 -> 0 0'"),
+    ("lfp 1 1\n0 -> 0\n0 -> 1\n", "duplicate table entry for (0,)"),
+], ids=["empty", "short-header", "non-integer-header", "no-arrow",
+        "non-integer-value", "arity-mismatch", "duplicate-entry"])
+def test_parse_fixpoint_errors(text, message):
+    with pytest.raises(FixpointError) as err:
+        parse_fixpoint(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("exprs,message", [
+    ([Var("x1")], "need 2 component expressions"),
+    ([Var("x1"), BoolLit(True)], "component expressions must be integer-valued"),
+    ([Var("x1"), Var("y")], "bad component expression: undeclared identifier 'y'"),
+], ids=["wrong-count", "bool-component", "undeclared-name"])
+def test_from_exprs_errors(exprs, message):
+    with pytest.raises(FixpointError) as err:
+        FixpointInstance.from_exprs(2, 1, exprs)
+    assert str(err.value) == message
 
 
 def test_corpus_lfp_fixtures_match_generator():

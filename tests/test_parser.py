@@ -269,6 +269,29 @@ def test_process_cannot_talk_to_itself():
         parse_csp(src)
 
 
+_PEER_B = "process B\n  var z: int;\n  do true ; A ! z -> skip od\nend\n"
+
+
+@pytest.mark.parametrize("src,cls,message,line,col", [
+    ("process A\n  var x: int;\n  do true ; B ? x -> skip od\nend\n"
+     "process A\n  var y: int;\n  skip\nend\n",
+     CheckError, "duplicate process name 'A'", 5, 9),
+    ("", ParseError, "a system needs at least one process", 1, 1),
+    ("process A\n  var x: int;\n  do true ; B ? y -> skip od\nend\n" + _PEER_B,
+     CheckError, "undeclared identifier 'y'", 3, 17),
+    ("process A\n  var a: int[0..1];\n  do true ; B ? a -> skip od\nend\n" + _PEER_B,
+     CheckError, "an input target must be a scalar", 3, 17),
+    ("process A\n  var x: int;\n  do true ; B x -> skip od\nend\n" + _PEER_B,
+     ParseError, "expected '!' or '?' in the i/o command", 3, 15),
+], ids=["duplicate-process", "empty-system", "undeclared-input-target",
+        "array-input-target", "io-without-direction"])
+def test_csp_error_positions(src, cls, message, line, col):
+    with pytest.raises(cls) as err:
+        parse_csp(src)
+    assert type(err.value) is cls
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
 # ---------------------------------------------------------------------------
 # Parallel fragment
 # ---------------------------------------------------------------------------
