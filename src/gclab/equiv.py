@@ -19,9 +19,11 @@ that Valmari's "Simple bisimilarity minimization in O(m log n) time"
 (2009) also uses, so a state moves at most log2 n times.
 
 Stable failures are computed over each system's subset construction
-(`_Subsets`), on masks, built as a search meets it. Refinement is decided
-without listing traces, by one breadth-first search of the pairs of
-tau-closed sets that p and q reach by the same trace: conclusively by
+(`_Subsets`), on masks, built as a search meets it. Its tau closures come
+from one depth-first walk over each system's tau moves (`_tau_reach`),
+which also checks that the system is divergence-free. Refinement is
+decided without listing traces, by one breadth-first search of the pairs
+of tau-closed sets that p and q reach by the same trace: conclusively by
 default, or up to a trace depth, with the bounded meaning of the
 trace-by-trace definition. In both modes the witness is on the least of
 the shortest traces that hold one. `max_refusals` and `failures` list
@@ -384,58 +386,42 @@ def must_pass(proc: Lts, test: Lts) -> bool:
 
 def must_witness(proc: Lts, test: Lts) -> tuple[str, tuple[str, str]] | None:
     """None when the process must pass; otherwise ('stuck'|'cycle', pair)
-    naming a deadlocked or cycling product node that avoids success."""
+    naming a deadlocked or cycling product node that avoids success.
+
+    An iterative gray/black depth-first search from the initial node,
+    along `_product_moves` in its order, never entering a success node:
+    the first entered node with no moves is stuck, and the first move
+    back onto the current path names the node it returns to."""
     _require_test(test)
     pix, tix = proc._index, test._index
-    if tix.success >> tix.init & 1:
+    success = tix.success
+    if success >> tix.init & 1:
         return None
-    trap = _trap(((pix.init, tix.init),), _product_moves(proc, test),
-                 avoid=lambda node: tix.success >> node[1] & 1, dead_ends=True)
-    if trap is None:
-        return None
-    s, t = trap[1][-1]
-    return (trap[0], (pix.names[s], tix.names[t]))
-
-
-def _trap(roots, succ, avoid=None, dead_ends: bool = False):
-    """The first trap met by an iterative gray/black depth-first search
-    from each root in turn, along `succ` in its order, never entering a
-    node that `avoid` accepts: ('cycle', path) for a move back onto the
-    current path, the path running from the repeated node round to it
-    again, or with `dead_ends`, ('stuck', [node]) for an entered node
-    with no successors. None when there is neither."""
-    color: dict = {}  # 1 gray (on the path), 2 black (done)
-    path: list = []
-    stack: list = []
-
-    def enter(node):
+    succ = _product_moves(proc, test)
+    color: dict[tuple[int, int], int] = {}  # 1 gray (on the path), 2 black (done)
+    stack: list = []  # the path, each node with its untried moves
+    node = (pix.init, tix.init)
+    while node is not None:
         moves = succ(node)
-        if dead_ends and not moves:
-            return ("stuck", [node])
+        if not moves:
+            return ("stuck", (pix.names[node[0]], tix.names[node[1]]))
         color[node] = 1
-        path.append(node)
-        stack.append(iter(moves))
-        return None
-
-    for root in roots:
-        if root in color:
-            continue
-        trap = enter(root)
-        while trap is None and stack:
-            for nxt in stack[-1]:
-                if avoid is not None and avoid(nxt):
+        stack.append((node, iter(moves)))
+        node = None
+        while node is None and stack:
+            top, todo = stack[-1]
+            for nxt in todo:
+                if success >> nxt[1] & 1:
                     continue
                 c = color.get(nxt)
                 if c == 1:
-                    return ("cycle", path[path.index(nxt):] + [nxt])
+                    return ("cycle", (pix.names[nxt[0]], tix.names[nxt[1]]))
                 if c is None:
-                    trap = enter(nxt)
+                    node = nxt
                     break
             else:
                 stack.pop()
-                color[path.pop()] = 2
-        if trap is not None:
-            return trap
+                color[top] = 2
     return None
 
 
@@ -466,31 +452,62 @@ class DivergenceError(Exception):
         super().__init__("divergent: internal cycle " + " -> ".join(cycle))
 
 
-def _check_divergence_free(l: Lts) -> None:
-    """Raise DivergenceError on a reachable internal cycle: the first one
-    that a depth-first search over tau moves meets (`_trap`), with roots
-    and successors in sorted order, however long the tau chains are."""
+def _tau_reach(l: Lts) -> list[int]:
+    """Per state, the mask of the states that one or more tau moves reach
+    from it, for every reachable state (0 for the others).
+
+    One iterative depth-first walk over the tau moves, from the reachable
+    states in ascending order, successors in ascending order too. It
+    raises DivergenceError on the first move back onto its path, naming
+    the cycle from the repeated state round to it again, however long the
+    tau chains are. Otherwise it fills each state's mask in post-order,
+    from its tau successors' masks, which are filled by then."""
     ix = l._index
     tau = ix.succ[TAU]
-    trap = _trap(_bits(_reachable(ix)), lambda s: _bits(tau[s]))
-    if trap is not None:
-        raise DivergenceError([ix.names[s] for s in trap[1]])
+    reach = [0] * len(ix.names)
+    color = bytearray(len(ix.names))  # 1 gray (on the path), 2 black (done)
+    # a state with no tau move keeps mask 0 and is never on a cycle, so
+    # the walk neither enters it nor starts from it
+    for root in _bits(_reachable(ix)):
+        if color[root] or not tau[root]:
+            continue
+        color[root] = 1
+        stack = [(root, iter(_bits(tau[root])))]  # the path, with untried moves
+        while stack:
+            node, todo = stack[-1]
+            for d in todo:
+                c = color[d]
+                if c == 1:
+                    path = [s for s, _ in stack]
+                    raise DivergenceError(
+                        [ix.names[s] for s in path[path.index(d):]] + [ix.names[d]])
+                if not c and tau[d]:
+                    color[d] = 1
+                    stack.append((d, iter(_bits(tau[d]))))
+                    break
+            else:
+                stack.pop()
+                color[node] = 2
+                mask = tau[node]
+                for d in _bits(tau[node]):
+                    mask |= reach[d]
+                reach[node] = mask
+    return reach
 
 
 class _Subsets:
     """One system's subset construction: its tau-closed state sets, as
     masks, as the searches meet them, each set's successor on a label and
-    its maximal refusals computed once. Raises DivergenceError if
+    its maximal refusals computed once. Each state's tau reach comes from
+    `_tau_reach`, the walk that also checks the system is not divergent,
+    so a closure is one OR per state. Raises DivergenceError if
     divergent."""
 
     def __init__(self, l: Lts):
-        _check_divergence_free(l)
         ix = l._index
+        self._tau_plus = _tau_reach(l)
         self.succ = ix.succ
         self.sigma = frozenset(l.alphabet)
-        # per state, the mask of the states one or more tau moves reach;
-        # None until a closure meets the state
-        self._tau_plus: list[int | None] = [None] * len(ix.names)
         self.start = self._closure(1 << ix.init)
         self._successors: dict[tuple[int, str], int] = {}
         self._maxima: dict[int, list[frozenset[str]]] = {}
@@ -499,32 +516,8 @@ class _Subsets:
         plus = self._tau_plus
         out = states
         for s in _bits(states):
-            reach = plus[s]
-            out |= self._settle(s) if reach is None else reach
+            out |= plus[s]
         return out
-
-    def _settle(self, root: int) -> int:
-        """Fill in the tau reach of `root` and of the unsettled states its
-        tau moves reach, in one depth-first post-order, each from its tau
-        successors' reach. Only reachable states get here, and the
-        divergence check has ruled out a reachable tau cycle, so a
-        state's tau successors are settled before it, and each state is
-        settled once."""
-        tau, plus = self.succ[TAU], self._tau_plus
-        stack = [(root, iter(_bits(tau[root])))]
-        while stack:
-            node, todo = stack[-1]
-            for d in todo:
-                if plus[d] is None:
-                    stack.append((d, iter(_bits(tau[d]))))
-                    break
-            else:
-                stack.pop()
-                reach = tau[node]
-                for d in _bits(tau[node]):
-                    reach |= plus[d]
-                plus[node] = reach
-        return plus[root]
 
     def after(self, states: int, lab: str) -> int:
         """The tau-closed set one `lab` move leads to; empty if none does."""

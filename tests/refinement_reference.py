@@ -2,15 +2,45 @@
 the maximal refusals of every trace up to the depth for both systems
 (trace enumeration, |alphabet|^depth traces) and scans P's traces in
 sorted order. `max_refusals` and `_tau_closure` are kept beside it as
-they were, so the reference shares no refusal code with the search it
-checks. Kept only as the reference for `test_refinement_reference.py`.
+they were, and the divergence check is a recursive depth-first search of
+its own, so the reference shares no refusal or divergence code with the
+search it checks. Kept only as the reference for
+`test_refinement_reference.py` and `test_equiv.py`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from gclab.equiv import TAU, Failure, Lts, _check_divergence_free
+from gclab.equiv import TAU, DivergenceError, Failure, Lts
+
+
+def check_divergence_free(l: Lts) -> None:
+    """The divergence check as a recursive depth-first search over tau
+    moves, from the reachable states in sorted order: raise
+    DivergenceError with the first cycle it meets."""
+    mv = l.moves()
+    color, trail = {}, []
+
+    def dfs(s):
+        color[s] = 1
+        trail.append(s)
+        for d in sorted(mv[s].get(TAU, ())):
+            if color.get(d) == 1:
+                return trail[trail.index(d):] + [d]
+            if d not in color:
+                found = dfs(d)
+                if found:
+                    return found
+        trail.pop()
+        color[s] = 2
+        return None
+
+    for s in sorted(l.reachable()):
+        if s not in color:
+            found = dfs(s)
+            if found:
+                raise DivergenceError(found)
 
 
 def _tau_closure(states: set[str], mv) -> frozenset[str]:
@@ -28,7 +58,7 @@ def _tau_closure(states: set[str], mv) -> frozenset[str]:
 def max_refusals(l: Lts, depth: int) -> dict[tuple[str, ...], list[frozenset[str]]]:
     """trace -> maximal refusal sets (one per stable state shape reached
     after the trace). Downward closure is left implicit."""
-    _check_divergence_free(l)
+    check_divergence_free(l)
     mv = l.moves()
     sigma = set(l.alphabet)
     out: dict[tuple[str, ...], list[frozenset[str]]] = {}

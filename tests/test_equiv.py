@@ -1,3 +1,8 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from random import Random
 
@@ -77,6 +82,48 @@ def test_long_chains_split_within_ten_seconds():
     assert bisimilar_witness(p, q) == ("s19999", "s19999", "b")
     assert not bisimilar(p, q)
     assert time.perf_counter() - start < 10
+
+
+_SPARSE_RUNS = {
+    # a 20,000-state one-way tau chain refines a one-state system
+    "tau-chain": """
+names = tuple(f"s{k}" for k in range(20000))
+trans = tuple((names[k], "tau", names[k + 1]) for k in range(19999))
+result = refines(Lts(names, ("a",), trans, "s0"), Lts(("o",), ("a",), (), "o"))
+""",
+    # the chain pair of test_long_chains_split_within_ten_seconds
+    "a-chains": """
+names = tuple(f"s{k}" for k in range(20000))
+trans = tuple((names[k], "a", names[k + 1]) for k in range(19999))
+loop = (("s19999", "b", "s19999"),)
+result = bisimilar_witness(Lts(names, ("a", "b"), trans, "s0"),
+                           Lts(names, ("a", "b"), trans + loop, "s0"))
+""",
+}
+
+
+@pytest.mark.parametrize("case, want", [("tau-chain", True),
+                                        ("a-chains", ["s19999", "s19999", "b"])])
+def test_large_sparse_systems_within_memory_and_time(case, want):
+    """Each run in a fresh interpreter, so that its peak resident memory
+    (`ru_maxrss`, which Linux reports in KiB) is its own: successor masks
+    of k bits for state k would make it grow with the square of the
+    state count."""
+    child = ("import json, resource, time\n"
+             "from gclab.equiv import Lts, bisimilar_witness, refines\n"
+             "start = time.perf_counter()\n"
+             + _SPARSE_RUNS[case] +
+             "print(json.dumps([result, time.perf_counter() - start,\n"
+             "                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))\n")
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    result, seconds, peak_kib = json.loads(done.stdout)
+    assert result == want
+    assert seconds < 10
+    assert peak_kib < 200 * 1024
 
 
 def test_bisimilar_reflexive():
@@ -384,9 +431,9 @@ def _two_way_tau_chain_text(n: int) -> str:
 
 
 def test_two_way_tau_chain_diverges_at_once():
-    """Tau closures are built only past the divergence check, so a long tau
-    cycle costs a parse and one depth-first search, not a closure per
-    state."""
+    """Tau closures are filled in post-order by the walk that checks for
+    divergence, so a long tau cycle costs a parse and a walk that stops
+    at its first move back onto its path, not a closure per state."""
     one = parse_lts("alphabet a\nstates o\ninit o\n")
     start = time.perf_counter()
     chain = parse_lts(_two_way_tau_chain_text(4000))
@@ -398,47 +445,18 @@ def test_two_way_tau_chain_diverges_at_once():
     assert time.perf_counter() - start < 5
 
 
-def _recursive_divergence_cycle(l: Lts):
-    """The divergence check as a recursive DFS: the cycle it reports, or
-    None."""
-    mv = l.moves()
-    color, trail = {}, []
-
-    def dfs(s):
-        color[s] = 1
-        trail.append(s)
-        for d in sorted(mv[s].get("tau", ())):
-            if color.get(d) == 1:
-                return trail[trail.index(d):] + [d]
-            if d not in color:
-                found = dfs(d)
-                if found:
-                    return found
-        trail.pop()
-        color[s] = 2
-        return None
-
-    for s in sorted(l.reachable()):
-        if s not in color:
-            found = dfs(s)
-            if found:
-                return found
-    return None
-
-
 def test_divergence_cycle_matches_recursive_search():
     rng = Random(909)
     divergent = 0
     for _ in range(300):
         l = random_system(rng, rng.randint(1, 6), ("a", "b"))
-        want = _recursive_divergence_cycle(l)
-        try:
-            failures(l, 1)
-            got = None
-        except DivergenceError as e:
-            got = e.cycle
+        want = _outcome(refinement_reference.check_divergence_free, l)
+        got = _outcome(failures, l, 1)
+        if want is None:
+            assert isinstance(got, set)
+        else:
+            assert got == want
             divergent += 1
-        assert got == want
     assert divergent > 20
 
 

@@ -1,4 +1,5 @@
-"""Golden reports: `gclab run` and `gclab transform` output, byte for byte.
+"""Golden reports: `gclab run`, `gclab transform` and `gclab lts` output,
+byte for byte.
 
 Each file under tests/golden/ holds one command line, its exit code and
 its exact stdout:
@@ -36,9 +37,9 @@ DIGEST_ABOVE = 64 * 1024
 
 def _cases():
     """(golden file name, argv) for every case the goldens may cover.
-    Fair modes and the wf transform apply only to one-level programs;
-    the generator keeps a case only when it does not exit with a usage
-    error."""
+    Fair modes and the wf transform apply only to one-level programs,
+    and may and must only to a test with a success state; the generator
+    keeps a case only when it does not exit with a usage error."""
     for path in sorted(CORPUS.glob("*.gcl")):
         rel = f"corpus/{path.name}"
         for fmt in ("text", "json"):
@@ -55,6 +56,14 @@ def _cases():
             for fmt in ("text", "json"):
                 yield f"{path.name}.demonic.{fmt}", ["run", rel, "--format", fmt]
             yield f"{path.name}.transform-{ext}", ["transform", rel, "--kind", ext]
+    systems = sorted(CORPUS.glob("*.lts"))
+    for p in systems:
+        for q in systems:
+            pair = [f"corpus/{p.name}", f"corpus/{q.name}"]
+            for sub in ("bisim", "may", "must", "refines"):
+                yield f"{p.name}.{q.name}.{sub}", ["lts", sub, *pair]
+            yield (f"{p.name}.{q.name}.refines-4",
+                   ["lts", "refines", *pair, "--depth", "4"])
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -95,6 +104,10 @@ def test_goldens_cover_every_corpus_program():
     for path in CORPUS.glob("*.gcl"):
         assert f"{path.name}.angelic.text" in names
         assert f"{path.name}.erratic-1.json" in names
+    systems = [p.name for p in CORPUS.glob("*.lts")]
+    for p in systems:
+        for q in systems:
+            assert f"{p}.{q}.bisim" in names
 
 
 def regenerate() -> None:
