@@ -184,7 +184,7 @@ def run_csp(sys: CspSystem, s0: State | None = None,
             return Expansion(failure=Failed("deadlock", s, "no corresponding pair enabled"))
         return Expansion(transitions=trans, side_outcomes=extra)
 
-    search = GraphSearch(lim, expand, lambda s: s.canonical(), final_of, subs=subs)
+    search = GraphSearch(lim, expand, lambda s: s.canonical(), final_of)
     init_outcomes: list = []
     states = [s0]
     for p in sys.processes:
@@ -199,4 +199,4 @@ def run_csp(sys: CspSystem, s0: State | None = None,
         search.run(s)
     for o in init_outcomes:
         search.close(o)
-    return search.report()
+    return search.report(subs.counts)

@@ -14,11 +14,11 @@ reads and writes, its arm points, and its compiled head: on the first
 step the head's assignment, guards or `choice` bound are lowered to
 closures (`state.compile_assign`, `compile_guards`, `compile_expr`),
 which every later step calls without walking the syntax tree. A
-configuration (`Config`) is a slotted record written once; it compares
-by point identity plus the state, and hashes by the point's identity and
-the state, a hash cached on the first probe. `step` returns an
-`Expansion`, the one record of what a node expands to (a failure, or
-labelled successors). On top of `step` sit:
+configuration (`Config`) is a named pair of a point and a state: it
+compares by point identity plus the state, and hashes as the pair (the
+state caches its own hash). `step` returns an `Expansion`, the one
+record of what a node expands to (a failure, or labelled successors).
+On top of `step` sit:
 
 * `explore_demonic` - exhaustive depth-first exploration of the whole
   computation tree with memoization, lasso-based divergence detection and
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .errors import EvalError
 from .printer import render_stmt_inline
@@ -54,10 +54,6 @@ from .syntax import (
     PARTIAL, ArrayRef, Assign, BinOp, ChoiceAssign, Do, Fail, GclProgram, If,
     Program, RandomAssign, Seq, Skip, Stmt, expr_names, intern, interned, nodes,
 )
-
-
-# writes a field of a `Config` once, in its `__init__`
-_set = object.__setattr__
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,27 +221,13 @@ def root(stmt: Stmt, owner: Program | None = None) -> Point:
     return pt
 
 
-class Config:
-    """Node of the computation tree: a program point plus a state. A
-    slotted record, written once in `__init__`. Equal configurations
-    share their point, so equality is point identity plus state equality;
-    the hash, `hash((point, state))`, is cached on the first probe (a
-    search looks each configuration up several times)."""
+class Config(NamedTuple):
+    """Node of the computation tree: a program point plus a state. Equal
+    configurations share their point, so equality is point identity plus
+    state equality, and the hash is `hash((point, state))`."""
 
-    __slots__ = ("point", "state", "_hash")
-
-    def __init__(self, point: Point, state: State):
-        _set(self, "point", point)
-        _set(self, "state", state)
-        _set(self, "_hash", None)
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"cannot change field {name!r} of a Config")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self) -> str:
-        return f"Config(point={self.point!r}, state={self.state!r})"
+    point: Point
+    state: State
 
     @property
     def residue(self) -> tuple[Stmt, ...]:
@@ -257,18 +239,6 @@ class Config:
 
     def residue_key(self) -> str:
         return self.point.key
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Config):
-            return NotImplemented
-        return self.point is other.point and self.state == other.state
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.point, self.state))
-            _set(self, "_hash", h)
-        return h
 
 
 def make_config(residue: tuple[Stmt, ...], state: State) -> Config:
@@ -524,17 +494,16 @@ class GraphSearch:
     depth budget). `expand(node)` says what a node expands to, under the
     limits its maker bound into it; `step` under the search's limits
     (`_expander`) is the expander of guarded-commands configurations.
-    The report adds the counts of the sub-searches `subs` ran, if given.
+    The current path is one stack of frames `[node, transitions, next
+    index, clean, label into it]`; a frame's depth is its index.
     """
 
     def __init__(self, lim: Limits,
                  expand: Callable[[Any], Expansion],
                  key_of: Callable[[Any], str],
                  final_of: Callable[[Any], State | None],
-                 revisit_scan: Callable[[list, Any, str], Divergent | None] | None = None,
-                 subs: SubSearches | None = None):
+                 revisit_scan: Callable[[list, Any, str], Divergent | None] | None = None):
         self.lim = lim
-        self.subs = subs
         self.expand = expand
         self.key_of = key_of
         self.final_of = final_of
@@ -550,62 +519,59 @@ class GraphSearch:
         self.paths = 0
         self.stopped = False
 
-    def record(self, o: Outcome) -> None:
-        self.outcomes.setdefault(o)
-
     def close(self, o: Outcome) -> None:
         """Record the outcome that closes a branch."""
         self.outcomes.setdefault(o)
         self.paths += 1
 
     def run(self, root: Any) -> None:
-        first = self._enter(root, 0, [])
+        stack: list[list] = []
+        first = self._enter(root, None, stack)
         if first is None:
             return
-        stack = [first]
-        path: list[tuple[Any, str | None]] = [(root, None)]
+        stack.append(first)
         black = self.black
         black[root] = 0
         while stack:
             frame = stack[-1]
-            node, trans, idx, depth, clean = frame
+            node, trans, idx, clean, _ = frame
             if idx >= len(trans):
                 stack.pop()
-                path.pop()
-                black[node] = (depth, clean)
+                black[node] = (len(stack), clean)
                 if stack:
-                    stack[-1][4] = stack[-1][4] and clean
+                    stack[-1][3] = stack[-1][3] and clean
                 continue
             frame[2] += 1
             label, nxt = trans[idx]
             self.edges += 1
             seen = black.get(nxt)
             if seen.__class__ is int:  # on the path, at index `seen`: a lasso
-                stem = tuple(lab for _, lab in path[1:seen + 1])
-                cycle = tuple(lab for _, lab in path[seen + 1:]) + (label,)
+                stem = tuple(f[4] for f in stack[1:seen + 1])
+                cycle = tuple(f[4] for f in stack[seen + 1:]) + (label,)
                 self.close(Divergent(self.key_of(nxt), True, stem, cycle))
                 continue
             if self.revisit_scan is not None:
-                div = self.revisit_scan(path, nxt, label)
+                div = self.revisit_scan(stack, nxt, label)
                 if div is not None:
-                    self.record(div)
+                    self.outcomes.setdefault(div)
                     # the branch stays open: unlike an exact repeat, the
                     # successor has genuinely new terminal states below it
             if seen is not None:
                 prev_depth, prev_clean = seen
-                if prev_clean or depth + 1 >= prev_depth:
+                if prev_clean or len(stack) >= prev_depth:
                     self.paths += 1
-                    frame[4] = frame[4] and prev_clean
+                    frame[3] = frame[3] and prev_clean
                     continue
                 del black[nxt]  # shallower revisit of a truncated subtree
-            child = self._enter(nxt, depth + 1, stack)
+            child = self._enter(nxt, label, stack)
             if child is None:
                 continue
+            black[nxt] = len(stack)
             stack.append(child)
-            black[nxt] = len(path)
-            path.append((nxt, label))
 
-    def _enter(self, node: Any, depth: int, stack: list):
+    def _enter(self, node: Any, label: str | None, stack: list):
+        """The frame of `node`, reached by `label` at depth `len(stack)`,
+        or None when its branch closes here."""
         final = self.final_of(node)
         if final is not None:
             self.close(Terminated(final))
@@ -613,7 +579,7 @@ class GraphSearch:
         bound = None
         if self.stopped:
             bound = "max-configs"
-        elif depth >= self.lim.max_depth:
+        elif len(stack) >= self.lim.max_depth:
             bound = "max-depth"
         else:
             self.configs += 1
@@ -622,7 +588,8 @@ class GraphSearch:
                 bound = "max-configs"
         if bound is not None:
             self.close(BoundExceeded(bound))
-            self._taint(stack)
+            if stack:
+                stack[-1][3] = False
             return None
         exp = self.expand(node)
         for o in exp.side_outcomes:
@@ -631,20 +598,18 @@ class GraphSearch:
             self.close(exp.failure)
             return None
         if exp.truncated:
-            self.record(BoundExceeded(exp.truncated))
+            self.outcomes.setdefault(BoundExceeded(exp.truncated))
         if not exp.transitions:
             return None
-        return [node, exp.transitions, 0, depth, not exp.truncated]
+        return [node, exp.transitions, 0, not exp.truncated, label]
 
-    def _taint(self, stack: list) -> None:
-        if stack:
-            stack[-1][4] = False
-
-    def report(self) -> ExplorationReport:
+    def report(self, sub_counts=(0, 0, 0)) -> ExplorationReport:
+        """The report, adding `sub_counts` (configs, edges, paths), the
+        counts of the sub-searches the expander ran (`SubSearches`)."""
         outcomes = tuple(self.outcomes)
         if len(outcomes) > 1:  # most reports hold one outcome: nothing to sort
             outcomes = tuple(sorted(outcomes, key=lambda o: o.key()))
-        configs, edges, paths = self.subs.counts if self.subs else (0, 0, 0)
+        configs, edges, paths = sub_counts
         return ExplorationReport(outcomes, self.configs + configs,
                                  self.edges + edges, self.paths + paths,
                                  self.lim)
@@ -724,7 +689,7 @@ def _head_effects(head: Stmt) -> tuple[set[str], set[str]]:
     return reads, writes
 
 
-def _control_lasso_scan(path: list, nxt: Config, label: str) -> Divergent | None:
+def _control_lasso_scan(stack: list, nxt: Config, label: str) -> Divergent | None:
     """Detect a repeatable cycle that an exact-configuration check misses.
 
     If an on-path ancestor has the same residue and every step between
@@ -733,18 +698,19 @@ def _control_lasso_scan(path: list, nxt: Config, label: str) -> Divergent | None
     enabled forever and the program diverges, even though the written
     variables keep changing value.
 
-    Ancestors are tried nearest first, with the effects of the steps from
-    the ancestor to the end of the path accumulated on the way back. The
-    sets only grow, so once the cycle reads what it writes, no ancestor
-    further back can qualify.
+    `stack` is the search's path (`GraphSearch.run`): a frame holds its
+    node at 0 and the label into it at 4. Ancestors are tried nearest
+    first, with the effects of the steps from the ancestor to the end of
+    the path accumulated on the way back. The sets only grow, so once the
+    cycle reads what it writes, no ancestor further back can qualify.
     """
     pt = nxt.point
     if not isinstance(pt.head, Do):
         return None
     reads: set[str] = set()
     writes: set[str] = set()
-    for at in range(len(path) - 1, -1, -1):
-        anc = path[at][0].point
+    for at in range(len(stack) - 1, -1, -1):
+        anc = stack[at][0].point
         r, w = anc.effects
         reads |= r
         writes |= w
@@ -752,8 +718,8 @@ def _control_lasso_scan(path: list, nxt: Config, label: str) -> Divergent | None
             return None
         if anc is not pt or not writes:
             continue
-        stem = tuple(lab for _, lab in path[1:at + 1])
-        cycle = tuple(lab for _, lab in path[at + 1:]) + (label,)
+        stem = tuple(f[4] for f in stack[1:at + 1])
+        cycle = tuple(f[4] for f in stack[at + 1:]) + (label,)
         return Divergent(f"{pt.key} @ {nxt.state.canonical(writes)}", False, stem, cycle)
     return None
 

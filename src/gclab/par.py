@@ -238,14 +238,14 @@ def run_par_direct(sys: ParSystem, s0: State | None = None,
 
     search = GraphSearch(lim, expand,
                          lambda nd: f"{nd[0]} @ {nd[1].canonical()}",
-                         lambda nd: nd[1] if nd[0] == "done" else None, subs=subs)
+                         lambda nd: nd[1] if nd[0] == "done" else None)
     init_outcomes: list = []
     entries = tuple(c.entry for c in comps)
     for s in subs.absorb(sys.init, s0, init_outcomes):
         search.run((entries, s))
     for o in init_outcomes:
         search.close(o)
-    return search.report()
+    return search.report(subs.counts)
 
 
 def _stuck_detail(cvs, comps) -> str:

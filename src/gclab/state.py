@@ -22,7 +22,7 @@ from collections.abc import Callable, Collection
 from .errors import CheckError, EvalError
 from .syntax import (
     BINARY, BUILTINS, ArrayRef, Assign, BinOp, BoolLit, Builtin, Declaration,
-    Expr, IntLit, UnaryOp, Var, chain,
+    Expr, IntLit, UnaryOp, Var, chain, intern, interned,
 )
 
 Value = int | bool
@@ -35,10 +35,11 @@ class Layout:
     `bounds` ((lo, hi) of an array, None for a scalar) follow that order,
     and `pos` maps a name to its position. States over one layout store
     their values at those positions, so equality and hashing never touch
-    the declarations themselves.
+    the declarations themselves. `initial_state` interns one layout per
+    declaration tuple.
     """
 
-    __slots__ = ("decls", "names", "kinds", "bounds", "pos")
+    __slots__ = ("decls", "names", "kinds", "bounds", "pos", "__weakref__")
 
     def __init__(self, decls: tuple[Declaration, ...]):
         self.decls = tuple(sorted(decls, key=lambda d: d.name))
@@ -206,8 +207,11 @@ def format_value(v: Value) -> str:
 def initial_state(decls: tuple[Declaration, ...],
                   overrides: dict[str, Value | tuple[int, ...]] | None = None) -> State:
     """Default state: declaration initializers where present, else
-    0/false. `overrides` replaces initializers by name."""
-    layout = Layout(decls)
+    0/false. `overrides` replaces initializers by name. The layout of a
+    declaration tuple is interned while any state over it lives, so the
+    runs of one program share it."""
+    key = (Layout, decls)
+    layout = interned(key) or intern(key, Layout(decls))
     values = []
     for d in layout.decls:
         v = d.init

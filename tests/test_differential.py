@@ -8,10 +8,11 @@ and bound-aware re-expansion, partition refinement, the failures model).
 import itertools
 from random import Random
 
-from gclab.engine import Limits, Terminated, explore_demonic
+from gclab.engine import Divergent, Limits, Terminated, explore_demonic, replay
 from gclab.equiv import Lts, bisimilar, failures, max_refusals
 from gclab.parser import parse_gcl
 from gclab.printer import render
+from gclab.state import initial_state
 from gclab.syntax import (
     Assign, BinOp, ChoiceAssign, Declaration, Do, Fail, GclProgram,
     GuardedCommand, If, IntLit, RandomAssign, Skip, Var, seq,
@@ -92,6 +93,30 @@ def test_explorer_matches_bfs_oracle_on_random_programs():
             assert rep.has(Failed) == failed, render(p)
             checked += 1
     assert checked > 300
+
+
+def test_every_lasso_of_random_programs_replays():
+    """Every `Divergent` witness is a lasso of the program: following its
+    stem and then its cycle returns to the stem's residue, and to the
+    stem's very configuration when the lasso is exact."""
+    rng = Random(2468)
+    lim = Limits(max_depth=20, choice_bound=3, max_configs=20_000)
+    exact = inexact = 0
+    for _ in range(600):
+        p = _program(rng)
+        s0 = initial_state(p.decls)
+        for o in explore_demonic(p, s0, lim).outcomes:
+            if not isinstance(o, Divergent):
+                continue
+            c1 = replay(p, s0, o.stem, lim.choice_bound)
+            c2 = replay(p, s0, o.stem + o.cycle, lim.choice_bound)
+            assert c1.residue == c2.residue, render(p)
+            if o.exact:
+                assert c1 == c2, render(p)
+                exact += 1
+            else:
+                inexact += 1
+    assert exact > 200 and inexact > 10
 
 
 # ---------------------------------------------------------------------------

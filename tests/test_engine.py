@@ -231,7 +231,7 @@ def test_config_equality_is_point_identity_and_state_equality():
     assert hash(c) == hash((first, s0))
     assert c != Config(second, s0)
     assert c != Config(first, s1)
-    assert (c == (first, s0)) is False
+    assert (c == (first, s0)) is True
 
 
 # ---------------------------------------------------------------------------

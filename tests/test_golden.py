@@ -1,15 +1,18 @@
 """Golden reports: `gclab run`, `gclab transform` and `gclab lts` output,
 byte for byte.
 
-Each file under tests/golden/ holds one command line, its exit code and
-its exact stdout:
+Each file under tests/golden/ holds one command line, its exit code, its
+exact stdout and, when it is not empty, its exact stderr:
 
     $ gclab run corpus/euclid.gcl --mode demonic --format text
     exit 0
     <stdout>
+    --- stderr ---
+    <stderr>
 
 A stdout longer than DIGEST_ABOVE characters (the full queens search) is kept
-as its SHA-256 and its first lines instead. The `counts configs=...
+as its SHA-256 and its first lines instead. The error cases read their
+small inputs from tests/inputs/. The `counts configs=...
 edges=... paths=...` lines pin the memo-merge behaviour of the search, so
 any change to how configurations are keyed or merged shows up here.
 Regenerate (only when a report change is intended) with
@@ -33,6 +36,19 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 DIGEST_ABOVE = 64 * 1024
+
+# commands that end with an error exit and one `error:` line, whatever
+# their code: the array cap, a `--bind` value, a bad `.lts` line, a
+# divergent `lts refines` (65) and two usage errors
+ERROR_CASES = [
+    ("error.array-cap", ["run", "tests/inputs/array.gcl"]),
+    ("error.bind", ["run", "corpus/euclid.gcl", "--bind", "x=1_000"]),
+    ("error.lts-line", ["lts", "bisim", "tests/inputs/bad.lts", "corpus/P.lts"]),
+    ("error.refines-divergent",
+     ["lts", "refines", "tests/inputs/two-way.lts", "tests/inputs/one.lts"]),
+    ("error.depth", ["lts", "refines", "corpus/P.lts", "corpus/Q.lts", "--depth", "-1"]),
+    ("error.mode", ["run", "corpus/euclid.gcl", "--mode", "bogus"]),
+]
 
 
 def _cases():
@@ -62,27 +78,34 @@ def _cases():
             pair = [f"corpus/{p.name}", f"corpus/{q.name}"]
             for sub in ("bisim", "may", "must", "refines"):
                 yield f"{p.name}.{q.name}.{sub}", ["lts", sub, *pair]
-            yield (f"{p.name}.{q.name}.refines-4",
-                   ["lts", "refines", *pair, "--depth", "4"])
+            for depth in ("0", "4", "16"):
+                yield (f"{p.name}.{q.name}.refines-{depth}",
+                       ["lts", "refines", *pair, "--depth", depth])
+    yield from ERROR_CASES
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
-    resolved = [str(ROOT / a) if a.startswith("corpus/") else a for a in argv]
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    resolved = [str(ROOT / a) if a.startswith(("corpus/", "tests/inputs/")) else a
+                for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(resolved)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _golden_text(argv: list[str]) -> tuple[int, str]:
     """Exit code and golden file text of one command."""
-    code, out = _run(argv)
+    code, out, err = _run(argv)
     text = f"$ gclab {' '.join(argv)}\nexit {code}\n"
     if len(out) > DIGEST_ABOVE:
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         head = "".join(out.splitlines(keepends=True)[:8])
-        return code, f"{text}sha256 {digest} of {len(out)} characters, first lines:\n{head}"
-    return code, text + out
+        text += f"sha256 {digest} of {len(out)} characters, first lines:\n{head}"
+    else:
+        text += out
+    if err:
+        text += f"--- stderr ---\n{err}"
+    return code, text
 
 
 GOLDEN_FILES = sorted(GOLDEN.glob("*")) if GOLDEN.is_dir() else []
@@ -108,6 +131,8 @@ def test_goldens_cover_every_corpus_program():
     for p in systems:
         for q in systems:
             assert f"{p}.{q}.bisim" in names
+            assert {f"{p}.{q}.refines-{d}" for d in (0, 4, 16)} <= names
+    assert {name for name, _ in ERROR_CASES} <= names
 
 
 def regenerate() -> None:
@@ -116,7 +141,7 @@ def regenerate() -> None:
         old.unlink()
     for name, argv in _cases():
         code, text = _golden_text(argv)
-        if code != USAGE_ERROR:
+        if code != USAGE_ERROR or name.startswith("error."):
             (GOLDEN / name).write_text(text, encoding="utf-8")
 
 

@@ -1,13 +1,16 @@
 import decimal
 import re
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import corpus_text
+
 from gclab.errors import CheckError, EvalError
-from gclab.parser import parse_gcl
-from gclab.state import apply_parallel_assign, eval_expr, initial_state
-from gclab.syntax import ArrayRef, BinOp, Builtin, Declaration, IntLit, Var
+from gclab.parser import parse_csp, parse_gcl
+from gclab.state import Layout, State, apply_parallel_assign, eval_expr, initial_state
+from gclab.syntax import ArrayRef, BinOp, Builtin, Declaration, IntLit, Var, interned
 
 
 def _state(src, **binds):
@@ -287,9 +290,31 @@ def test_state_fields_refuse_assignment():
     assert s.values == ((0, 0), 1) and s.canonical() == "a=[0,0] x=1"
 
 
+def test_initial_states_of_one_program_share_one_layout():
+    p = parse_gcl(corpus_text("sort4.gcl"))
+    s1, s2 = initial_state(p.decls), initial_state(p.decls, {"X1": 7})
+    assert s1.layout is s2.layout
+    sys = parse_csp(corpus_text("circwait.csp"))
+    c1, c2 = initial_state(sys.all_decls()), initial_state(sys.all_decls())
+    assert sys.all_decls() is not sys.all_decls()
+    assert c1.layout is c2.layout and c1.layout is not s1.layout
+
+
+def test_an_interned_layout_goes_with_its_states():
+    decls = (Declaration("layout_probe", "int"), Declaration("layout_cells", "int[]", 0, 2))
+    s = initial_state(decls)
+    ref = weakref.ref(s.layout)
+    s2 = s.set_cell("layout_cells", 1, 5)
+    del s
+    assert ref() is s2.layout and initial_state(decls).layout is ref()
+    del s2
+    assert ref() is None and interned((Layout, decls)) is None
+
+
 def test_state_equality_and_hash_read_the_values_only():
     decls = (Declaration("x", "int", init=3), Declaration("a", "int[]", 0, 1, (1, 2)))
-    s1, s2 = initial_state(decls), initial_state(decls)
+    s1 = initial_state(decls)
+    s2 = State(Layout(decls), s1.values)  # the same values over another layout
     assert s1.layout is not s2.layout
     assert s1 == s2 and hash(s1) == hash(s2) and len({s1, s2}) == 1
     assert hash(s1) == hash((s1.values,))
