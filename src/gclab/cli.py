@@ -12,6 +12,9 @@ hold); 65 flags a divergence error from the failures model. Any command
 exits 70 with a one-line `error: internal error: ...` when gclab itself
 fails unexpectedly, which is a bug in gclab. Reports are byte-identical
 for identical inputs.
+
+The argument parser is built once per process, on the first `main` call
+(not at import), and serves every later in-process call.
 """
 
 from __future__ import annotations
@@ -91,9 +94,17 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# the argument parser, built on the first `main` call of the process; each
+# `parse_args` fills a new namespace from it, so no call sees another's
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
+    global _PARSER
     try:
-        args = build_parser().parse_args(argv)
+        if _PARSER is None:
+            _PARSER = build_parser()
+        args = _PARSER.parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "transform":

@@ -7,9 +7,12 @@ to a live one returns the live one. Equal trees are one object, so `==`
 on nodes is `is` and a node hashes by identity; neither walks the tree.
 The engines key program points on node identity (`engine.lower`) and
 compile each point's expressions to closures (`state.compile_expr`) on
-its first step, so no step walks an expression tree. Nodes carry no
-source positions (the parser reports positions at parse time), which
-keeps `parse(render(p)) == p` a plain `==`.
+its first step, so no step walks an expression tree. Likewise every
+`Expr` and `Stmt` keeps its text in a `_text` slot of its base class,
+filled by its first rendering (`printer`), so a shared subtree is
+rendered once, however often it occurs. Nodes carry no source positions
+(the parser reports positions at parse time), which keeps
+`parse(render(p)) == p` a plain `==`.
 
 Each binary operator's binding power, typing and meaning are one row of
 `BINARY`; the parser, printer, checker and expression compiler all read
@@ -123,7 +126,8 @@ class Node:
 # ---------------------------------------------------------------------------
 
 class Expr(Node):
-    __slots__ = ()
+    # `_text`: the rendered text, filled on the first `printer.render_expr`
+    __slots__ = ("_text",)
 
 
 class IntLit(Expr):
@@ -232,7 +236,8 @@ def disj(parts: list[Expr]) -> Expr:
 # ---------------------------------------------------------------------------
 
 class Stmt(Node):
-    __slots__ = ()
+    # `_text`: the rendered text, filled on the first `printer.render_stmt`
+    __slots__ = ("_text",)
 
 
 class Skip(Stmt):

@@ -2,17 +2,22 @@ import contextlib
 import decimal
 import io
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gclab.cli import main
+from gclab.fairness import transform_wf
 from gclab.parser import parse_gcl
 from gclab.syntax import BinOp, Var
 
+import printer_reference
 from conftest import CORPUS
 
 
@@ -677,3 +682,76 @@ def test_lts_validation_error_names_its_line(capsys, tmp_path):
     code, out, err = run_cli(capsys, "lts", "bisim", path, CORPUS / "P.lts")
     assert code == 64 and out == ""
     assert err == "error: line 6, col 1: transition s0 -a-> zz uses unknown state\n"
+
+
+# ---------------------------------------------------------------------------
+# One argument parser serves every in-process call
+# ---------------------------------------------------------------------------
+
+def test_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    import gclab.cli
+    euclid = CORPUS / "euclid.gcl"
+    monkeypatch.setattr(gclab.cli, "_PARSER", None)
+    alone = run_cli(capsys, "run", euclid)  # builds the parser
+    assert alone[0] == 0 and "terminated :: x=6 y=6" in alone[1]
+    built = gclab.cli._PARSER
+    assert built is not None
+
+    code, out, _ = run_cli(capsys, "run", euclid, "--bind", "x=21", "--bind", "y=14")
+    assert code == 0 and "terminated :: x=7 y=7" in out
+    assert run_cli(capsys, "run", euclid) == alone  # the bindings are gone
+
+    code, out, err = run_cli(capsys, "run", euclid, "--mode", "bogus")
+    assert code == 64 and out == "" and err.startswith("error:")
+    assert run_cli(capsys, "run", euclid) == alone
+
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0 and "usage: gclab" in capsys.readouterr().out
+    assert run_cli(capsys, "run", euclid) == alone
+    assert gclab.cli._PARSER is built
+
+
+# ---------------------------------------------------------------------------
+# transform --kind wf of a wide loop
+# ---------------------------------------------------------------------------
+
+def _arms(n: int) -> str:
+    """A one-level loop of `n` arms `x = k -> x := k + 1`. Its wf transform
+    repeats each arm's counter update in every other arm, so the output
+    grows with the square of `n` and shares its subtrees n - 1 times."""
+    return ("var x: int;\ndo " + "\n[] ".join(f"x = {k} -> x := {k} + 1" for k in range(n))
+            + "\nod\n")
+
+
+def test_transform_wf_of_a_wide_loop_within_memory_and_time(tmp_path):
+    """In a fresh interpreter, so that its peak resident memory (`ru_maxrss`,
+    which Linux reports in KiB) is its own. Rendering each shared subtree
+    again at every occurrence took over 4 s for these 500 arms."""
+    source, out = tmp_path / "arms.gcl", tmp_path / "arms-wf.gcl"
+    source.write_text(_arms(500), encoding="utf-8")
+    child = ("import json, resource, sys, time\n"
+             "from gclab.cli import main\n"
+             "start = time.perf_counter()\n"
+             "code = main(['transform', sys.argv[1], '--kind', 'wf', '-o', sys.argv[2]])\n"
+             "print(json.dumps([code, time.perf_counter() - start,\n"
+             "                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))\n")
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", child, str(source), str(out)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    code, seconds, peak_kib = json.loads(done.stdout)
+    assert code == 0
+    assert out.read_text(encoding="utf-8").count("\n[] ") == 499
+    assert seconds < 2.5
+    assert peak_kib < 200 * 1024
+
+
+def test_transform_wf_of_a_wide_loop_matches_the_reference_printer(tmp_path, capsys):
+    source, out = tmp_path / "arms.gcl", tmp_path / "arms-wf.gcl"
+    text = _arms(200)
+    source.write_text(text, encoding="utf-8")
+    assert run_cli(capsys, "transform", source, "--kind", "wf", "-o", out)[0] == 0
+    want = printer_reference.render(transform_wf(parse_gcl(text)))
+    assert out.read_text(encoding="utf-8") == want
