@@ -3,6 +3,11 @@ declarations, types, and the targets and arity of assignments. The parsers
 apply each rule where the construct it concerns is parsed, placing its
 error at a token there; `check_program` applies them all to a built tree,
 such as a transformation's output, with the same messages and no position.
+
+`type_of` and `check_assign` take an optional memo from expression to
+type. The parser passes one per parse (per process of a csp system, whose
+declarations change), so an expression that hash-consing shares, such as
+a guard repeated in every arm, is typed once; only successes enter it.
 """
 
 from __future__ import annotations
@@ -81,8 +86,19 @@ def check_type(t: str, want: str) -> None:
         raise CheckError(f"expected {article} {want} expression, got {t}")
 
 
-def type_of(e: Expr, decls: DeclMap) -> str:
-    """Type of an expression: 'int' or 'bool'. Raises CheckError."""
+def type_of(e: Expr, decls: DeclMap, known: dict[Expr, str] | None = None) -> str:
+    """Type of an expression: 'int' or 'bool'. Raises CheckError. `known`
+    maps expressions already typed under `decls` to their types; it is
+    read before typing any subexpression and gains each one typed."""
+    if known is None:
+        return _type_of(e, decls, None)
+    t = known.get(e)
+    if t is None:
+        t = known[e] = _type_of(e, decls, known)
+    return t
+
+
+def _type_of(e: Expr, decls: DeclMap, known: dict[Expr, str] | None) -> str:
     if isinstance(e, IntLit):
         return "int"
     if isinstance(e, BoolLit):
@@ -100,11 +116,11 @@ def type_of(e: Expr, decls: DeclMap) -> str:
             raise CheckError(f"undeclared identifier '{e.name}'")
         if not d.is_array:
             raise CheckError(f"'{e.name}' is a scalar, not an array")
-        if type_of(e.index, decls) != "int":
+        if type_of(e.index, decls, known) != "int":
             raise CheckError(f"index of '{e.name}' must be an integer")
         return "int"
     if isinstance(e, UnaryOp):
-        t = type_of(e.operand, decls)
+        t = type_of(e.operand, decls, known)
         if e.op == "neg":
             if t != "int":
                 raise CheckError("unary '-' needs an integer operand")
@@ -116,9 +132,9 @@ def type_of(e: Expr, decls: DeclMap) -> str:
         raise CheckError(f"unknown unary operator {e.op!r}")
     if isinstance(e, BinOp):
         first, pairs = chain(e)
-        lt = type_of(first, decls)
+        lt = type_of(first, decls, known)
         for op, right in pairs:
-            rt = type_of(right, decls)
+            rt = type_of(right, decls, known)
             row = BINARY.get(op)
             if row is None:
                 raise CheckError(f"unknown operator {op!r}")
@@ -132,7 +148,7 @@ def type_of(e: Expr, decls: DeclMap) -> str:
         if len(e.args) != 2:
             raise CheckError(f"'{e.func}' takes exactly two arguments")
         for a in e.args:
-            if type_of(a, decls) != "int":
+            if type_of(a, decls, known) != "int":
                 raise CheckError(f"'{e.func}' needs integer arguments")
         return "int"
     raise CheckError(f"unknown expression node {type(e).__name__}")
@@ -148,24 +164,30 @@ def _target_key(t: Expr) -> tuple:
     raise CheckError("assignment target must be a variable or an array cell")
 
 
-def check_assign(s: Assign, decls: DeclMap) -> None:
-    if not s.targets or len(s.targets) != len(s.values):
-        raise CheckError(f"{len(s.targets)} target(s) but {len(s.values)} value(s)")
-    seen: set[tuple] = set()
-    for t in s.targets:
-        key = _target_key(t)
-        if key in seen:
-            raise CheckError("parallel assignment targets must be distinct locations")
-        seen.add(key)
-        # two scalar targets with the same name are caught above; an array
-        # cell target also collides with itself only on an identical index
-    names = {k[1] for k in seen if k[0] == "scalar"}
-    for k in seen:
-        if k[0] == "cell" and k[1] in names:
-            raise CheckError("parallel assignment targets must be distinct locations")
-    for t, v in zip(s.targets, s.values):
-        tt = type_of(t, decls)
-        vt = type_of(v, decls)
+def check_assign(s: Assign, decls: DeclMap, known: dict[Expr, str] | None = None) -> None:
+    """Arity, distinct targets and types of an assignment; `known` as for
+    `type_of`."""
+    targets = s.targets
+    if not targets or len(targets) != len(s.values):
+        raise CheckError(f"{len(targets)} target(s) but {len(s.values)} value(s)")
+    if len(targets) == 1:  # nothing to alias: only the target's form is checked
+        _target_key(targets[0])
+    else:
+        seen: set[tuple] = set()
+        for t in targets:
+            key = _target_key(t)
+            if key in seen:
+                raise CheckError("parallel assignment targets must be distinct locations")
+            seen.add(key)
+            # two scalar targets with the same name are caught above; an array
+            # cell target also collides with itself only on an identical index
+        names = {k[1] for k in seen if k[0] == "scalar"}
+        for k in seen:
+            if k[0] == "cell" and k[1] in names:
+                raise CheckError("parallel assignment targets must be distinct locations")
+    for t, v in zip(targets, s.values):
+        tt = type_of(t, decls, known)
+        vt = type_of(v, decls, known)
         if tt != vt:
             raise CheckError(f"cannot assign {vt} value to {tt} target")
 

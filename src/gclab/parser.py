@@ -15,6 +15,14 @@ declarations in scope at the point of use, and each rule of `check` is
 applied as soon as its construct is built, with its error placed at a token
 there; so no parse returns an ill-typed tree, and every diagnostic carries
 a line and column. `parse_value` reads an initializer alone (`--bind`).
+
+A parse runs on `lexer.tokenize`'s tokens, which carry no positions, and
+places an error on demand: the first error sends the text through the
+same parser once more, on `lexer.scan`'s positioned tokens, where it
+raises the same error with its line and column. Each parse keeps a memo
+of the types of the expressions it has checked under its declarations,
+which `check.type_of` reads, so a subtree that hash-consing shares is
+typed once per parse.
 """
 
 from __future__ import annotations
@@ -23,8 +31,8 @@ import sys
 
 from .check import (BUILTIN_NAMES, check_assign, check_declaration, check_name,
                     check_type, scalar_target, type_of)
-from .errors import CheckError, ParseError
-from .lexer import Token, tokenize
+from .errors import CheckError, ParseError, SourceError
+from .lexer import scan, tokenize
 from .syntax import (
     BINARY, COMPARE_BP, NEG_BP, NOT_BP, ArrayRef, Assign, Await, BinOp,
     BoolLit, Builtin, ChoiceAssign, CspProcess, CspSystem, Declaration, Do,
@@ -41,64 +49,70 @@ _POWER = {op: row.power for op, row in BINARY.items()}
 # either kind with a ParseError rather than exhausting the Python stack.
 MAX_NESTING = 100
 
+
 class Parser:
-    def __init__(self, text: str):
-        self.toks = tokenize(text)
+    """A parse of one token list. A token is a tuple (kind, text) from
+    `tokenize`, or (kind, text, line, col) from `scan`: the parser reads
+    `t[0]` and `t[1]`, and places an error at `t[2:]`, which is no position
+    at all for a `tokenize` token."""
+
+    def __init__(self, toks: list[tuple]):
+        self.toks = toks
         self.i = 0
         self.decls: dict[str, Declaration] = {}
-        self.decl_positions: dict[str, Token] = {}
+        self.decl_positions: dict[str, tuple] = {}
+        self.known: dict[Expr, str] = {}  # the type of every expression typed under `decls`
         self.stmt_depth = 0
 
     # -- token plumbing: `i` never moves past the final eof token -----------
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.toks[self.i]
 
     def at(self, kind: str) -> bool:
-        return self.toks[self.i].kind == kind
+        return self.toks[self.i][0] == kind
 
     def accept(self, kind: str) -> bool:
         """Consume the next token if it is a `kind` (never 'eof')."""
-        if self.toks[self.i].kind == kind:
+        if self.toks[self.i][0] == kind:
             self.i += 1
             return True
         return False
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
         t = self.toks[self.i]
-        if t.kind != "eof":
+        if t[0] != "eof":
             self.i += 1
         return t
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
+    def expect(self, kind: str, what: str | None = None) -> tuple:
         t = self.toks[self.i]
-        if t.kind != kind:
+        if t[0] != kind:
             shown = what or f"'{kind}'"
-            found = t.text if t.kind != "eof" else "end of input"
-            raise ParseError(f"expected {shown}, found {found!r}", t.line, t.col)
+            found = t[1] if t[0] != "eof" else "end of input"
+            raise ParseError(f"expected {shown}, found {found!r}", *t[2:])
         return self.advance()
 
-    def fail(self, message: str, tok: Token | None = None):
-        t = tok or self.peek()
-        raise ParseError(message, t.line, t.col)
+    def fail(self, message: str, tok: tuple | None = None):
+        raise ParseError(message, *(tok or self.peek())[2:])
 
-    def _integer(self, t: Token) -> int:
+    def _integer(self, t: tuple) -> int:
         try:
-            return int(t.text)
+            return int(t[1])
         except ValueError:
             self.fail(f"integer literal longer than {sys.get_int_max_str_digits()} digits", t)
 
     # -- error-position plumbing for the checker ----------------------------
 
-    def _check_at(self, tok: Token, check, *args):
+    def _check_at(self, tok: tuple, check, *args):
         """`check(*args)`, with the CheckError it raises placed at `tok`."""
         try:
             return check(*args)
         except CheckError as err:
-            raise CheckError(err.message, tok.line, tok.col) from None
+            raise CheckError(err.message, *tok[2:]) from None
 
-    def _typed(self, e: Expr, tok: Token, want: str | None = None) -> Expr:
-        t = self._check_at(tok, type_of, e, self.decls)
+    def _typed(self, e: Expr, tok: tuple, want: str | None = None) -> Expr:
+        t = self._check_at(tok, type_of, e, self.decls, self.known)
         if want is not None:
             self._check_at(tok, check_type, t, want)
         return e
@@ -109,7 +123,7 @@ class Parser:
         out: list[Declaration] = []
         while self.accept("var"):
             name_tok = self.expect("ident", "a variable name")
-            name = name_tok.text
+            name = name_tok[1]
             self._check_at(name_tok, check_name, name, self.decls)
             self.expect(":")
             if self.accept("bool"):
@@ -141,7 +155,7 @@ class Parser:
 
     def _parse_initializer(self):
         if self.at("true") or self.at("false"):
-            return self.advance().kind == "true"
+            return self.advance()[0] == "true"
         if self.accept("["):
             cells = [self._signed_int()]
             while self.accept(","):
@@ -162,7 +176,7 @@ class Parser:
         follow, and after a comparison or a prefix `not` only `and`/`or`."""
         toks = self.toks
         t = toks[self.i]
-        if t.kind == "not" and min_bp <= NOT_BP:
+        if t[0] == "not" and min_bp <= NOT_BP:
             self._nest(t, depth)
             self.i += 1
             left = UnaryOp("not", self._expr(NOT_BP, depth + 1))
@@ -171,7 +185,7 @@ class Parser:
             left = self._operand(depth)
             limit = NEG_BP
         while True:
-            op = toks[self.i].kind
+            op = toks[self.i][0]
             bp = _POWER.get(op, 0)
             if bp <= min_bp or bp > limit:
                 return left
@@ -183,15 +197,15 @@ class Parser:
         """Unary minus or an atom: a literal, a parenthesised expression,
         a variable, an indexed array or a builtin call."""
         t = self.toks[self.i]
-        kind = t.kind
+        kind = t[0]
         if kind == "number":
             self.i += 1
             return IntLit(self._integer(t))
         if kind == "ident":
             self.i += 1
-            name = t.text
+            name = t[1]
             nxt = self.toks[self.i]
-            if nxt.kind == "(":
+            if nxt[0] == "(":
                 if name not in BUILTIN_NAMES:
                     self.fail(f"'{name}' is not callable (only min/max are builtins)", t)
                 self._nest(nxt, depth)
@@ -204,8 +218,8 @@ class Parser:
             if name in BUILTIN_NAMES:
                 self.fail(f"builtin '{name}' used without arguments", t)
             if name not in self.decls:
-                raise CheckError(f"undeclared identifier '{name}'", t.line, t.col)
-            if nxt.kind == "[":
+                raise CheckError(f"undeclared identifier '{name}'", *t[2:])
+            if nxt[0] == "[":
                 self._nest(nxt, depth)
                 self.i += 1
                 idx = self._expr(0, depth + 1)
@@ -229,9 +243,9 @@ class Parser:
         if kind in ("true", "false"):
             self.i += 1
             return BoolLit(kind == "true")
-        self.fail(f"expected an expression, found {t.text or 'end of input'!r}", t)
+        self.fail(f"expected an expression, found {t[1] or 'end of input'!r}", t)
 
-    def _nest(self, t: Token, depth: int) -> None:
+    def _nest(self, t: tuple, depth: int) -> None:
         if depth >= MAX_NESTING:
             self.fail(f"expression nested deeper than {MAX_NESTING} levels", t)
 
@@ -257,34 +271,35 @@ class Parser:
 
     def parse_stmt(self, fragment: str = "gcl") -> Stmt:
         t = self.peek()
-        if t.kind == "skip":
+        kind = t[0]
+        if kind == "skip":
             self.advance()
             return Skip()
-        if t.kind in ("abort", "fail"):
+        if kind in ("abort", "fail"):
             if fragment == "par":
                 self.fail("the parallel fragment has no abort/fail", t)
             self.advance()
-            return Fail(t.kind)
-        if t.kind == "if":
+            return Fail(kind)
+        if kind == "if":
             if fragment == "par":
                 return self._parse_if_then_else()
             return self._parse_guarded(If, "fi")
-        if t.kind == "do":
+        if kind == "do":
             if fragment == "par":
                 self.fail("the parallel fragment allows only while/if; no do-od loops", t)
             return self._parse_guarded(Do, "od")
-        if t.kind == "while":
+        if kind == "while":
             if fragment != "par":
                 self.fail("'while' belongs to the parallel fragment; use do-od", t)
             return self._parse_while()
-        if t.kind == "await":
+        if kind == "await":
             if fragment != "par":
                 self.fail("'await' belongs to the parallel fragment", t)
             self.advance()
             return Await(self.typed_expr("bool"))
-        if t.kind == "ident":
+        if kind == "ident":
             return self._parse_assignment(fragment)
-        self.fail(f"expected a statement, found {t.text or 'end of input'!r}", t)
+        self.fail(f"expected a statement, found {t[1] or 'end of input'!r}", t)
 
     def _parse_guarded(self, node, closer: str) -> Stmt:
         self._open_statement()
@@ -330,7 +345,7 @@ class Parser:
         targets = [self._parse_target()]
         while self.accept(","):
             targets.append(self._parse_target())
-        if self.peek().kind in ("?", "!"):
+        if self.peek()[0] in ("?", "!"):
             self.fail("i/o commands are allowed only in the guards of a process main loop")
         self.expect(":=")
         if self.accept("?"):
@@ -348,16 +363,16 @@ class Parser:
         while self.accept(","):
             values.append(self.parse_expr())
         node = Assign(tuple(targets), tuple(values))
-        self._check_at(start, check_assign, node, self.decls)
+        self._check_at(start, check_assign, node, self.decls, self.known)
         return node
 
     def _parse_target(self) -> Expr:
         t = self.expect("ident", "an assignment target")
-        name = t.text
+        name = t[1]
         if name not in self.decls:
-            if self.peek().kind in ("?", "!"):
+            if self.peek()[0] in ("?", "!"):
                 self.fail("i/o commands are allowed only in the guards of a process main loop", t)
-            raise CheckError(f"undeclared identifier '{name}'", t.line, t.col)
+            raise CheckError(f"undeclared identifier '{name}'", *t[2:])
         if self.accept("["):
             idx = self.parse_expr()
             self.expect("]")
@@ -369,9 +384,23 @@ class Parser:
 # Whole-file entry points
 # ---------------------------------------------------------------------------
 
+def _parse(text: str, rule):
+    """`rule` run on a Parser of `text`'s position-free tokens. On an error
+    it runs once more on `scan`'s tokens, where the same code raises the
+    same error with its position."""
+    try:
+        return rule(Parser(tokenize(text)))
+    except SourceError:
+        pass
+    return rule(Parser(scan(text)))
+
+
 def parse_gcl(text: str) -> GclProgram:
     """Parse and check a guarded-commands program."""
-    p = Parser(text)
+    return _parse(text, _gcl)
+
+
+def _gcl(p: Parser) -> GclProgram:
     decls = p.parse_decls()
     body = p.parse_stmt_seq("gcl")
     p.expect("eof", "';' or end of program")
@@ -381,7 +410,10 @@ def parse_gcl(text: str) -> GclProgram:
 def parse_value(text: str):
     """A declaration initializer and nothing after it: exactly what may
     follow `=` in a `var` declaration."""
-    p = Parser(text)
+    return _parse(text, _value)
+
+
+def _value(p: Parser):
     value = p._parse_initializer()
     p.expect("eof", "end of value")
     return value
@@ -394,20 +426,24 @@ def parse_csp(text: str) -> CspSystem:
     may be the communication loop, a do-od whose guards all have the
     `B ; io ->` shape. Variable names must be disjoint across processes.
     """
-    p = Parser(text)
+    return _parse(text, _csp)
+
+
+def _csp(p: Parser) -> CspSystem:
     processes: list[CspProcess] = []
-    decl_owner: dict[str, tuple[str, Token]] = {}
-    proc_positions: dict[str, Token] = {}
-    io_refs: list[tuple[str, Token, str]] = []  # (peer, position, owning process)
+    decl_owner: dict[str, tuple[str, tuple]] = {}
+    proc_positions: dict[str, tuple] = {}
+    io_refs: list[tuple[str, tuple, str]] = []  # (peer, position, owning process)
     while p.accept("process"):
         name_tok = p.expect("ident", "a process name")
-        pname = name_tok.text
+        pname = name_tok[1]
         if pname in proc_positions:
             raise CheckError(f"duplicate process name '{pname}'",
-                             name_tok.line, name_tok.col)
+                             *name_tok[2:])
         proc_positions[pname] = name_tok
         p.decls = {}
         p.decl_positions = {}
+        p.known = {}
         decls = p.parse_decls()
         for d in decls:
             pos = p.decl_positions[d.name]
@@ -416,7 +452,7 @@ def parse_csp(text: str) -> CspSystem:
                 raise CheckError(
                     f"variable '{d.name}' already declared in process {other}; "
                     f"process variables must be disjoint",
-                    pos.line, pos.col)
+                    *pos[2:])
             decl_owner[d.name] = (pname, pos)
         init, loop, io_pos = _parse_process_body(p)
         for tok, peer in io_pos:
@@ -429,10 +465,10 @@ def parse_csp(text: str) -> CspSystem:
     names = {pr.name for pr in processes}
     for peer, tok, owner in io_refs:
         if peer not in names:
-            raise CheckError(f"unknown peer process '{peer}'", tok.line, tok.col)
+            raise CheckError(f"unknown peer process '{peer}'", *tok[2:])
         if peer == owner:
             raise CheckError(f"process '{owner}' cannot communicate with itself",
-                             tok.line, tok.col)
+                             *tok[2:])
     return CspSystem(tuple(processes))
 
 
@@ -441,7 +477,7 @@ def _parse_process_body(p: Parser):
     must be last. Returns (init stmt, loop arms, io positions)."""
     stmts: list[Stmt] = []
     loop: tuple[ExtGuard, ...] = ()
-    io_positions: list[tuple[Token, str]] = []
+    io_positions: list[tuple[tuple, str]] = []
     if p.at("end"):
         return Skip(), loop, io_positions
     while True:
@@ -464,7 +500,7 @@ def _is_extended_do(p: Parser) -> bool:
     depth = 0
     j = p.i + 1
     while j < len(p.toks):
-        k = p.toks[j].kind
+        k = p.toks[j][0]
         if k == "(":
             depth += 1
         elif k == ")":
@@ -480,7 +516,7 @@ def _is_extended_do(p: Parser) -> bool:
 def _parse_csp_loop(p: Parser):
     p._open_statement()
     arms: list[ExtGuard] = []
-    io_positions: list[tuple[Token, str]] = []
+    io_positions: list[tuple[tuple, str]] = []
     while True:
         cond = p.typed_expr("bool")
         p.expect(";", "';' and an i/o command after the boolean guard part")
@@ -488,17 +524,17 @@ def _parse_csp_loop(p: Parser):
         if p.accept("!"):
             expr_tok = p.peek()
             expr = p._typed(p.parse_expr(), expr_tok)
-            io: Input | Output = Output(io_tok.text, expr)
+            io: Input | Output = Output(io_tok[1], expr)
         elif p.accept("?"):
             tgt = p.expect("ident", "a target variable")
-            if tgt.text not in p.decls:
-                raise CheckError(f"undeclared identifier '{tgt.text}'", tgt.line, tgt.col)
-            if p.decls[tgt.text].is_array:
-                raise CheckError("an input target must be a scalar", tgt.line, tgt.col)
-            io = Input(io_tok.text, tgt.text)
+            if tgt[1] not in p.decls:
+                raise CheckError(f"undeclared identifier '{tgt[1]}'", *tgt[2:])
+            if p.decls[tgt[1]].is_array:
+                raise CheckError("an input target must be a scalar", *tgt[2:])
+            io = Input(io_tok[1], tgt[1])
         else:
             p.fail("expected '!' or '?' in the i/o command")
-        io_positions.append((io_tok, io_tok.text))
+        io_positions.append((io_tok, io_tok[1]))
         p.expect("->")
         body = p.parse_stmt_seq("gcl")
         arms.append(ExtGuard(cond, io, body))
@@ -514,7 +550,10 @@ def parse_par(text: str) -> ParSystem:
     """Parse and check a shared-variable parallel program:
     declarations, optional `init`, one or more `component ... end`
     blocks, optional `epilogue`."""
-    p = Parser(text)
+    return _parse(text, _par)
+
+
+def _par(p: Parser) -> ParSystem:
     decls = p.parse_decls()
     init: Stmt = Skip()
     if p.accept("init"):

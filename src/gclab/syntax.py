@@ -91,9 +91,10 @@ class Node:
 
     def __init_subclass__(cls) -> None:
         cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
+        cls._arity = len(cls.__slots__)
 
     def __new__(cls, *args: Any, **kwargs: Any) -> Any:
-        if kwargs or len(args) != len(cls._setters):
+        if kwargs or len(args) != cls._arity:
             fields = cls.__slots__
             given = dict(zip(fields, args))
             values = {**cls._defaults, **given, **kwargs}

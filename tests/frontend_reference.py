@@ -2,9 +2,11 @@
 expression parser: a per-character tokenizer and one recursive method per
 precedence level. Kept only as the reference for `test_frontend_reference.py`.
 
-`reference_parser()` swaps `ReferenceParser` in for `gclab.parser.Parser`,
-so `parse_gcl`/`parse_csp`/`parse_par` run the statement code of today with
-this tokenizer and these expression methods.
+`reference_parser()` swaps `ReferenceParser` in for `gclab.parser.Parser`
+and this tokenizer in for both of `gclab.parser`'s scans, so
+`parse_gcl`/`parse_csp`/`parse_par` run the statement code of today with
+this tokenizer and these expression methods, in the first parse of a text
+and in the second that places an error.
 """
 
 from __future__ import annotations
@@ -79,10 +81,6 @@ def tokenize(text: str) -> list[Token]:
 
 
 class ReferenceParser(gclab.parser.Parser):
-    def __init__(self, text: str):
-        super().__init__("")
-        self.toks = tokenize(text)
-
     def parse_expr(self):
         return self._parse_or()
 
@@ -181,9 +179,12 @@ class ReferenceParser(gclab.parser.Parser):
 @contextmanager
 def reference_parser():
     """Within the block, the gclab entry points parse with the reference."""
-    saved = gclab.parser.Parser
-    gclab.parser.Parser = ReferenceParser
+    names = ("Parser", "tokenize", "scan")
+    saved = [getattr(gclab.parser, name) for name in names]
+    for name, value in zip(names, (ReferenceParser, tokenize, tokenize)):
+        setattr(gclab.parser, name, value)
     try:
         yield
     finally:
-        gclab.parser.Parser = saved
+        for name, value in zip(names, saved):
+            setattr(gclab.parser, name, value)

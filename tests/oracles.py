@@ -14,16 +14,34 @@ from collections import deque
 from random import Random
 
 from gclab.errors import EvalError
-from gclab.state import State, apply_parallel_assign, eval_expr, initial_state
+from gclab.state import State, initial_state
 from gclab.syntax import (
-    Assign, ChoiceAssign, Do, Fail, GclProgram, If, RandomAssign, Seq,
-    Skip,
+    ArrayRef, Assign, ChoiceAssign, Do, Fail, GclProgram, If, RandomAssign,
+    Seq, Skip,
 )
 from gclab.equiv import Lts
+
+from eval_reference import eval_expr
 
 # ---------------------------------------------------------------------------
 # Breadth-first state-space enumerator (independent of engine.step)
 # ---------------------------------------------------------------------------
+
+# Expressions are evaluated by the tree walk of `eval_reference`, and
+# assignments written by `_assign`, so no closure of `state.compile_expr`
+# is on the oracle's side of a comparison.
+
+
+def _assign(targets, values, s: State) -> State:
+    """Write `values` to `targets` at once: every target index is read in
+    `s` before any write, and two targets at one location fail."""
+    locs = [(t.name, eval_expr(t.index, s) if isinstance(t, ArrayRef) else None)
+            for t in targets]
+    if len(set(locs)) != len(locs):
+        raise EvalError("parallel assignment targets collide", reason="aliasing")
+    for (name, index), v in zip(locs, values):
+        s = s.set_scalar(name, v) if index is None else s.set_cell(name, index, v)
+    return s
 
 
 def _norm(residue):
@@ -43,7 +61,7 @@ def _successors(residue, s: State, choice_bound: int):
     if isinstance(head, Assign):
         try:
             vals = tuple(eval_expr(v, s) for v in head.values)
-            return [(_norm(rest), apply_parallel_assign(head.targets, vals, s))]
+            return [(_norm(rest), _assign(head.targets, vals, s))]
         except EvalError:
             return "failed"
     if isinstance(head, RandomAssign):
@@ -256,7 +274,7 @@ def weak_fair_reachable(guards, exec_body, s0, bound: int,
     """Exhaustively enumerate weak-fair-scheduler executions with priority
     resets ranging over 0..bound.
 
-    `guards` are evaluable with eval_expr; `exec_body(i, state)` runs body
+    `guards` are evaluated by `eval_reference`; `exec_body(i, state)` runs body
     i deterministically. Returns the canonical terminal state set. The
     scheduler selects an enabled command with the minimum priority
     (branching over ties), resets its priority to any value in 0..bound,

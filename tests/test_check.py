@@ -3,11 +3,18 @@ which places each error at a token, and through `check_program` on the
 same fault built by hand, which reports the same message with no
 position."""
 
+import itertools
+from collections import Counter
+
 import pytest
 
+import gclab.check
+import gclab.parser
 from gclab.check import check_program
 from gclab.errors import CheckError
-from gclab.parser import parse_gcl
+from gclab.fairness import FixpointInstance, chaotic_iteration_program
+from gclab.parser import parse_csp, parse_gcl
+from gclab.printer import render
 from gclab.syntax import (
     FALSE, TRUE, ArrayRef, Assign, BinOp, Builtin, ChoiceAssign, Declaration,
     Do, GclProgram, GuardedCommand, If, IntLit, RandomAssign, Skip, UnaryOp,
@@ -125,3 +132,65 @@ def test_parse_and_check_program_report_the_same_fault(text, message, line, col,
         check_program(built)
     assert (err.value.message, err.value.line, err.value.col) == (message, None, None)
 
+
+# ---------------------------------------------------------------------------
+# The parser's memo of typed expressions
+# ---------------------------------------------------------------------------
+
+def _chaotic_text(height: int = 2) -> str:
+    """A chaotic-iteration program: its arms share one guard, and its
+    dispatch tables share their point tests."""
+    table = {p: tuple(min(v + 1, height) for v in p)
+             for p in itertools.product(range(height + 1), repeat=2)}
+    return render(chaotic_iteration_program(FixpointInstance.from_table(2, height, table)))
+
+
+def test_a_parse_types_each_distinct_expression_once(monkeypatch):
+    text = _chaotic_text()
+    typed, asked = Counter(), Counter()
+    worker, entry = gclab.check._type_of, gclab.check.type_of
+
+    def count_typing(e, decls, known):
+        typed[e] += 1
+        return worker(e, decls, known)
+
+    def count_asking(e, decls, known=None):
+        asked[e] += 1
+        return entry(e, decls, known)
+
+    monkeypatch.setattr(gclab.check, "_type_of", count_typing)
+    monkeypatch.setattr(gclab.check, "type_of", count_asking)
+    for _ in range(2):  # each parse starts a memo of its own
+        typed.clear()
+        parse_gcl(text)
+        assert set(typed.values()) == {1}
+    assert sum(asked.values()) > 2 * len(typed)  # the memo answered the rest
+
+
+def test_the_parser_calls_type_of_once_per_typed_position(monkeypatch):
+    """Once per guard here: the memo lives inside `type_of`, so the parser
+    makes the calls it made without one."""
+    text = _chaotic_text()
+    calls = []
+
+    def counted(e, decls, known=None):
+        calls.append(e)
+        return gclab.check.type_of(e, decls, known)
+
+    monkeypatch.setattr(gclab.parser, "type_of", counted)
+    parse_gcl(text)
+    assert len(calls) == text.count("->")
+
+
+@pytest.mark.parametrize("parse, text, message, line, col", [
+    (parse_gcl, "var x: int; var a: int[0..2];\nx := a[1] + 1;\nx := a[1] + true",
+     "'+' needs integer operands", 3, 1),
+    (parse_gcl, "var x: int; var a: int[0..2];\nif a[1] > 0 -> skip [] a[1] > 0 or a[1] -> skip fi",
+     "'or' needs boolean operands", 2, 24),
+    (parse_csp, "process P var x: int;\n  x := x + 1\nend\nprocess Q var y: int;\n  y := x + 1\nend\n",
+     "undeclared identifier 'x'", 5, 8),
+])
+def test_a_typed_subtree_keeps_the_error_of_its_new_context(parse, text, message, line, col):
+    with pytest.raises(CheckError) as err:
+        parse(text)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)

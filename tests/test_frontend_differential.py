@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gclab.errors import SourceError
-from gclab.lexer import KEYWORDS, tokenize
+from gclab.lexer import KEYWORDS, scan, tokenize
 from gclab.parser import parse_csp, parse_gcl, parse_par
 from gclab.printer import render
 from gclab.syntax import (
@@ -76,8 +76,15 @@ def _intended(text, new, old) -> str | None:
 
 
 def _compare_tokens(text) -> set[str]:
-    """Assert agreement on the tokens of `text`; the departures shown."""
-    new, old = _outcome(tokenize, text), _outcome(ref.tokenize, text)
+    """Assert agreement on the tokens of `text`, positions included, and
+    that `tokenize` gives `scan`'s kinds and texts or its error; the
+    departures shown."""
+    new, old = _outcome(scan, text), _outcome(ref.tokenize, text)
+    fast = _outcome(tokenize, text)
+    if new[0] == "ok":
+        assert fast[0] == "ok" and [t[:2] for t in fast[1]] == [t[:2] for t in new[1]], text
+    else:
+        assert fast == new, text
     if new == old:
         return set()
     departure = _intended(text, new, old)
