@@ -15,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .check import decl_map, type_of
-from .engine import (
-    Expansion, ExplorationReport, Failed, GraphSearch, Limits, SubSearches,
-)
+from .engine import Expansion, ExplorationReport, Failed, Limits, explore_system
 from .errors import CheckError, EvalError
 from .state import State, compile_assign, compile_expr, initial_state
 from .syntax import (
@@ -66,6 +64,13 @@ def correspondence_pairs(sys: CspSystem) -> set[CorrespondencePair]:
     return out
 
 
+def _pair_guards(sys: CspSystem) -> list[tuple[CorrespondencePair,
+                                               GuardedCommand, GuardedCommand]]:
+    """Every corresponding pair in order, with its two guarded commands."""
+    return [(pair, sys.processes[pair.i].loop[pair.j], sys.processes[pair.r].loop[pair.s])
+            for pair in sorted(correspondence_pairs(sys))]
+
+
 def eff(a1: IoCommand, a2: IoCommand) -> Stmt:
     """Joint effect of a matching pair: the assignment target := value.
     Symmetric in its arguments."""
@@ -97,13 +102,9 @@ def translate_csp(sys: CspSystem) -> GclProgram:
     """
     decls = sys.all_decls()
     inits = [p.init for p in sys.processes if not isinstance(p.init, Skip)]
-    arms = []
-    for pair in sorted(correspondence_pairs(sys)):
-        gi = sys.processes[pair.i].loop[pair.j]
-        gr = sys.processes[pair.r].loop[pair.s]
-        guard = BinOp("and", gi.cond, gr.cond)
-        body = seq([eff(gi.io, gr.io), gi.body, gr.body])
-        arms.append(GuardedCommand(guard, body))
+    arms = [GuardedCommand(BinOp("and", gi.cond, gr.cond),
+                           seq([eff(gi.io, gr.io), gi.body, gr.body]))
+            for _, gi, gr in _pair_guards(sys)]
     stmts: list[Stmt] = list(inits)
     if arms:
         stmts.append(Do(tuple(arms)))
@@ -134,29 +135,21 @@ def run_csp(sys: CspSystem, s0: State | None = None,
     boolean guard part of every process is false; a stuck configuration
     with some guard still true is a deadlock failure.
     """
-    decls = sys.all_decls()
     if s0 is None:
-        s0 = initial_state(decls)
+        s0 = initial_state(sys.all_decls())
     conds = [[compile_expr(g.cond) for g in p.loop] for p in sys.processes]
+    term = compile_expr(term_condition(sys))
     # (pair, compiled joint effect, the two guard bodies), in pair order
-    pairs = []
-    for pair in sorted(correspondence_pairs(sys)):
-        gi = sys.processes[pair.i].loop[pair.j]
-        gr = sys.processes[pair.r].loop[pair.s]
-        pairs.append((pair, compile_assign(eff(gi.io, gr.io)), gi.body, gr.body))
-    subs = SubSearches(lim, sys)
+    pairs = [(pair, compile_assign(eff(gi.io, gr.io)), gi.body, gr.body)
+             for pair, gi, gr in _pair_guards(sys)]
 
     def final_of(s: State) -> State | None:
         try:
-            for row in conds:
-                for cond in row:
-                    if cond(s):
-                        return None
+            return s if term(s) else None
         except EvalError:
             return None  # expand() reports the failure
-        return s
 
-    def expand(s: State) -> Expansion:
+    def expand(s: State, absorb) -> Expansion:
         try:
             enabled = [[bool(cond(s)) for cond in row] for row in conds]
         except EvalError as e:
@@ -174,8 +167,8 @@ def run_csp(sys: CspSystem, s0: State | None = None,
                 extra.append(Failed(e.reason, s, e.detail))
                 continue
             k = 0
-            for sm in subs.absorb(bi, s1, extra):
-                for sf in subs.absorb(br, sm, extra):
+            for sm in absorb(bi, s1, extra):
+                for sf in absorb(br, sm, extra):
                     label = f"comm({pair.i},{pair.j},{pair.r},{pair.s})#{k}"
                     trans.append((label, sf))
                     k += 1
@@ -184,19 +177,5 @@ def run_csp(sys: CspSystem, s0: State | None = None,
             return Expansion(failure=Failed("deadlock", s, "no corresponding pair enabled"))
         return Expansion(transitions=trans, side_outcomes=extra)
 
-    search = GraphSearch(lim, expand, lambda s: s.canonical(), final_of)
-    init_outcomes: list = []
-    states = [s0]
-    for p in sys.processes:
-        nxt: list[State] = []
-        for s in states:
-            nxt.extend(subs.absorb(p.init, s, init_outcomes))
-        seen = {}
-        for s in nxt:
-            seen.setdefault(s.canonical(), s)
-        states = [seen[k] for k in sorted(seen)]
-    for s in states:
-        search.run(s)
-    for o in init_outcomes:
-        search.close(o)
-    return search.report(subs.counts)
+    return explore_system(sys, s0, lim, [p.init for p in sys.processes], lambda s: s,
+                          expand, State.canonical, final_of)

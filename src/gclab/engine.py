@@ -28,14 +28,14 @@ On top of `step` sit:
   terminal states (guess and fail: failures are discarded).
 
 Both searches run on one DFS core (`GraphSearch`), which the direct
-semantics of the communication and interleaving fragments share too:
-they explore other node types through the same traversal and run their
-atomic sub-steps with `SubSearches.absorb`. Single computations run on
-one loop (`run_path`), which walks the program's points and leaves each
-choice to its caller: `run_erratic` picks at random, and the fair
-schedulers (`fairness.run_fair_traced`) pick at the top loop. A search's
-report sorts its outcomes by kind and canonical state; a report of one
-outcome, the common case of an atomic sub-step, is not sorted at all.
+semantics of the communication and interleaving fragments share too
+through one driver (`explore_system`), which runs each of their atomic
+sub-steps (`absorb`) as a whole `explore_statement`. Single computations
+run on one loop (`run_path`), which walks the program's points and
+leaves each choice to its caller: `run_erratic` picks at random, and the
+fair schedulers (`fairness.run_fair_traced`) pick at the top loop. A
+search's report sorts its outcomes by kind and canonical state; a report
+of one outcome, the common case of an atomic sub-step, is not sorted.
 """
 
 from __future__ import annotations
@@ -605,7 +605,7 @@ class GraphSearch:
 
     def report(self, sub_counts=(0, 0, 0)) -> ExplorationReport:
         """The report, adding `sub_counts` (configs, edges, paths), the
-        counts of the sub-searches the expander ran (`SubSearches`)."""
+        counts of the sub-searches the expander ran (`explore_system`)."""
         outcomes = tuple(self.outcomes)
         if len(outcomes) > 1:  # most reports hold one outcome: nothing to sort
             outcomes = tuple(sorted(outcomes, key=lambda o: o.key()))
@@ -613,39 +613,6 @@ class GraphSearch:
         return ExplorationReport(outcomes, self.configs + configs,
                                  self.edges + edges, self.paths + paths,
                                  self.lim)
-
-
-class SubSearches:
-    """Statements of one program run as atomic sub-steps of a search over
-    another node type (the csp and par semantics). It stands apart from
-    the `GraphSearch`, whose expander calls it, so that the expander does
-    not hold its search, and with it the program and its points, in a
-    reference cycle."""
-
-    def __init__(self, lim: Limits, owner: Program):
-        self.lim = lim
-        self.owner = owner
-        self.counts = [0, 0, 0]  # configs, edges, paths
-
-    def absorb(self, stmt: Stmt, s: State, sink: list) -> list[State]:
-        """Run a statement of the program from `s` as one atomic sub-step:
-        a whole demonic exploration under the same limits. Its non-terminal
-        outcomes go to `sink`; its terminal states come back in canonical
-        order (the order its report lists them in). Its counts go into
-        the search's report, but not into its `configs`, which the
-        `max_configs` budget reads."""
-        rep = explore_statement(stmt, s, self.lim, self.owner)
-        finals = []
-        for o in rep.outcomes:
-            if isinstance(o, Terminated):
-                finals.append(o.state)
-            else:
-                sink.append(o)
-        sub = self.counts
-        sub[0] += rep.configs
-        sub[1] += rep.edges
-        sub[2] += max(rep.paths - len(finals), 0)
-        return finals
 
 
 # ---------------------------------------------------------------------------
@@ -756,6 +723,56 @@ def explore_demonic(p: GclProgram, s0: State | None = None,
     if s0 is None:
         s0 = initial_state(p.decls)
     return explore_statement(p.body, s0, lim, p)
+
+
+def explore_system(owner: Program, s0: State, lim: Limits, inits: list[Stmt],
+                   start: Callable[[State], Any],
+                   expand: Callable[[Any, Callable], Expansion],
+                   key_of: Callable[[Any], str],
+                   final_of: Callable[[Any], State | None]) -> ExplorationReport:
+    """Exhaustive search of a system whose nodes run statements of
+    `owner` as atomic sub-steps (the csp and par semantics). The `inits`
+    run in turn from `s0`, each from every distinct state the one before
+    ends in, taken in canonical order; then one search under `lim` runs
+    from `start(s)` for each state `s` the last one ends in, with
+    `expand(node, absorb)` as its expander. The init phase's non-terminal
+    outcomes close after the searches; the report adds the sub-searches'
+    counts to the search's own."""
+    counts = [0, 0, 0]  # configs, edges, paths of the sub-searches
+
+    def absorb(stmt: Stmt, s: State, sink: list) -> list[State]:
+        """Run `stmt` from `s` as one atomic sub-step: a whole demonic
+        exploration under `lim`. Its non-terminal outcomes go to `sink`,
+        its terminal states come back in canonical order, and its counts
+        go into the report but not into the search's `configs`, which
+        the `max_configs` budget reads."""
+        rep = explore_statement(stmt, s, lim, owner)
+        finals = []
+        for o in rep.outcomes:
+            if isinstance(o, Terminated):
+                finals.append(o.state)
+            else:
+                sink.append(o)
+        counts[0] += rep.configs
+        counts[1] += rep.edges
+        counts[2] += max(rep.paths - len(finals), 0)
+        return finals
+
+    init_outcomes: list = []
+    states = [s0]
+    for stmt in inits:
+        seen: dict[State, None] = {}
+        for s in states:
+            seen.update(dict.fromkeys(absorb(stmt, s, init_outcomes)))
+        states = list(seen)
+        if len(states) > 1:
+            states.sort(key=State.canonical)
+    search = GraphSearch(lim, lambda node: expand(node, absorb), key_of, final_of)
+    for s in states:
+        search.run(start(s))
+    for o in init_outcomes:
+        search.close(o)
+    return search.report(counts)
 
 
 def replay(p: GclProgram, s0: State, labels: tuple[str, ...],

@@ -11,7 +11,7 @@ table give their kinds. A token either table cannot classify sends the
 whole text to `scan`, which gives the same tokens with their positions
 or the unexpected character's ParseError. The parser reads positions
 only to place an error, and then parses the text again on `scan`'s
-tokens (`parser`).
+tokens (`parser`), unless the error already has its position.
 
 `scan` is the one home of the position rules. Lines break at "\\n" only,
 and columns count characters from 1, so a tab or "\\r" is one column; the

@@ -15,9 +15,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 
-from .engine import (
-    Expansion, ExplorationReport, Failed, GraphSearch, Limits, SubSearches,
-)
+from .engine import Expansion, ExplorationReport, Failed, Limits, explore_system
 from .errors import CheckError, EvalError
 from .state import State, compile_assign, compile_expr, initial_state
 from .syntax import (
@@ -202,16 +200,16 @@ def run_par_direct(sys: ParSystem, s0: State | None = None,
                 None if act.effect is None else compile_assign(act.effect),
                 f"c{ci + 1}:{comp.labels[act.source]}->{comp.labels[act.target]}"))
         by_source.append(table)
+    entries = tuple(c.entry for c in comps)
     exits = tuple(c.exit for c in comps)
-    subs = SubSearches(lim, sys)
 
     # nodes are (cvs, state) while running and ("done", state) after the
     # epilogue; the latter are terminal (final_of), so never expanded
-    def expand(node) -> Expansion:
+    def expand(node, absorb) -> Expansion:
         cvs, s = node
         if cvs == exits:
             fin: list = []
-            outs = subs.absorb(sys.epilogue, s, fin)
+            outs = absorb(sys.epilogue, s, fin)
             trans = [(f"epilogue#{k}", ("done", sf)) for k, sf in enumerate(outs)]
             return Expansion(transitions=trans, side_outcomes=fin)
         trans = []
@@ -236,16 +234,9 @@ def run_par_direct(sys: ParSystem, s0: State | None = None,
             return Expansion(failure=Failed("deadlock", s, _stuck_detail(cvs, comps)))
         return Expansion(transitions=trans, side_outcomes=extra)
 
-    search = GraphSearch(lim, expand,
-                         lambda nd: f"{nd[0]} @ {nd[1].canonical()}",
-                         lambda nd: nd[1] if nd[0] == "done" else None)
-    init_outcomes: list = []
-    entries = tuple(c.entry for c in comps)
-    for s in subs.absorb(sys.init, s0, init_outcomes):
-        search.run((entries, s))
-    for o in init_outcomes:
-        search.close(o)
-    return search.report(subs.counts)
+    return explore_system(sys, s0, lim, [sys.init], lambda s: (entries, s), expand,
+                          lambda nd: f"{nd[0]} @ {nd[1].canonical()}",
+                          lambda nd: nd[1] if nd[0] == "done" else None)
 
 
 def _stuck_detail(cvs, comps) -> str:

@@ -19,10 +19,11 @@ a line and column. `parse_value` reads an initializer alone (`--bind`).
 A parse runs on `lexer.tokenize`'s tokens, which carry no positions, and
 places an error on demand: the first error sends the text through the
 same parser once more, on `lexer.scan`'s positioned tokens, where it
-raises the same error with its line and column. Each parse keeps a memo
-of the types of the expressions it has checked under its declarations,
-which `check.type_of` reads, so a subtree that hash-consing shares is
-typed once per parse.
+raises the same error with its line and column; an error that already
+has its position (`tokenize` fell back to `scan`) is raised at once.
+Each parse keeps a memo of the types of the expressions it has checked
+under its declarations, which `check.type_of` reads, so a subtree that
+hash-consing shares is typed once per parse.
 """
 
 from __future__ import annotations
@@ -386,12 +387,13 @@ class Parser:
 
 def _parse(text: str, rule):
     """`rule` run on a Parser of `text`'s position-free tokens. On an error
-    it runs once more on `scan`'s tokens, where the same code raises the
-    same error with its position."""
+    without a position it runs once more on `scan`'s tokens, where the
+    same code raises the same error with its position."""
     try:
         return rule(Parser(tokenize(text)))
-    except SourceError:
-        pass
+    except SourceError as err:
+        if err.line is not None:
+            raise
     return rule(Parser(scan(text)))
 
 

@@ -1,6 +1,7 @@
 """The front end as it was before the regex lexer and the precedence-climbing
 expression parser: a per-character tokenizer and one recursive method per
-precedence level. Kept only as the reference for `test_frontend_reference.py`.
+precedence level. Kept only as the reference for
+`test_frontend_differential.py`.
 
 `reference_parser()` swaps `ReferenceParser` in for `gclab.parser.Parser`
 and this tokenizer in for both of `gclab.parser`'s scans, so

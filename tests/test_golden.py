@@ -71,6 +71,10 @@ def _cases():
             rel = f"corpus/{path.name}"
             for fmt in ("text", "json"):
                 yield f"{path.name}.demonic.{fmt}", ["run", rel, "--format", fmt]
+            # budgets that cut the run pin the sub-searches' counts
+            for budget, n in (("max-configs", "3"), ("max-depth", "2")):
+                yield (f"{path.name}.{budget}-{n}.text",
+                       ["run", rel, f"--{budget}", n, "--format", "text"])
             yield f"{path.name}.transform-{ext}", ["transform", rel, "--kind", ext]
     systems = sorted(CORPUS.glob("*.lts"))
     for p in systems:

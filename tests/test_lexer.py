@@ -89,3 +89,31 @@ def test_an_error_is_placed_by_parsing_once_more_on_the_positional_scan(
         parse(text)
     assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
     assert scans == [text]
+
+
+@pytest.mark.parametrize("text, message, line, col, parses", [
+    # `tokenize` falls back to `scan`, which rejects the character
+    ("x := 1 $ 2", "unexpected character '$'", 1, 8, 0),
+    # `tokenize` falls back to `scan`, whose placed tokens the parse rejects
+    ("var éx: int;\néx := y", "undeclared identifier 'y'", 2, 7, 1),
+])
+def test_an_error_placed_by_the_first_scan_is_not_placed_again(
+        monkeypatch, text, message, line, col, parses):
+    scans, parsers = [], []
+
+    def counted(text):
+        scans.append(text)
+        return scan(text)
+
+    class Counted(gclab.parser.Parser):
+        def __init__(self, toks):
+            parsers.append(toks)
+            super().__init__(toks)
+
+    monkeypatch.setattr(gclab.lexer, "scan", counted)
+    monkeypatch.setattr(gclab.parser, "scan", counted)
+    monkeypatch.setattr(gclab.parser, "Parser", Counted)
+    with pytest.raises(SourceError) as err:
+        parse_gcl(text)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+    assert (len(scans), len(parsers)) == (1, parses)
