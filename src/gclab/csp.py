@@ -138,22 +138,35 @@ def run_csp(sys: CspSystem, s0: State | None = None,
     if s0 is None:
         s0 = initial_state(sys.all_decls())
     conds = [[compile_expr(g.cond) for g in p.loop] for p in sys.processes]
-    term = compile_expr(term_condition(sys))
     # (pair, compiled joint effect, the two guard bodies), in pair order
     pairs = [(pair, compile_assign(eff(gi.io, gr.io)), gi.body, gr.body)
              for pair, gi, gr in _pair_guards(sys)]
+    # the last state whose parts were evaluated, and their values or the
+    # failure that stopped them: the search asks `final_of` and then
+    # `expand` about one node, and the parts are evaluated once for both
+    last: list = [None, None]
+
+    def parts(s: State) -> list[list[bool]] | Failed:
+        if last[0] is not s:
+            try:
+                value = [[bool(cond(s)) for cond in row] for row in conds]
+            except EvalError as e:
+                value = Failed(e.reason, s, e.detail)
+            last[0], last[1] = s, value
+        return last[1]
 
     def final_of(s: State) -> State | None:
-        try:
-            return s if term(s) else None
-        except EvalError:
-            return None  # expand() reports the failure
+        enabled = parts(s)
+        # terminated when `term_condition` holds, that is, no part is
+        # true; a failed part is not final, and expand() reports it
+        if enabled.__class__ is Failed or any(map(any, enabled)):
+            return None
+        return s
 
     def expand(s: State, absorb) -> Expansion:
-        try:
-            enabled = [[bool(cond(s)) for cond in row] for row in conds]
-        except EvalError as e:
-            return Expansion(failure=Failed(e.reason, s, e.detail))
+        enabled = parts(s)
+        if enabled.__class__ is Failed:
+            return Expansion(failure=enabled)
         trans: list[tuple[str, State]] = []
         extra: list = []
         attempted = False

@@ -7,12 +7,15 @@ Syntax nodes are hash-consed, so equal statements are one object, and
 points are interned with them, keyed by head and next point by identity
 (`lower`): each distinct residue has one live `Point`, in every search
 and every program that reaches it. A program keeps the points of its
-statements alive (`root`), so a program run many times is lowered once,
-and its points go when it does. A point holds the step labels of its
-arms and caches its rendered key and step label, the variables its head
-reads and writes, its arm points, and its compiled head: on the first
-step the head's assignment, guards or `choice` bound are lowered to
-closures (`state.compile_assign`, `compile_guards`, `compile_expr`),
+statements alive (`root`) and the layout of the states it runs from
+(`start_config`), so a program run many times is lowered once, each of
+its runs finds its layout in `initial_state`, and both go when it does.
+A point holds the step labels of its arms and caches its rendered key
+and step label, the variables its head reads and writes, its arm
+points, and its compiled head: on the first step the head's assignment,
+guards or `choice` bound are lowered to closures (`state.compile_assign`,
+`compile_guards`, `compile_expr`, whose closures live on the expression
+nodes, so a guard shared by many points or programs is compiled once),
 which every later step calls without walking the syntax tree. A
 configuration (`Config`) is a named pair of a point and a state: it
 compares by point identity plus the state, and hashes as the pair (the
@@ -206,8 +209,10 @@ class _Roots(dict):
 def root(stmt: Stmt, owner: Program | None = None) -> Point:
     """The point that runs `stmt` to the end. `owner`, the program of
     `stmt`, keeps it and every later point while it lives, so a program
-    run many times (a seed sweep, csp/par sub-searches) is lowered and
-    compiled once. Without one, they live as long as their search."""
+    run many times (a seed sweep, csp/par sub-searches) is lowered once,
+    and each point's head is compiled once (`Point.compiled`; its
+    expressions' closures live on their nodes, `state.compile_expr`).
+    Without one, they live as long as their search."""
     if owner is None:
         return lower(stmt, END)
     try:
@@ -239,6 +244,16 @@ class Config(NamedTuple):
 
     def residue_key(self) -> str:
         return self.point.key
+
+
+def start_config(stmt: Stmt, s0: State, owner: Program | None = None) -> Config:
+    """The configuration that runs `stmt` from `s0`. `owner`, the program
+    of `stmt`, keeps its points (`root`) and the layout of `s0`: a run's
+    states go with it, and `initial_state` shares a layout only while
+    something holds it, so each run of the program would build it again."""
+    if owner is not None:
+        object.__setattr__(owner, "_layout", s0.layout)
+    return Config(root(stmt, owner), s0)
 
 
 def make_config(residue: tuple[Stmt, ...], state: State) -> Config:
@@ -707,7 +722,7 @@ def explore_statement(stmt: Stmt, s0: State, lim: Limits,
     `owner`, if given, is the program the statement belongs to (`root`)."""
     search = GraphSearch(lim, _expander(lim), config_key, _final,
                          revisit_scan=_control_lasso_scan)
-    search.run(Config(root(stmt, owner), s0))
+    search.run(start_config(stmt, s0, owner))
     return search.report()
 
 
@@ -810,7 +825,7 @@ def run_path(p: GclProgram, s0: State, fuel: int,
     configuration or the `Failed` that ends the run. Every step spends one
     unit of fuel (the callers reject negative fuel); a computation still
     running when the fuel is spent ends `BoundExceeded("fuel")`."""
-    cfg = Config(root(p.body, p), s0)
+    cfg = start_config(p.body, s0, p)
     for _ in range(fuel):
         if cfg.terminated:
             break
@@ -872,7 +887,7 @@ def solve_angelic(p: GclProgram, s0: State | None = None,
     if s0 is None:
         s0 = initial_state(p.decls)
     search = GraphSearch(lim, _expander(lim), config_key, _final)
-    search.run(Config(root(p.body, p), s0))
+    search.run(start_config(p.body, s0, p))
     if cut is not None:
         cut += sorted((o for o in search.outcomes if isinstance(o, BoundExceeded)),
                       key=BoundExceeded.key)

@@ -7,11 +7,18 @@ are deterministic, that is, free of `x := ?` and `choice`, with pairwise
 exclusive guards in every if and do. Exclusion is proved atom by atom of
 the guards' conjunctions; comparisons are evaluated with their
 `syntax.BINARY` meanings at a few sample values (`_atoms_exclusive`).
-It introduces one priority variable per guarded command; an enabled
-command holding the minimum priority is selected, its priority is reset
-arbitrarily, enabled competitors move up (decrement) and disabled ones
-are reset. Ignoring the priority variables, the transformed program's
-computations are the weakly fair ones.
+The proof is symmetric, so a command's distinct atom pairs are each
+decided at most once, and its guards are compared as atom sets
+(`_overlap`): a table `if` of n arms over d distinct atoms costs at most
+d(d+1)/2 atom proofs, not one per atom pair of each of its n(n-1)/2
+guard pairs.
+
+The transformation introduces one priority variable per guarded
+command; an enabled command holding the minimum priority is selected,
+its priority is reset arbitrarily, enabled competitors move up
+(decrement) and disabled ones are reset. Ignoring the priority
+variables, the transformed program's computations are the weakly fair
+ones.
 
 The fair schedulers run on the engine's single-computation loop
 (`engine.run_path`), on the same program points as erratic runs: at the
@@ -34,8 +41,8 @@ from .state import State, compile_expr, initial_state
 from .syntax import (
     BINARY, COMPARE_BP, Assign, BinOp, BoolLit, Builtin, ChoiceAssign,
     Declaration, Do, Expr, GclProgram, GuardedCommand, If, IntLit,
-    RandomAssign, Seq, Skip, Stmt, UnaryOp, Var, chain, conj, disj, nodes,
-    not_, program_names, seq,
+    RandomAssign, Seq, Skip, Stmt, UnaryOp, Var, chain, conj, disj, not_,
+    program_names, seq,
 )
 
 
@@ -111,18 +118,51 @@ def _atoms_exclusive(a: Expr, b: Expr) -> bool:
 
 
 def _deterministic(s: Stmt, where: str) -> str | None:
-    """None when syntactically deterministic, else a diagnostic. Guards are
-    exclusive when some atom of one's conjunction excludes some atom of
-    the other's."""
-    for node in nodes(s):
-        if isinstance(node, (RandomAssign, ChoiceAssign)):
-            return f"{where}: '{render_stmt_inline(node)}' is a nondeterministic assignment"
-        if isinstance(node, (If, Do)):
-            atoms = [_conj_atoms(arm.guard) for arm in node.arms]
-            for i, j in itertools.combinations(range(len(atoms)), 2):
-                if not any(_atoms_exclusive(a, b) for a in atoms[i] for b in atoms[j]):
-                    return (f"{where}: guards {i + 1} and {j + 1} of "
-                            f"'{render_stmt_inline(node)[:60]}' may overlap")
+    """None when syntactically deterministic, else a diagnostic. The walk
+    visits statements only, in pre-order: an if or do before its arms'
+    bodies, and the first offence found is the one reported."""
+    todo = [s]
+    while todo:
+        stmt = todo.pop()
+        if isinstance(stmt, (RandomAssign, ChoiceAssign)):
+            return f"{where}: '{render_stmt_inline(stmt)}' is a nondeterministic assignment"
+        if isinstance(stmt, Seq):
+            todo += reversed(stmt.stmts)
+        elif isinstance(stmt, (If, Do)):
+            overlap = _overlap([_conj_atoms(arm.guard) for arm in stmt.arms])
+            if overlap is not None:
+                i, j = overlap
+                return (f"{where}: guards {i + 1} and {j + 1} of "
+                        f"'{render_stmt_inline(stmt)[:60]}' may overlap")
+            todo += reversed([arm.body for arm in stmt.arms])
+    return None
+
+
+def _overlap(guards: list[list[Expr]]) -> tuple[int, int] | None:
+    """The first pair of guards (i, j), i < j, given by their conjunction
+    atoms, that may hold together, or None. Two guards are exclusive when
+    some atom of one excludes some atom of the other. Exclusion is
+    symmetric, so each distinct unordered atom pair is decided at most
+    once, and guard i is tested against guard j as sets: the atoms that
+    guard i's atoms exclude must meet guard j's atoms."""
+    sets = [set(atoms) for atoms in guards]
+    universe = set().union(*sets)
+    excludes: dict[Expr, set[Expr]] = {}
+
+    def excluded(a: Expr) -> set[Expr]:
+        out = excludes.get(a)
+        if out is None:
+            # a pair with an atom decided before is read from that atom's set
+            out = excludes[a] = {
+                b for b in universe
+                if (a in excludes[b] if b in excludes else _atoms_exclusive(a, b))}
+        return out
+
+    for i in range(len(sets) - 1):
+        covered = set().union(*map(excluded, sets[i]))
+        for j in range(i + 1, len(sets)):
+            if covered.isdisjoint(sets[j]):
+                return i, j
     return None
 
 

@@ -7,12 +7,18 @@ cells. Only this module knows that layout and writes a state's text.
 Scalars default to 0/false and array cells to 0, unless the declaration
 carries an initializer.
 
+`initial_state` shares one layout among the states of a declaration
+tuple while something holds it; a program keeps the layout of the states
+it runs from (`engine.start_config`), so its later runs find it.
+
 Expressions are not interpreted node by node. `compile_expr` lowers an
-expression once to a closure from states to values, `compile_guards`
-the guards of one command to a closure giving all their values, and
-`compile_assign` a parallel assignment to a closure from state to state;
-the engines build these once per program point and call them at every
-step. `eval_expr` compiles and evaluates in one call.
+expression to a closure from states to values and keeps it on the node
+(`Expr._code`), so each hash-consed node is compiled once while it
+lives; `compile_guards` lowers the guards of one command to a closure
+giving all their values, and `compile_assign` a parallel assignment to a
+closure from state to state, which the engines build once per program
+point (`engine.Point.compiled`) and call at every step. `eval_expr`
+compiles and evaluates in one call.
 """
 
 from __future__ import annotations
@@ -208,8 +214,9 @@ def initial_state(decls: tuple[Declaration, ...],
                   overrides: dict[str, Value | tuple[int, ...]] | None = None) -> State:
     """Default state: declaration initializers where present, else
     0/false. `overrides` replaces initializers by name. The layout of a
-    declaration tuple is interned while any state over it lives, so the
-    runs of one program share it."""
+    declaration tuple is interned while any state over it, or a program
+    that ran from one (`engine.start_config`), lives, so the runs of one
+    program share it."""
     key = (Layout, decls)
     layout = interned(key) or intern(key, Layout(decls))
     values = []
@@ -233,71 +240,86 @@ def initial_state(decls: tuple[Declaration, ...],
 def compile_expr(e: Expr) -> Callable[[State], Value]:
     """Lower an expression to a closure that evaluates it in a state.
 
-    Compile once per program point and call per step: the closure does
-    no dispatch on node types. Evaluation is total and side-effect-free
-    on type-checked expressions: it raises EvalError on an out-of-bounds
+    Compile once per node and call per step: the closure does no dispatch
+    on node types. Evaluation is total and side-effect-free on
+    type-checked expressions: it raises EvalError on an out-of-bounds
     array access and on div/mod by zero, which the engines turn into a
     failure outcome. Operands are evaluated left to right; `and` and `or`
     short-circuit and return an operand's own value; the other binary
     operators mean what their `syntax.BINARY` row says. An unknown
     operator raises when it is evaluated, after its operands. Names are
     looked up through the state's layout when the closure runs, so one
-    closure serves states of any layout.
+    closure serves states of any layout, and it is kept on the node
+    (`Expr._code`): a hash-consed node is compiled once while it lives,
+    however many programs, points and runs share it.
     """
+    try:
+        return e._code
+    except AttributeError:  # not compiled yet, or not an expression
+        pass
     if isinstance(e, (IntLit, BoolLit)):
         value = e.value
-        return lambda s: value
-    if isinstance(e, Var):  # type-checked: a scalar
+        code = lambda s: value
+    elif isinstance(e, Var):  # type-checked: a scalar
         name = e.name
-        return lambda s: s.values[s.layout.pos[name]]
-    if isinstance(e, ArrayRef):
+        code = lambda s: s.values[s.layout.pos[name]]
+    elif isinstance(e, ArrayRef):
         name, index = e.name, compile_expr(e.index)
 
-        def cell(s: State) -> Value:
+        def code(s: State) -> Value:
             layout = s.layout
             pos = layout.pos[name]
             return s.values[pos][layout._offset(pos, index(s))]
-        return cell
-    if isinstance(e, BinOp):
+    elif isinstance(e, BinOp):
         first, pairs = chain(e)
         if len(pairs) > 1:
-            return _compile_run(compile_expr(first), pairs)
-        op, left, right = e.op, compile_expr(e.left), compile_expr(e.right)
-        if op == "and":
-            return lambda s: left(s) and right(s)
-        if op == "or":
-            return lambda s: left(s) or right(s)
-        row = BINARY.get(op)
-        if row is None:
-            return _raises_after((left, right), lambda: EvalError(f"unknown operator {op!r}"))
-        meaning = row.meaning
-        # an operator on a variable and a constant or a second variable
-        # (most guards, and counters such as `x + 1`) reads its operands
-        # in place, without a call per operand
-        if isinstance(e.left, Var) and isinstance(e.right, (Var, IntLit, BoolLit)):
-            name = e.left.name
-            if isinstance(e.right, Var):
-                other = e.right.name
-                return lambda s: meaning(s.values[s.layout.pos[name]],
-                                         s.values[s.layout.pos[other]])
-            value = e.right.value
-            return lambda s: meaning(s.values[s.layout.pos[name]], value)
-        return lambda s: meaning(left(s), right(s))
-    if isinstance(e, UnaryOp):
+            code = _compile_run(compile_expr(first), pairs)
+        else:
+            op, left, right = e.op, compile_expr(e.left), compile_expr(e.right)
+            row = BINARY.get(op)
+            if op == "and":
+                code = lambda s: left(s) and right(s)
+            elif op == "or":
+                code = lambda s: left(s) or right(s)
+            elif row is None:
+                code = _raises_after((left, right),
+                                     lambda: EvalError(f"unknown operator {op!r}"))
+            elif isinstance(e.left, Var) and isinstance(e.right, (Var, IntLit, BoolLit)):
+                # an operator on a variable and a constant or a second
+                # variable (most guards, and counters such as `x + 1`)
+                # reads its operands in place, without a call per operand
+                meaning, name = row.meaning, e.left.name
+                if isinstance(e.right, Var):
+                    other = e.right.name
+                    code = lambda s: meaning(s.values[s.layout.pos[name]],
+                                             s.values[s.layout.pos[other]])
+                else:
+                    value = e.right.value
+                    code = lambda s: meaning(s.values[s.layout.pos[name]], value)
+            else:
+                meaning = row.meaning
+                code = lambda s: meaning(left(s), right(s))
+    elif isinstance(e, UnaryOp):
         op, operand = e.op, compile_expr(e.operand)
         if op == "neg":
-            return lambda s: -operand(s)
-        if op == "not":
-            return lambda s: not operand(s)
-        return _raises_after((operand,), lambda: EvalError(f"unknown unary operator {op!r}"))
-    if isinstance(e, Builtin):
+            code = lambda s: -operand(s)
+        elif op == "not":
+            code = lambda s: not operand(s)
+        else:
+            code = _raises_after((operand,),
+                                 lambda: EvalError(f"unknown unary operator {op!r}"))
+    elif isinstance(e, Builtin):
         func, a, b = e.func, compile_expr(e.args[0]), compile_expr(e.args[1])
         apply = BUILTINS.get(func)
         if apply is None:
-            return _raises_after((a, b), lambda: KeyError(func))
-        return lambda s: apply(a(s), b(s))
-    kind = type(e).__name__
-    return _raises_after((), lambda: EvalError(f"cannot evaluate {kind}"))
+            code = _raises_after((a, b), lambda: KeyError(func))
+        else:
+            code = lambda s: apply(a(s), b(s))
+    else:  # not an expression: nowhere to keep the closure
+        kind = type(e).__name__
+        return _raises_after((), lambda: EvalError(f"cannot evaluate {kind}"))
+    _set(e, "_code", code)
+    return code
 
 
 def _compile_run(first: Callable[[State], Value],

@@ -5,12 +5,15 @@ Every node class derives from `Node`, which takes the class's
 Conchon, "Type-safe modular hash-consing", 2006): building a node equal
 to a live one returns the live one. Equal trees are one object, so `==`
 on nodes is `is` and a node hashes by identity; neither walks the tree.
-The engines key program points on node identity (`engine.lower`) and
-compile each point's expressions to closures (`state.compile_expr`) on
-its first step, so no step walks an expression tree. Likewise every
-`Expr` and `Stmt` keeps its text in a `_text` slot of its base class,
-filled by its first rendering (`printer`), so a shared subtree is
-rendered once, however often it occurs. Nodes carry no source positions
+The engines key program points on node identity (`engine.lower`).
+Every `Expr` keeps its compiled closure in a `_code` slot, filled by its
+first `state.compile_expr`, so no step walks an expression tree and a
+subtree shared by many points, programs or runs is compiled once while
+it lives. Likewise every `Expr` and `Stmt` keeps its text in a `_text`
+slot of its base class, filled by its first rendering (`printer`), so a
+shared subtree is rendered once, however often it occurs. A `Program`
+keeps its program points (`engine.root`) and the layout of the states it
+runs from (`engine.start_config`). Nodes carry no source positions
 (the parser reports positions at parse time), which keeps
 `parse(render(p)) == p` a plain `==`.
 
@@ -127,8 +130,9 @@ class Node:
 # ---------------------------------------------------------------------------
 
 class Expr(Node):
-    # `_text`: the rendered text, filled on the first `printer.render_expr`
-    __slots__ = ("_text",)
+    # `_text`: the rendered text, filled on the first `printer.render_expr`;
+    # `_code`: the compiled closure, filled on the first `state.compile_expr`
+    __slots__ = ("_text", "_code")
 
 
 class IntLit(Expr):
@@ -340,8 +344,9 @@ class Declaration(Node):
 
 
 class Program(Node):
-    # `_points`: the program points of its statements (`engine.root`)
-    __slots__ = ("_points",)
+    # `_points`: the program points of its statements (`engine.root`);
+    # `_layout`: the layout of the states it last ran from (`engine.start_config`)
+    __slots__ = ("_points", "_layout")
 
 
 class GclProgram(Program):

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from gclab import csp
 from gclab.csp import (
     CorrespondencePair, correspondence_pairs, eff, run_csp, term_condition,
     translate_csp, translate_csp_checked,
@@ -8,7 +11,7 @@ from gclab.engine import Failed, Limits, Terminated, explore_demonic
 from gclab.errors import CheckError
 from gclab.parser import parse_csp, parse_gcl
 from gclab.printer import render, render_expr
-from gclab.state import eval_expr, initial_state
+from gclab.state import compile_expr, eval_expr, initial_state
 from gclab.syntax import Assign, Do, Input, IntLit, Var
 
 from conftest import corpus_text
@@ -209,6 +212,30 @@ def test_sub_search_counts_stay_out_of_the_config_budget():
     assert fits.outcomes == full.outcomes and fits.configs == 68
     cut = run_csp(_sfr(), lim=Limits(max_configs=10))
     assert ("3-bound", "max-configs") in [o.key() for o in cut.outcomes]
+
+
+def test_guard_parts_are_evaluated_once_per_node(monkeypatch):
+    """The termination test and the enabled table read one evaluation of
+    a node's boolean guard parts: each of sfr's 4 parts runs once in each
+    of its 12 nodes, 48 closure calls (56 when the termination test
+    evaluated them again)."""
+    calls = []
+
+    def counting(e):
+        f = compile_expr(e)
+
+        def part(s):
+            calls.append(s)
+            return f(s)
+        return part
+
+    monkeypatch.setattr(csp, "compile_expr", counting)
+    sysm = _sfr()
+    rep = run_csp(sysm)
+    assert rep.configs == 68 and len(rep.outcomes) == 1
+    per_node = Counter(calls)
+    assert len(per_node) == 12 and set(per_node.values()) == {4}
+    assert len(calls) == 48
 
 
 def test_deadlock_maps_to_term_violation_and_checked_failure():

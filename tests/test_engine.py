@@ -11,7 +11,7 @@ from gclab.engine import (
 from gclab.csp import run_csp
 from gclab.par import run_par_direct
 from gclab.parser import parse_csp, parse_gcl, parse_par
-from gclab.state import initial_state
+from gclab.state import compile_expr, initial_state
 from gclab.syntax import (
     Assign, Await, Declaration, GclProgram, IfElse, IntLit, Seq, Skip, Var, While,
 )
@@ -340,6 +340,28 @@ def test_dropped_concurrent_programs_release_their_points():
     refs = [weakref.ref(x) for x in (csp, par, *points)]
     del csp, par, points
     assert _gone_without_the_cycle_collector(systems.clear, refs)
+
+
+def test_a_program_keeps_its_layout_and_compiled_guards_while_it_lives():
+    # every name is unique to the test, so no live program shares its
+    # nodes or its layout
+    p = parse_gcl("var kept_u: int; var kept_w: int;\n"
+                  "do kept_u < 3 -> kept_u := kept_u + 1\n"
+                  "[] kept_u < 2 -> kept_u, kept_w := kept_u + 2, kept_w + 1 od")
+    guard = p.body.arms[1].guard
+    code = compile_expr(guard)
+    assert compile_expr(guard) is code
+    rep = explore_demonic(p)
+    layout = weakref.ref(next(iter(rep.terminated_states())).layout)
+    del rep
+    # no state of the run is left, yet the next run finds its layout, and
+    # the guard keeps the closure the run called
+    assert layout() is not None and initial_state(p.decls).layout is layout()
+    assert compile_expr(guard) is code
+    refs = [weakref.ref(x) for x in (p, guard, code, compile_expr(p.body.arms[0].guard))]
+    names = {"p": p}
+    del p, guard, code
+    assert _gone_without_the_cycle_collector(names.clear, refs + [layout])
 
 
 def test_max_paths_counter():

@@ -1,7 +1,8 @@
 """The one-level prover, which decides comparisons with the meanings in
 `syntax.BINARY`, against its former hand-written relation tables
-(`one_level_reference.py`): the same `_atoms_exclusive` answers, and the
-same `is_one_level_nondeterministic` verdicts and diagnostics."""
+(`one_level_reference.py`): the same `_atoms_exclusive` answers, in
+either argument order, and the same `is_one_level_nondeterministic`
+verdicts and diagnostics, with each atom pair of a command decided once."""
 
 import itertools
 from random import Random
@@ -14,8 +15,8 @@ from gclab.fairness import FixpointInstance, chaotic_iteration_program
 from gclab.par import translate_par
 from gclab.parser import parse_csp, parse_gcl, parse_par
 from gclab.syntax import (
-    BINARY, ArrayRef, BinOp, BoolLit, Do, GclProgram, GuardedCommand, IntLit,
-    UnaryOp, Var, not_,
+    BINARY, ArrayRef, Assign, BinOp, BoolLit, Declaration, Do, GclProgram,
+    GuardedCommand, If, IntLit, Skip, UnaryOp, Var, not_, seq,
 )
 
 import one_level_reference as ref
@@ -34,6 +35,8 @@ def _same_verdict(p: GclProgram) -> bool:
 def _same_exclusive(a, b) -> bool:
     answer = fairness._atoms_exclusive(a, b)
     assert answer == ref._atoms_exclusive(a, b), (a, b)
+    # the guard check decides each unordered atom pair once
+    assert fairness._atoms_exclusive(b, a) == answer, (b, a)
     return answer
 
 
@@ -76,6 +79,64 @@ def test_chaotic_iteration_verdicts_match_reference():
         table = {pt: tuple(rng.randint(0, height) for _ in range(n)) for pt in points}
         assert _same_verdict(chaotic_iteration_program(
             FixpointInstance.from_table(n, height, table)))
+
+
+def test_height_three_chaotic_verdicts_match_reference():
+    """Two variables of height 3: every arm body is a 16-arm table `if`."""
+    rng = Random(1618)
+    for _ in range(20):
+        table = {pt: (rng.randint(0, 3), rng.randint(0, 3))
+                 for pt in itertools.product(range(4), repeat=2)}
+        p = chaotic_iteration_program(FixpointInstance.from_table(2, 3, table))
+        assert [len(arm.body.arms) for arm in p.body.stmts[-1].arms] == [16, 16]
+        assert _same_verdict(p)
+
+
+def _table_loop(size: int, duplicate: int | None = None, at: int | None = None):
+    """`do n < 3 -> n := n + 1; if x = a and y = b -> x := (a+1) mod size
+    [] ... fi od` over every (a, b), with the guard of arm `duplicate`
+    repeated before arm `at` when given."""
+    arms = [GuardedCommand(BinOp("and", BinOp("=", Var("x"), IntLit(a)),
+                                 BinOp("=", Var("y"), IntLit(b))),
+                           Assign((Var("x"),), (IntLit((a + 1) % size),)))
+            for a in range(size) for b in range(size)]
+    if duplicate is not None:
+        arms.insert(at, GuardedCommand(arms[duplicate].guard, Skip()))
+    n = Var("n")
+    body = seq([Assign((n,), (BinOp("+", n, IntLit(1)),)), If(tuple(arms))])
+    decls = tuple(Declaration(v, "int") for v in ("n", "x", "y"))
+    return GclProgram(decls, Do((GuardedCommand(BinOp("<", n, IntLit(3)), body),)))
+
+
+def test_late_duplicated_guard_is_reported_like_the_reference():
+    """One guard of a table repeated late: the reported pair `guards i
+    and j` is deep in the command, and both provers name the same one."""
+    rng = Random(5772)
+    for _ in range(12):
+        size = rng.randint(3, 8)
+        dup = rng.randrange(size * size // 2, size * size)
+        at = rng.randint(dup + 1, size * size)
+        p = _table_loop(size, dup, at)
+        verdict, diagnostic = fairness.is_one_level_nondeterministic(p)
+        assert not verdict and not _same_verdict(p)
+        assert f"guards {dup + 1} and {at + 1} of" in diagnostic
+    assert _same_verdict(_table_loop(6))
+
+
+def test_each_atom_pair_of_a_table_is_decided_once(monkeypatch):
+    """A 30x30 table `if` has 60 distinct atoms, so at most 60 * 61 / 2 =
+    1,830 atom proofs; deciding every guard pair atom pair by atom pair
+    takes hundreds of thousands."""
+    calls = [0]
+    exclusive = fairness._atoms_exclusive
+
+    def counting(a, b):
+        calls[0] += 1
+        return exclusive(a, b)
+
+    monkeypatch.setattr(fairness, "_atoms_exclusive", counting)
+    assert fairness.is_one_level_nondeterministic(_table_loop(30)) == (True, None)
+    assert 0 < calls[0] <= 1830
 
 
 _OPERANDS = (Var("x"), Var("y"), IntLit(-1), IntLit(0), IntLit(2),
