@@ -11,7 +11,8 @@ The proof is symmetric, so a command's distinct atom pairs are each
 decided at most once, and its guards are compared as atom sets
 (`_overlap`): a table `if` of n arms over d distinct atoms costs at most
 d(d+1)/2 atom proofs, not one per atom pair of each of its n(n-1)/2
-guard pairs.
+guard pairs, and each guard is tested against all later ones at once,
+on bit masks of the guards that hold each atom.
 
 The transformation introduces one priority variable per guarded
 command; an enabled command holding the minimum priority is selected,
@@ -30,6 +31,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from random import Random
 from weakref import WeakKeyDictionary
 
@@ -143,26 +146,33 @@ def _overlap(guards: list[list[Expr]]) -> tuple[int, int] | None:
     atoms, that may hold together, or None. Two guards are exclusive when
     some atom of one excludes some atom of the other. Exclusion is
     symmetric, so each distinct unordered atom pair is decided at most
-    once, and guard i is tested against guard j as sets: the atoms that
-    guard i's atoms exclude must meet guard j's atoms."""
-    sets = [set(atoms) for atoms in guards]
-    universe = set().union(*sets)
+    once. Each atom keeps a bit mask of the guards that hold it, and of
+    the guards that hold an atom it excludes; guard i excludes the guards
+    of the OR of its atoms' masks, and overlaps the first later guard
+    missing from it."""
+    holders: dict[Expr, int] = {}  # atom -> mask of the guards holding it
+    for j, atoms in enumerate(guards):
+        for a in atoms:
+            holders[a] = holders.get(a, 0) | 1 << j
     excludes: dict[Expr, set[Expr]] = {}
+    masks: dict[Expr, int] = {}  # atom -> mask of the guards it excludes
 
-    def excluded(a: Expr) -> set[Expr]:
-        out = excludes.get(a)
-        if out is None:
+    def excluded(a: Expr) -> int:
+        mask = masks.get(a)
+        if mask is None:
             # a pair with an atom decided before is read from that atom's set
             out = excludes[a] = {
-                b for b in universe
+                b for b in holders
                 if (a in excludes[b] if b in excludes else _atoms_exclusive(a, b))}
-        return out
+            mask = masks[a] = reduce(or_, map(holders.__getitem__, out), 0)
+        return mask
 
-    for i in range(len(sets) - 1):
-        covered = set().union(*map(excluded, sets[i]))
-        for j in range(i + 1, len(sets)):
-            if covered.isdisjoint(sets[j]):
-                return i, j
+    later = (1 << len(guards)) - 1
+    for i, atoms in enumerate(guards[:-1]):
+        later &= later - 1  # the guards after i
+        missing = later & ~reduce(or_, map(excluded, atoms), 0)
+        if missing:
+            return i, (missing & -missing).bit_length() - 1
     return None
 
 

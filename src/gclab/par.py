@@ -8,6 +8,14 @@ variable per component and lists every action as a guarded command of a
 single loop; a final alternative command aborts unless every component
 sits at its exit, which turns a deadlock of the original program into a
 failure.
+
+A system keeps what is built from it while it lives, as it keeps its
+program points (`engine.root`): its labelled components, which the
+translation, the label table and the direct semantics all read
+(`label_components`), and the direct semantics' action table of compiled
+guards, compiled effects and step labels. Neither refers back to the
+system, so a dropped system is freed by reference counting, and a system
+run many times (a seed sweep) is labelled and compiled once.
 """
 
 from __future__ import annotations
@@ -103,8 +111,37 @@ def _wire(s: Stmt, entry: int, exit_: int, free: int,
     return free
 
 
-def label_components(sys: ParSystem) -> list[LabeledComponent]:
-    return [label_component(c) for c in sys.components]
+def label_components(sys: ParSystem) -> tuple[LabeledComponent, ...]:
+    """The labelled components of `sys`, built on the first call and kept
+    with the system."""
+    try:
+        return sys._components
+    except AttributeError:
+        comps = tuple(label_component(c) for c in sys.components)
+        object.__setattr__(sys, "_components", comps)
+        return comps
+
+
+def _action_table(sys: ParSystem) -> tuple[dict[int, list], ...]:
+    """Per component: source label -> [(target, compiled guard, compiled
+    effect, step label)], built on the first call and kept with the
+    system."""
+    try:
+        return sys._actions
+    except AttributeError:
+        pass
+    by_source = []
+    for ci, comp in enumerate(label_components(sys)):
+        table: dict[int, list] = {}
+        for act in comp.actions:
+            table.setdefault(act.source, []).append((
+                act.target,
+                None if act.guard is None else compile_expr(act.guard),
+                None if act.effect is None else compile_assign(act.effect),
+                f"c{ci + 1}:{comp.labels[act.source]}->{comp.labels[act.target]}"))
+        by_source.append(table)
+    object.__setattr__(sys, "_actions", tuple(by_source))
+    return sys._actions
 
 
 def control_variable_names(sys: ParSystem) -> list[str]:
@@ -188,18 +225,7 @@ def run_par_direct(sys: ParSystem, s0: State | None = None,
     if s0 is None:
         s0 = initial_state(sys.decls)
     comps = label_components(sys)
-    # per component: source label -> [(target, compiled guard, compiled
-    # effect, step label)]
-    by_source = []
-    for ci, comp in enumerate(comps):
-        table: dict[int, list] = {}
-        for act in comp.actions:
-            table.setdefault(act.source, []).append((
-                act.target,
-                None if act.guard is None else compile_expr(act.guard),
-                None if act.effect is None else compile_assign(act.effect),
-                f"c{ci + 1}:{comp.labels[act.source]}->{comp.labels[act.target]}"))
-        by_source.append(table)
+    by_source = _action_table(sys)
     entries = tuple(c.entry for c in comps)
     exits = tuple(c.exit for c in comps)
 

@@ -23,7 +23,14 @@ raises the same error with its line and column; an error that already
 has its position (`tokenize` fell back to `scan`) is raised at once.
 Each parse keeps a memo of the types of the expressions it has checked
 under its declarations, which `check.type_of` reads, so a subtree that
-hash-consing shares is typed once per parse.
+hash-consing shares is typed once per parse. It also keeps a table of
+its leaves, `Parser.leaves`: an identifier's name to its `Var` and an
+integer literal's text (a negative one's with its `-`) to its `IntLit`,
+so each distinct variable and literal is constructed once per parse.
+The table is read only after every check of the token, so a name that
+one csp process declares is still undeclared in the next, and an
+over-long literal never enters it; by hash-consing its node is the one
+the constructor would return.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ class Parser:
         self.decls: dict[str, Declaration] = {}
         self.decl_positions: dict[str, tuple] = {}
         self.known: dict[Expr, str] = {}  # the type of every expression typed under `decls`
+        self.leaves: dict[str, Expr] = {}  # name or literal text -> its Var or IntLit
         self.stmt_depth = 0
 
     # -- token plumbing: `i` never moves past the final eof token -----------
@@ -201,7 +209,7 @@ class Parser:
         kind = t[0]
         if kind == "number":
             self.i += 1
-            return IntLit(self._integer(t))
+            return self.leaves.get(t[1]) or self.leaves.setdefault(t[1], IntLit(self._integer(t)))
         if kind == "ident":
             self.i += 1
             name = t[1]
@@ -226,13 +234,16 @@ class Parser:
                 idx = self._expr(0, depth + 1)
                 self.expect("]")
                 return ArrayRef(name, idx)
-            return Var(name)
+            return self.leaves.get(name) or self.leaves.setdefault(name, Var(name))
         if kind == "-":
             self.i += 1
             # a minus on an integer literal IS a negative literal; explicit
             # negation of a literal is written with parens, `-(2)`
             if self.at("number"):
-                return IntLit(-self._integer(self.advance()))
+                n = self.advance()
+                text = "-" + n[1]
+                return (self.leaves.get(text)
+                        or self.leaves.setdefault(text, IntLit(-self._integer(n))))
             self._nest(t, depth)
             return UnaryOp("neg", self._operand(depth + 1))
         if kind == "(":
@@ -378,7 +389,7 @@ class Parser:
             idx = self.parse_expr()
             self.expect("]")
             return self._typed(ArrayRef(name, idx), t)
-        return Var(name)
+        return self.leaves.get(name) or self.leaves.setdefault(name, Var(name))
 
 
 # ---------------------------------------------------------------------------

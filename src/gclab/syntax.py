@@ -13,7 +13,8 @@ it lives. Likewise every `Expr` and `Stmt` keeps its text in a `_text`
 slot of its base class, filled by its first rendering (`printer`), so a
 shared subtree is rendered once, however often it occurs. A `Program`
 keeps its program points (`engine.root`) and the layout of the states it
-runs from (`engine.start_config`). Nodes carry no source positions
+runs from (`engine.start_config`), and a `ParSystem` its labelled
+components and action table (`par`). Nodes carry no source positions
 (the parser reports positions at parse time), which keeps
 `parse(render(p)) == p` a plain `==`.
 
@@ -396,7 +397,13 @@ class CspSystem(Program):
 # Shared-variable parallel fragment
 # ---------------------------------------------------------------------------
 
-class ParSystem(Program):
+class _Labelled(Program):
+    # `_components`: a par system's labelled components (`par.label_components`);
+    # `_actions`: its compiled action table (`par._action_table`)
+    __slots__ = ("_components", "_actions")
+
+
+class ParSystem(_Labelled):
     __slots__ = ("decls", "init", "components", "epilogue")
 
 

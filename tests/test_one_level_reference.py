@@ -110,17 +110,22 @@ def _table_loop(size: int, duplicate: int | None = None, at: int | None = None):
 
 def test_late_duplicated_guard_is_reported_like_the_reference():
     """One guard of a table repeated late: the reported pair `guards i
-    and j` is deep in the command, and both provers name the same one."""
+    and j` is deep in the command, and both provers name the same one.
+    The 2,500-arm table of 50x50 guards repeats an early guard, so the
+    pair-by-pair reference stops after a few thousand guard pairs."""
     rng = Random(5772)
+    cases = []
     for _ in range(12):
         size = rng.randint(3, 8)
         dup = rng.randrange(size * size // 2, size * size)
-        at = rng.randint(dup + 1, size * size)
+        cases.append((size, dup, rng.randint(dup + 1, size * size)))
+    for size, dup, at in cases + [(50, 0, 2500), (50, 3, 1777), (50, 1, 2)]:
         p = _table_loop(size, dup, at)
         verdict, diagnostic = fairness.is_one_level_nondeterministic(p)
         assert not verdict and not _same_verdict(p)
         assert f"guards {dup + 1} and {at + 1} of" in diagnostic
     assert _same_verdict(_table_loop(6))
+    assert fairness.is_one_level_nondeterministic(_table_loop(50)) == (True, None)
 
 
 def test_each_atom_pair_of_a_table_is_decided_once(monkeypatch):
@@ -137,6 +142,32 @@ def test_each_atom_pair_of_a_table_is_decided_once(monkeypatch):
     monkeypatch.setattr(fairness, "_atoms_exclusive", counting)
     assert fairness.is_one_level_nondeterministic(_table_loop(30)) == (True, None)
     assert 0 < calls[0] <= 1830
+
+
+def _first_overlap(guards):
+    """The reference's first overlapping guard pair, pair by pair."""
+    for i, j in itertools.combinations(range(len(guards)), 2):
+        if not any(ref._atoms_exclusive(a, b) for a in guards[i] for b in guards[j]):
+            return i, j
+    return None
+
+
+def test_random_guard_lists_overlap_like_the_reference():
+    """Guards of one to three atoms from a small pool, so that guards share,
+    exclude and repeat atoms: the bit-mask test finds the reference's
+    first overlapping pair."""
+    rng = Random(1414)
+    x, y = Var("x"), Var("y")
+    pool = [BinOp(op, v, IntLit(c)) for op in COMPARISONS for v in (x, y)
+            for c in (0, 1)] + [BinOp("<", x, y), BinOp(">=", x, y), BoolLit(False)]
+    pool += [not_(a) for a in pool[:6]]
+    found = set()
+    for _ in range(600):
+        guards = [rng.sample(pool, rng.randint(1, 3)) for _ in range(rng.randint(0, 12))]
+        overlap = fairness._overlap(guards)
+        assert overlap == _first_overlap(guards), guards
+        found.add(overlap is None)
+    assert found == {True, False}
 
 
 _OPERANDS = (Var("x"), Var("y"), IntLit(-1), IntLit(0), IntLit(2),

@@ -97,6 +97,36 @@ def test_labelled_component_is_freed_without_the_cycle_collector():
     assert _gone_without_the_cycle_collector(names.clear, refs)
 
 
+def test_a_second_run_of_a_system_builds_nothing_new(monkeypatch):
+    """The labelled components and the action table stay with the system:
+    a second run labels and compiles nothing, and the translation and the
+    label table read the same components."""
+    import gclab.par as par
+    calls = {}
+
+    def counting(name):
+        build = getattr(par, name)
+
+        def count(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return build(*args)
+        return count
+
+    for name in ("label_component", "compile_assign"):
+        monkeypatch.setattr(par, name, counting(name))
+    # every name is unique to the test, so no live system shares its set-up
+    sysm = parse_par("var once_x: int; var once_y: int;\n"
+                     "component while once_x < 2 do once_x := once_x + 1 od end\n"
+                     "component if once_y = 0 then once_y := 1 else skip fi end")
+    first = run_par_direct(sysm).to_text()
+    assert calls == {"label_component": 2, "compile_assign": 2}
+    assert run_par_direct(sysm).to_text() == first
+    translate_par(sysm)
+    label_table(sysm)
+    assert calls == {"label_component": 2, "compile_assign": 2}
+    assert label_components(sysm) is label_components(sysm)
+
+
 def test_one_action_enabled_per_component():
     """Branch guards are complementary: a component never has two enabled
     actions at once."""

@@ -1,8 +1,10 @@
 import re
 import sys
+import weakref
 
 import pytest
 
+from gclab import parser, syntax
 from gclab.check import MAX_ARRAY_CELLS, check_program
 from gclab.csp import run_csp
 from gclab.engine import Terminated, explore_demonic
@@ -17,6 +19,7 @@ from gclab.syntax import (
 )
 
 from conftest import corpus_text
+from test_engine import _gone_without_the_cycle_collector
 
 
 def test_minimal_program():
@@ -292,6 +295,18 @@ def test_csp_error_positions(src, cls, message, line, col):
     assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
 
 
+def test_csp_name_declared_in_an_earlier_process_is_undeclared_in_a_later_one():
+    """The parse's leaf table outlives each process's declarations: a name
+    that process A declares and uses is still undeclared in process B, as
+    an operand and as a target."""
+    head = "process A\n  var x: int;\n  x := x + 1\nend\nprocess B\n  var y: int;\n"
+    for stmt, col in (("y := x", 8), ("x := y", 3)):
+        with pytest.raises(CheckError) as err:
+            parse_csp(f"{head}  {stmt}\nend\n")
+        assert (err.value.message, err.value.line, err.value.col) == (
+            "undeclared identifier 'x'", 7, col)
+
+
 # ---------------------------------------------------------------------------
 # Parallel fragment
 # ---------------------------------------------------------------------------
@@ -436,6 +451,61 @@ def test_over_long_integer_literal_is_a_positioned_parse_error():
             parse_gcl(f"var x: int;\n{line}")
         assert (err.value.message, err.value.line, err.value.col) == (
             f"integer literal longer than {limit} digits", 2, col)
+
+
+def test_each_distinct_name_and_literal_text_is_constructed_once_per_parse(monkeypatch):
+    built = []
+
+    def counting(node):
+        def build(value):
+            built.append((node.__name__, value))
+            return node(value)
+        return build
+
+    monkeypatch.setattr(parser, "Var", counting(Var))
+    monkeypatch.setattr(parser, "IntLit", counting(IntLit))
+    p = parse_gcl("var x: int; var y: int; var a: int[0..3];\n"
+                  "x, y := x + 1, y - 1;\n"
+                  "do x < 3 and a[x + 1] >= -1 -> x, a[1] := x + 1, - 1 + 01 od")
+    # `01` is a text of its own; `-1` and `- 1` are one negative literal
+    assert sorted(built) == [("IntLit", -1), ("IntLit", 1), ("IntLit", 1),
+                             ("IntLit", 3), ("Var", "x"), ("Var", "y")]
+    assert sum(IntLit(1) is leaf for leaf in syntax.nodes(p)) > 4
+    # each parse has a table of its own
+    built.clear()
+    parse_gcl("var x: int; x := x + 1")
+    assert sorted(built) == [("IntLit", 1), ("Var", "x")]
+
+
+def test_leaf_table_keeps_negative_literals_and_literal_errors_apart():
+    p = parse_gcl("var x: int; var y: int; x, y := 5, -5; x, y := -5, 5")
+    first, second = p.body.stmts
+    assert first.values == (IntLit(5), IntLit(-5)) == second.values[::-1]
+    assert IntLit(5) is not IntLit(-5)
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return
+    limit = sys.get_int_max_str_digits()
+    digits = "1" * (limit + 1)
+    for line in (f"x := 1 + -1 + {digits}", f"x := 1 + -1 + -{digits}"):
+        with pytest.raises(ParseError) as err:
+            parse_gcl(f"var x: int; x := {digits[:9]} + 1;\n{line}")
+        assert (err.value.message, err.value.line) == (
+            f"integer literal longer than {limit} digits", 2)
+
+
+def test_parsed_leaves_die_with_their_program():
+    # every name and literal is unique to the test, so nothing else keeps
+    # the leaves alive
+    p = parse_gcl("var leaf_u: int;\n"
+                  "do leaf_u < 314159 -> leaf_u := leaf_u + 271828 od")
+    arm = p.body.arms[0]
+    refs = [weakref.ref(x) for x in (p, arm.guard.left, arm.guard.right,
+                                      arm.body.values[0].right)]
+    del arm
+    assert all(r() is not None for r in refs)
+    names = {"p": p}
+    del p
+    assert _gone_without_the_cycle_collector(names.clear, refs)
 
 
 @pytest.mark.parametrize("stmt, message", [
