@@ -6,17 +6,12 @@ to the `END` point gives the residue, the tuple of pending statements.
 Syntax nodes are hash-consed, so equal statements are one object, and
 points are interned with them, keyed by head and next point by identity
 (`lower`): each distinct residue has one live `Point`, in every search
-and every program that reaches it. A program keeps the points of its
-statements alive (`root`) and the layout of the states it runs from
-(`start_config`), so a program run many times is lowered once, each of
-its runs finds its layout in `initial_state`, and both go when it does.
-A point holds the step labels of its arms and caches its rendered key
-and step label, the variables its head reads and writes, its arm
-points, and its compiled head: on the first step the head's assignment,
-guards or `choice` bound are lowered to closures (`state.compile_assign`,
-`compile_guards`, `compile_expr`, whose closures live on the expression
-nodes, so a guard shared by many points or programs is compiled once),
-which every later step calls without walking the syntax tree. A
+and every program that reaches it. What a program keeps of its runs, its
+points and its states' layout, and for how long, is said once in
+`syntax`. A point's compiled head and step labels are made with the
+point (`state.compile_assign`, `compile_guards`, `compile_expr`), so no
+step walks the syntax tree; its rendered key, the variables its head
+reads and writes, and its arm points are computed on first use. A
 configuration (`Config`) is a named pair of a point and a state: it
 compares by point identity plus the state, and hashes as the pair (the
 state caches its own hash). `step` returns an `Expansion`, the one
@@ -55,7 +50,8 @@ from .state import (  # eval_expr is re-exported: bench/tracer.py wraps engine.e
 )
 from .syntax import (
     PARTIAL, ArrayRef, Assign, BinOp, ChoiceAssign, Do, Fail, GclProgram, If,
-    Program, RandomAssign, Seq, Skip, Stmt, expr_names, intern, interned, nodes,
+    Program, RandomAssign, Seq, Skip, Stmt, expr_names, intern, interned, kept,
+    nodes,
 )
 
 
@@ -86,25 +82,34 @@ FUEL = 100_000
 
 class Point:
     """One interned program point: a head statement linked to the point
-    after it. Everything derived from the head is computed at most once,
-    on first use."""
+    after it. It is made with its head's step labels and compiled head
+    (`code`): the assignment of an assignment head (`label` is its
+    inline rendering), the bound of a `choice` head, the guards of an
+    if-fi or do-od head (one closure giving every guard's value; its arms
+    are labelled `if#1`, ... or `do#1`, ...), and () for any other head.
+    Its key, effects and arm points are computed on first use."""
 
-    __slots__ = ("head", "next", "arm_labels", "_key", "_label", "_effects",
-                 "_arms", "_code", "__weakref__")
+    __slots__ = ("head", "next", "label", "arm_labels", "code", "_key",
+                 "_effects", "_arms", "__weakref__")
 
     def __init__(self, head: Stmt | None, nxt: Point | None):
         self.head = head
         self.next = nxt
-        # the step labels of an if-fi or do-od head's arms: `if#1`, ...
+        self.label: str | None = None
         self.arm_labels: tuple[str, ...] = ()
-        if isinstance(head, (If, Do)):
+        self.code: Callable | tuple = ()
+        if isinstance(head, Assign):
+            self.label = render_stmt_inline(head)
+            self.code = compile_assign(head)
+        elif isinstance(head, ChoiceAssign):
+            self.code = compile_expr(head.bound)
+        elif isinstance(head, (If, Do)):
             tag = "if" if isinstance(head, If) else "do"
             self.arm_labels = tuple(f"{tag}#{i + 1}" for i in range(len(head.arms)))
+            self.code = compile_guards(tuple(arm.guard for arm in head.arms))
         self._key: str | None = None
-        self._label: str | None = None
         self._effects: tuple[frozenset[str], frozenset[str]] | None = None
         self._arms: list[Point | None] | None = None
-        self._code: Callable | tuple | None = None
 
     @property
     def residue(self) -> tuple[Stmt, ...]:
@@ -124,38 +129,12 @@ class Point:
         return self._key
 
     @property
-    def label(self) -> str:
-        """Step label of an assignment head: its inline rendering."""
-        if self._label is None:
-            self._label = render_stmt_inline(self.head)
-        return self._label
-
-    @property
     def effects(self) -> tuple[frozenset[str], frozenset[str]]:
         """(sensitive reads, writes) of executing the head statement."""
         if self._effects is None:
             reads, writes = _head_effects(self.head)
             self._effects = (frozenset(reads), frozenset(writes))
         return self._effects
-
-    def compiled(self) -> Callable | tuple:
-        """The head's expressions lowered to closures (`state`), built on
-        the first step: the assignment of an assignment head, the bound
-        of a `choice` head, the guards of an if-fi or do-od head (one
-        closure giving every guard's value), and () for any other head."""
-        code = self._code
-        if code is None:
-            head = self.head
-            if isinstance(head, Assign):
-                code = compile_assign(head)
-            elif isinstance(head, ChoiceAssign):
-                code = compile_expr(head.bound)
-            elif isinstance(head, (If, Do)):
-                code = compile_guards(tuple(arm.guard for arm in head.arms))
-            else:
-                code = ()
-            self._code = code
-        return code
 
     def arm(self, i: int) -> Point:
         """Arm i of an if-fi head (its body, then the next point) or of a
@@ -208,18 +187,12 @@ class _Roots(dict):
 
 def root(stmt: Stmt, owner: Program | None = None) -> Point:
     """The point that runs `stmt` to the end. `owner`, the program of
-    `stmt`, keeps it and every later point while it lives, so a program
-    run many times (a seed sweep, csp/par sub-searches) is lowered once,
-    and each point's head is compiled once (`Point.compiled`; its
-    expressions' closures live on their nodes, `state.compile_expr`).
-    Without one, they live as long as their search."""
+    `stmt`, keeps it and every later point (`syntax.kept`), so a program
+    run many times (a seed sweep, csp/par sub-searches) is lowered and
+    compiled once. Without one, they live as long as their search."""
     if owner is None:
         return lower(stmt, END)
-    try:
-        roots = owner._points
-    except AttributeError:
-        roots = _Roots()
-        object.__setattr__(owner, "_points", roots)
+    roots = kept(owner, "_points", _Roots)
     pt = roots.get(stmt)
     if pt is None:
         pt = roots[stmt] = lower(stmt, END)
@@ -248,11 +221,11 @@ class Config(NamedTuple):
 
 def start_config(stmt: Stmt, s0: State, owner: Program | None = None) -> Config:
     """The configuration that runs `stmt` from `s0`. `owner`, the program
-    of `stmt`, keeps its points (`root`) and the layout of `s0`: a run's
-    states go with it, and `initial_state` shares a layout only while
-    something holds it, so each run of the program would build it again."""
+    of `stmt`, keeps its points (`root`) and the layout of its first run's
+    states: `initial_state` shares a layout only while something holds
+    it, and equal declarations share one, so every later run finds it."""
     if owner is not None:
-        object.__setattr__(owner, "_layout", s0.layout)
+        kept(owner, "_layout", lambda: s0.layout)
     return Config(root(stmt, owner), s0)
 
 
@@ -451,9 +424,7 @@ def step(c: Config, choice_bound: int, max_configs: int = Limits().max_configs) 
     pt = c.point
     head = pt.head
     s = c.state
-    code = pt._code
-    if code is None:
-        code = pt.compiled()
+    code = pt.code
 
     # the head kinds in the order of how often the workloads meet them
     if isinstance(head, Assign):
@@ -857,7 +828,7 @@ def run_erratic(p: GclProgram, s0: State | None = None, seed: int = 0,
             return Config(pt.next, s.set_scalar(head.target, _geometric(rng)))
         if isinstance(head, ChoiceAssign):
             try:
-                v = rng.randint(1, _choice_bound(pt.compiled(), s))
+                v = rng.randint(1, _choice_bound(pt.code, s))
             except EvalError as e:
                 return Failed(e.reason, s, e.detail)
             return Config(pt.next, s.set_scalar(head.target, v))

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 from random import Random
-from weakref import WeakKeyDictionary
 
 from .check import decl_map, type_of
 from .engine import FUEL, Config, Failed, Outcome, run_path, step
@@ -44,8 +43,8 @@ from .state import State, compile_expr, initial_state
 from .syntax import (
     BINARY, COMPARE_BP, Assign, BinOp, BoolLit, Builtin, ChoiceAssign,
     Declaration, Do, Expr, GclProgram, GuardedCommand, If, IntLit,
-    RandomAssign, Seq, Skip, Stmt, UnaryOp, Var, chain, conj, disj, not_,
-    program_names, seq,
+    RandomAssign, Seq, Skip, Stmt, UnaryOp, Var, chain, conj, disj, kept,
+    not_, program_names, seq,
 )
 
 
@@ -178,7 +177,12 @@ def _overlap(guards: list[list[Expr]]) -> tuple[int, int] | None:
 
 def _one_level(p: GclProgram) -> OneLevelProgram | str:
     """The program split into initialization and loop, or the diagnostic
-    of why it is not one-level nondeterministic."""
+    of why it is not one-level nondeterministic, proved once per program
+    and kept with it (`syntax.kept`)."""
+    return kept(p, "_shape", lambda: _prove_shape(p))
+
+
+def _prove_shape(p: GclProgram) -> OneLevelProgram | str:
     body = p.body
     if isinstance(body, Do):
         olp = OneLevelProgram(p.decls, Skip(), body)
@@ -276,11 +280,6 @@ def _fresh_priority(rng: Random) -> int:
     return rng.randint(0, 24)
 
 
-# Top loops of live programs, or the diagnostic of one that is not
-# one-level: a seed sweep over one program proves its shape once.
-_LOOPS: WeakKeyDictionary[GclProgram, Do | str] = WeakKeyDictionary()
-
-
 def run_fair(p: GclProgram, s0: State | None = None, policy: str = "weak",
              seed: int = 0, fuel: int = FUEL) -> Outcome:
     """Fair execution of a one-level program's top loop.
@@ -303,21 +302,12 @@ def run_fair_traced(p: GclProgram, s0: State | None = None,
                     fuel: int = FUEL):
     """As run_fair, also returning the scheduling trace: one entry
     (enabled indices, counter snapshot, selected index) per iteration.
-    The one-level check is done once per program and reused by later
-    runs of the program while it lives."""
+    The program's one-level shape is proved once and kept with it."""
     if policy not in ("weak", "strong"):
         raise ValueError(f"unknown policy {policy!r}")
     if fuel < 0:
         raise ValueError("fuel must not be negative")
-    loop = _LOOPS.get(p)
-    if loop is None:
-        try:
-            loop = one_level_of(p).loop
-        except FairnessError as e:
-            loop = str(e)
-        _LOOPS[p] = loop
-    if isinstance(loop, str):
-        raise FairnessError(loop)
+    loop = one_level_of(p).loop
     if s0 is None:
         s0 = initial_state(p.decls)
     rng = Random(seed)
@@ -341,7 +331,7 @@ def run_fair_traced(p: GclProgram, s0: State | None = None,
             return exp.transitions[0][1]
         s = cfg.state
         try:
-            enabled = [i for i, on in enumerate(pt.compiled()(s)) if on]
+            enabled = [i for i, on in enumerate(pt.code(s)) if on]
         except EvalError as e:
             return Failed(e.reason, s, e.detail)
         if not enabled:

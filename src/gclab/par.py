@@ -9,13 +9,11 @@ single loop; a final alternative command aborts unless every component
 sits at its exit, which turns a deadlock of the original program into a
 failure.
 
-A system keeps what is built from it while it lives, as it keeps its
-program points (`engine.root`): its labelled components, which the
-translation, the label table and the direct semantics all read
-(`label_components`), and the direct semantics' action table of compiled
-guards, compiled effects and step labels. Neither refers back to the
-system, so a dropped system is freed by reference counting, and a system
-run many times (a seed sweep) is labelled and compiled once.
+A system keeps its labelled components, which the translation, the
+label table and the direct semantics all read (`label_components`), and
+the direct semantics' action table of compiled guards, compiled effects
+and step labels, as `syntax` says of what a program keeps: a system run
+many times (a seed sweep) is labelled and compiled once.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from .state import State, compile_assign, compile_expr, initial_state
 from .syntax import (
     Assign, Await, BinOp, Declaration, Do, Expr, GclProgram,
     GuardedCommand, If, IfElse, IntLit, ParSystem, Seq, Skip, Stmt, Var,
-    While, conj, not_, seq, stmt_names,
+    While, conj, kept, not_, seq, stmt_names,
 )
 
 
@@ -112,36 +110,27 @@ def _wire(s: Stmt, entry: int, exit_: int, free: int,
 
 
 def label_components(sys: ParSystem) -> tuple[LabeledComponent, ...]:
-    """The labelled components of `sys`, built on the first call and kept
-    with the system."""
-    try:
-        return sys._components
-    except AttributeError:
-        comps = tuple(label_component(c) for c in sys.components)
-        object.__setattr__(sys, "_components", comps)
-        return comps
+    """The labelled components of `sys`, kept with it."""
+    return kept(sys, "_components",
+                lambda: tuple(label_component(c) for c in sys.components))
 
 
 def _action_table(sys: ParSystem) -> tuple[dict[int, list], ...]:
     """Per component: source label -> [(target, compiled guard, compiled
-    effect, step label)], built on the first call and kept with the
-    system."""
-    try:
-        return sys._actions
-    except AttributeError:
-        pass
-    by_source = []
-    for ci, comp in enumerate(label_components(sys)):
-        table: dict[int, list] = {}
-        for act in comp.actions:
-            table.setdefault(act.source, []).append((
-                act.target,
-                None if act.guard is None else compile_expr(act.guard),
-                None if act.effect is None else compile_assign(act.effect),
-                f"c{ci + 1}:{comp.labels[act.source]}->{comp.labels[act.target]}"))
-        by_source.append(table)
-    object.__setattr__(sys, "_actions", tuple(by_source))
-    return sys._actions
+    effect, step label)], kept with the system."""
+    return kept(sys, "_actions", lambda: tuple(
+        _actions_by_source(ci, comp) for ci, comp in enumerate(label_components(sys))))
+
+
+def _actions_by_source(ci: int, comp: LabeledComponent) -> dict[int, list]:
+    table: dict[int, list] = {}
+    for act in comp.actions:
+        table.setdefault(act.source, []).append((
+            act.target,
+            None if act.guard is None else compile_expr(act.guard),
+            None if act.effect is None else compile_assign(act.effect),
+            f"c{ci + 1}:{comp.labels[act.source]}->{comp.labels[act.target]}"))
+    return table
 
 
 def control_variable_names(sys: ParSystem) -> list[str]:

@@ -8,17 +8,17 @@ Scalars default to 0/false and array cells to 0, unless the declaration
 carries an initializer.
 
 `initial_state` shares one layout among the states of a declaration
-tuple while something holds it; a program keeps the layout of the states
-it runs from (`engine.start_config`), so its later runs find it.
+tuple while something holds it, such as a program that ran from one
+(see `syntax` on what a program keeps).
 
 Expressions are not interpreted node by node. `compile_expr` lowers an
 expression to a closure from states to values and keeps it on the node
 (`Expr._code`), so each hash-consed node is compiled once while it
 lives; `compile_guards` lowers the guards of one command to a closure
 giving all their values, and `compile_assign` a parallel assignment to a
-closure from state to state, which the engines build once per program
-point (`engine.Point.compiled`) and call at every step. `eval_expr`
-compiles and evaluates in one call.
+closure from state to state; a program point is made with its head's
+closures (`engine.Point`), which every step calls. `eval_expr` compiles
+and evaluates in one call.
 """
 
 from __future__ import annotations

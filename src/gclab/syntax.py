@@ -11,12 +11,24 @@ first `state.compile_expr`, so no step walks an expression tree and a
 subtree shared by many points, programs or runs is compiled once while
 it lives. Likewise every `Expr` and `Stmt` keeps its text in a `_text`
 slot of its base class, filled by its first rendering (`printer`), so a
-shared subtree is rendered once, however often it occurs. A `Program`
-keeps its program points (`engine.root`) and the layout of the states it
-runs from (`engine.start_config`), and a `ParSystem` its labelled
-components and action table (`par`). Nodes carry no source positions
-(the parser reports positions at parse time), which keeps
-`parse(render(p)) == p` a plain `==`.
+shared subtree is rendered once, however often it occurs. Nodes carry
+no source positions (the parser reports positions at parse time), which
+keeps `parse(render(p)) == p` a plain `==`.
+
+This is the one place that says what a program keeps, and for how long.
+A `Program` keeps what is built from it in slots of its own, each filled
+on first use through `kept` and freed with the program:
+* its program points, whose heads are compiled and labelled when each
+  point is made (`engine.root`);
+* the layout of the states it runs from (`engine.start_config`);
+* its one-level shape, or the diagnostic of why it has none
+  (`fairness.one_level_of`);
+* a `ParSystem`'s labelled components and action table (`par`).
+Equal programs are one object, so every run of an equal program, however
+it was built, finds what the first run built. Nothing kept refers back
+to its program, so a dropped program is freed by reference counting; a
+do-od point reaches itself through its arms, and the points table breaks
+those cycles when its program goes (`engine._Roots`).
 
 Each binary operator's binding power, typing and meaning are one row of
 `BINARY`; the parser, printer, checker and expression compiler all read
@@ -345,9 +357,8 @@ class Declaration(Node):
 
 
 class Program(Node):
-    # `_points`: the program points of its statements (`engine.root`);
-    # `_layout`: the layout of the states it last ran from (`engine.start_config`)
-    __slots__ = ("_points", "_layout")
+    # what is built from a program, filled through `kept` (see above)
+    __slots__ = ("_points", "_layout", "_shape", "_components", "_actions")
 
 
 class GclProgram(Program):
@@ -397,14 +408,18 @@ class CspSystem(Program):
 # Shared-variable parallel fragment
 # ---------------------------------------------------------------------------
 
-class _Labelled(Program):
-    # `_components`: a par system's labelled components (`par.label_components`);
-    # `_actions`: its compiled action table (`par._action_table`)
-    __slots__ = ("_components", "_actions")
-
-
-class ParSystem(_Labelled):
+class ParSystem(Program):
     __slots__ = ("decls", "init", "components", "epilogue")
+
+
+def kept(owner: Program, slot: str, build: Callable[[], Any]) -> Any:
+    """What `owner` keeps in `slot`, built by `build()` on first use."""
+    try:
+        return getattr(owner, slot)
+    except AttributeError:
+        value = build()
+        object.__setattr__(owner, slot, value)
+        return value
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,160 @@
+"""The committed mutant catalogue: faults the oracles are known to catch.
+
+Each entry names a source file, an exact snippet in it, the snippet's
+faulty replacement, and the test node ids that must fail once the fault
+is in. `tests/test_mutants.py` checks, fast, that every snippet occurs
+exactly once in its file and that every named test exists, so the
+catalogue cannot rot silently.
+
+Run it from the repository root (stdlib only):
+
+    python tests/mutants.py [NAME ...]
+
+For each mutant (all, or the named ones) the runner copies `src`, `tests`,
+`corpus` and `pyproject.toml` into a fresh temporary directory, applies
+the one replacement, and runs only that mutant's tests there, one
+subprocess at a time, each under a time limit. A mutant is `killed` when
+every named test fails, `survived` when one of them passes, `timed out`
+when the run exceeds the limit, and `error` when pytest could not run
+the tests (a missing test id, a collection error). The runner prints one
+line per mutant and exits 1 unless every mutant is killed.
+
+A surviving mutant is a finding: it gets a new test, or is written up as
+an open fault. It is never dropped from the catalogue to get a pass.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "corpus", "pyproject.toml")
+TIMEOUT_S = 300  # per mutant; each entry's tests take seconds when they pass
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    snippet: str  # occurs exactly once in `file`
+    replacement: str
+    tests: tuple[str, ...]  # node ids, each of which must fail
+
+
+MUTANTS = (
+    # An operator-table row, read by the compiler: the evaluation oracle
+    # and the BFS oracle spell out their own meanings.
+    Mutant("le-reads-as-lt", "src/gclab/syntax.py",
+           '"<=": Operator(COMPARE_BP, "int", "bool", operator.le),',
+           '"<=": Operator(COMPARE_BP, "int", "bool", operator.lt),',
+           ("tests/test_eval_reference.py::test_compiled_expressions_match_the_reference",
+            "tests/test_differential.py::test_explorer_matches_bfs_oracle_on_random_programs")),
+    # Guard overlap on bit masks (`fairness._overlap`)
+    Mutant("overlap-reports-the-highest-missing-guard", "src/gclab/fairness.py",
+           "return i, (missing & -missing).bit_length() - 1",
+           "return i, missing.bit_length() - 1",
+           ("tests/test_one_level_reference.py::test_random_guard_lists_overlap_like_the_reference",
+            "tests/test_one_level_reference.py::test_random_program_verdicts_match_reference")),
+    Mutant("overlap-later-mask-keeps-guard-i", "src/gclab/fairness.py",
+           "later &= later - 1  # the guards after i",
+           "later -= 1  # the guards after i",
+           ("tests/test_one_level_reference.py::test_random_guard_lists_overlap_like_the_reference",
+            "tests/test_one_level_reference.py::test_height_three_chaotic_verdicts_match_reference")),
+    Mutant("overlap-drops-an-excluded-atom", "src/gclab/fairness.py",
+           "if (a in excludes[b] if b in excludes else _atoms_exclusive(a, b))}",
+           "if (False if b in excludes else _atoms_exclusive(a, b))}",
+           ("tests/test_one_level_reference.py::test_random_guard_lists_overlap_like_the_reference",)),
+    # The csp direct semantics' termination test
+    Mutant("csp-final-ignores-the-first-process", "src/gclab/csp.py",
+           "if enabled.__class__ is Failed or any(map(any, enabled)):",
+           "if enabled.__class__ is Failed or any(map(any, enabled[1:])):",
+           ("tests/test_generated_systems.py::test_generated_csp_systems_match_their_translations",)),
+    # A program point is built complete (`engine.Point`)
+    Mutant("do-arms-labelled-if", "src/gclab/engine.py",
+           'tag = "if" if isinstance(head, If) else "do"',
+           'tag = "if"',
+           ("tests/test_engine.py::test_goon_control_lasso_witness",
+            "tests/test_engine.py::test_if_and_do_arm_labels_in_a_lasso_witness")),
+    # The one-level shape, proved once and kept (`fairness._prove_shape`)
+    Mutant("shape-skips-the-body-check", "src/gclab/fairness.py",
+           'bad = bad or _deterministic(arm.body, f"body of guard {k + 1}")',
+           "bad = bad",
+           ("tests/test_fairness.py::test_random_assign_in_body_is_not_deterministic",
+            "tests/test_one_level_reference.py::test_random_program_verdicts_match_reference")),
+    # What a program keeps (`syntax.kept`)
+    Mutant("start-config-keeps-no-layout", "src/gclab/engine.py",
+           '        kept(owner, "_layout", lambda: s0.layout)\n',
+           "        pass\n",
+           ("tests/test_engine.py::test_a_program_keeps_its_layout_and_compiled_guards_while_it_lives",)),
+    Mutant("kept-builds-on-every-use", "src/gclab/syntax.py",
+           "        object.__setattr__(owner, slot, value)\n",
+           "",
+           ("tests/test_fairness.py::test_fair_checks_the_shape_once_per_program",
+            "tests/test_par.py::test_a_second_run_of_a_system_builds_nothing_new")),
+)
+
+
+def _run(m: Mutant) -> tuple[str, str]:
+    """(status, note) of one mutant."""
+    with tempfile.TemporaryDirectory(prefix="gclab-mutant-") as tmp:
+        work = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, work / name, ignore=skip)
+            else:
+                shutil.copy2(src, work / name)
+        target = work / m.file
+        text = target.read_text(encoding="utf-8")
+        if text.count(m.snippet) != 1:
+            return "error", f"snippet occurs {text.count(m.snippet)} times"
+        target.write_text(text.replace(m.snippet, m.replacement), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+               *m.tests]
+        try:
+            done = subprocess.run(cmd, cwd=work, env=env, capture_output=True,
+                                  text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "timed out", f"after {TIMEOUT_S} s"
+    if done.returncode == 0:
+        return "survived", "every named test passed"
+    if done.returncode != 1:
+        tail = done.stdout.strip().splitlines()[-1:] or ["no output"]
+        return "error", f"pytest exit {done.returncode}: {tail[0]}"
+    failed = re.findall(r"^FAILED (\S+)", done.stdout, re.M)
+    passed = [t for t in m.tests
+              if not any(f == t or f.startswith(t + "[") for f in failed)]
+    if passed:
+        return "survived", "passed: " + " ".join(passed)
+    return "killed", f"{len(failed)} failed"
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutant(s): {' '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    statuses = []
+    for m in chosen:
+        start = time.perf_counter()
+        status, note = _run(m)
+        statuses.append(status)
+        print(f"{status:<9} {m.name} ({time.perf_counter() - start:.1f} s; {note})",
+              flush=True)
+    killed = statuses.count("killed")
+    print(f"{killed} of {len(chosen)} mutants killed")
+    return 0 if killed == len(chosen) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

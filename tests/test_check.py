@@ -79,6 +79,8 @@ CASES = [
      GclProgram((X,), _if(BinOp("and", Var("x"), TRUE)))),
     ("var x: int;\nx := min(true, 1)", "'min' needs integer arguments", 2, 1,
      GclProgram((X,), _set([Var("x")], [Builtin("min", (TRUE, IntLit(1)))]))),
+    ("var x: int;\nx := a[0]", "undeclared identifier 'a'", 2, 6,
+     GclProgram((X,), _set([Var("x")], [ArrayRef("a", IntLit(0))]))),
     # a guard is bool and a choice bound int
     ("var x: int;\nif x -> skip fi", "expected a bool expression, got int", 2, 4,
      GclProgram((X,), _if(Var("x")))),
@@ -91,6 +93,8 @@ CASES = [
      GclProgram((B,), RandomAssign("b"))),
     ("var a: int[0..2];\na := choice(2)", "'a' must be an integer scalar", 2, 1,
      GclProgram((A,), ChoiceAssign("a", IntLit(2)))),
+    ("var x: int;\ny := ?", "undeclared identifier 'y'", 2, 1,
+     GclProgram((X,), RandomAssign("y"))),
     ("var x: int; var y: int;\nx, y := ?", "'?' and choice assign to a single integer scalar",
      2, 1, None),
     ("var a: int[0..2];\na[0] := choice(2)",
@@ -128,6 +132,19 @@ def test_parse_and_check_program_report_the_same_fault(text, message, line, col,
     assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
     if built is None:
         return
+    with pytest.raises(CheckError) as err:
+        check_program(built)
+    assert (err.value.message, err.value.line, err.value.col) == (message, None, None)
+
+
+@pytest.mark.parametrize("built, message", [
+    (GclProgram((X,), _set([Var("x")], [Builtin("abs", (IntLit(1), IntLit(2)))])),
+     "unknown builtin 'abs'"),
+    (GclProgram((X,), _set([Var("x")], [Builtin("min", (IntLit(1),))])),
+     "'min' takes exactly two arguments"),
+    (GclProgram((X,), If(())), "alternative/repetitive command needs at least one guard"),
+], ids=["unknown-builtin", "one-argument-builtin", "empty-if"])
+def test_check_program_rejects_trees_that_no_text_parses_to(built, message):
     with pytest.raises(CheckError) as err:
         check_program(built)
     assert (err.value.message, err.value.line, err.value.col) == (message, None, None)

@@ -684,6 +684,18 @@ def test_lts_validation_error_names_its_line(capsys, tmp_path):
     assert err == "error: line 6, col 1: transition s0 -a-> zz uses unknown state\n"
 
 
+@pytest.mark.parametrize("text, error", [
+    ("alphabet a\nstates s0 s1\ninit s0 s1\n", "line 3, col 1: init needs exactly one state"),
+    ("alphabet a\nstates s0\ninit s0\ntrans s0 a\n",
+     "line 4, col 1: trans needs: source label target"),
+    ("alphabet a\nstates s0\n", "line 1, col 1: missing init line"),
+], ids=["two-init-states", "short-trans", "no-init"])
+def test_lts_directive_errors_exit_64(capsys, tmp_path, text, error):
+    path = tmp_path / "bad.lts"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(capsys, "lts", "bisim", path, CORPUS / "P.lts") == (64, "", f"error: {error}\n")
+
+
 # ---------------------------------------------------------------------------
 # One argument parser serves every in-process call
 # ---------------------------------------------------------------------------

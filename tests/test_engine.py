@@ -162,6 +162,25 @@ def test_divergence_lasso_is_replayable():
         assert c1 == c2
 
 
+@pytest.mark.parametrize("text, labels, double, message", [
+    ("var x: int; fail", ("skip",), False, "cannot follow 'skip': configuration failed"),
+    ("var x: int; x := 1; x := 2", ("x := 1", "x := 3"), False,
+     "label 'x := 3' matches 0 transitions"),
+    # `step` never gives two transitions one label; a doubled `step` does
+    ("var x: int; x := 1", ("x := 1",), True, "label 'x := 1' matches 2 transitions"),
+], ids=["failed", "no-match", "two-matches"])
+def test_replay_rejects_a_label_it_cannot_follow(monkeypatch, text, labels, double, message):
+    import gclab.engine
+    real = gclab.engine.step
+    if double:
+        monkeypatch.setattr(gclab.engine, "step", lambda c, bound: gclab.engine.Expansion(
+            list(real(c, bound).transitions) * 2))
+    p = parse_gcl(text)
+    with pytest.raises(ValueError) as err:
+        replay(p, _init(p), labels)
+    assert str(err.value) == message
+
+
 def test_exact_lasso_repeats_configuration():
     p = parse_gcl("var x: int; do x = 0 -> skip od")
     rep = explore_demonic(p, lim=Limits(max_depth=30))

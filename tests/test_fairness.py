@@ -1,5 +1,4 @@
 import itertools
-import weakref
 from random import Random
 
 import pytest
@@ -19,7 +18,10 @@ from gclab.fairness import (
 from gclab.parser import parse_gcl
 from gclab.printer import render, render_expr
 from gclab.state import State, compile_expr, initial_state
-from gclab.syntax import BinOp, BoolLit, Builtin, Declaration, Do, GclProgram, IntLit, Seq, Var
+from gclab.syntax import (
+    BinOp, BoolLit, Builtin, ChoiceAssign, Declaration, Do, GclProgram, IntLit,
+    RandomAssign, Seq, Var, program_names,
+)
 
 import eval_reference
 from conftest import corpus_text
@@ -311,17 +313,17 @@ def test_fair_rejects_non_one_level():
 
 
 def test_fair_checks_the_shape_once_per_program(monkeypatch):
-    calls = []
-    real = fairness.one_level_of
-    monkeypatch.setattr(fairness, "one_level_of",
-                        lambda p: calls.append(p) or real(p))
-    # equal programs are one object, which a test's parameters may keep
-    # alive and other tests may have run
-    monkeypatch.setattr(fairness, "_LOOPS", weakref.WeakKeyDictionary())
-    p, q = _prog("goon.gcl"), _prog("goon.gcl")
+    builds = []
+    real = fairness._prove_shape
+    monkeypatch.setattr(fairness, "_prove_shape",
+                        lambda p: builds.append(p) or real(p))
+    # equal programs are one object and keep their shape, so the program
+    # is one that no other test builds: goon with one more declaration
+    text = "var unused_by_other_tests: int;\n" + corpus_text("goon.gcl")
+    p, q = parse_gcl(text), parse_gcl(text)
     want = [run_fair(p, policy="weak", seed=seed) for seed in range(5)]
     assert [run_fair(q, policy="weak", seed=seed) for seed in range(5)] == want
-    assert [c is p for c in calls] == [True]
+    assert [c is p for c in builds] == [True]
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +392,27 @@ def test_covering_pair_check_agrees_with_all_pairs():
             with pytest.raises(FixpointError):
                 inst.validate_monotone()
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n, height", [(0, 1), (1, -1)])
+def test_fixpoint_instance_needs_a_lattice(n, height):
+    with pytest.raises(FixpointError) as err:
+        FixpointInstance(n, height, {})
+    assert str(err.value) == "need n >= 1 and height >= 0"
+
+
+def test_run_fair_rejects_an_unknown_policy():
+    with pytest.raises(ValueError) as err:
+        run_fair(_prog("goon.gcl"), policy="bogus")
+    assert str(err.value) == "unknown policy 'bogus'"
+
+
+def test_program_names_include_the_targets_of_random_and_choice_assignments():
+    """A tree built through the API may assign `?` or `choice` to a name
+    that no declaration gives; the fresh names of `transform_wf` avoid it."""
+    p = GclProgram((Declaration("x", "int"),),
+                   Seq((RandomAssign("z1"), ChoiceAssign("z2", Var("w")))))
+    assert program_names(p) == {"x", "z1", "z2", "w"}
 
 
 def test_out_of_lattice_rejected():

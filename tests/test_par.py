@@ -11,7 +11,8 @@ from gclab.par import (
 from gclab.parser import parse_gcl, parse_par
 from gclab.printer import render
 from gclab.state import initial_state
-from gclab.syntax import Do, If
+from gclab.errors import CheckError
+from gclab.syntax import TRUE, Do, GuardedCommand, If, Seq, Skip
 
 from conftest import corpus_text
 from oracles import zero_search_k
@@ -49,6 +50,15 @@ def test_single_assignment_component():
     sysm = parse_par("var x: int;\ncomponent x := 1 end")
     comp = label_component(sysm.components[0])
     assert len(comp.labels) == 2 and len(comp.actions) == 1
+
+
+def test_a_guarded_commands_loop_is_outside_the_parallel_fragment():
+    """The parser keeps `do` out of a component; a tree built through the
+    API is refused when its components are labelled."""
+    loop = Do((GuardedCommand(TRUE, Skip()),))
+    with pytest.raises(CheckError) as err:
+        label_component(Seq((Skip(), loop)))
+    assert str(err.value) == "Do is outside the parallel fragment"
 
 
 def test_await_component():

@@ -295,6 +295,19 @@ def test_csp_error_positions(src, cls, message, line, col):
     assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
 
 
+@pytest.mark.parametrize("src, message, line, col", [
+    ("var x: int;\nx := min + 1", "builtin 'min' used without arguments", 2, 6),
+    ("var x: int;\nif x > 0 ; P ! x -> skip fi",
+     "i/o commands are allowed only in the guards of a process main loop", 2, 10),
+    ("var x: int;\ndo x > 0 ; P ! x -> skip od",
+     "i/o commands are allowed only in the guards of a process main loop", 2, 10),
+], ids=["builtin-without-arguments", "io-after-if-guard", "io-after-do-guard"])
+def test_gcl_error_positions(src, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_gcl(src)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
 def test_csp_name_declared_in_an_earlier_process_is_undeclared_in_a_later_one():
     """The parse's leaf table outlives each process's declarations: a name
     that process A declares and uses is still undeclared in process B, as
