@@ -8,6 +8,10 @@ output expression to the input target, after which both guard bodies run.
 The translation lists one guarded command per matching pair; the final
 states of properly terminating runs agree with the translated program's
 terminal states that satisfy the all-guards-false condition.
+
+A system keeps the direct semantics' table of compiled guard parts,
+corresponding pairs and compiled joint effects, as `syntax` says of what
+a program keeps: a system run many times is paired and compiled once.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .errors import CheckError, EvalError
 from .state import State, compile_assign, compile_expr, initial_state
 from .syntax import (
     Assign, BinOp, CspSystem, Do, Expr, GclProgram, GuardedCommand, If,
-    Input, IoCommand, Output, Skip, Stmt, Var, conj, not_, seq,
+    Input, IoCommand, Output, Skip, Stmt, Var, conj, kept, not_, seq,
 )
 
 
@@ -123,6 +127,16 @@ def translate_csp_checked(sys: CspSystem) -> GclProgram:
 # Direct semantics
 # ---------------------------------------------------------------------------
 
+def _pair_table(sys: CspSystem) -> tuple[list[list], list[tuple]]:
+    """The compiled boolean guard parts of each process, and (pair,
+    compiled joint effect, the two guard bodies) for every corresponding
+    pair in pair order, kept with the system."""
+    return kept(sys, "_actions", lambda: (
+        [[compile_expr(g.cond) for g in p.loop] for p in sys.processes],
+        [(pair, compile_assign(eff(gi.io, gr.io)), gi.body, gr.body)
+         for pair, gi, gr in _pair_guards(sys)]))
+
+
 def run_csp(sys: CspSystem, s0: State | None = None,
             lim: Limits = Limits()) -> ExplorationReport:
     """Exhaustive exploration of the system's own semantics.
@@ -137,10 +151,7 @@ def run_csp(sys: CspSystem, s0: State | None = None,
     """
     if s0 is None:
         s0 = initial_state(sys.all_decls())
-    conds = [[compile_expr(g.cond) for g in p.loop] for p in sys.processes]
-    # (pair, compiled joint effect, the two guard bodies), in pair order
-    pairs = [(pair, compile_assign(eff(gi.io, gr.io)), gi.body, gr.body)
-             for pair, gi, gr in _pair_guards(sys)]
+    conds, pairs = _pair_table(sys)
     # the last state whose parts were evaluated, and their values or the
     # failure that stopped them: the search asks `final_of` and then
     # `expand` about one node, and the parts are evaluated once for both

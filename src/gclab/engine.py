@@ -27,8 +27,9 @@ On top of `step` sit:
 
 Both searches run on one DFS core (`GraphSearch`), which the direct
 semantics of the communication and interleaving fragments share too
-through one driver (`explore_system`), which runs each of their atomic
-sub-steps (`absorb`) as a whole `explore_statement`. Single computations
+through one driver (`explore_system`). It runs each of their atomic
+sub-steps (`absorb`) on its single path (`walk`) when it has one, and
+as a whole `explore_statement` otherwise. Single computations
 run on one loop (`run_path`), which walks the program's points and
 leaves each choice to its caller: `run_erratic` picks at random, and the
 fair schedulers (`fairness.run_fair_traced`) pick at the top loop. A
@@ -697,6 +698,29 @@ def explore_statement(stmt: Stmt, s0: State, lim: Limits,
     return search.report()
 
 
+def walk(stmt: Stmt, s0: State, lim: Limits,
+         owner: Program | None = None) -> tuple[State, int] | None:
+    """Run `stmt` from `s0` when it has a single path: its final state and
+    its number of steps k, for which `explore_statement` would report
+    exactly `Terminated(final)` with k configs, k edges and one path.
+    None as soon as the path reaches a do-od head (the only head that can
+    repeat a configuration or start a control lasso), a step that fails,
+    branches or is cut, or the search's budget: k steps fit when
+    k <= min(max_depth, max_configs)."""
+    cfg = start_config(stmt, s0, owner)
+    budget = min(lim.max_depth, lim.max_configs)
+    k = 0
+    while cfg.point.head is not None:
+        if k >= budget or isinstance(cfg.point.head, Do):
+            return None
+        exp = step(cfg, lim.choice_bound, lim.max_configs)
+        if exp.failure is not None or exp.truncated or len(exp.transitions) != 1:
+            return None
+        cfg = exp.transitions[0][1]
+        k += 1
+    return cfg.state, k
+
+
 def explore_demonic(p: GclProgram, s0: State | None = None,
                     lim: Limits = Limits()) -> ExplorationReport:
     """Explore every computation of a program.
@@ -723,15 +747,23 @@ def explore_system(owner: Program, s0: State, lim: Limits, inits: list[Stmt],
     from `start(s)` for each state `s` the last one ends in, with
     `expand(node, absorb)` as its expander. The init phase's non-terminal
     outcomes close after the searches; the report adds the sub-searches'
-    counts to the search's own."""
+    counts to the search's own, and a sub-step that `walk`s counts what
+    its search would have counted."""
     counts = [0, 0, 0]  # configs, edges, paths of the sub-searches
 
     def absorb(stmt: Stmt, s: State, sink: list) -> list[State]:
-        """Run `stmt` from `s` as one atomic sub-step: a whole demonic
-        exploration under `lim`. Its non-terminal outcomes go to `sink`,
-        its terminal states come back in canonical order, and its counts
-        go into the report but not into the search's `configs`, which
-        the `max_configs` budget reads."""
+        """Run `stmt` from `s` as one atomic sub-step: its single path
+        (`walk`), or else a whole demonic exploration under `lim`. Its
+        non-terminal outcomes go to `sink`, its terminal states come back
+        in canonical order, and its counts go into the report but not
+        into the search's `configs`, which the `max_configs` budget
+        reads."""
+        walked = walk(stmt, s, lim, owner)
+        if walked is not None:
+            final, k = walked
+            counts[0] += k
+            counts[1] += k
+            return [final]
         rep = explore_statement(stmt, s, lim, owner)
         finals = []
         for o in rep.outcomes:

@@ -19,11 +19,18 @@ giving all their values, and `compile_assign` a parallel assignment to a
 closure from state to state; a program point is made with its head's
 closures (`engine.Point`), which every step calls. `eval_expr` compiles
 and evaluates in one call.
+
+Guards that each test one point, a conjunction of `Var = literal` atoms
+over one set of variables (the dispatch on the current lattice point of
+a chaotic iteration), compile to a table keyed by those variables'
+values (`_point_table`): the guard list to one dict lookup, and a run of
+such disjuncts to one set membership test.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection
+from collections.abc import Callable, Collection, Sequence
+from typing import Any
 
 from .errors import CheckError, EvalError
 from .syntax import (
@@ -274,6 +281,16 @@ def compile_expr(e: Expr) -> Callable[[State], Value]:
         first, pairs = chain(e)
         if len(pairs) > 1:
             code = _compile_run(compile_expr(first), pairs)
+            table = e.op == "or" and _point_table([first] + [x for _, x in pairs])
+            if table:  # a disjunction of points: one set membership
+                read, members, run = table[0], frozenset(table[1]), code
+
+                def code(s: State) -> Value:
+                    try:
+                        key = read(s)
+                    except KeyError:  # see `_point_table`
+                        return run(s)
+                    return key in members
         else:
             op, left, right = e.op, compile_expr(e.left), compile_expr(e.right)
             row = BINARY.get(op)
@@ -364,11 +381,13 @@ def eval_expr(e: Expr, s: State) -> Value:
     return compile_expr(e)(s)
 
 
-def compile_guards(guards: tuple[Expr, ...]) -> Callable[[State], list[Value]]:
+def compile_guards(guards: tuple[Expr, ...]) -> Callable[[State], Sequence[Value]]:
     """Lower the guards of one command to a closure giving every guard's
     value, in guard order. Equal guards are compiled and evaluated once
     per call; an EvalError comes from the first guard, in order, that
-    fails."""
+    fails. Guards that are points (`_point_table`), such as a dispatch
+    on the current lattice point, are one dict lookup of a row of guard
+    values built once per point."""
     distinct: dict[Expr, int] = {}
     slots = [distinct.setdefault(g, len(distinct)) for g in guards]
     evals = tuple(compile_expr(g) for g in distinct)
@@ -376,7 +395,66 @@ def compile_guards(guards: tuple[Expr, ...]) -> Callable[[State], list[Value]]:
     def shared(s: State) -> list[Value]:
         values = [ev(s) for ev in evals]
         return [values[k] for k in slots]
-    return shared
+    table = _point_table(guards)
+    if table is None:
+        return shared
+    read, keys = table
+    rows: dict = {}
+    for i, key in enumerate(keys):
+        rows.setdefault(key, [False] * len(guards))[i] = True
+    rows = {key: tuple(row) for key, row in rows.items()}
+    miss = (False,) * len(guards)
+
+    def lookup(s: State) -> Sequence[Value]:
+        try:
+            key = read(s)
+        except KeyError:  # see `_point_table`
+            return shared(s)
+        return rows.get(key, miss)
+    return lookup
+
+
+def _point_table(exprs: Sequence[Expr]) -> tuple[Callable[[State], Any], list] | None:
+    """`(read, keys)` when every expression is a point: a conjunction of
+    `Var = literal` atoms over distinct variables, the same variables in
+    each. `read(s)` gives their values in `s` as a key, and expression i
+    holds exactly when that key equals `keys[i]`: a literal is compared
+    by `==` and hashed like the value it meets, for ints and bools alike.
+    None for any other list, which evaluates atom by atom. Reading a
+    variable cannot raise an EvalError; a state that does not declare
+    one (an unchecked program) raises KeyError in `read`, and its caller
+    then evaluates atom by atom, so that the error, or the value a
+    short-circuit reaches first, is the same."""
+    points = []
+    for e in exprs:
+        first, pairs = chain(e) if isinstance(e, BinOp) and e.op == "and" else (e, ())
+        point: dict[str, Value] = {}
+        for atom in (first, *(x for _, x in pairs)):
+            if not (isinstance(atom, BinOp) and atom.op == "=" and isinstance(atom.left, Var)
+                    and isinstance(atom.right, (IntLit, BoolLit))
+                    and atom.left.name not in point):
+                return None
+            point[atom.left.name] = atom.right.value
+        if points and point.keys() != points[0].keys():
+            return None
+        points.append(point)
+    if not points:
+        return None
+    names = tuple(points[0])
+    if len(names) == 1:
+        (a,) = names
+        return (lambda s: s.values[s.layout.pos[a]]), [p[a] for p in points]
+    if len(names) == 2:
+        a, b = names
+
+        def read(s: State) -> tuple:
+            pos, values = s.layout.pos, s.values
+            return values[pos[a]], values[pos[b]]
+    else:
+        def read(s: State) -> tuple:
+            pos, values = s.layout.pos, s.values
+            return tuple([values[pos[n]] for n in names])
+    return read, [tuple([p[n] for n in names]) for p in points]
 
 
 def _compile_targets(targets: tuple[Expr, ...]) -> Callable[[State, tuple[Value, ...]], State]:

@@ -23,7 +23,9 @@ on first use through `kept` and freed with the program:
 * the layout of the states it runs from (`engine.start_config`);
 * its one-level shape, or the diagnostic of why it has none
   (`fairness.one_level_of`);
-* a `ParSystem`'s labelled components and action table (`par`).
+* a `ParSystem`'s labelled components and action table (`par`), and a
+  `CspSystem`'s table of compiled guard parts and corresponding pairs
+  (`csp`).
 Equal programs are one object, so every run of an equal program, however
 it was built, finds what the first run built. Nothing kept refers back
 to its program, so a dropped program is freed by reference counting; a

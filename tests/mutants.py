@@ -88,6 +88,45 @@ MUTANTS = (
            "bad = bad",
            ("tests/test_fairness.py::test_random_assign_in_body_is_not_deterministic",
             "tests/test_one_level_reference.py::test_random_program_verdicts_match_reference")),
+    # `step`'s if-fi and do-od heads with no true guard
+    Mutant("do-with-no-true-guard-fails-like-if", "src/gclab/engine.py",
+           "        if isinstance(head, If):\n"
+           '            return Expansion(failure=Failed("guard-all-false-in-if", s))',
+           "        if True:\n"
+           '            return Expansion(failure=Failed("guard-all-false-in-if", s))',
+           ("tests/test_engine.py::test_step_do_exit",
+            "tests/test_differential.py::test_explorer_matches_bfs_oracle_on_random_programs")),
+    Mutant("if-with-no-true-guard-exits-like-od", "src/gclab/engine.py",
+           "        if isinstance(head, If):\n"
+           '            return Expansion(failure=Failed("guard-all-false-in-if", s))',
+           "        if False:\n"
+           '            return Expansion(failure=Failed("guard-all-false-in-if", s))',
+           ("tests/test_engine.py::test_step_if_no_guard_true_fails",
+            "tests/test_differential.py::test_explorer_matches_bfs_oracle_on_random_programs")),
+    # The one-path walk of an atomic sub-step (`engine.walk`)
+    Mutant("walk-steps-through-a-do-head", "src/gclab/engine.py",
+           "if k >= budget or isinstance(cfg.point.head, Do):",
+           "if k >= budget:",
+           ("tests/test_walk.py::test_a_walk_stops_at_a_do_head",)),
+    Mutant("walk-budget-off-by-one", "src/gclab/engine.py",
+           "if k >= budget or isinstance(cfg.point.head, Do):",
+           "if k > budget or isinstance(cfg.point.head, Do):",
+           ("tests/test_walk.py::test_a_walk_fills_the_budget_exactly",
+            "tests/test_walk.py::test_walks_match_the_search_on_random_bodies")),
+    Mutant("walk-adds-one-edge-too-few", "src/gclab/engine.py",
+           "            counts[1] += k\n",
+           "            counts[1] += k - 1\n",
+           ("tests/test_walk.py::test_direct_reports_do_not_depend_on_the_walk",
+            "tests/test_csp.py::test_sub_search_counts_stay_out_of_the_config_budget")),
+    # Point tables (`state._point_table`)
+    Mutant("point-miss-row-marks-the-first-guard", "src/gclab/state.py",
+           "miss = (False,) * len(guards)",
+           "miss = (True,) + (False,) * (len(guards) - 1)",
+           ("tests/test_eval_reference.py::test_point_tables_match_the_reference",)),
+    Mutant("or-run-membership-negated", "src/gclab/state.py",
+           "return key in members",
+           "return key not in members",
+           ("tests/test_eval_reference.py::test_point_tables_match_the_reference",)),
     # What a program keeps (`syntax.kept`)
     Mutant("start-config-keeps-no-layout", "src/gclab/engine.py",
            '        kept(owner, "_layout", lambda: s0.layout)\n',

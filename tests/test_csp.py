@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -207,9 +209,9 @@ def test_sub_search_counts_stay_out_of_the_config_budget():
     against `max_configs`: sfr's own search expands 11 configurations,
     its bodies 57 more."""
     full = run_csp(_sfr())
-    assert full.configs == 68
+    assert (full.configs, full.edges, full.paths) == (68, 72, 5)
     fits = run_csp(_sfr(), lim=Limits(max_configs=11))
-    assert fits.outcomes == full.outcomes and fits.configs == 68
+    assert fits.outcomes == full.outcomes and (fits.configs, fits.edges) == (68, 72)
     cut = run_csp(_sfr(), lim=Limits(max_configs=10))
     assert ("3-bound", "max-configs") in [o.key() for o in cut.outcomes]
 
@@ -236,6 +238,58 @@ def test_guard_parts_are_evaluated_once_per_node(monkeypatch):
     per_node = Counter(calls)
     assert len(per_node) == 12 and set(per_node.values()) == {4}
     assert len(calls) == 48
+
+
+def test_a_second_run_of_a_system_builds_nothing_new(monkeypatch):
+    """The pair table stays with the system: a second run pairs and
+    compiles nothing."""
+    calls = Counter()
+
+    def counting(name):
+        build = getattr(csp, name)
+
+        def count(*args):
+            calls[name] += 1
+            return build(*args)
+        return count
+
+    for name in ("correspondence_pairs", "compile_assign", "compile_expr"):
+        monkeypatch.setattr(csp, name, counting(name))
+    # every name is unique to the test, so no live system shares its set-up
+    sysm = parse_csp("process ONCE_P var once_p: int;\n"
+                     "  do once_p < 2 ; ONCE_Q ! once_p -> once_p := once_p + 1 od end\n"
+                     "process ONCE_Q var once_q: int;\n"
+                     "  do once_q < 3 ; ONCE_P ? once_q -> skip od end")
+    first = run_csp(sysm).to_text()
+    built = {"correspondence_pairs": 1, "compile_assign": 1, "compile_expr": 2}
+    assert calls == built
+    assert run_csp(sysm).to_text() == first
+    assert calls == built
+    assert csp._pair_table(sysm) is csp._pair_table(sysm)
+
+
+def test_dropped_concurrent_programs_release_their_points():
+    """A dropped system frees its pair table, its compiled closures and
+    its points by reference counting alone."""
+    # every statement is unique to the test, so no live program shares
+    # its points
+    sysm = parse_csp("process GONE_P var gone_p: int; gone_p := 0;\n"
+                     "  do gone_p < 2 ; GONE_Q ! gone_p -> gone_p := gone_p + 1 od end\n"
+                     "process GONE_Q var gone_q: int; gone_q := 0;\n"
+                     "  do gone_q < 2 ; GONE_P ? gone_q -> gone_q := gone_q + 1 od end")
+    assert run_csp(sysm).terminated_states()
+    conds, pairs = csp._pair_table(sysm)
+    closures = [*conds[0], *conds[1], *(joint for _, joint, _, _ in pairs)]
+    # the two inits and the two bodies
+    assert len(sysm._points) == 4 and len(closures) == 3
+    refs = [weakref.ref(x) for x in (sysm, *closures, *sysm._points.values())]
+    del conds, pairs, closures
+    gc.disable()
+    try:
+        del sysm
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 def test_deadlock_maps_to_term_violation_and_checked_failure():

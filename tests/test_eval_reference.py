@@ -4,10 +4,12 @@
 over random states of two layouts, must give the same values of the same
 types, or raise the same exception with the same reason and detail."""
 
+from collections import Counter
 from random import Random
 
 import pytest
 
+from gclab import state
 from gclab.errors import EvalError
 from gclab.state import (
     apply_parallel_assign, compile_assign, compile_expr, compile_guards,
@@ -15,7 +17,7 @@ from gclab.state import (
 )
 from gclab.syntax import (
     BINARY, ArrayRef, Assign, BinOp, BoolLit, Builtin, Declaration, IntLit,
-    Skip, UnaryOp, Var,
+    Skip, UnaryOp, Var, conj, disj,
 )
 
 import eval_reference
@@ -175,6 +177,86 @@ def test_compiled_guards_match_the_reference_in_arm_order():
             else:
                 got = ("raised", got[1], got[3], got[4])
             assert got == want, guards
+
+
+def _point(rng: Random, names) -> list:
+    """The atoms `v = literal` of a point over `names`, in random order;
+    a bool variable meets a bool literal, or now and then an int one."""
+    atoms = []
+    for n in names:
+        if n in BOOLS:
+            lit = BoolLit(rng.random() < 0.5) if rng.random() < 0.8 else IntLit(rng.randint(0, 1))
+        else:
+            lit = IntLit(rng.randint(-3, 3))
+        atoms.append(BinOp("=", Var(n), lit))
+    rng.shuffle(atoms)
+    return atoms
+
+
+def _tables(seed: int, count: int):
+    """(whether the guards form a point table, guards, states): random
+    tables over 1-3 variables, with duplicate points, now and then a
+    variable the states do not declare (`zz`), a repeated variable in one
+    conjunction or mixed variable sets; half of the states sit on a
+    point."""
+    rng = Random(seed)
+    layouts = _layouts()
+    pool = INTS + BOOLS
+    for k in range(count):
+        names = rng.sample(pool + ("zz",) if k % 10 == 0 else pool, rng.randint(1, 3))
+        points = [_point(rng, names) for _ in range(rng.randint(1, 7))]
+        if rng.random() < 0.3:  # the same point again, its atoms reordered
+            points.append(rng.sample(points[0], len(points[0])))
+        table, roll = True, rng.random()
+        if roll < 0.15:  # a repeated variable in one conjunction
+            points[-1] = points[-1] + _point(rng, names[:1])
+            table = False
+        elif roll < 0.3:  # mixed variable sets
+            other = rng.sample([n for n in pool if n not in names], 1)
+            points.insert(rng.randrange(len(points) + 1),
+                          _point(rng, rng.sample(names, 1) + other))
+            table = False
+        guards = tuple(conj(p) for p in points)
+        if rng.random() < 0.3:
+            guards += (rng.choice(guards),)  # a duplicate guard
+        states = []
+        for j in range(6):
+            s = _state(rng, layouts[j % 2])
+            at = {a.left.name: a.right.value for a in rng.choice(points)
+                  if a.left.name in INTS or type(a.right.value) is bool}
+            at.pop("zz", None)
+            states.append(s.with_bindings(at) if j % 2 else s)
+        yield table, guards, states
+
+
+def _typed(outcome):
+    """An outcome with every guard value paired with its type, whatever
+    the sequence that holds them."""
+    if outcome[0] == "value":
+        return ("value", [(type(v), v) for v in outcome[2]])
+    return outcome
+
+
+def test_point_tables_match_the_reference():
+    """Guards that are conjunctions of `Var = literal` over one set of
+    variables are one lookup (`compile_guards`), and a run of three or
+    more such disjuncts one membership test (`compile_expr`); every other
+    list keeps the generic path. Both give the reference's values, types
+    included, or raise its error."""
+    assert state._point_table(()) is None
+    hits = Counter()
+    for table, guards, states in _tables(41, 1500):
+        assert (state._point_table(guards) is not None) == table, guards
+        f = compile_guards(guards)
+        run = disj(list(guards))
+        g = compile_expr(run)
+        for s in states:
+            want = _outcome(lambda s: [eval_reference.eval_expr(e, s) for e in guards], s)
+            assert _typed(_outcome(f, s)) == _typed(want), guards
+            assert _outcome(g, s) == _outcome(eval_reference.eval_expr, run, s), guards
+            hits[table, want[0] == "value" and any(want[2])] += 1
+    # lookups met hits and misses, and the generic path was taken too
+    assert min(hits.values()) > 100 and len(hits) == 4
 
 
 def _run(first, pairs):
