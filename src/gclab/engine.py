@@ -28,8 +28,9 @@ On top of `step` sit:
 Both searches run on one DFS core (`GraphSearch`), which the direct
 semantics of the communication and interleaving fragments share too
 through one driver (`explore_system`). It runs each of their atomic
-sub-steps (`absorb`) on its single path (`walk`) when it has one, and
-as a whole `explore_statement` otherwise. Single computations
+sub-steps (`absorb`) as a whole `explore_statement` search that first
+`walk`s the path it starts on, and searches on only where that path
+branches, fails, is bounded or reaches a do-od head. Single computations
 run on one loop (`run_path`), which walks the program's points and
 leaves each choice to its caller: `run_erratic` picks at random, and the
 fair schedulers (`fairness.run_fair_traced`) pick at the top loop. A
@@ -517,8 +518,13 @@ class GraphSearch:
         if first is None:
             return
         stack.append(first)
+        self.black[root] = 0
+        self.resume(stack)
+
+    def resume(self, stack: list[list]) -> None:
+        """Search on from the path `stack`, whose nodes `black` holds at
+        their index in it."""
         black = self.black
-        black[root] = 0
         while stack:
             frame = stack[-1]
             node, trans, idx, clean, _ = frame
@@ -688,37 +694,53 @@ def _final(cfg: Config) -> State | None:
     return cfg.state if cfg.point.head is None else None
 
 
+def _statement_search(lim: Limits) -> GraphSearch:
+    """The search of `explore_statement`, not yet run."""
+    return GraphSearch(lim, _expander(lim), config_key, _final,
+                       revisit_scan=_control_lasso_scan)
+
+
 def explore_statement(stmt: Stmt, s0: State, lim: Limits,
                       owner: Program | None = None) -> ExplorationReport:
     """Exhaustive demonic exploration of a statement from a given state;
     `owner`, if given, is the program the statement belongs to (`root`)."""
-    search = GraphSearch(lim, _expander(lim), config_key, _final,
-                         revisit_scan=_control_lasso_scan)
+    search = _statement_search(lim)
     search.run(start_config(stmt, s0, owner))
     return search.report()
 
 
-def walk(stmt: Stmt, s0: State, lim: Limits,
-         owner: Program | None = None) -> tuple[State, int] | None:
-    """Run `stmt` from `s0` when it has a single path: its final state and
-    its number of steps k, for which `explore_statement` would report
-    exactly `Terminated(final)` with k configs, k edges and one path.
-    None as soon as the path reaches a do-od head (the only head that can
-    repeat a configuration or start a control lasso), a step that fails,
-    branches or is cut, or the search's budget: k steps fit when
-    k <= min(max_depth, max_configs)."""
-    cfg = start_config(stmt, s0, owner)
-    budget = min(lim.max_depth, lim.max_configs)
-    k = 0
-    while cfg.point.head is not None:
-        if k >= budget or isinstance(cfg.point.head, Do):
-            return None
-        exp = step(cfg, lim.choice_bound, lim.max_configs)
-        if exp.failure is not None or exp.truncated or len(exp.transitions) != 1:
-            return None
-        cfg = exp.transitions[0][1]
-        k += 1
-    return cfg.state, k
+def walk(search: GraphSearch, root: Config) -> State | None:
+    """Run a fresh `search` of `explore_statement` from `root`. It first
+    steps the path the search starts on, for as long as each node has one
+    successor that is not a do-od head and the search has recorded no
+    outcome (a `choice` cut to one value records its bound). Only a do-od
+    head can repeat a configuration or start a control lasso, so that
+    path needs none of `run`'s checks of the nodes it meets. When the
+    path terminates: its final state, with the path's configurations and
+    edges counted as `run` counts them, and the path left for the caller
+    to close. Otherwise None, once `resume` has searched on from where
+    the path stopped: the search then ends as `search.run(root)` would.
+    Either way the bounds are the search's own, and no step is taken
+    twice."""
+    stack: list[list] = []
+    node, label = root, None
+    while node.point.head is not None:
+        frame = search._enter(node, label, stack)
+        if frame is None:  # failed or bounded
+            break
+        stack.append(frame)
+        if len(frame[1]) != 1 or search.outcomes:  # a branch, or a cut one
+            break
+        label, node = frame[1][0]
+        if isinstance(node.point.head, Do):
+            break
+        frame[2] = 1
+        search.edges += 1
+    else:
+        return node.state
+    search.black.update((f[0], i) for i, f in enumerate(stack))
+    search.resume(stack)
+    return None
 
 
 def explore_demonic(p: GclProgram, s0: State | None = None,
@@ -747,24 +769,23 @@ def explore_system(owner: Program, s0: State, lim: Limits, inits: list[Stmt],
     from `start(s)` for each state `s` the last one ends in, with
     `expand(node, absorb)` as its expander. The init phase's non-terminal
     outcomes close after the searches; the report adds the sub-searches'
-    counts to the search's own, and a sub-step that `walk`s counts what
-    its search would have counted."""
+    counts to the search's own."""
     counts = [0, 0, 0]  # configs, edges, paths of the sub-searches
 
     def absorb(stmt: Stmt, s: State, sink: list) -> list[State]:
-        """Run `stmt` from `s` as one atomic sub-step: its single path
-        (`walk`), or else a whole demonic exploration under `lim`. Its
+        """Run `stmt` from `s` as one atomic sub-step: a whole demonic
+        exploration under `lim`, which `walk`s the path it starts on. Its
         non-terminal outcomes go to `sink`, its terminal states come back
         in canonical order, and its counts go into the report but not
         into the search's `configs`, which the `max_configs` budget
         reads."""
-        walked = walk(stmt, s, lim, owner)
-        if walked is not None:
-            final, k = walked
-            counts[0] += k
-            counts[1] += k
+        search = _statement_search(lim)
+        final = walk(search, start_config(stmt, s, owner))
+        if final is not None:  # one path, closed by its one final state
+            counts[0] += search.configs
+            counts[1] += search.edges
             return [final]
-        rep = explore_statement(stmt, s, lim, owner)
+        rep = search.report()
         finals = []
         for o in rep.outcomes:
             if isinstance(o, Terminated):

@@ -417,7 +417,7 @@ def compile_guards(guards: tuple[Expr, ...]) -> Callable[[State], Sequence[Value
 def _point_table(exprs: Sequence[Expr]) -> tuple[Callable[[State], Any], list] | None:
     """`(read, keys)` when every expression is a point: a conjunction of
     `Var = literal` atoms over distinct variables, the same variables in
-    each. `read(s)` gives their values in `s` as a key, and expression i
+    each. `read(s)` gives the tuple of their values in `s`, and expression i
     holds exactly when that key equals `keys[i]`: a literal is compared
     by `==` and hashed like the value it meets, for ints and bools alike.
     None for any other list, which evaluates atom by atom. Reading a
@@ -441,19 +441,10 @@ def _point_table(exprs: Sequence[Expr]) -> tuple[Callable[[State], Any], list] |
     if not points:
         return None
     names = tuple(points[0])
-    if len(names) == 1:
-        (a,) = names
-        return (lambda s: s.values[s.layout.pos[a]]), [p[a] for p in points]
-    if len(names) == 2:
-        a, b = names
 
-        def read(s: State) -> tuple:
-            pos, values = s.layout.pos, s.values
-            return values[pos[a]], values[pos[b]]
-    else:
-        def read(s: State) -> tuple:
-            pos, values = s.layout.pos, s.values
-            return tuple([values[pos[n]] for n in names])
+    def read(s: State) -> tuple:
+        pos, values = s.layout.pos, s.values
+        return tuple([values[pos[n]] for n in names])
     return read, [tuple([p[n] for n in names]) for p in points]
 
 

@@ -103,21 +103,30 @@ MUTANTS = (
            '            return Expansion(failure=Failed("guard-all-false-in-if", s))',
            ("tests/test_engine.py::test_step_if_no_guard_true_fails",
             "tests/test_differential.py::test_explorer_matches_bfs_oracle_on_random_programs")),
-    # The one-path walk of an atomic sub-step (`engine.walk`)
+    # The walk that starts a search of an atomic sub-step (`engine.walk`)
     Mutant("walk-steps-through-a-do-head", "src/gclab/engine.py",
-           "if k >= budget or isinstance(cfg.point.head, Do):",
-           "if k >= budget:",
+           "        if isinstance(node.point.head, Do):\n            break\n",
+           "        if False:\n            break\n",
            ("tests/test_walk.py::test_a_walk_stops_at_a_do_head",)),
-    Mutant("walk-budget-off-by-one", "src/gclab/engine.py",
-           "if k >= budget or isinstance(cfg.point.head, Do):",
-           "if k > budget or isinstance(cfg.point.head, Do):",
-           ("tests/test_walk.py::test_a_walk_fills_the_budget_exactly",
-            "tests/test_walk.py::test_walks_match_the_search_on_random_bodies")),
+    Mutant("walk-takes-a-cut-choice-as-one-path", "src/gclab/engine.py",
+           "if len(frame[1]) != 1 or search.outcomes:",
+           "if len(frame[1]) != 1:",
+           ("tests/test_walk.py::test_walks_match_the_search_on_random_bodies",)),
     Mutant("walk-adds-one-edge-too-few", "src/gclab/engine.py",
-           "            counts[1] += k\n",
-           "            counts[1] += k - 1\n",
-           ("tests/test_walk.py::test_direct_reports_do_not_depend_on_the_walk",
-            "tests/test_csp.py::test_sub_search_counts_stay_out_of_the_config_budget")),
+           "        frame[2] = 1\n        search.edges += 1\n",
+           "        frame[2] = 1\n",
+           ("tests/test_walk.py::test_walks_match_the_search_on_random_bodies",
+            "tests/test_walk.py::test_a_walk_fills_the_budget_exactly",
+            "tests/test_walk.py::test_direct_reports_do_not_depend_on_the_walk")),
+    Mutant("walk-hands-over-without-its-path", "src/gclab/engine.py",
+           "search.black.update((f[0], i) for i, f in enumerate(stack))",
+           "search.black.update(())",
+           ("tests/test_walk.py::test_a_loop_that_comes_back_to_the_walked_path",)),
+    # the depth bound, the one budget rule a walk and a search share
+    Mutant("depth-bound-off-by-one", "src/gclab/engine.py",
+           "elif len(stack) >= self.lim.max_depth:",
+           "elif len(stack) > self.lim.max_depth:",
+           ("tests/test_walk.py::test_a_walk_fills_the_budget_exactly",)),
     # Point tables (`state._point_table`)
     Mutant("point-miss-row-marks-the-first-guard", "src/gclab/state.py",
            "miss = (False,) * len(guards)",
