@@ -70,8 +70,9 @@ class Limits:
     choice_bound: int = 8
 
     def __post_init__(self):
-        if self.max_configs < 1 or self.max_depth < 1 or self.choice_bound < 0:
-            raise ValueError("limits must be positive")
+        for name, floor in (("max_configs", 1), ("max_depth", 1), ("choice_bound", 0)):
+            if getattr(self, name) < floor:
+                raise ValueError(f"{name.replace('_', '-')} must be at least {floor}")
 
 
 # the default step budget of a seeded run (`run_erratic`, `fairness.run_fair`)

@@ -5,21 +5,21 @@ The transformation applies to one-level nondeterministic programs: an
 initialization part followed by a single repetitive command whose bodies
 are deterministic, that is, free of `x := ?` and `choice`, with pairwise
 exclusive guards in every if and do. Exclusion is proved atom by atom of
-the guards' conjunctions; comparisons are evaluated with their
-`syntax.BINARY` meanings at a few sample values (`_atoms_exclusive`).
-The proof is symmetric, so a command's distinct atom pairs are each
-decided at most once, and its guards are compared as atom sets
-(`_overlap`): a table `if` of n arms over d distinct atoms costs at most
-d(d+1)/2 atom proofs, not one per atom pair of each of its n(n-1)/2
-guard pairs, and each guard is tested against all later ones at once,
-on bit masks of the guards that hold each atom.
+the guards' conjunctions (`syntax.conjuncts`); comparisons are evaluated
+with their `syntax.BINARY` meanings at a few sample values
+(`_atoms_exclusive`). The proof is symmetric, so a command's distinct
+atom pairs are each decided at most once, and its guards are compared as
+atom sets (`_overlap`): a table `if` of n arms over d distinct atoms
+costs at most d(d+1)/2 atom proofs, not one per atom pair of each of its
+n(n-1)/2 guard pairs, and each guard is tested against all later ones at
+once, on bit masks of the guards that hold each atom.
 
-The transformation introduces one priority variable per guarded
-command; an enabled command holding the minimum priority is selected,
-its priority is reset arbitrarily, enabled competitors move up
-(decrement) and disabled ones are reset. Ignoring the priority
-variables, the transformed program's computations are the weakly fair
-ones.
+The transformation introduces one fresh priority variable per guarded
+command (`syntax.fresh_names`); an enabled command holding the minimum
+priority is selected, its priority is reset arbitrarily, enabled
+competitors move up (decrement) and disabled ones are reset. Ignoring
+the priority variables, the transformed program's computations are the
+weakly fair ones.
 
 The fair schedulers run on the engine's single-computation loop
 (`engine.run_path`), on the same program points as erratic runs: at the
@@ -43,8 +43,8 @@ from .state import State, compile_expr, initial_state
 from .syntax import (
     BINARY, COMPARE_BP, Assign, BinOp, BoolLit, Builtin, ChoiceAssign,
     Declaration, Do, Expr, GclProgram, GuardedCommand, If, IntLit,
-    RandomAssign, Seq, Skip, Stmt, UnaryOp, Var, chain, conj, disj, kept,
-    not_, program_names, seq,
+    RandomAssign, Seq, Skip, Stmt, UnaryOp, Var, conj, conjuncts, disj,
+    fresh_names, kept, not_, program_names, seq,
 )
 
 
@@ -68,13 +68,6 @@ class OneLevelProgram:
     decls: tuple[Declaration, ...]
     init: Stmt
     loop: Do
-
-
-def _conj_atoms(e: Expr) -> list[Expr]:
-    if not (isinstance(e, BinOp) and e.op == "and"):
-        return [e]
-    first, pairs = chain(e)
-    return [first] + [atom for _, operand in pairs for atom in _conj_atoms(operand)]
 
 
 # The comparison operators' meanings; one (left, right) pair per order: <, =, >
@@ -131,7 +124,7 @@ def _deterministic(s: Stmt, where: str) -> str | None:
         if isinstance(stmt, Seq):
             todo += reversed(stmt.stmts)
         elif isinstance(stmt, (If, Do)):
-            overlap = _overlap([_conj_atoms(arm.guard) for arm in stmt.arms])
+            overlap = _overlap([conjuncts(arm.guard) for arm in stmt.arms])
             if overlap is not None:
                 i, j = overlap
                 return (f"{where}: guards {i + 1} and {j + 1} of "
@@ -214,14 +207,6 @@ def one_level_of(p: GclProgram) -> OneLevelProgram:
 # The weak-fairness transformation
 # ---------------------------------------------------------------------------
 
-def _fresh_names(base: str, n: int, taken: set[str]) -> list[str]:
-    for prefix in (base, base * 2, base * 3, base * 4):
-        names = [f"{prefix}{k}" for k in range(1, n + 1)]
-        if not any(nm in taken for nm in names):
-            return names
-    raise FairnessError(f"no fresh '{base}' names available")
-
-
 def _min_of(names: list[str]) -> Expr:
     """Binary min over priority variables, folded by halves so that it
     nests ceil(log2 n) deep: min(z1, min(z2, z3)) for three."""
@@ -245,9 +230,9 @@ def transform_wf(p: GclProgram) -> GclProgram:
     """
     olp = one_level_of(p)
     arms = olp.loop.arms
-    n = len(arms)
-    taken = program_names(p)
-    znames = _fresh_names("z", n, taken)
+    znames = fresh_names(("z", "zz", "zzz", "zzzz"), len(arms), program_names(p))
+    if znames is None:
+        raise FairnessError("no fresh 'z' names available")
     zdecls = tuple(Declaration(nm, "int") for nm in znames)
     min_expr = _min_of(znames)
     # competitor j's priority update, built once for every other arm

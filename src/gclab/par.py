@@ -3,11 +3,11 @@ interleaving semantics, and the control-variable translation.
 
 Each sequential component is cut into atomic actions, one per control
 transfer: a guard evaluation (true and false branches of while/if heads,
-await) or a single assignment. The translation introduces one control
-variable per component and lists every action as a guarded command of a
-single loop; a final alternative command aborts unless every component
-sits at its exit, which turns a deadlock of the original program into a
-failure.
+await) or a single assignment. The translation introduces one fresh
+control variable per component (`syntax.fresh_names`) and lists every
+action as a guarded command of a single loop; a final alternative
+command aborts unless every component sits at its exit, which turns a
+deadlock of the original program into a failure.
 
 A system keeps its labelled components, which the translation, the
 label table and the direct semantics all read (`label_components`), and
@@ -27,7 +27,7 @@ from .state import State, compile_assign, compile_expr, initial_state
 from .syntax import (
     Assign, Await, BinOp, Declaration, Do, Expr, GclProgram,
     GuardedCommand, If, IfElse, IntLit, ParSystem, Seq, Skip, Stmt, Var,
-    While, conj, kept, not_, seq, stmt_names,
+    While, conj, fresh_names, kept, not_, seq, stmt_names,
 )
 
 
@@ -135,15 +135,10 @@ def _actions_by_source(ci: int, comp: LabeledComponent) -> dict[int, list]:
 
 def control_variable_names(sys: ParSystem) -> list[str]:
     """Fresh cv names, one per component."""
-    taken = {d.name for d in sys.decls}
-    for stmt in (sys.init, sys.epilogue) + sys.components:
-        stmt_names(stmt, taken)
-    n = len(sys.components)
-    for prefix in ("cv", "cvv", "cvvv"):
-        names = [f"{prefix}{k + 1}" for k in range(n)]
-        if not any(nm in taken for nm in names):
-            return names
-    raise CheckError("no fresh control-variable names available")
+    names = fresh_names(("cv", "cvv", "cvvv"), len(sys.components), stmt_names(sys, set()))
+    if names is None:
+        raise CheckError("no fresh control-variable names available")
+    return names
 
 
 def translate_par(sys: ParSystem) -> GclProgram:

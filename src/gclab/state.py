@@ -20,11 +20,11 @@ closure from state to state; a program point is made with its head's
 closures (`engine.Point`), which every step calls. `eval_expr` compiles
 and evaluates in one call.
 
-Guards that each test one point, a conjunction of `Var = literal` atoms
-over one set of variables (the dispatch on the current lattice point of
-a chaotic iteration), compile to a table keyed by those variables'
-values (`_point_table`): the guard list to one dict lookup, and a run of
-such disjuncts to one set membership test.
+Guards that each test one point, a conjunction (`syntax.conjuncts`) of
+`Var = literal` atoms over one set of variables (the dispatch on the
+current lattice point of a chaotic iteration), compile to a table keyed
+by those variables' values (`_point_table`): the guard list to one dict
+lookup, and a run of such disjuncts to one set membership test.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Any
 from .errors import CheckError, EvalError
 from .syntax import (
     BINARY, BUILTINS, ArrayRef, Assign, BinOp, BoolLit, Builtin, Declaration,
-    Expr, IntLit, UnaryOp, Var, chain, intern, interned,
+    Expr, IntLit, UnaryOp, Var, chain, conjuncts, intern, interned,
 )
 
 Value = int | bool
@@ -427,9 +427,8 @@ def _point_table(exprs: Sequence[Expr]) -> tuple[Callable[[State], Any], list] |
     short-circuit reaches first, is the same."""
     points = []
     for e in exprs:
-        first, pairs = chain(e) if isinstance(e, BinOp) and e.op == "and" else (e, ())
         point: dict[str, Value] = {}
-        for atom in (first, *(x for _, x in pairs)):
+        for atom in conjuncts(e):
             if not (isinstance(atom, BinOp) and atom.op == "=" and isinstance(atom.left, Var)
                     and isinstance(atom.right, (IntLit, BoolLit))
                     and atom.left.name not in point):

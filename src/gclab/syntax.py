@@ -34,13 +34,16 @@ those cycles when its program goes (`engine._Roots`).
 
 Each binary operator's binding power, typing and meaning are one row of
 `BINARY`; the parser, printer, checker and expression compiler all read
-that row, so they agree by construction.
+that row, so they agree by construction. Likewise each rule that several
+modules read off a tree is written here once: a guard's atoms
+(`conjuncts`), a program's names (`program_names`, one walk with
+`expr_names`) and the fresh names a transformation adds (`fresh_names`).
 
 Walkers recurse by nesting depth, never by the length of a chain like
 `1 + 1 + ... + 1`. Those that only look for some nodes loop over `nodes`,
 a pre-order walk from an explicit stack. The checker, printer, compiler
-and guard-atom split loop over the run of one binding power that
-`chain` returns, and recurse only into its operands.
+and `conjuncts` loop over the run of one binding power that `chain`
+returns, and recurse only into its operands.
 """
 
 from __future__ import annotations
@@ -462,20 +465,36 @@ def chain(e: BinOp) -> tuple[Expr, list[tuple[str, Expr]]]:
     return first, pairs
 
 
-def expr_names(tree: Node, acc: set[str]) -> None:
-    """Add to `acc` every variable that `tree` reads or writes."""
+def conjuncts(e: Expr) -> list[Expr]:
+    """The atoms of a conjunction, left to right, however its `and`s nest."""
+    if not (isinstance(e, BinOp) and e.op == "and"):
+        return [e]
+    first, pairs = chain(e)  # `first` is no `and`; an operand may be
+    return [first] + [atom for _, operand in pairs for atom in conjuncts(operand)]
+
+
+def expr_names(tree: Node, acc: set[str]) -> set[str]:
+    """Add to `acc`, and return it, every name `tree` declares, reads or writes."""
     for n in nodes(tree):
-        if isinstance(n, (Var, ArrayRef)):
+        if isinstance(n, (Var, ArrayRef, Declaration)):
             acc.add(n.name)
-        elif isinstance(n, (RandomAssign, ChoiceAssign)):
+        elif isinstance(n, (RandomAssign, ChoiceAssign, Input)):
             acc.add(n.target)
-
-
-stmt_names = expr_names  # one walk serves statements and expressions
-
-
-def program_names(p: GclProgram) -> set[str]:
-    """Every identifier occurring in declarations or the body."""
-    acc = {d.name for d in p.decls}
-    stmt_names(p.body, acc)
     return acc
+
+
+stmt_names = expr_names  # one walk serves expressions, statements and programs
+
+
+def program_names(p: Program) -> set[str]:
+    """Every name a program of any kind declares, reads or writes."""
+    return stmt_names(p, set())
+
+
+def fresh_names(prefixes: tuple[str, ...], n: int, taken: set[str]) -> list[str] | None:
+    """`prefix1` to `prefixn` for the first prefix with no name taken, else None."""
+    for prefix in prefixes:
+        names = [f"{prefix}{k}" for k in range(1, n + 1)]
+        if taken.isdisjoint(names):
+            return names
+    return None

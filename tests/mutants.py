@@ -146,6 +146,55 @@ MUTANTS = (
            "",
            ("tests/test_fairness.py::test_fair_checks_the_shape_once_per_program",
             "tests/test_par.py::test_a_second_run_of_a_system_builds_nothing_new")),
+    # The rules that `syntax` holds once for every module
+    Mutant("fresh-names-accept-a-taken-last-name", "src/gclab/syntax.py",
+           "        if taken.isdisjoint(names):",
+           "        if taken.isdisjoint(names[:-1]):",
+           ("tests/test_syntax_reference.py::test_fresh_names_take_the_first_prefix_with_no_name_taken",
+            "tests/test_fairness.py::test_transform_fresh_name_collision_escalates",
+            "tests/test_par.py::test_control_variables_skip_a_prefix_whose_last_name_is_taken")),
+    Mutant("conjuncts-keep-a-nested-and", "src/gclab/syntax.py",
+           "    return [first] + [atom for _, operand in pairs for atom in conjuncts(operand)]",
+           "    return [first] + [operand for _, operand in pairs]",
+           ("tests/test_syntax_reference.py::test_conjuncts_split_every_nesting_of_and",
+            "tests/test_fairness.py::test_exclusion_reads_the_atoms_inside_parentheses",
+            "tests/test_eval_reference.py::test_point_tables_match_the_reference")),
+    Mutant("name-walk-skips-declarations", "src/gclab/syntax.py",
+           "        if isinstance(n, (Var, ArrayRef, Declaration)):",
+           "        if isinstance(n, (Var, ArrayRef)):",
+           ("tests/test_syntax_reference.py::test_program_names_of_every_kind_of_program",
+            "tests/test_fairness.py::test_transform_fresh_names_run_out",
+            "tests/test_par.py::test_control_variable_names_run_out")),
+    # The control lasso scan (`engine._control_lasso_scan`): once the cycle
+    # reads what it writes, no ancestor further back qualifies
+    Mutant("lasso-scan-ignores-reads-meeting-writes", "src/gclab/engine.py",
+           "        if reads & writes:\n            return None\n",
+           "        if reads & writes:\n            pass\n",
+           ("tests/test_engine.py::test_euclid_unique_outcome",
+            "tests/test_engine.py::test_goon_control_lasso_witness")),
+    Mutant("lasso-scan-goes-on-after-reads-meet-writes", "src/gclab/engine.py",
+           "        if reads & writes:\n            return None\n",
+           "        if reads & writes:\n            continue\n",
+           ("tests/test_engine.py::test_the_lasso_scan_stops_where_the_cycle_reads_what_it_writes",)),
+    # Must testing (`equiv.must_witness`) never enters a success node
+    Mutant("must-witness-enters-success-nodes", "src/gclab/equiv.py",
+           "                if success >> nxt[1] & 1:\n                    continue\n",
+           "                if False:\n                    continue\n",
+           ("tests/test_equiv.py::test_fig3_may_and_must",
+            "tests/test_acceptance.py::test_c14_must_failures_coincidence")),
+    # Operator precedence in the printer: an equal-precedence right operand
+    # keeps its parentheses, since binary operators associate to the left
+    Mutant("printer-drops-parens-of-an-equal-right-operand", "src/gclab/printer.py",
+           "if _prec(right) <= my else",
+           "if _prec(right) < my else",
+           ("tests/test_printer.py::test_every_operator_pairing_round_trips",
+            "tests/test_printer_reference.py::test_random_expressions_render_as_reference")),
+    # `transform_wf` is for weak fairness: a disabled competitor draws a
+    # fresh priority, where strong fairness would keep it
+    Mutant("wf-transform-keeps-a-disabled-priority", "src/gclab/fairness.py",
+           "            GuardedCommand(not_(arm.guard), RandomAssign(z))))",
+           "            GuardedCommand(not_(arm.guard), Skip())))",
+           ("tests/test_fairness.py::test_transform_keeps_a_weakly_fair_run_that_is_not_strongly_fair",)),
 )
 
 

@@ -143,7 +143,13 @@ def test_parse_and_check_program_report_the_same_fault(text, message, line, col,
     (GclProgram((X,), _set([Var("x")], [Builtin("min", (IntLit(1),))])),
      "'min' takes exactly two arguments"),
     (GclProgram((X,), If(())), "alternative/repetitive command needs at least one guard"),
-], ids=["unknown-builtin", "one-argument-builtin", "empty-if"])
+    (GclProgram((Declaration("r", "real"),), Skip()), "'r': unknown kind 'real'"),
+    (GclProgram((X,), _if(Skip())), "unknown expression node Skip"),
+    (GclProgram((X,), _set([IntLit(1)], [IntLit(2)])),
+     "assignment target must be a variable or an array cell"),
+    (GclProgram((X,), GuardedCommand(TRUE, Skip())), "unknown statement node GuardedCommand"),
+], ids=["unknown-builtin", "one-argument-builtin", "empty-if", "unknown-kind",
+        "unknown-expression-node", "literal-target", "unknown-statement-node"])
 def test_check_program_rejects_trees_that_no_text_parses_to(built, message):
     with pytest.raises(CheckError) as err:
         check_program(built)

@@ -238,7 +238,12 @@ def test_run_negative_fuel_exit_64(capsys, mode):
     ((), "required: command"),
     (("lts", "refines", CORPUS / "Q.lts", CORPUS / "P.lts", "--depth", "x"),
      "invalid int value: 'x'"),
-], ids=["bad-choice", "missing-subcommand", "non-integer-depth"])
+    (("run", CORPUS / "euclid.gcl", "--max-configs", "0"), "error: max-configs must be at least 1"),
+    (("run", CORPUS / "euclid.gcl", "--max-depth", "0"), "error: max-depth must be at least 1"),
+    (("run", CORPUS / "euclid.gcl", "--choice-bound", "-1"),
+     "error: choice-bound must be at least 0"),
+], ids=["bad-choice", "missing-subcommand", "non-integer-depth", "no-configs", "no-depth",
+        "negative-choice-bound"])
 def test_usage_error_exit_64(capsys, argv, detail):
     code, out, err = run_cli(capsys, *argv)
     assert code == 64 and out == ""
@@ -356,6 +361,14 @@ def test_transform_wrong_language_usage_error(capsys):
                            "--kind", "csp")
     assert code == 64
     assert ".csp" in err
+
+
+def test_transform_par_without_fresh_control_variables(tmp_path, capsys):
+    f = tmp_path / "taken.par"
+    f.write_text("var cv1: int; var cvv1: int; var cvvv1: int;\n"
+                 "component\n  cv1 := 1\nend\n")
+    code, out, err = run_cli(capsys, "transform", f, "--kind", "par")
+    assert (code, out, err) == (64, "", "error: no fresh control-variable names available\n")
 
 
 def test_transform_not_one_level_diagnostic(tmp_path, capsys):

@@ -4,6 +4,7 @@ import weakref
 
 import pytest
 
+from gclab import engine
 from gclab.engine import (
     BoundExceeded, Config, Divergent, Failed, Limits, Terminated, explore_demonic,
     make_config, replay, root, run_erratic, solve_angelic, step,
@@ -130,6 +131,15 @@ def test_sort_unique_sorted_outcome():
     assert got == [1, 2, 2, 3]
 
 
+@pytest.mark.parametrize("field, floor", [
+    ("max_configs", 1), ("max_depth", 1), ("choice_bound", 0)])
+def test_limits_below_their_floor_are_refused(field, floor):
+    assert getattr(Limits(**{field: floor}), field) == floor
+    with pytest.raises(ValueError) as err:
+        Limits(**{field: floor - 1})
+    assert str(err.value) == f"{field.replace('_', '-')} must be at least {floor}"
+
+
 def test_goon_outcomes_at_depth_limit():
     p = _prog("goon.gcl")
     d = 25
@@ -200,6 +210,22 @@ def test_goon_control_lasso_witness():
                                   " @ goon=true x=*")
         assert div.stem == ("goon := true", "x := 1")
         assert div.cycle == ("do#1", "x := x + 1")
+
+
+def test_the_lasso_scan_stops_where_the_cycle_reads_what_it_writes(monkeypatch):
+    """Once the steps back to an ancestor read a variable they write, no
+    ancestor further back can close a control lasso, so the scan stops.
+    Here it passes the 50 assignments before the loop once, on entering
+    the loop, and not again on each return to its head."""
+    p = parse_gcl("var x: int; var y: int;\n" + "y := y + 1;\n" * 50
+                  + "do x < 3 -> x := x + 1 od")
+    read = []
+    effects = engine.Point.effects
+    monkeypatch.setattr(engine.Point, "effects",
+                        property(lambda pt: read.append(pt) or effects.fget(pt)))
+    rep = explore_demonic(p)
+    assert [o.describe() for o in rep.outcomes] == ["terminated :: x=3 y=50"]
+    assert 50 < len(read) < 60
 
 
 def test_if_and_do_arm_labels_in_a_lasso_witness():

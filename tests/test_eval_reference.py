@@ -193,12 +193,21 @@ def _point(rng: Random, names) -> list:
     return atoms
 
 
+def _and_tree(rng: Random, atoms: list):
+    """`atoms` joined by `and` in a random nesting, such as
+    `a and (b and c)` as well as `(a and b) and c`."""
+    if len(atoms) == 1:
+        return atoms[0]
+    cut = rng.randint(1, len(atoms) - 1)
+    return BinOp("and", _and_tree(rng, atoms[:cut]), _and_tree(rng, atoms[cut:]))
+
+
 def _tables(seed: int, count: int):
     """(whether the guards form a point table, guards, states): random
     tables over 1-3 variables, with duplicate points, now and then a
     variable the states do not declare (`zz`), a repeated variable in one
-    conjunction or mixed variable sets; half of the states sit on a
-    point."""
+    conjunction or mixed variable sets; a conjunction is nested at random
+    half of the time; half of the states sit on a point."""
     rng = Random(seed)
     layouts = _layouts()
     pool = INTS + BOOLS
@@ -216,7 +225,7 @@ def _tables(seed: int, count: int):
             points.insert(rng.randrange(len(points) + 1),
                           _point(rng, rng.sample(names, 1) + other))
             table = False
-        guards = tuple(conj(p) for p in points)
+        guards = tuple(_and_tree(rng, p) if rng.random() < 0.5 else conj(p) for p in points)
         if rng.random() < 0.3:
             guards += (rng.choice(guards),)  # a duplicate guard
         states = []
@@ -239,7 +248,7 @@ def _typed(outcome):
 
 def test_point_tables_match_the_reference():
     """Guards that are conjunctions of `Var = literal` over one set of
-    variables are one lookup (`compile_guards`), and a run of three or
+    variables, parenthesised in any way, are one lookup (`compile_guards`), and a run of three or
     more such disjuncts one membership test (`compile_expr`); every other
     list keeps the generic path. Both give the reference's values, types
     included, or raise its error."""

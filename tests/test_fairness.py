@@ -64,6 +64,15 @@ def test_overlapping_inner_if_is_not():
     assert "guards 1 and 2" in why
 
 
+def test_exclusion_reads_the_atoms_inside_parentheses():
+    """The guards exclude each other only through `m = 0` against `m = 1`,
+    the first inside a parenthesised conjunction."""
+    p = parse_gcl("var n: int = 2; var k: int; var m: int;\n"
+                  "do n > 0 -> if k = 0 and (n > 0 and m = 0) -> m := 1 [] m = 1 -> skip fi;"
+                  " n := n - 1 od")
+    assert is_one_level_nondeterministic(p) == (True, None)
+
+
 def test_random_assign_in_body_is_not_deterministic():
     p = parse_gcl("var n: int = 1; var x: int;\ndo n > 0 -> x := ?; n := 0 od")
     ok, why = is_one_level_nondeterministic(p)
@@ -135,6 +144,28 @@ def test_transform_fresh_name_collision_escalates():
     t = transform_wf(p)
     names = {d.name for d in t.decls}
     assert "zz1" in names
+
+
+def test_transform_fresh_names_run_out():
+    """Each priority prefix, `z` to `zzzz`, has a name the program takes."""
+    p = parse_gcl("var z1: int; var zz1: int; var zzz1: int; var zzzz1: int;\n"
+                  "do z1 > 0 -> z1 := z1 - 1 od")
+    with pytest.raises(FairnessError) as err:
+        transform_wf(p)
+    assert str(err.value) == "no fresh 'z' names available"
+
+
+def test_transform_keeps_a_weakly_fair_run_that_is_not_strongly_fair():
+    """The third arm is enabled infinitely often, but never continuously,
+    so running the first two forever is weakly fair: the transformed
+    program can diverge. A disabled competitor draws a fresh priority;
+    were it to keep its priority instead, as for strong fairness, the
+    third arm would come due and no divergence would remain."""
+    p = parse_gcl("var done: bool; var x: int;\n"
+                  "do not done and x = 0 -> x := 1 [] not done and x = 1 -> x := 0\n"
+                  "[] not done and x = 1 -> done := true od")
+    rep = explore_demonic(transform_wf(p), lim=Limits(choice_bound=2))
+    assert rep.has(Divergent) and rep.has(Terminated)
 
 
 def test_transform_requires_one_level():

@@ -167,6 +167,27 @@ def test_translation_shape():
     assert parse_gcl(render(prog)) == prog
 
 
+TWO_COUNTERS = "component\n  x := x + 1\nend\ncomponent\n  y := y + 1\nend\n"
+
+
+def test_control_variables_skip_a_prefix_whose_last_name_is_taken():
+    sysm = parse_par("var x: int; var y: int; var cv2: bool;\n" + TWO_COUNTERS)
+    prog = translate_par(sysm)
+    assert [d.name for d in prog.decls] == ["x", "y", "cv2", "cvv1", "cvv2"]
+    assert label_table(sysm).startswith("# cvv1: a=0 b=1 (entry a, exit b)\n# cvv2:")
+    names = {"x", "y", "cv2"}
+    assert outcome_set(explore_demonic(prog), names) == outcome_set(run_par_direct(sysm), names)
+
+
+def test_control_variable_names_run_out():
+    sysm = parse_par("var x: int; var y: int; var cv1: int; var cvv1: int; var cvvv1: int;\n"
+                     + TWO_COUNTERS)
+    for build in (translate_par, label_table):
+        with pytest.raises(CheckError) as err:
+            build(sysm)
+        assert str(err.value) == "no fresh control-variable names available"
+
+
 def test_label_table_text():
     table = label_table(_zs())
     assert "cv1: a=0 b=1 c=2 d=3 e=4" in table

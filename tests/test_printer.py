@@ -5,11 +5,11 @@ from gclab.check import check_program, type_of
 from gclab.errors import CheckError, EvalError
 from gclab.fairness import transform_wf
 from gclab.parser import parse_csp, parse_gcl, parse_par
-from gclab.printer import render, render_csp, render_expr, render_par
+from gclab.printer import render, render_csp, render_expr, render_par, render_stmt
 from gclab.state import eval_expr, initial_state
 from gclab.syntax import (
     ArrayRef, Assign, BinOp, BoolLit, Builtin, Declaration, GclProgram,
-    IntLit, UnaryOp, Var,
+    GuardedCommand, IntLit, Skip, UnaryOp, Var,
 )
 
 from conftest import CORPUS, corpus_text
@@ -44,6 +44,14 @@ def test_transform_output_reparses_and_rechecks():
     again = parse_gcl(render(t))
     assert again == t
     check_program(again)
+
+
+@pytest.mark.parametrize("render_node", [render_expr, render_stmt])
+@pytest.mark.parametrize("thing", [1, None, GuardedCommand(BoolLit(True), Skip())])
+def test_rendering_something_that_is_no_node_of_its_kind(render_node, thing):
+    with pytest.raises(ValueError) as err:
+        render_node(thing)
+    assert str(err.value) == f"cannot render {type(thing).__name__}"
 
 
 def test_guard_order_preserved():

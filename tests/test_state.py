@@ -121,6 +121,9 @@ def test_swap_twice_restores(x, y):
 def test_restricted_projection():
     _, s = _state("var x: int = 1; var y: int = 2; var a: int[0..1] = [7,8];")
     assert s.restricted({"x", "a"}) == (("a", (7, 8)), ("x", 1))
+    with pytest.raises(CheckError) as err:
+        s.restricted({"x", "cv1"})
+    assert str(err.value) == "cannot project onto undeclared 'cv1'"
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,20 @@ replaced (`syntax_reference.py`): two random trees, built both ways from
 one description, are one node exactly when their references are equal,
 and every node prints byte for byte as its reference does. The two walks
 (`syntax.nodes` and `syntax.chain`) are checked against recursion over
-the reference's fields and against folding a run back up."""
+the reference's fields and against folding a run back up, and
+`conjuncts` against recursion over both operands of `and`. The rules
+for a program's names and fresh names, and the refusals of a node built
+with the wrong fields or assigned a field, are checked directly."""
 
 import dataclasses
 import gc
 from functools import reduce
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gclab import syntax
+from gclab.parser import parse_csp, parse_gcl, parse_par
 from gclab.syntax import BoolLit, Declaration, IntLit
 
 import syntax_reference
@@ -172,3 +177,83 @@ def test_chain_folds_back_to_its_expression(spec):
             continue
         assert {power.get(op) for op, _ in pairs} == {power[e.op]}
         assert not (isinstance(first, syntax.BinOp) and power.get(first.op) == power[e.op])
+
+
+# ---------------------------------------------------------------------------
+# Conjuncts and names
+# ---------------------------------------------------------------------------
+
+def _reference_conjuncts(e):
+    """The atoms of a conjunction by recursion on both operands of `and`."""
+    if isinstance(e, syntax.BinOp) and e.op == "and":
+        return _reference_conjuncts(e.left) + _reference_conjuncts(e.right)
+    return [e]
+
+
+# conjunctions nested every way, over variables and other binary operators
+CONJUNCTIONS = st.recursive(
+    st.one_of(_node("Var", NAMES), _node("BinOp", st.sampled_from(["or", "=", "+"]),
+                                         _node("Var", NAMES), _node("Var", NAMES))),
+    lambda kids: _node("BinOp", st.just("and"), kids, kids),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CONJUNCTIONS)
+def test_conjuncts_split_every_nesting_of_and(spec):
+    for e in syntax.nodes(build(syntax, spec)):
+        if isinstance(e, syntax.Expr):
+            assert syntax.conjuncts(e) == _reference_conjuncts(e)
+
+
+def test_program_names_of_every_kind_of_program():
+    """The names a program declares, reads or writes, with a declared name
+    that no statement uses among them."""
+    gcl = parse_gcl("var x: int; var unused: bool; var a: int[0..1];\nx := a[x]; x := ?")
+    csp = parse_csp("process P\n  var s: int;\n  var quiet: int;\n  do s = 0 ; Q ! 1 -> s := 1 od\n"
+                    "end\nprocess Q\n  var r: int;\n  do r = 0 ; P ? r -> skip od\nend")
+    par = parse_par("var x: int; var y: int; var idle: int;\ninit\n  x := 1\n"
+                    "component\n  while x < 3 do x := x + 1 od\nend\nepilogue\n  y := 0")
+    assert syntax.program_names(gcl) == {"x", "unused", "a"}
+    assert syntax.program_names(csp) == {"s", "quiet", "r"}
+    assert syntax.program_names(par) == {"x", "y", "idle"}
+    # an input target counts even where nothing declares it
+    receive = syntax.ExtGuard(syntax.TRUE, syntax.Input("Q", "v"), syntax.Skip())
+    unchecked = syntax.CspSystem((syntax.CspProcess("P", (), syntax.Skip(), (receive,)),))
+    assert syntax.program_names(unchecked) == {"v"}
+
+
+def test_fresh_names_take_the_first_prefix_with_no_name_taken():
+    prefixes = ("cv", "cvv", "cvvv")
+    assert syntax.fresh_names(prefixes, 2, {"x", "cv3", "cvv0"}) == ["cv1", "cv2"]
+    assert syntax.fresh_names(prefixes, 2, {"cv2"}) == ["cvv1", "cvv2"]
+    assert syntax.fresh_names(prefixes, 2, {"cv1", "cvv2", "cvvv1"}) is None
+    assert syntax.fresh_names(prefixes, 0, {"cv1"}) == []
+
+
+# ---------------------------------------------------------------------------
+# A node takes its fields once, and keeps them
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("args, kwargs", [
+    (("x", "int", 0, 1, None, "extra"), {}),
+    (("x",), {}),
+    (("x", "int"), {"name": "y"}),
+    (("x", "int"), {"size": 3}),
+], ids=["too-many", "missing-kind", "name-twice", "unknown-field"])
+def test_a_node_built_with_wrong_fields_is_refused(args, kwargs):
+    with pytest.raises(TypeError) as err:
+        Declaration(*args, **kwargs)
+    assert str(err.value).startswith(
+        "Declaration takes the fields ('name', 'kind', 'lo', 'hi', 'init'), not ")
+
+
+def test_node_fields_refuse_assignment():
+    e = syntax.BinOp("+", syntax.Var("x"), IntLit(1))
+    for name in ("op", "left", "_text", "other"):
+        with pytest.raises(AttributeError) as err:
+            setattr(e, name, None)
+        assert str(err.value) == f"cannot change field {name!r} of a syntax node"
+        with pytest.raises(AttributeError):
+            delattr(e, name)
+    assert (e.op, e.left, e.right) == ("+", syntax.Var("x"), IntLit(1))
