@@ -87,10 +87,6 @@ class Lts:
             object.__setattr__(self, "_moves", mv)
         return mv
 
-    def reachable(self) -> set[str]:
-        ix = self._index
-        return {ix.names[k] for k in _bits(_reachable(ix))}
-
 
 class _Index:
     """An Lts with its states numbered in sorted-name order, so that state

@@ -1,6 +1,10 @@
 """Recursive-descent parsers for the three source languages.
 
-Statements descend one method per construct. Expressions are parsed by
+Statements descend one method per construct. One loop,
+`Parser._parse_guarded`, reads every `[]`-list of arms, as
+`docs/grammar.ebnf` writes them: those of `if`, of `do` and of a
+process's communication loop, a `do` whose guards also carry an i/o
+command; only the reader of one arm differs. Expressions are parsed by
 precedence climbing over the binding powers of `syntax.BINARY`: loosest
 to tightest, or, and, a prefix `not`, comparisons, + -, * div mod, then
 unary minus. Binary operators associate to the left; comparisons do not
@@ -313,15 +317,6 @@ class Parser:
             return self._parse_assignment(fragment)
         self.fail(f"expected a statement, found {t[1] or 'end of input'!r}", t)
 
-    def _parse_guarded(self, node, closer: str) -> Stmt:
-        self._open_statement()
-        arms = [self._parse_arm()]
-        while self.accept("[]"):
-            arms.append(self._parse_arm())
-        self.expect(closer, f"'[]' or '{closer}'")
-        self.stmt_depth -= 1
-        return node(tuple(arms))
-
     def _parse_arm(self) -> GuardedCommand:
         guard = self.typed_expr("bool")
         if self.at(";"):
@@ -329,6 +324,17 @@ class Parser:
         self.expect("->")
         body = self.parse_stmt_seq("gcl")
         return GuardedCommand(guard, body)
+
+    def _parse_guarded(self, node, closer: str, arm=_parse_arm) -> Stmt:
+        """The opener, `[]`-separated arms each read by `arm(self)`, and
+        `closer`: an `if`, a `do` or a communication loop."""
+        self._open_statement()
+        arms = [arm(self)]
+        while self.accept("[]"):
+            arms.append(arm(self))
+        self.expect(closer, f"'[]' or '{closer}'")
+        self.stmt_depth -= 1
+        return node(tuple(arms))
 
     def _parse_if_then_else(self) -> Stmt:
         self._open_statement()
@@ -444,67 +450,57 @@ def parse_csp(text: str) -> CspSystem:
 
 def _csp(p: Parser) -> CspSystem:
     processes: list[CspProcess] = []
-    decl_owner: dict[str, tuple[str, tuple]] = {}
-    proc_positions: dict[str, tuple] = {}
-    io_refs: list[tuple[str, tuple, str]] = []  # (peer, position, owning process)
+    owner: dict[str, str] = {}  # each variable's process
+    peers: list[list[tuple]] = []  # per process, the peer token of each i/o command
     while p.accept("process"):
         name_tok = p.expect("ident", "a process name")
         pname = name_tok[1]
-        if pname in proc_positions:
-            raise CheckError(f"duplicate process name '{pname}'",
-                             *name_tok[2:])
-        proc_positions[pname] = name_tok
+        if any(pr.name == pname for pr in processes):
+            raise CheckError(f"duplicate process name '{pname}'", *name_tok[2:])
         p.decls = {}
         p.decl_positions = {}
         p.known = {}
         decls = p.parse_decls()
         for d in decls:
-            pos = p.decl_positions[d.name]
-            if d.name in decl_owner:
-                other, _ = decl_owner[d.name]
+            if d.name in owner:
                 raise CheckError(
-                    f"variable '{d.name}' already declared in process {other}; "
+                    f"variable '{d.name}' already declared in process {owner[d.name]}; "
                     f"process variables must be disjoint",
-                    *pos[2:])
-            decl_owner[d.name] = (pname, pos)
-        init, loop, io_pos = _parse_process_body(p)
-        for tok, peer in io_pos:
-            io_refs.append((peer, tok, pname))
+                    *p.decl_positions[d.name][2:])
+            owner[d.name] = pname
+        peers.append([])
+        init, loop = _parse_process_body(p, peers[-1])
         processes.append(CspProcess(pname, decls, init, loop))
         p.expect("end")
     p.expect("eof", "'process' or end of file")
     if not processes:
         raise ParseError("a system needs at least one process", 1, 1)
     names = {pr.name for pr in processes}
-    for peer, tok, owner in io_refs:
-        if peer not in names:
-            raise CheckError(f"unknown peer process '{peer}'", *tok[2:])
-        if peer == owner:
-            raise CheckError(f"process '{owner}' cannot communicate with itself",
-                             *tok[2:])
+    for pr, toks in zip(processes, peers):
+        for tok in toks:
+            if tok[1] not in names:
+                raise CheckError(f"unknown peer process '{tok[1]}'", *tok[2:])
+            if tok[1] == pr.name:
+                raise CheckError(f"process '{pr.name}' cannot communicate with itself",
+                                 *tok[2:])
     return CspSystem(tuple(processes))
 
 
-def _parse_process_body(p: Parser):
-    """Statements up to `end`; an extended-guard do loop, if present,
-    must be last. Returns (init stmt, loop arms, io positions)."""
-    stmts: list[Stmt] = []
-    loop: tuple[ExtGuard, ...] = ()
-    io_positions: list[tuple[tuple, str]] = []
+def _parse_process_body(p: Parser, peers: list[tuple]):
+    """Statements up to `end`; a communication loop, if present, must be
+    last. Returns (init stmt, loop arms), and appends the peer token of
+    each of the loop's i/o commands to `peers`."""
     if p.at("end"):
-        return Skip(), loop, io_positions
-    while True:
-        if p.at("do") and _is_extended_do(p):
-            arms, io_positions = _parse_csp_loop(p)
-            loop = tuple(arms)
-            if p.at(";"):
-                p.fail("the communication loop must be the final statement of the process")
-            break
+        return Skip(), ()
+    stmts: list[Stmt] = []
+    while not (p.at("do") and _is_extended_do(p)):
         stmts.append(p.parse_stmt("gcl"))
-        if p.accept(";"):
-            continue
-        break
-    return seq(stmts), loop, io_positions
+        if not p.accept(";"):
+            return seq(stmts), ()
+    loop = p._parse_guarded(tuple, "od", lambda p: _parse_io_arm(p, peers))
+    if p.at(";"):
+        p.fail("the communication loop must be the final statement of the process")
+    return seq(stmts), loop
 
 
 def _is_extended_do(p: Parser) -> bool:
@@ -526,37 +522,26 @@ def _is_extended_do(p: Parser) -> bool:
     return False
 
 
-def _parse_csp_loop(p: Parser):
-    p._open_statement()
-    arms: list[ExtGuard] = []
-    io_positions: list[tuple[tuple, str]] = []
-    while True:
-        cond = p.typed_expr("bool")
-        p.expect(";", "';' and an i/o command after the boolean guard part")
-        io_tok = p.expect("ident", "a peer process name")
-        if p.accept("!"):
-            expr_tok = p.peek()
-            expr = p._typed(p.parse_expr(), expr_tok)
-            io: Input | Output = Output(io_tok[1], expr)
-        elif p.accept("?"):
-            tgt = p.expect("ident", "a target variable")
-            if tgt[1] not in p.decls:
-                raise CheckError(f"undeclared identifier '{tgt[1]}'", *tgt[2:])
-            if p.decls[tgt[1]].is_array:
-                raise CheckError("an input target must be a scalar", *tgt[2:])
-            io = Input(io_tok[1], tgt[1])
-        else:
-            p.fail("expected '!' or '?' in the i/o command")
-        io_positions.append((io_tok, io_tok[1]))
-        p.expect("->")
-        body = p.parse_stmt_seq("gcl")
-        arms.append(ExtGuard(cond, io, body))
-        if p.accept("[]"):
-            continue
-        p.expect("od", "'[]' or 'od'")
-        break
-    p.stmt_depth -= 1
-    return arms, io_positions
+def _parse_io_arm(p: Parser, peers: list[tuple]) -> ExtGuard:
+    """One arm of a communication loop, `B ; peer ! e -> S` or
+    `B ; peer ? x -> S`; appends the peer token to `peers`."""
+    cond = p.typed_expr("bool")
+    p.expect(";", "';' and an i/o command after the boolean guard part")
+    peer = p.expect("ident", "a peer process name")
+    if p.accept("!"):
+        io: Input | Output = Output(peer[1], p.typed_expr())
+    elif p.accept("?"):
+        tgt = p.expect("ident", "a target variable")
+        if tgt[1] not in p.decls:
+            raise CheckError(f"undeclared identifier '{tgt[1]}'", *tgt[2:])
+        if p.decls[tgt[1]].is_array:
+            raise CheckError("an input target must be a scalar", *tgt[2:])
+        io = Input(peer[1], tgt[1])
+    else:
+        p.fail("expected '!' or '?' in the i/o command")
+    peers.append(peer)
+    p.expect("->")
+    return ExtGuard(cond, io, p.parse_stmt_seq("gcl"))
 
 
 def parse_par(text: str) -> ParSystem:

@@ -195,6 +195,54 @@ MUTANTS = (
            "            GuardedCommand(not_(arm.guard), RandomAssign(z))))",
            "            GuardedCommand(not_(arm.guard), Skip())))",
            ("tests/test_fairness.py::test_transform_keeps_a_weakly_fair_run_that_is_not_strongly_fair",)),
+    # Angelic search reads only the terminal states of the demonic one
+    Mutant("angelic-keeps-failures", "src/gclab/engine.py",
+           "return [o for o in search.outcomes if isinstance(o, Terminated)]",
+           "return [o for o in search.outcomes if isinstance(o, (Terminated, Failed))]",
+           ("tests/test_angelic_reference.py::test_angelic_matches_reference_on_random_programs",)),
+    # The c10/c11 translations, checked against the direct semantics
+    Mutant("csp-translation-drops-the-partner-guard", "src/gclab/csp.py",
+           'arms = [GuardedCommand(BinOp("and", gi.cond, gr.cond),',
+           "arms = [GuardedCommand(gi.cond,",
+           ("tests/test_generated_systems.py::test_generated_csp_systems_match_their_translations",)),
+    Mutant("par-translation-drops-action-guards", "src/gclab/par.py",
+           '            if act.guard is not None:\n'
+           '                guard = BinOp("and", guard, act.guard)\n',
+           '            if False:\n'
+           '                guard = BinOp("and", guard, act.guard)\n',
+           ("tests/test_generated_systems.py::test_generated_par_systems_match_their_translations",)),
+    Mutant("par-direct-deadlocks-beside-a-failed-effect", "src/gclab/par.py",
+           "if not trans and not extra:",
+           "if not trans:",
+           ("tests/test_generated_systems.py::test_generated_par_systems_match_their_translations",
+            "tests/test_par.py::test_failure_inside_an_atomic_step_matches_the_translation")),
+    # The LTS algorithms of `equiv`
+    Mutant("partition-signs-no-predecessor-again", "src/gclab/equiv.py",
+           "for y in pred[s]:",
+           "for y in ():",
+           ("tests/test_bisim_reference.py::test_random_systems_with_tau_and_self_loops",)),
+    Mutant("refinement-covers-only-by-a-larger-refusal", "src/gclab/equiv.py",
+           "if not any(m <= c for c in covers):",
+           "if not any(m < c for c in covers):",
+           ("tests/test_refinement_reference.py::test_random_systems_agree",)),
+    Mutant("reachability-ignores-tau-moves", "src/gclab/equiv.py",
+           "rows = tuple(ix.succ.values())",
+           "rows = tuple(row for lab, row in ix.succ.items() if lab != TAU)",
+           ("tests/test_equiv.py::test_divergence_cycle_matches_recursive_search",
+            "tests/test_refinement_reference.py::test_random_systems_agree")),
+    # The csp rules that the parser applies to a whole system
+    Mutant("communication-loop-need-not-be-last", "src/gclab/parser.py",
+           '    if p.at(";"):\n'
+           '        p.fail("the communication loop must be the final statement of the process")',
+           '    if False:\n'
+           '        p.fail("the communication loop must be the final statement of the process")',
+           ("tests/test_parser.py::test_communication_loop_must_be_last",
+            "tests/test_parser.py::test_csp_error_positions")),
+    Mutant("process-may-talk-to-itself", "src/gclab/parser.py",
+           "if tok[1] == pr.name:",
+           "if False:",
+           ("tests/test_parser.py::test_process_cannot_talk_to_itself",
+            "tests/test_parser.py::test_csp_error_positions")),
 )
 
 

@@ -3,9 +3,10 @@ the maximal refusals of every trace up to the depth for both systems
 (trace enumeration, |alphabet|^depth traces) and scans P's traces in
 sorted order. `max_refusals` and `_tau_closure` are kept beside it as
 they were, and the divergence check is a recursive depth-first search of
-its own, so the reference shares no refusal or divergence code with the
-search it checks. Kept only as the reference for
-`test_refinement_reference.py` and `test_equiv.py`.
+its own, from the states that its own walk reaches, so the reference
+shares no refusal, divergence or reachability code with the search it
+checks. Kept only as the reference for `test_refinement_reference.py`
+and `test_equiv.py`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,14 @@ from gclab.equiv import TAU, DivergenceError, Failure, Lts
 def check_divergence_free(l: Lts) -> None:
     """The divergence check as a recursive depth-first search over tau
     moves, from the reachable states in sorted order: raise
-    DivergenceError with the first cycle it meets."""
+    DivergenceError with the first cycle it meets. The reachable states
+    are its own walk of `moves()` from `init`, over every label."""
     mv = l.moves()
+    reachable, todo = {l.init}, [l.init]
+    while todo:
+        for dsts in mv[todo.pop()].values():
+            todo.extend(dsts - reachable)
+            reachable |= dsts
     color, trail = {}, []
 
     def dfs(s):
@@ -36,7 +43,7 @@ def check_divergence_free(l: Lts) -> None:
         color[s] = 2
         return None
 
-    for s in sorted(l.reachable()):
+    for s in sorted(reachable):
         if s not in color:
             found = dfs(s)
             if found:

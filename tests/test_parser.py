@@ -286,8 +286,25 @@ _PEER_B = "process B\n  var z: int;\n  do true ; A ! z -> skip od\nend\n"
      CheckError, "an input target must be a scalar", 3, 17),
     ("process A\n  var x: int;\n  do true ; B x -> skip od\nend\n" + _PEER_B,
      ParseError, "expected '!' or '?' in the i/o command", 3, 15),
+    ("process A\n  var x: int;\n  do x < 1 y ; B ! 1 -> skip od\nend\n" + _PEER_B,
+     ParseError, "expected ';' and an i/o command after the boolean guard part, found 'y'",
+     3, 12),
+    ("process A\n  var x: int;\n  do true ; B ? x -> skip\nend\n" + _PEER_B,
+     ParseError, "expected '[]' or 'od', found 'end'", 4, 1),
+    ("process A\n  var x: int;\n  do true ; C ? x -> skip od\nend\n" + _PEER_B,
+     CheckError, "unknown peer process 'C'", 3, 13),
+    ("process A\n  var x: int;\n  do true ; A ? x -> skip od\nend\n" + _PEER_B,
+     CheckError, "process 'A' cannot communicate with itself", 3, 13),
+    ("process A\n  var x: int;\n  do true ; B ? x -> skip od;\n  x := 1\nend\n" + _PEER_B,
+     ParseError, "the communication loop must be the final statement of the process", 3, 29),
+    ("process A\n  var x: int;\n  do true ; B ? x -> skip od\nend\n"
+     "process B\n  var x: int;\n  do true ; A ! x -> skip od\nend\n",
+     CheckError, "variable 'x' already declared in process A; process variables must be disjoint",
+     6, 7),
 ], ids=["duplicate-process", "empty-system", "undeclared-input-target",
-        "array-input-target", "io-without-direction"])
+        "array-input-target", "io-without-direction", "junk-after-guard-part",
+        "loop-without-od", "unknown-peer", "self-communication", "loop-not-final",
+        "variable-in-two-processes"])
 def test_csp_error_positions(src, cls, message, line, col):
     with pytest.raises(cls) as err:
         parse_csp(src)
