@@ -45,6 +45,14 @@ def check_name(name: str, decls: DeclMap) -> None:
         raise CheckError(f"'{name}' is a builtin function name and cannot be declared")
 
 
+def declared(name: str, decls: DeclMap) -> Declaration:
+    """The declaration of `name` in `decls`; an undeclared name is an error."""
+    d = decls.get(name)
+    if d is None:
+        raise CheckError(f"undeclared identifier '{name}'")
+    return d
+
+
 def decl_map(decls: tuple[Declaration, ...]) -> dict[str, Declaration]:
     """Name -> declaration table; rejects duplicates and reserved names."""
     table: dict[str, Declaration] = {}
@@ -104,17 +112,12 @@ def _type_of(e: Expr, decls: DeclMap, known: dict[Expr, str] | None) -> str:
     if isinstance(e, BoolLit):
         return "bool"
     if isinstance(e, Var):
-        d = decls.get(e.name)
-        if d is None:
-            raise CheckError(f"undeclared identifier '{e.name}'")
+        d = declared(e.name, decls)
         if d.is_array:
             raise CheckError(f"array '{e.name}' used without an index")
         return d.kind
     if isinstance(e, ArrayRef):
-        d = decls.get(e.name)
-        if d is None:
-            raise CheckError(f"undeclared identifier '{e.name}'")
-        if not d.is_array:
+        if not declared(e.name, decls).is_array:
             raise CheckError(f"'{e.name}' is a scalar, not an array")
         if type_of(e.index, decls, known) != "int":
             raise CheckError(f"index of '{e.name}' must be an integer")
@@ -197,10 +200,7 @@ def scalar_target(targets: Sequence[Expr], decls: DeclMap) -> str:
     if len(targets) != 1 or not isinstance(targets[0], Var):
         raise CheckError("'?' and choice assign to a single integer scalar")
     name = targets[0].name
-    d = decls.get(name)
-    if d is None:
-        raise CheckError(f"undeclared identifier '{name}'")
-    if d.kind != "int":
+    if declared(name, decls).kind != "int":
         raise CheckError(f"'{name}' must be an integer scalar")
     return name
 

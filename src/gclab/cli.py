@@ -110,12 +110,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "transform":
             return _cmd_transform(args)
         return _cmd_lts(args)
-    except (SourceError, fairness.FairnessError, ValueError, OSError) as e:
+    except (SourceError, fairness.FairnessError, ValueError, OSError,
+            equiv.DivergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except equiv.DivergenceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return DATA_ERROR
+        return DATA_ERROR if isinstance(e, equiv.DivergenceError) else USAGE_ERROR
     except Exception as e:  # never a traceback, never an outcome code
         detail = " ".join(str(e).split())
         print(f"error: internal error: {type(e).__name__}: {detail}",

@@ -222,11 +222,14 @@ class Config(NamedTuple):
         return self.point.key
 
 
-def start_config(stmt: Stmt, s0: State, owner: Program | None = None) -> Config:
-    """The configuration that runs `stmt` from `s0`. `owner`, the program
-    of `stmt`, keeps its points (`root`) and the layout of its first run's
-    states: `initial_state` shares a layout only while something holds
-    it, and equal declarations share one, so every later run finds it."""
+def start_config(stmt: Stmt, s0: State | None, owner: Program | None = None) -> Config:
+    """The configuration that runs `stmt` from `s0`, by default the start
+    state of `owner`'s declarations. `owner`, the program of `stmt`, keeps
+    its points (`root`) and the layout of its first run's states:
+    `initial_state` shares a layout only while something holds it, and
+    equal declarations share one, so every later run finds it."""
+    if s0 is None:
+        s0 = initial_state(owner.decls)
     if owner is not None:
         kept(owner, "_layout", lambda: s0.layout)
     return Config(root(stmt, owner), s0)
@@ -430,42 +433,33 @@ def step(c: Config, choice_bound: int, max_configs: int = Limits().max_configs) 
     code = pt.code
 
     # the head kinds in the order of how often the workloads meet them
-    if isinstance(head, Assign):
-        try:
-            s2 = code(s)
-        except EvalError as e:
-            return Expansion(failure=Failed(e.reason, s, e.detail))
-        return Expansion([(pt.label, Config(pt.next, s2))])
+    try:
+        if isinstance(head, Assign):
+            return Expansion([(pt.label, Config(pt.next, code(s)))])
 
-    if isinstance(head, (If, Do)):
-        try:
+        if isinstance(head, (If, Do)):
             enabled = code(s)
-        except EvalError as e:
-            return Expansion(failure=Failed(e.reason, s, e.detail))
-        labels = pt.arm_labels
-        trans = [(labels[i], Config(pt.arm(i), s)) for i, on in enumerate(enabled) if on]
-        if trans:
-            return Expansion(trans)
-        if isinstance(head, If):
-            return Expansion(failure=Failed("guard-all-false-in-if", s))
-        return Expansion([("od", Config(pt.next, s))])
+            labels = pt.arm_labels
+            trans = [(labels[i], Config(pt.arm(i), s)) for i, on in enumerate(enabled) if on]
+            if trans:
+                return Expansion(trans)
+            if isinstance(head, If):
+                return Expansion(failure=Failed("guard-all-false-in-if", s))
+            return Expansion([("od", Config(pt.next, s))])
 
-    if isinstance(head, Skip):
-        return Expansion([("skip", Config(pt.next, s))])
+        if isinstance(head, Skip):
+            return Expansion([("skip", Config(pt.next, s))])
 
-    if isinstance(head, Fail):
-        return Expansion(failure=Failed("explicit-fail", s, head.keyword))
+        if isinstance(head, Fail):
+            return Expansion(failure=Failed("explicit-fail", s, head.keyword))
 
-    if isinstance(head, RandomAssign):
-        return _choices(pt, s, 0, choice_bound, max_configs, "choice-bound")
+        if isinstance(head, RandomAssign):
+            return _choices(pt, s, 0, choice_bound, max_configs, "choice-bound")
 
-    if isinstance(head, ChoiceAssign):
-        try:
-            bound = _choice_bound(code, s)
-        except EvalError as e:
-            return Expansion(failure=Failed(e.reason, s, e.detail))
-        return _choices(pt, s, 1, bound, max_configs, None)
-
+        if isinstance(head, ChoiceAssign):
+            return _choices(pt, s, 1, _choice_bound(code, s), max_configs, None)
+    except EvalError as e:
+        return Expansion(failure=Failed(e.reason, s, e.detail))
     raise TypeError(f"{type(head).__name__} is not a guarded-commands statement")
 
 
@@ -701,7 +695,7 @@ def _statement_search(lim: Limits) -> GraphSearch:
                        revisit_scan=_control_lasso_scan)
 
 
-def explore_statement(stmt: Stmt, s0: State, lim: Limits,
+def explore_statement(stmt: Stmt, s0: State | None, lim: Limits,
                       owner: Program | None = None) -> ExplorationReport:
     """Exhaustive demonic exploration of a statement from a given state;
     `owner`, if given, is the program the statement belongs to (`root`)."""
@@ -753,8 +747,6 @@ def explore_demonic(p: GclProgram, s0: State | None = None,
     (keyed by reason and state), divergence lassos (keyed by the repeated
     configuration), and any exhausted bounds.
     """
-    if s0 is None:
-        s0 = initial_state(p.decls)
     return explore_statement(p.body, s0, lim, p)
 
 
@@ -843,7 +835,7 @@ def _geometric(rng: Random) -> int:
     return k
 
 
-def run_path(p: GclProgram, s0: State, fuel: int,
+def run_path(p: GclProgram, s0: State | None, fuel: int,
              choose: Callable[[Config], Config | Failed]) -> Outcome:
     """One computation of a program from `s0`, on its program points
     (`root`): `choose(cfg)` takes each step, returning the next
@@ -871,8 +863,6 @@ def run_erratic(p: GclProgram, s0: State | None = None, seed: int = 0,
     """
     if fuel < 0:
         raise ValueError("fuel must not be negative")
-    if s0 is None:
-        s0 = initial_state(p.decls)
     rng = Random(seed)
 
     def choose(cfg: Config) -> Config | Failed:
@@ -909,8 +899,6 @@ def solve_angelic(p: GclProgram, s0: State | None = None,
     that cut the answer (`max-configs`, `max-depth`, `choice-bound`) is
     appended to `cut`, if given, as a `BoundExceeded` in report order.
     """
-    if s0 is None:
-        s0 = initial_state(p.decls)
     search = GraphSearch(lim, _expander(lim), config_key, _final)
     search.run(start_config(p.body, s0, p))
     if cut is not None:

@@ -7,10 +7,13 @@ a test by reaching success in some (may) or every (must) maximal
 computation of their synchronous product, where visible labels
 synchronize and internal moves of either side go alone.
 
-Every algorithm reads one int-indexed view of each Lts (`_Index`), built
-once when the Lts is made: states numbered in sorted-name order, state k
-as bit `1 << k` of a mask, and per-label successor masks. Names come back
-only in results, so every walk that sorts by name keeps its order.
+Every algorithm reads one numbered view of each Lts, built once when the
+Lts is made and kept in private attributes beside its fields: states
+numbered in sorted-name order (`_names`), state k as bit `1 << k` of a
+mask, per-label successor masks (`_succ`, tau included), the initial
+state's number (`_init`) and the success states' mask (`_success`).
+Names come back only in results, so every walk that sorts by name keeps
+its order.
 
 Strong bisimilarity splits blocks by signatures, the sets of (label,
 successor block) pairs. Only the states whose successors moved are
@@ -67,18 +70,17 @@ class Lts:
         if unknown:
             first = min(unknown)
             raise _fault(f"success marks unknown state '{first}'", "success", first)
-        rows = {lab: tuple(row) for lab, row in succ.items()}
-        # kept beside the fields, so eq, hash and repr ignore it
-        object.__setattr__(self, "_index", _Index(
-            tuple(names), rows, index[self.init],
-            sum(1 << index[s] for s in self.success)))
+        # the numbered view, beside the fields, so eq, hash and repr ignore it
+        self.__dict__.update(
+            _names=tuple(names), _succ={lab: tuple(row) for lab, row in succ.items()},
+            _init=index[self.init], _success=sum(1 << index[s] for s in self.success))
 
     # -- derived views ------------------------------------------------------
 
     def moves(self) -> dict[str, dict[str, set[str]]]:
         """state -> label -> successor set, built on the first call and
         shared: callers must not mutate it. `equiv` itself reads only the
-        indexed view."""
+        numbered view."""
         mv = self.__dict__.get("_moves")
         if mv is None:
             mv = {s: {} for s in self.states}
@@ -86,22 +88,6 @@ class Lts:
                 mv[src].setdefault(lab, set()).add(dst)
             object.__setattr__(self, "_moves", mv)
         return mv
-
-
-class _Index:
-    """An Lts with its states numbered in sorted-name order, so that state
-    k is bit `1 << k` of a state-set mask and ascending numbers list
-    states in sorted order. Built once per Lts; every algorithm below
-    reads it, and maps numbers back to names only in what it returns."""
-
-    __slots__ = ("names", "succ", "init", "success")
-
-    def __init__(self, names: tuple[str, ...], succ: dict[str, tuple[int, ...]],
-                 init: int, success: int):
-        self.names = names
-        self.succ = succ  # label (alphabet and tau) -> per-state successor mask
-        self.init = init
-        self.success = success  # mask
 
 
 def _bits(mask: int):
@@ -129,10 +115,10 @@ def _byte_bits() -> tuple[tuple[int, ...], ...]:
 _BYTE_BITS = _byte_bits()
 
 
-def _reachable(ix: _Index) -> int:
+def _reachable(l: Lts) -> int:
     """The mask of the states reachable from the initial one."""
-    rows = tuple(ix.succ.values())
-    seen = todo = 1 << ix.init
+    rows = tuple(l._succ.values())
+    seen = todo = 1 << l._init
     while todo:
         nxt = 0
         for k in _bits(todo):
@@ -244,10 +230,10 @@ def _partition(p: Lts, q: Lts) -> list[int]:
     out: list[list[tuple[str, int]]] = []  # state -> its (label, successor) pairs
     pred: list[list[int]] = []  # state -> the states with a move to it
     for l in (p, q):
-        base, ix = len(out), l._index
-        out += [[] for _ in ix.names]
-        pred += [[] for _ in ix.names]
-        for lab, row in ix.succ.items():
+        base = len(out)
+        out += [[] for _ in l._names]
+        pred += [[] for _ in l._names]
+        for lab, row in l._succ.items():
             for k, mask in enumerate(row, base):
                 if mask:
                     for d in _bits(mask):
@@ -296,7 +282,7 @@ def bisimilar(p: Lts, q: Lts) -> bool:
     """Strong bisimilarity of the initial states (`tau` treated as an
     ordinary label)."""
     block = _partition(p, q)
-    return block[p._index.init] == block[len(p._index.names) + q._index.init]
+    return block[p._init] == block[len(p._names) + q._init]
 
 
 def bisimilar_witness(p: Lts, q: Lts) -> tuple[str, str, str] | None:
@@ -306,13 +292,12 @@ def bisimilar_witness(p: Lts, q: Lts) -> tuple[str, str, str] | None:
     cannot (the usual narrative of a failed simulation attempt). One
     exists: reachable pairs that agree on every label form a
     bisimulation."""
-    pix, qix = p._index, q._index
     block = _partition(p, q)
-    if block[pix.init] == block[len(pix.names) + qix.init]:
+    if block[p._init] == block[len(p._names) + q._init]:
         return None
-    pnone, qnone = (0,) * len(pix.names), (0,) * len(qix.names)
-    rows = [(lab, pix.succ.get(lab, pnone), qix.succ.get(lab, qnone))
-            for lab in sorted(pix.succ.keys() | qix.succ.keys())]
+    pnone, qnone = (0,) * len(p._names), (0,) * len(q._names)
+    rows = [(lab, p._succ.get(lab, pnone), q._succ.get(lab, qnone))
+            for lab in sorted(p._succ.keys() | q._succ.keys())]
 
     def succ(pair):
         u, v = pair
@@ -322,10 +307,10 @@ def bisimilar_witness(p: Lts, q: Lts) -> tuple[str, str, str] | None:
                     for y in _bits(qrow[v]):
                         yield (x, y)
 
-    for u, v in _reach(((pix.init, qix.init),), succ):
+    for u, v in _reach(((p._init, q._init),), succ):
         for lab, prow, qrow in rows:
             if bool(prow[u]) != bool(qrow[v]):
-                return (pix.names[u], qix.names[v], lab)
+                return (p._names[u], q._names[v], lab)
     return None
 
 
@@ -337,9 +322,8 @@ def _product_moves(proc: Lts, test: Lts):
     """Transition function of the synchronous product, over pairs of state
     numbers: shared visible labels synchronize, internal moves
     interleave."""
-    pix, tix = proc._index, test._index
-    ptau, ttau = pix.succ[TAU], tix.succ[TAU]
-    shared = [(pix.succ[lab], tix.succ[lab])
+    ptau, ttau = proc._succ[TAU], test._succ[TAU]
+    shared = [(proc._succ[lab], test._succ[lab])
               for lab in sorted(set(proc.alphabet) & set(test.alphabet))]
 
     def succ(node: tuple[int, int]) -> list[tuple[int, int]]:
@@ -365,8 +349,8 @@ def may_pass(proc: Lts, test: Lts) -> bool:
     """Does some maximal product computation visit a success state?
     Equivalent to reachability of a success-marked product node."""
     _require_test(test)
-    start, success = (proc._index.init, test._index.init), test._index.success
-    nodes = _reach((start,), _product_moves(proc, test))
+    success = test._success
+    nodes = _reach(((proc._init, test._init),), _product_moves(proc, test))
     return any(success >> t & 1 for _, t in nodes)
 
 
@@ -389,18 +373,17 @@ def must_witness(proc: Lts, test: Lts) -> tuple[str, tuple[str, str]] | None:
     the first entered node with no moves is stuck, and the first move
     back onto the current path names the node it returns to."""
     _require_test(test)
-    pix, tix = proc._index, test._index
-    success = tix.success
-    if success >> tix.init & 1:
+    success = test._success
+    if success >> test._init & 1:
         return None
     succ = _product_moves(proc, test)
     color: dict[tuple[int, int], int] = {}  # 1 gray (on the path), 2 black (done)
     stack: list = []  # the path, each node with its untried moves
-    node = (pix.init, tix.init)
+    node = (proc._init, test._init)
     while node is not None:
         moves = succ(node)
         if not moves:
-            return ("stuck", (pix.names[node[0]], tix.names[node[1]]))
+            return ("stuck", (proc._names[node[0]], test._names[node[1]]))
         color[node] = 1
         stack.append((node, iter(moves)))
         node = None
@@ -411,7 +394,7 @@ def must_witness(proc: Lts, test: Lts) -> tuple[str, tuple[str, str]] | None:
                     continue
                 c = color.get(nxt)
                 if c == 1:
-                    return ("cycle", (pix.names[nxt[0]], tix.names[nxt[1]]))
+                    return ("cycle", (proc._names[nxt[0]], test._names[nxt[1]]))
                 if c is None:
                     node = nxt
                     break
@@ -458,13 +441,12 @@ def _tau_reach(l: Lts) -> list[int]:
     the cycle from the repeated state round to it again, however long the
     tau chains are. Otherwise it fills each state's mask in post-order,
     from its tau successors' masks, which are filled by then."""
-    ix = l._index
-    tau = ix.succ[TAU]
-    reach = [0] * len(ix.names)
-    color = bytearray(len(ix.names))  # 1 gray (on the path), 2 black (done)
+    tau = l._succ[TAU]
+    reach = [0] * len(l._names)
+    color = bytearray(len(l._names))  # 1 gray (on the path), 2 black (done)
     # a state with no tau move keeps mask 0 and is never on a cycle, so
     # the walk neither enters it nor starts from it
-    for root in _bits(_reachable(ix)):
+    for root in _bits(_reachable(l)):
         if color[root] or not tau[root]:
             continue
         color[root] = 1
@@ -476,7 +458,7 @@ def _tau_reach(l: Lts) -> list[int]:
                 if c == 1:
                     path = [s for s, _ in stack]
                     raise DivergenceError(
-                        [ix.names[s] for s in path[path.index(d):]] + [ix.names[d]])
+                        [l._names[s] for s in path[path.index(d):]] + [l._names[d]])
                 if not c and tau[d]:
                     color[d] = 1
                     stack.append((d, iter(_bits(tau[d]))))
@@ -500,11 +482,10 @@ class _Subsets:
     divergent."""
 
     def __init__(self, l: Lts):
-        ix = l._index
         self._tau_plus = _tau_reach(l)
-        self.succ = ix.succ
+        self.succ = l._succ
         self.sigma = frozenset(l.alphabet)
-        self.start = self._closure(1 << ix.init)
+        self.start = self._closure(1 << l._init)
         self._successors: dict[tuple[int, str], int] = {}
         self._maxima: dict[int, list[frozenset[str]]] = {}
 

@@ -18,8 +18,9 @@ The transformation introduces one fresh priority variable per guarded
 command (`syntax.fresh_names`); an enabled command holding the minimum
 priority is selected, its priority is reset arbitrarily, enabled
 competitors move up (decrement) and disabled ones are reset. Ignoring
-the priority variables, the transformed program's computations are the
-weakly fair ones.
+the priority variables, the transformed program's computations are
+meant to be the weakly fair ones; until its minimum ranges over the
+enabled arms only, they need not be (`transform_wf`).
 
 The fair schedulers run on the engine's single-computation loop
 (`engine.run_path`), on the same program points as erratic runs: at the
@@ -227,6 +228,12 @@ def transform_wf(p: GclProgram) -> GclProgram:
     od
     with the j-iteration unrolled (n is static). The priority variables
     are fresh integer scalars that do not occur in the input program.
+
+    A known gap, open in ROADMAP: the minimum ranges over every priority,
+    not over the enabled arms' only, so the loop can exit while an
+    original guard holds. A competitor decremented while enabled and then
+    disabled by the selected body keeps a priority below every enabled
+    arm's, and no guard of the transformed loop holds.
     """
     olp = one_level_of(p)
     arms = olp.loop.arms
@@ -293,8 +300,6 @@ def run_fair_traced(p: GclProgram, s0: State | None = None,
     if fuel < 0:
         raise ValueError("fuel must not be negative")
     loop = one_level_of(p).loop
-    if s0 is None:
-        s0 = initial_state(p.decls)
     rng = Random(seed)
     trace: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
     n = len(loop.arms)

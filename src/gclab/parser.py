@@ -42,7 +42,7 @@ from __future__ import annotations
 import sys
 
 from .check import (BUILTIN_NAMES, check_assign, check_declaration, check_name,
-                    check_type, scalar_target, type_of)
+                    check_type, declared, scalar_target, type_of)
 from .errors import CheckError, ParseError, SourceError
 from .lexer import scan, tokenize
 from .syntax import (
@@ -231,7 +231,7 @@ class Parser:
             if name in BUILTIN_NAMES:
                 self.fail(f"builtin '{name}' used without arguments", t)
             if name not in self.decls:
-                raise CheckError(f"undeclared identifier '{name}'", *t[2:])
+                self._check_at(t, declared, name, self.decls)
             if nxt[0] == "[":
                 self._nest(nxt, depth)
                 self.i += 1
@@ -390,7 +390,7 @@ class Parser:
         if name not in self.decls:
             if self.peek()[0] in ("?", "!"):
                 self.fail("i/o commands are allowed only in the guards of a process main loop", t)
-            raise CheckError(f"undeclared identifier '{name}'", *t[2:])
+            self._check_at(t, declared, name, self.decls)
         if self.accept("["):
             idx = self.parse_expr()
             self.expect("]")
@@ -532,9 +532,7 @@ def _parse_io_arm(p: Parser, peers: list[tuple]) -> ExtGuard:
         io: Input | Output = Output(peer[1], p.typed_expr())
     elif p.accept("?"):
         tgt = p.expect("ident", "a target variable")
-        if tgt[1] not in p.decls:
-            raise CheckError(f"undeclared identifier '{tgt[1]}'", *tgt[2:])
-        if p.decls[tgt[1]].is_array:
+        if p._check_at(tgt, declared, tgt[1], p.decls).is_array:
             raise CheckError("an input target must be a scalar", *tgt[2:])
         io = Input(peer[1], tgt[1])
     else:

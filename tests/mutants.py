@@ -90,19 +90,25 @@ MUTANTS = (
             "tests/test_one_level_reference.py::test_random_program_verdicts_match_reference")),
     # `step`'s if-fi and do-od heads with no true guard
     Mutant("do-with-no-true-guard-fails-like-if", "src/gclab/engine.py",
-           "        if isinstance(head, If):\n"
-           '            return Expansion(failure=Failed("guard-all-false-in-if", s))',
-           "        if True:\n"
-           '            return Expansion(failure=Failed("guard-all-false-in-if", s))',
+           "            if isinstance(head, If):\n"
+           '                return Expansion(failure=Failed("guard-all-false-in-if", s))',
+           "            if True:\n"
+           '                return Expansion(failure=Failed("guard-all-false-in-if", s))',
            ("tests/test_engine.py::test_step_do_exit",
             "tests/test_differential.py::test_explorer_matches_bfs_oracle_on_random_programs")),
     Mutant("if-with-no-true-guard-exits-like-od", "src/gclab/engine.py",
-           "        if isinstance(head, If):\n"
-           '            return Expansion(failure=Failed("guard-all-false-in-if", s))',
-           "        if False:\n"
-           '            return Expansion(failure=Failed("guard-all-false-in-if", s))',
+           "            if isinstance(head, If):\n"
+           '                return Expansion(failure=Failed("guard-all-false-in-if", s))',
+           "            if False:\n"
+           '                return Expansion(failure=Failed("guard-all-false-in-if", s))',
            ("tests/test_engine.py::test_step_if_no_guard_true_fails",
             "tests/test_differential.py::test_explorer_matches_bfs_oracle_on_random_programs")),
+    # `step`'s one handler of a head that fails to evaluate
+    Mutant("step-drops-the-eval-detail", "src/gclab/engine.py",
+           "        return Expansion(failure=Failed(e.reason, s, e.detail))",
+           "        return Expansion(failure=Failed(e.reason, s))",
+           ("tests/test_cli.py::test_failure_details_show_integers_past_the_str_digit_limit",
+            "tests/test_cli.py::test_erratic_choice_failure_matches_demonic")),
     # The walk that starts a search of an atomic sub-step (`engine.walk`)
     Mutant("walk-steps-through-a-do-head", "src/gclab/engine.py",
            "        if isinstance(node.point.head, Do):\n            break\n",
@@ -141,6 +147,12 @@ MUTANTS = (
            '        kept(owner, "_layout", lambda: s0.layout)\n',
            "        pass\n",
            ("tests/test_engine.py::test_a_program_keeps_its_layout_and_compiled_guards_while_it_lives",)),
+    # The default start state, built only when none is given
+    Mutant("start-config-ignores-a-given-s0", "src/gclab/engine.py",
+           "    if s0 is None:\n        s0 = initial_state(owner.decls)\n",
+           "    if isinstance(owner, GclProgram):\n        s0 = initial_state(owner.decls)\n",
+           ("tests/test_cli.py::test_bind_reads_what_a_declaration_accepts",
+            "tests/test_cli.py::test_cached_parser_keeps_no_state_between_calls")),
     Mutant("kept-builds-on-every-use", "src/gclab/syntax.py",
            "        object.__setattr__(owner, slot, value)\n",
            "",
@@ -226,10 +238,17 @@ MUTANTS = (
            "if not any(m < c for c in covers):",
            ("tests/test_refinement_reference.py::test_random_systems_agree",)),
     Mutant("reachability-ignores-tau-moves", "src/gclab/equiv.py",
-           "rows = tuple(ix.succ.values())",
-           "rows = tuple(row for lab, row in ix.succ.items() if lab != TAU)",
+           "rows = tuple(l._succ.values())",
+           "rows = tuple(row for lab, row in l._succ.items() if lab != TAU)",
            ("tests/test_equiv.py::test_divergence_cycle_matches_recursive_search",
             "tests/test_refinement_reference.py::test_random_systems_agree")),
+    # Name lookup, the one home of "undeclared identifier" (`check.declared`)
+    Mutant("declared-accepts-an-undeclared-name", "src/gclab/check.py",
+           "    if d is None:\n        raise CheckError(f\"undeclared identifier '{name}'\")\n",
+           "    if False:\n        raise CheckError(f\"undeclared identifier '{name}'\")\n",
+           ("tests/test_check.py::test_parse_and_check_program_report_the_same_fault",
+            "tests/test_parser.py::test_csp_error_positions",
+            "tests/test_parser.py::test_csp_name_declared_in_an_earlier_process_is_undeclared_in_a_later_one")),
     # The csp rules that the parser applies to a whole system
     Mutant("communication-loop-need-not-be-last", "src/gclab/parser.py",
            '    if p.at(";"):\n'

@@ -320,6 +320,7 @@ def test_state_equality_and_hash_read_the_values_only():
     s2 = State(Layout(decls), s1.values)  # the same values over another layout
     assert s1.layout is not s2.layout
     assert s1 == s2 and hash(s1) == hash(s2) and len({s1, s2}) == 1
+    assert repr(s1) == repr(s2) == "State(values=((1, 2), 3))"
     assert hash(s1) == hash((s1.values,))
     s3 = s1.set_scalar("x", 4)
     assert s3 != s1 and hash(s3) == hash((s3.values,))
