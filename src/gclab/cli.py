@@ -158,21 +158,18 @@ def _cmd_run(args) -> int:
         print("error: --seed is required for seeded modes", file=sys.stderr)
         return USAGE_ERROR
     path = args.file
-    # suffix -> (parser, the system's declarations, its direct semantics),
-    # built per call so that it reads this module's current bindings
-    systems = {
-        ".csp": (parse_csp, lambda system: system.all_decls(), csp_mod.run_csp),
-        ".par": (parse_par, lambda system: system.decls, par.run_par_direct),
-    }
+    # suffix -> (parser, direct semantics), built per call so that it reads
+    # this module's current bindings
+    systems = {".csp": (parse_csp, csp_mod.run_csp), ".par": (parse_par, par.run_par_direct)}
     suffix = path[path.rfind("."):]
     if suffix in systems:
         if args.mode != "demonic":
             print(f"error: {suffix} files run under --mode demonic only",
                   file=sys.stderr)
             return USAGE_ERROR
-        parse, decls_of, run_direct = systems[suffix]
+        parse, run_direct = systems[suffix]
         system = parse(_read(path))
-        rep = run_direct(system, initial_state(decls_of(system), binds), lim)
+        rep = run_direct(system, initial_state(system.decls, binds), lim)
         return _emit_report(rep, args.format, args.mode)
 
     program = parse_gcl(_read(path))

@@ -16,20 +16,19 @@ a program keeps: a system run many times is paired and compiled once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .check import decl_map, type_of
 from .engine import Expansion, ExplorationReport, Failed, Limits, explore_system
 from .errors import CheckError, EvalError
-from .state import State, compile_assign, compile_expr, initial_state
+from .state import State, compile_assign, compile_expr
 from .syntax import (
     Assign, BinOp, CspSystem, Do, Expr, GclProgram, GuardedCommand, If,
     Input, IoCommand, Output, Skip, Stmt, Var, conj, kept, not_, seq,
 )
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class CorrespondencePair:
+class CorrespondencePair(NamedTuple):
     """Indices (process i, guard j) and (process r, guard s) of a matching
     input/output pair with i < r."""
 
@@ -149,8 +148,6 @@ def run_csp(sys: CspSystem, s0: State | None = None,
     boolean guard part of every process is false; a stuck configuration
     with some guard still true is a deadlock failure.
     """
-    if s0 is None:
-        s0 = initial_state(sys.all_decls())
     conds, pairs = _pair_table(sys)
     # the last state whose parts were evaluated, and their values or the
     # failure that stopped them: the search asks `final_of` and then

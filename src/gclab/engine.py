@@ -36,11 +36,16 @@ leaves each choice to its caller: `run_erratic` picks at random, and the
 fair schedulers (`fairness.run_fair_traced`) pick at the top loop. A
 search's report sorts its outcomes by kind and canonical state; a report
 of one outcome, the common case of an atomic sub-step, is not sorted.
+
+gclab's records are `typing.NamedTuple`s where tuple behaviour is
+harmless, else slotted `syntax.Record`s, as `state.State`, `Failed`,
+`Divergent` and `Limits` are; `Expansion` is a plain slotted class. No
+module uses `dataclasses`, whose import pulls in `inspect`, `ast` and
+`dis`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable, NamedTuple
 
@@ -52,27 +57,32 @@ from .state import (  # eval_expr is re-exported: bench/tracer.py wraps engine.e
 )
 from .syntax import (
     PARTIAL, ArrayRef, Assign, BinOp, ChoiceAssign, Do, Fail, GclProgram, If,
-    Program, RandomAssign, Seq, Skip, Stmt, expr_names, intern, interned, kept,
-    nodes,
+    Program, RandomAssign, Record, Seq, Skip, Stmt, expr_names, intern, interned,
+    kept, nodes,
 )
 
+_set = object.__setattr__  # writes a field of a `Record` once, in `__init__`
 
-@dataclass(frozen=True, slots=True)
-class Limits:
+
+class Limits(Record):
     """Exploration budgets. `choice_bound` caps the values enumerated for
     `x := ?` during exhaustive search (the construct itself is unbounded);
     `max_configs` caps the configurations expanded, and the values
     enumerated for `x := ?` and `x := choice(t)`. Its field defaults are
-    gclab's default budgets."""
+    gclab's default budgets; a budget below its floor is a ValueError."""
 
-    max_configs: int = 100_000
-    max_depth: int = 500
-    choice_bound: int = 8
+    __slots__ = ("max_configs", "max_depth", "choice_bound")
 
-    def __post_init__(self):
-        for name, floor in (("max_configs", 1), ("max_depth", 1), ("choice_bound", 0)):
-            if getattr(self, name) < floor:
+    def __init__(self, max_configs: int = 100_000, max_depth: int = 500,
+                 choice_bound: int = 8):
+        for name, value, floor in zip(Limits.__slots__, (max_configs, max_depth, choice_bound),
+                                      (1, 1, 0)):
+            if value < floor:
                 raise ValueError(f"{name.replace('_', '-')} must be at least {floor}")
+            _set(self, name, value)
+
+    def _values(self) -> tuple[int, int, int]:
+        return self.max_configs, self.max_depth, self.choice_bound
 
 
 # the default step budget of a seeded run (`run_erratic`, `fairness.run_fair`)
@@ -222,17 +232,22 @@ class Config(NamedTuple):
         return self.point.key
 
 
-def start_config(stmt: Stmt, s0: State | None, owner: Program | None = None) -> Config:
-    """The configuration that runs `stmt` from `s0`, by default the start
-    state of `owner`'s declarations. `owner`, the program of `stmt`, keeps
-    its points (`root`) and the layout of its first run's states:
-    `initial_state` shares a layout only while something holds it, and
-    equal declarations share one, so every later run finds it."""
+def _start_state(s0: State | None, owner: Program | None) -> State:
+    """`s0`, by default the start state of `owner`'s declarations. `owner`
+    keeps the layout of its first run's states: `initial_state` shares a
+    layout only while something holds it, and equal declarations share
+    one, so every later run finds it."""
     if s0 is None:
         s0 = initial_state(owner.decls)
     if owner is not None:
         kept(owner, "_layout", lambda: s0.layout)
-    return Config(root(stmt, owner), s0)
+    return s0
+
+
+def start_config(stmt: Stmt, s0: State | None, owner: Program | None = None) -> Config:
+    """The configuration that runs `stmt` from `_start_state(s0, owner)`;
+    `owner`, the program of `stmt`, also keeps its points (`root`)."""
+    return Config(root(stmt, owner), _start_state(s0, owner))
 
 
 def make_config(residue: tuple[Stmt, ...], state: State) -> Config:
@@ -249,8 +264,7 @@ def config_key(c: Config) -> str:
 # Outcomes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Terminated:
+class Terminated(NamedTuple):
     state: State
 
     def key(self) -> tuple:
@@ -260,14 +274,20 @@ class Terminated:
         return f"terminated :: {self.state.canonical()}"
 
 
-@dataclass(frozen=True, slots=True)
-class Failed:
+class Failed(Record):
     """Reasons: 'guard-all-false-in-if', 'explicit-fail', 'eval-error',
-    'aliasing'; the direct concurrency semantics adds 'deadlock'."""
+    'aliasing'; the direct concurrency semantics adds 'deadlock'. The
+    `detail` takes no part in equality or hashing."""
 
-    reason: str
-    state: State
-    detail: str = field(default="", compare=False)
+    __slots__ = ("reason", "state", "detail")
+
+    def __init__(self, reason: str, state: State, detail: str = ""):
+        _set(self, "reason", reason)
+        _set(self, "state", state)
+        _set(self, "detail", detail)
+
+    def _values(self) -> tuple[str, State]:
+        return self.reason, self.state
 
     def key(self) -> tuple:
         return ("1-failed", self.reason, self.state.canonical())
@@ -277,10 +297,10 @@ class Failed:
         return f"failed[{self.reason}]{extra} :: {self.state.canonical()}"
 
 
-@dataclass(frozen=True, slots=True)
-class Divergent:
+class Divergent(Record):
     """Lasso witness: following `stem` labels from the start reaches the
-    repeated configuration, and `cycle` labels lead back to it.
+    repeated configuration, and `cycle` labels lead back to it. Equality
+    and hashing read `repeat_key` and `exact` only.
 
     `exact` lassos repeat the configuration itself. Inexact ones repeat
     the residue in a state that differs only in variables the cycle keeps
@@ -289,10 +309,17 @@ class Divergent:
     (the counting loop that can always go on is the standard example).
     """
 
-    repeat_key: str
-    exact: bool = True
-    stem: tuple[str, ...] = field(default=(), compare=False)
-    cycle: tuple[str, ...] = field(default=(), compare=False)
+    __slots__ = ("repeat_key", "exact", "stem", "cycle")
+
+    def __init__(self, repeat_key: str, exact: bool = True,
+                 stem: tuple[str, ...] = (), cycle: tuple[str, ...] = ()):
+        _set(self, "repeat_key", repeat_key)
+        _set(self, "exact", exact)
+        _set(self, "stem", stem)
+        _set(self, "cycle", cycle)
+
+    def _values(self) -> tuple[str, bool]:
+        return self.repeat_key, self.exact
 
     def key(self) -> tuple:
         return ("2-divergent", self.repeat_key)
@@ -301,8 +328,7 @@ class Divergent:
         return f"divergent :: repeat {self.repeat_key} :: cycle [{', '.join(self.cycle)}]"
 
 
-@dataclass(frozen=True, slots=True)
-class BoundExceeded:
+class BoundExceeded(NamedTuple):
     limit: str  # 'max-configs' | 'max-depth' | 'choice-bound' | 'fuel'
 
     def key(self) -> tuple:
@@ -315,8 +341,7 @@ class BoundExceeded:
 Outcome = Terminated | Failed | Divergent | BoundExceeded
 
 
-@dataclass(frozen=True)
-class ExplorationReport:
+class ExplorationReport(NamedTuple):
     """Deduplicated outcome set plus traversal counts. Deterministic for a
     fixed program, input state and limits; outcomes sorted by kind and
     canonical state. `paths` counts branch-closure events (terminal,
@@ -381,18 +406,30 @@ def _outcome_json(o: Outcome) -> dict:
 # One small step
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
 class Expansion:
     """What a non-terminal node expands to: the `Failed` outcome that ends
     it, or labelled successors. `truncated` names the limit that cut
     the successors ('choice-bound' for `x := ?`, 'max-configs' for an
     `x := ?` or `choice(t)` with more values than the configuration
-    budget); `side_outcomes` close branches inside an atomic step."""
+    budget); `side_outcomes` close branches inside an atomic step. Made
+    once per step, so a plain slotted class: a tuple or a `Record` takes
+    longer to build. It compares and shows as a `Record`, and has no
+    hash."""
 
-    transitions: list[tuple[str, Any]] | tuple = ()
-    failure: Failed | None = None
-    truncated: str | None = None
-    side_outcomes: list[Outcome] | tuple = ()
+    __slots__ = ("transitions", "failure", "truncated", "side_outcomes")
+
+    def __init__(self, transitions: list[tuple[str, Any]] | tuple = (),
+                 failure: Failed | None = None, truncated: str | None = None,
+                 side_outcomes: list[Outcome] | tuple = ()):
+        self.transitions = transitions
+        self.failure = failure
+        self.truncated = truncated
+        self.side_outcomes = side_outcomes
+
+    def _values(self) -> tuple:
+        return self.transitions, self.failure, self.truncated, self.side_outcomes
+
+    __eq__, __repr__ = Record.__eq__, Record.__repr__
 
 
 def _choice_bound(bound_of: Callable[[State], int], s: State) -> int:
@@ -750,16 +787,17 @@ def explore_demonic(p: GclProgram, s0: State | None = None,
     return explore_statement(p.body, s0, lim, p)
 
 
-def explore_system(owner: Program, s0: State, lim: Limits, inits: list[Stmt],
+def explore_system(owner: Program, s0: State | None, lim: Limits, inits: list[Stmt],
                    start: Callable[[State], Any],
                    expand: Callable[[Any, Callable], Expansion],
                    key_of: Callable[[Any], str],
                    final_of: Callable[[Any], State | None]) -> ExplorationReport:
     """Exhaustive search of a system whose nodes run statements of
     `owner` as atomic sub-steps (the csp and par semantics). The `inits`
-    run in turn from `s0`, each from every distinct state the one before
-    ends in, taken in canonical order; then one search under `lim` runs
-    from `start(s)` for each state `s` the last one ends in, with
+    run in turn from `s0`, by default the start state of `owner`'s
+    declarations (`_start_state`), each from every distinct state the one
+    before ends in, taken in canonical order; then one search under `lim`
+    runs from `start(s)` for each state `s` the last one ends in, with
     `expand(node, absorb)` as its expander. The init phase's non-terminal
     outcomes close after the searches; the report adds the sub-searches'
     counts to the search's own."""
@@ -791,7 +829,7 @@ def explore_system(owner: Program, s0: State, lim: Limits, inits: list[Stmt],
         return finals
 
     init_outcomes: list = []
-    states = [s0]
+    states = [_start_state(s0, owner)]
     for stmt in inits:
         seen: dict[State, None] = {}
         for s in states:

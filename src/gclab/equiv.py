@@ -36,22 +36,28 @@ traces.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import CheckError, ParseError
+from .syntax import Record
+
+_set = object.__setattr__  # writes a field of a `Record` once, in `__init__`
 
 TAU = "tau"
 
 
-@dataclass(frozen=True)
-class Lts:
-    states: tuple[str, ...]
-    alphabet: tuple[str, ...]  # visible labels only
-    transitions: tuple[tuple[str, str, str], ...]
-    init: str
-    success: frozenset[str] = frozenset()
+class Lts(Record):
+    """States, visible labels (`alphabet`), (source, label, target)
+    transitions, the initial state and the success-marked states; the
+    numbered view and `moves()` live in private slots beside them."""
 
-    def __post_init__(self):
+    __slots__ = ("states", "alphabet", "transitions", "init", "success",
+                 "_names", "_succ", "_init", "_success", "_moves")
+
+    def __init__(self, states: tuple[str, ...], alphabet: tuple[str, ...],
+                 transitions: tuple[tuple[str, str, str], ...], init: str,
+                 success: frozenset[str] = frozenset()):
+        for name, value in zip(Lts.__slots__, (states, alphabet, transitions, init, success)):
+            _set(self, name, value)
         names = sorted(set(self.states))
         index = {s: k for k, s in enumerate(names)}
         if self.init not in index:
@@ -70,10 +76,14 @@ class Lts:
         if unknown:
             first = min(unknown)
             raise _fault(f"success marks unknown state '{first}'", "success", first)
-        # the numbered view, beside the fields, so eq, hash and repr ignore it
-        self.__dict__.update(
-            _names=tuple(names), _succ={lab: tuple(row) for lab, row in succ.items()},
-            _init=index[self.init], _success=sum(1 << index[s] for s in self.success))
+        _set(self, "_names", tuple(names))
+        _set(self, "_succ", {lab: tuple(row) for lab, row in succ.items()})
+        _set(self, "_init", index[self.init])
+        _set(self, "_success", sum(1 << index[s] for s in self.success))
+        _set(self, "_moves", None)
+
+    def _values(self) -> tuple:
+        return self.states, self.alphabet, self.transitions, self.init, self.success
 
     # -- derived views ------------------------------------------------------
 
@@ -81,12 +91,12 @@ class Lts:
         """state -> label -> successor set, built on the first call and
         shared: callers must not mutate it. `equiv` itself reads only the
         numbered view."""
-        mv = self.__dict__.get("_moves")
+        mv = self._moves
         if mv is None:
             mv = {s: {} for s in self.states}
             for src, lab, dst in self.transitions:
                 mv[src].setdefault(lab, set()).add(dst)
-            object.__setattr__(self, "_moves", mv)
+            _set(self, "_moves", mv)
         return mv
 
 
@@ -408,13 +418,19 @@ def must_witness(proc: Lts, test: Lts) -> tuple[str, tuple[str, str]] | None:
 # Stable failures and refinement
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(Record):
     """A trace and a set of visible labels refusable in some stable state
-    reachable after it."""
+    reachable after it. Not a tuple, so a caller that holds a divergence's
+    cycle in a tuple can tell the two apart."""
 
-    trace: tuple[str, ...]
-    refusal: frozenset[str]
+    __slots__ = ("trace", "refusal")
+
+    def __init__(self, trace: tuple[str, ...], refusal: frozenset[str]):
+        _set(self, "trace", trace)
+        _set(self, "refusal", refusal)
+
+    def _values(self) -> tuple[tuple[str, ...], frozenset[str]]:
+        return self.trace, self.refusal
 
     def describe(self) -> str:
         t = ",".join(self.trace) if self.trace else ""

@@ -31,10 +31,10 @@ else they take the one successor of a deterministic step.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 from random import Random
+from typing import NamedTuple
 
 from .check import decl_map, type_of
 from .engine import FUEL, Config, Failed, Outcome, run_path, step
@@ -61,8 +61,7 @@ class FixpointError(Exception):
 # One-level shape recognition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OneLevelProgram:
+class OneLevelProgram(NamedTuple):
     """init; do B_1 -> S_1 [] ... [] B_n -> S_n od with deterministic
     init and bodies. The loop's own guards may overlap."""
 

@@ -24,7 +24,6 @@ included, is an unexpected character.
 from __future__ import annotations
 
 import re
-from string import ascii_letters, digits
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -61,7 +60,8 @@ _SCAN = re.compile(r"""[ \t\r\n]* (?: \#.* | \Z | (
 # the kind of a keyword or symbol, and of any other token by its first character
 _KIND = {s: s for s in KEYWORDS | {
     ":=", "->", "..", "[]", "<=", ">=", "!=", *"-+*=<>()[],;:?!"}}
-_FIRST = dict.fromkeys(ascii_letters + "_", "ident") | dict.fromkeys(digits, "number")
+_FIRST = (dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_", "ident")
+          | dict.fromkeys("0123456789", "number"))
 
 _EOF = ("eof", "")
 

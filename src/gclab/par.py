@@ -18,12 +18,11 @@ many times (a seed sweep) is labelled and compiled once.
 
 from __future__ import annotations
 
-import string
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import Expansion, ExplorationReport, Failed, Limits, explore_system
 from .errors import CheckError, EvalError
-from .state import State, compile_assign, compile_expr, initial_state
+from .state import State, compile_assign, compile_expr
 from .syntax import (
     Assign, Await, BinOp, Declaration, Do, Expr, GclProgram,
     GuardedCommand, If, IfElse, IntLit, ParSystem, Seq, Skip, Stmt, Var,
@@ -31,8 +30,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class AtomicAction:
+class AtomicAction(NamedTuple):
     """One control transfer: from `source`, when `guard` holds (None =
     always), perform `effect` (None = none) and move to `target`.
     Labels are indices into LabeledComponent.labels."""
@@ -43,8 +41,7 @@ class AtomicAction:
     target: int
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledComponent:
+class LabeledComponent(NamedTuple):
     """Control-flow graph of one component. `labels` names the control
     points in allocation order; the exit label is always last and has no
     outgoing action."""
@@ -56,7 +53,7 @@ class LabeledComponent:
 
 
 def _label_name(k: int) -> str:
-    letters = string.ascii_lowercase
+    letters = "abcdefghijklmnopqrstuvwxyz"
     return letters[k] if k < len(letters) else f"l{k}"
 
 
@@ -206,8 +203,6 @@ def run_par_direct(sys: ParSystem, s0: State | None = None,
     and the run terminates properly; a configuration where some component
     is unfinished but nothing can move is a deadlock failure.
     """
-    if s0 is None:
-        s0 = initial_state(sys.decls)
     comps = label_components(sys)
     by_source = _action_table(sys)
     entries = tuple(c.entry for c in comps)

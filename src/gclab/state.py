@@ -35,7 +35,7 @@ from typing import Any
 from .errors import CheckError, EvalError
 from .syntax import (
     BINARY, BUILTINS, ArrayRef, Assign, BinOp, BoolLit, Builtin, Declaration,
-    Expr, IntLit, UnaryOp, Var, chain, conjuncts, intern, interned,
+    Expr, IntLit, Record, UnaryOp, Var, chain, conjuncts, intern, interned,
 )
 
 Value = int | bool
@@ -77,12 +77,11 @@ class Layout:
         return index - lo
 
 
-# writes a field of a `State` once, in its `__init__`; the class's own
-# `__setattr__` refuses every assignment
+# writes a field of a `State` once, in its `__init__` (`syntax.Record`)
 _set = object.__setattr__
 
 
-class State:
+class State(Record):
     """An immutable snapshot of every declared variable over a `Layout`.
 
     A slotted record, written once in `__init__`. Equality and hashing
@@ -98,11 +97,6 @@ class State:
         _set(self, "layout", layout)
         _set(self, "values", values)
         _set(self, "_hash", None)  # `_text` stays unset until `canonical()`
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"cannot change field {name!r} of a State")
-
-    __delattr__ = __setattr__
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not State:

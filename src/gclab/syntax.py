@@ -402,11 +402,14 @@ class CspProcess(Node):
 class CspSystem(Program):
     __slots__ = ("processes",)
 
+    @property
+    def decls(self) -> tuple[Declaration, ...]:
+        """Every process's declarations, in process order: the system's
+        variables, as a `GclProgram`'s or a `ParSystem`'s `decls` are."""
+        return tuple(d for p in self.processes for d in p.decls)
+
     def all_decls(self) -> tuple[Declaration, ...]:
-        out: list[Declaration] = []
-        for p in self.processes:
-            out.extend(p.decls)
-        return tuple(out)
+        return self.decls
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +428,33 @@ def kept(owner: Program, slot: str, build: Callable[[], Any]) -> Any:
         value = build()
         object.__setattr__(owner, slot, value)
         return value
+
+
+class Record:
+    """Base of a slotted record that no one may change. A class names its
+    fields as its `__slots__` and writes each once, in `__init__`, with
+    `object.__setattr__`; a private slot holds a view beside the fields.
+    Records compare and hash as the tuple `_values()`, against records of
+    their own class only, and repr shows the public slots."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"cannot change field {name!r} of a {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f[0] != "_")
+        return f"{type(self).__name__}({fields})"
 
 
 # ---------------------------------------------------------------------------

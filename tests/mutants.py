@@ -153,6 +153,16 @@ MUTANTS = (
            "    if isinstance(owner, GclProgram):\n        s0 = initial_state(owner.decls)\n",
            ("tests/test_cli.py::test_bind_reads_what_a_declaration_accepts",
             "tests/test_cli.py::test_cached_parser_keeps_no_state_between_calls")),
+    Mutant("explore-system-ignores-a-given-s0", "src/gclab/engine.py",
+           "    states = [_start_state(s0, owner)]\n",
+           "    states = [_start_state(None, owner)]\n",
+           ("tests/test_cli.py::test_bind_sets_a_system_start_state",
+            "tests/test_par.py::test_all_zero_input_gives_n_plus_one")),
+    # Equality of the outcome records (`engine.Failed` ignores its detail)
+    Mutant("failed-equality-reads-the-detail", "src/gclab/engine.py",
+           "        return self.reason, self.state\n",
+           "        return self.reason, self.state, self.detail\n",
+           ("tests/test_records.py::test_failed_and_divergent_equality_skip_their_details",)),
     Mutant("kept-builds-on-every-use", "src/gclab/syntax.py",
            "        object.__setattr__(owner, slot, value)\n",
            "",

@@ -312,6 +312,17 @@ def test_run_par_direct(capsys):
     assert "k=3" in out
 
 
+@pytest.mark.parametrize("name, bind, last", [
+    ("sfr.csp", "a=[7,0,8,-1]", "a=[7,0,8,-1] b=[7,8,-1,0] c=[7,8,-1,0] i=4 in=3 j=3 out=3 "
+                                "x=-1 y=-1"),
+    ("zerosearch.par", "ia=[1,1,1,1,1]", "eventop=6 i=1 ia=[1,1,1,1,1] j=2 k=1 oddtop=1"),
+])
+def test_bind_sets_a_system_start_state(capsys, name, bind, last):
+    code, out, err = run_cli(capsys, "run", CORPUS / name, "--bind", bind)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == f"outcome: terminated :: {last}"
+
+
 def test_run_awaitfalse_fails(capsys):
     code, out, _ = run_cli(capsys, "run", CORPUS / "awaitfalse.par")
     assert code == 1
