@@ -39,9 +39,11 @@ of one outcome, the common case of an atomic sub-step, is not sorted.
 
 gclab's records are `typing.NamedTuple`s where tuple behaviour is
 harmless, else slotted `syntax.Record`s, as `state.State`, `Failed`,
-`Divergent` and `Limits` are; `Expansion` is a plain slotted class. No
-module uses `dataclasses`, whose import pulls in `inspect`, `ast` and
-`dis`.
+`Divergent`, `Limits` and `Expansion` are: each declares its fields,
+their defaults and the fields its equality reads, and `Limits` adds its
+floor check. `State` and `Expansion`, built at every step, keep
+constructors of their own. No module uses `dataclasses`, whose import
+pulls in `inspect`, `ast` and `dis`.
 """
 
 from __future__ import annotations
@@ -61,8 +63,6 @@ from .syntax import (
     kept, nodes,
 )
 
-_set = object.__setattr__  # writes a field of a `Record` once, in `__init__`
-
 
 class Limits(Record):
     """Exploration budgets. `choice_bound` caps the values enumerated for
@@ -72,17 +72,13 @@ class Limits(Record):
     gclab's default budgets; a budget below its floor is a ValueError."""
 
     __slots__ = ("max_configs", "max_depth", "choice_bound")
+    _defaults = {"max_configs": 100_000, "max_depth": 500, "choice_bound": 8}
 
-    def __init__(self, max_configs: int = 100_000, max_depth: int = 500,
-                 choice_bound: int = 8):
-        for name, value, floor in zip(Limits.__slots__, (max_configs, max_depth, choice_bound),
-                                      (1, 1, 0)):
-            if value < floor:
+    def __init__(self, *args: int, **kwargs: int):
+        super().__init__(*args, **kwargs)
+        for name, floor in zip(self._fields, (1, 1, 0)):
+            if getattr(self, name) < floor:
                 raise ValueError(f"{name.replace('_', '-')} must be at least {floor}")
-            _set(self, name, value)
-
-    def _values(self) -> tuple[int, int, int]:
-        return self.max_configs, self.max_depth, self.choice_bound
 
 
 # the default step budget of a seeded run (`run_erratic`, `fairness.run_fair`)
@@ -236,7 +232,9 @@ def _start_state(s0: State | None, owner: Program | None) -> State:
     """`s0`, by default the start state of `owner`'s declarations. `owner`
     keeps the layout of its first run's states: `initial_state` shares a
     layout only while something holds it, and equal declarations share
-    one, so every later run finds it."""
+    one, so every later run finds it. A ValueError when neither is given."""
+    if s0 is None and owner is None:
+        raise ValueError("a start state is needed when no program is given")
     if s0 is None:
         s0 = initial_state(owner.decls)
     if owner is not None:
@@ -280,14 +278,8 @@ class Failed(Record):
     `detail` takes no part in equality or hashing."""
 
     __slots__ = ("reason", "state", "detail")
-
-    def __init__(self, reason: str, state: State, detail: str = ""):
-        _set(self, "reason", reason)
-        _set(self, "state", state)
-        _set(self, "detail", detail)
-
-    def _values(self) -> tuple[str, State]:
-        return self.reason, self.state
+    _defaults = {"detail": ""}
+    _compared = ("reason", "state")
 
     def key(self) -> tuple:
         return ("1-failed", self.reason, self.state.canonical())
@@ -310,16 +302,8 @@ class Divergent(Record):
     """
 
     __slots__ = ("repeat_key", "exact", "stem", "cycle")
-
-    def __init__(self, repeat_key: str, exact: bool = True,
-                 stem: tuple[str, ...] = (), cycle: tuple[str, ...] = ()):
-        _set(self, "repeat_key", repeat_key)
-        _set(self, "exact", exact)
-        _set(self, "stem", stem)
-        _set(self, "cycle", cycle)
-
-    def _values(self) -> tuple[str, bool]:
-        return self.repeat_key, self.exact
+    _defaults = {"exact": True, "stem": (), "cycle": ()}
+    _compared = ("repeat_key", "exact")
 
     def key(self) -> tuple:
         return ("2-divergent", self.repeat_key)
@@ -406,15 +390,15 @@ def _outcome_json(o: Outcome) -> dict:
 # One small step
 # ---------------------------------------------------------------------------
 
-class Expansion:
+class Expansion(Record):
     """What a non-terminal node expands to: the `Failed` outcome that ends
     it, or labelled successors. `truncated` names the limit that cut
     the successors ('choice-bound' for `x := ?`, 'max-configs' for an
     `x := ?` or `choice(t)` with more values than the configuration
     budget); `side_outcomes` close branches inside an atomic step. Made
-    once per step, so a plain slotted class: a tuple or a `Record` takes
-    longer to build. It compares and shows as a `Record`, and has no
-    hash."""
+    once per step, so it keeps its own constructor, which assigns its
+    fields as a plain class does: `Record`'s takes longer. It compares and
+    shows as a `Record`, and has no hash."""
 
     __slots__ = ("transitions", "failure", "truncated", "side_outcomes")
 
@@ -426,10 +410,7 @@ class Expansion:
         self.truncated = truncated
         self.side_outcomes = side_outcomes
 
-    def _values(self) -> tuple:
-        return self.transitions, self.failure, self.truncated, self.side_outcomes
-
-    __eq__, __repr__ = Record.__eq__, Record.__repr__
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
 
 def _choice_bound(bound_of: Callable[[State], int], s: State) -> int:

@@ -40,7 +40,7 @@ from collections import deque
 from .errors import CheckError, ParseError
 from .syntax import Record
 
-_set = object.__setattr__  # writes a field of a `Record` once, in `__init__`
+_set = object.__setattr__  # fills a private slot of an `Lts` once, in `__init__`
 
 TAU = "tau"
 
@@ -48,16 +48,14 @@ TAU = "tau"
 class Lts(Record):
     """States, visible labels (`alphabet`), (source, label, target)
     transitions, the initial state and the success-marked states; the
-    numbered view and `moves()` live in private slots beside them."""
+    numbered view lives in private slots beside them."""
 
     __slots__ = ("states", "alphabet", "transitions", "init", "success",
-                 "_names", "_succ", "_init", "_success", "_moves")
+                 "_names", "_succ", "_init", "_success")
+    _defaults = {"success": frozenset()}
 
-    def __init__(self, states: tuple[str, ...], alphabet: tuple[str, ...],
-                 transitions: tuple[tuple[str, str, str], ...], init: str,
-                 success: frozenset[str] = frozenset()):
-        for name, value in zip(Lts.__slots__, (states, alphabet, transitions, init, success)):
-            _set(self, name, value)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         names = sorted(set(self.states))
         index = {s: k for k, s in enumerate(names)}
         if self.init not in index:
@@ -80,23 +78,13 @@ class Lts(Record):
         _set(self, "_succ", {lab: tuple(row) for lab, row in succ.items()})
         _set(self, "_init", index[self.init])
         _set(self, "_success", sum(1 << index[s] for s in self.success))
-        _set(self, "_moves", None)
-
-    def _values(self) -> tuple:
-        return self.states, self.alphabet, self.transitions, self.init, self.success
-
-    # -- derived views ------------------------------------------------------
 
     def moves(self) -> dict[str, dict[str, set[str]]]:
-        """state -> label -> successor set, built on the first call and
-        shared: callers must not mutate it. `equiv` itself reads only the
-        numbered view."""
-        mv = self._moves
-        if mv is None:
-            mv = {s: {} for s in self.states}
-            for src, lab, dst in self.transitions:
-                mv[src].setdefault(lab, set()).add(dst)
-            _set(self, "_moves", mv)
+        """state -> label -> successor set, built anew on each call.
+        `equiv` itself reads only the numbered view."""
+        mv = {s: {} for s in self.states}
+        for src, lab, dst in self.transitions:
+            mv[src].setdefault(lab, set()).add(dst)
         return mv
 
 
@@ -424,13 +412,6 @@ class Failure(Record):
     cycle in a tuple can tell the two apart."""
 
     __slots__ = ("trace", "refusal")
-
-    def __init__(self, trace: tuple[str, ...], refusal: frozenset[str]):
-        _set(self, "trace", trace)
-        _set(self, "refusal", refusal)
-
-    def _values(self) -> tuple[tuple[str, ...], frozenset[str]]:
-        return self.trace, self.refusal
 
     def describe(self) -> str:
         t = ",".join(self.trace) if self.trace else ""

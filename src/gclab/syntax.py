@@ -1,11 +1,11 @@
 """Abstract syntax for the three source languages.
 
-Every node class derives from `Node`, which takes the class's
-`__slots__` as its fields and hash-conses its instances (Filliatre and
-Conchon, "Type-safe modular hash-consing", 2006): building a node equal
-to a live one returns the live one. Equal trees are one object, so `==`
-on nodes is `is` and a node hashes by identity; neither walks the tree.
-The engines key program points on node identity (`engine.lower`).
+Every node class derives from `Node`, which hash-conses its instances
+(Filliatre and Conchon, "Type-safe modular hash-consing", 2006):
+building a node equal to a live one returns the live one. Equal trees
+are one object, so `==` on nodes is `is` and a node hashes by identity;
+neither walks the tree. The engines key program points on node identity
+(`engine.lower`).
 Every `Expr` keeps its compiled closure in a `_code` slot, filled by its
 first `state.compile_expr`, so no step walks an expression tree and a
 subtree shared by many points, programs or runs is compiled once while
@@ -39,6 +39,12 @@ modules read off a tree is written here once: a guard's atoms
 (`conjuncts`), a program's names (`program_names`, one walk with
 `expr_names`) and the fresh names a transformation adds (`fresh_names`).
 
+Nodes and gclab's slotted records share one base, `Slotted`: each class
+declares its fields, their defaults and, for a `Record`, the fields its
+equality reads, and the base builds, freezes and shows them all alike.
+`state.State` and `engine.Expansion`, built at every step, keep
+constructors of their own.
+
 Walkers recurse by nesting depth, never by the length of a chain like
 `1 + 1 + ... + 1`. Those that only look for some nodes loop over `nodes`,
 a pre-order walk from an explicit stack. The checker, printer, compiler
@@ -57,7 +63,7 @@ from .errors import EvalError
 
 
 # ---------------------------------------------------------------------------
-# Hash-consed nodes
+# Slotted classes: hash-consed nodes and records
 # ---------------------------------------------------------------------------
 
 def _types(value: Any) -> Any:
@@ -97,32 +103,68 @@ def intern(key: tuple, obj: Any) -> Any:
     return obj
 
 
-class Node:
-    """A syntax node. A class names its fields, in order, as its
-    `__slots__`, and gives the defaults of trailing fields in `_defaults`.
-    The constructor takes the fields positionally or by keyword. It
-    returns the live node of the same class with the same field values,
-    comparing child nodes by identity, if there is one. A class whose
-    leaves may be ints or bools sets `_typed`, so that their types must
-    match too. Nodes cannot be changed."""
+class Slotted:
+    """Base of `Node` and `Record`: a slotted class whose instances no one
+    may change. A class names its fields, in order, as the public names
+    of its own `__slots__` (a name that starts with `_` is a private slot
+    beside them), and gives the defaults of trailing fields in
+    `_defaults`. A call may pass the fields positionally or by keyword
+    (`_arguments`); repr shows them."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ()
     _defaults: dict[str, Any] = {}
-    _typed = False
+    _noun = ""  # what a refused assignment calls an instance; by default its class
 
     def __init_subclass__(cls) -> None:
-        cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
-        cls._arity = len(cls.__slots__)
+        cls._fields = fields = tuple(f for f in cls.__slots__ if f[0] != "_")
+        cls._setters = tuple(getattr(cls, f).__set__ for f in fields)
+        cls._arity = len(fields)
+        least = cls._arity
+        while least and fields[least - 1] in cls._defaults:
+            least -= 1
+        cls._least = least  # the fields before the trailing run of defaults
+        cls._tail = tuple(cls._defaults[f] for f in fields[least:])
+
+    @classmethod
+    def _arguments(cls, args: tuple, kwargs: dict[str, Any]) -> tuple:
+        """The field values of a call that does not pass every field
+        positionally; a TypeError unless it passes each field once, or
+        leaves it to its default."""
+        if not kwargs and cls._least <= len(args) <= cls._arity:
+            return args + cls._tail[len(args) - cls._least:]
+        fields = cls._fields
+        given = dict(zip(fields, args))
+        values = {**cls._defaults, **given, **kwargs}
+        if len(args) > len(fields) or given.keys() & kwargs or values.keys() != set(fields):
+            raise TypeError(f"{cls.__name__} takes the fields {fields}, "
+                            f"not {args!r} and {kwargs!r}")
+        return tuple(values[f] for f in fields)
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"cannot change field {name!r} of a "
+                             f"{self._noun or type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Node(Slotted):
+    """A syntax node, whose fields are taken as `Slotted` says. The
+    constructor returns the live node of the same class with the same
+    field values, comparing child nodes by identity, if there is one. A
+    class whose leaves may be ints or bools sets `_typed`, so that their
+    types must match too."""
+
+    __slots__ = ("__weakref__",)
+    _typed = False
+    _noun = "syntax node"
 
     def __new__(cls, *args: Any, **kwargs: Any) -> Any:
         if kwargs or len(args) != cls._arity:
-            fields = cls.__slots__
-            given = dict(zip(fields, args))
-            values = {**cls._defaults, **given, **kwargs}
-            if len(args) > len(fields) or given.keys() & kwargs or values.keys() != set(fields):
-                raise TypeError(f"{cls.__name__} takes the fields {fields}, "
-                                f"not {args!r} and {kwargs!r}")
-            args = tuple(values[f] for f in fields)
+            args = cls._arguments(args, kwargs)
         key = (cls, args, tuple(map(_types, args))) if cls._typed else (cls, args)
         r = _INTERNED.get(key)
         node = r and r()
@@ -133,14 +175,33 @@ class Node:
             intern(key, node)
         return node
 
-    def __setattr__(self, name: str, value: Any = None) -> None:
-        raise AttributeError(f"cannot change field {name!r} of a syntax node")
 
-    __delattr__ = __setattr__
+class Record(Slotted):
+    """A `Slotted` value. Records compare and hash as the tuple of their
+    `_compared` fields, by default every field, against records of their
+    own class only. A class that validates its fields, or fills a private
+    view beside them, extends `__init__`."""
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        # reads the compared fields in C, as a tuple when there are two or more
+        cls._values = operator.attrgetter(*cls.__dict__.get("_compared", cls._fields))
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        if kwargs or len(args) != self._arity:
+            args = self._arguments(args, kwargs)
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +241,7 @@ class UnaryOp(Expr):
 OR_BP, AND_BP, NOT_BP, COMPARE_BP, ADD_BP, MUL_BP, NEG_BP = range(1, 8)
 
 
-class Operator:
+class Operator(Record):
     """A binary operator. Operands of type `operand` (None: either type,
     but the same on both sides) give a `result`; `meaning` applies it to
     values, and is None for `and`/`or`, which compiled expressions
@@ -188,11 +249,6 @@ class Operator:
     associate to the left."""
 
     __slots__ = ("power", "operand", "result", "meaning")
-
-    def __init__(self, power: int, operand: str | None, result: str,
-                 meaning: Callable[[Any, Any], Any] | None):
-        self.power, self.operand, self.result = power, operand, result
-        self.meaning = meaning
 
 
 def _partial(name: str, f: Callable[[int, int], int]) -> Callable[[int, int], int]:
@@ -430,46 +486,19 @@ def kept(owner: Program, slot: str, build: Callable[[], Any]) -> Any:
         return value
 
 
-class Record:
-    """Base of a slotted record that no one may change. A class names its
-    fields as its `__slots__` and writes each once, in `__init__`, with
-    `object.__setattr__`; a private slot holds a view beside the fields.
-    Records compare and hash as the tuple `_values()`, against records of
-    their own class only, and repr shows the public slots."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: Any = None) -> None:
-        raise AttributeError(f"cannot change field {name!r} of a {type(self).__name__}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f[0] != "_")
-        return f"{type(self).__name__}({fields})"
-
-
 # ---------------------------------------------------------------------------
 # Structural helpers
 # ---------------------------------------------------------------------------
 
 def nodes(tree: Node) -> Iterator[Node]:
     """Every node of `tree` in pre-order: a node, then the nodes of its
-    fields in `__slots__` order, the elements of a tuple field in order.
+    fields in order, the elements of a tuple field in order.
     The walk keeps its own stack, so it nests no calls."""
     stack = [tree]
     while stack:
         node = stack.pop()
         yield node
-        for f in reversed(node.__slots__):  # the first field on top
+        for f in reversed(node._fields):  # the first field on top
             v = getattr(node, f)
             if isinstance(v, Node):
                 stack.append(v)

@@ -157,12 +157,20 @@ MUTANTS = (
            "    states = [_start_state(s0, owner)]\n",
            "    states = [_start_state(None, owner)]\n",
            ("tests/test_cli.py::test_bind_sets_a_system_start_state",
+            "tests/test_par.py::test_zero_search_example_input",
             "tests/test_par.py::test_all_zero_input_gives_n_plus_one")),
     # Equality of the outcome records (`engine.Failed` ignores its detail)
     Mutant("failed-equality-reads-the-detail", "src/gclab/engine.py",
-           "        return self.reason, self.state\n",
-           "        return self.reason, self.state, self.detail\n",
+           '    _compared = ("reason", "state")\n',
+           '    _compared = ("reason", "state", "detail")\n',
            ("tests/test_records.py::test_failed_and_divergent_equality_skip_their_details",)),
+    # The one base of nodes and records (`syntax.Slotted`): a call that
+    # leaves trailing fields to their defaults keeps the ones it passes
+    Mutant("defaults-override-positional-arguments", "src/gclab/syntax.py",
+           "            return args + cls._tail[len(args) - cls._least:]\n",
+           "            return args[:cls._least] + cls._tail\n",
+           ("tests/test_records.py::test_failed_and_divergent_equality_skip_their_details",
+            "tests/test_records.py::test_limits_construction")),
     Mutant("kept-builds-on-every-use", "src/gclab/syntax.py",
            "        object.__setattr__(owner, slot, value)\n",
            "",

@@ -28,7 +28,7 @@ from gclab.par import run_par_direct, translate_par
 from gclab.printer import render, render_csp, render_par
 from gclab.state import eval_expr, initial_state
 
-from conftest import CORPUS, corpus_text
+from conftest import CORPUS, corpus_text, sfr_source
 from oracles import (
     argmax_set, blank_filtered, bfs_terminated, canonical_failure_test,
     all_tree_tests, all_two_state_systems, divergence_free,
@@ -256,45 +256,12 @@ def test_c09_chaotic_iteration():
     _passed(9, "chaotic iteration: 36 + 575 + 120 operators")
 
 
-def _sfr_source(cells):
-    m = len(cells)
-    lit = ", ".join(str(v) for v in cells)
-    return f"""
-process SENDER
-  var i: int;
-  var a: int[0..{m - 1}] = [{lit}];
-  i := 0;
-  do i != {m} ; FILTER ! a[i] -> i := i + 1 od
-end
-process FILTER
-  var in: int;
-  var out: int;
-  var x: int;
-  var b: int[0..{m - 1}];
-  in := 0; out := 0; x := 0;
-  do x != -1 ; SENDER ? x ->
-      if x = 0 -> skip
-      [] x != 0 -> b[in] := x; in := in + 1
-      fi
-  [] out != in ; RECEIVER ! b[out] -> out := out + 1
-  od
-end
-process RECEIVER
-  var j: int;
-  var y: int;
-  var c: int[0..{m - 1}];
-  j := 0; y := 0;
-  do y != -1 ; FILTER ? y -> c[j] := y; j := j + 1 od
-end
-"""
-
-
 def test_c10_csp_correspondence_and_filtering():
     count = 0
     for length in range(1, 6):
         for content in itertools.product((0, 2, 3), repeat=length - 1):
             cells = tuple(content) + (-1,)
-            sysm = parse_csp(_sfr_source(cells))
+            sysm = parse_csp(sfr_source(cells))
             direct = run_csp(sysm)
             assert not direct.has(Failed) and not direct.has(Divergent)
             d = {s.canonical() for s in direct.terminated_states()}

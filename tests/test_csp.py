@@ -16,7 +16,7 @@ from gclab.printer import render, render_expr
 from gclab.state import compile_expr, eval_expr, initial_state
 from gclab.syntax import Assign, Do, Input, IntLit, Var
 
-from conftest import corpus_text
+from conftest import corpus_text, sfr_source
 
 
 def _sfr():
@@ -305,46 +305,13 @@ def test_deadlock_maps_to_term_violation_and_checked_failure():
     assert repc.has(Failed) and not repc.has(Terminated)
 
 
-def _sfr_source(cells):
-    m = len(cells)
-    lit = ", ".join(str(v) for v in cells)
-    return f"""
-process SENDER
-  var i: int;
-  var a: int[0..{m - 1}] = [{lit}];
-  i := 0;
-  do i != {m} ; FILTER ! a[i] -> i := i + 1 od
-end
-process FILTER
-  var in: int;
-  var out: int;
-  var x: int;
-  var b: int[0..{m - 1}];
-  in := 0; out := 0; x := 0;
-  do x != -1 ; SENDER ? x ->
-      if x = 0 -> skip
-      [] x != 0 -> b[in] := x; in := in + 1
-      fi
-  [] out != in ; RECEIVER ! b[out] -> out := out + 1
-  od
-end
-process RECEIVER
-  var j: int;
-  var y: int;
-  var c: int[0..{m - 1}];
-  j := 0; y := 0;
-  do y != -1 ; FILTER ? y -> c[j] := y; j := j + 1 od
-end
-"""
-
-
 def test_correspondence_theorem_on_small_inputs():
     """Final states of proper direct runs = translated terminal states
     satisfying TERM, for a slice of inputs (the full sweep is acceptance
     criterion 10)."""
     for content in [(), (2,), (0, 2), (2, 0, 3)]:
         cells = tuple(content) + (-1,)
-        sysm = parse_csp(_sfr_source(cells))
+        sysm = parse_csp(sfr_source(cells))
         direct = run_csp(sysm)
         trans = explore_demonic(translate_csp(sysm))
         term = term_condition(sysm)
@@ -362,7 +329,7 @@ def test_deadlock_state_sets_match_term_violations():
     import itertools as it
     for content in it.product((0, 2, -1), repeat=3):
         cells = content + (-1,)
-        sysm = parse_csp(_sfr_source(cells))
+        sysm = parse_csp(sfr_source(cells))
         direct = run_csp(sysm)
         term = term_condition(sysm)
         trans = explore_demonic(translate_csp(sysm))

@@ -250,6 +250,17 @@ def test_step_refuses_a_parallel_fragment_head(head):
     assert str(err.value) == f"{type(head).__name__} is not a guarded-commands statement"
 
 
+def test_a_statement_with_neither_start_state_nor_program_is_refused():
+    stmt = Assign((Var("x"),), (IntLit(1),))
+    for run in (lambda: engine.explore_statement(stmt, None, Limits()),
+                lambda: engine.start_config(stmt, None)):
+        with pytest.raises(ValueError, match="^a start state is needed when no program is given$"):
+            run()
+    s = initial_state((Declaration("x", "int"),))
+    (out,) = engine.explore_statement(stmt, s, Limits()).outcomes
+    assert out.state.scalar("x") == 1
+
+
 # ---------------------------------------------------------------------------
 # The Config record
 # ---------------------------------------------------------------------------

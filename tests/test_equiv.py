@@ -278,11 +278,15 @@ def test_failures_negative_depth_is_an_error(depth):
             listing(_P(), depth)
 
 
-def test_moves_built_once_outside_the_fields():
+def test_moves_map_stays_outside_the_fields():
     p = _P()
-    assert p.moves() is p.moves()
+    assert p.moves() == {"p1": {"i": {"p2"}}, "p2": {"t": {"p3"}, "c": {"p4"}},
+                         "p3": {}, "p4": {}}
+    # each call builds its own map, so a caller may change it
+    p.moves()["p3"]["i"] = {"p1"}
+    assert p.moves()["p3"] == {}
     assert p == _P() and hash(p) == hash(_P()) and repr(p) == repr(_P())
-    assert "_moves" not in repr(p)
+    assert "moves" not in repr(p)
 
 
 def _cycle(prefix: str, phases: int, offers_b, tau_to_dead: bool) -> Lts:
