@@ -411,6 +411,7 @@ class Expansion(Record):
         self.side_outcomes = side_outcomes
 
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+    __signature__ = None  # `inspect` reads the constructor above
 
 
 def _choice_bound(bound_of: Callable[[State], int], s: State) -> int:

@@ -15,9 +15,11 @@ state's number (`_init`) and the success states' mask (`_success`).
 Names come back only in results, so every walk that sorts by name keeps
 its order.
 
-Strong bisimilarity splits blocks by signatures, the sets of (label,
-successor block) pairs. Only the states whose successors moved are
-signed again, and each split keeps its largest part in place, the rule
+Strong bisimilarity first splits the states by the labels they have a
+move on, one int mask per state, and then splits blocks by signatures,
+the sets of (label, successor block) pairs, each coded as one int. Only
+the states whose successors moved are signed again, never a state alone
+in its block, and each split keeps its largest part in place, the rule
 that Valmari's "Simple bisimilarity minimization in O(m log n) time"
 (2009) also uses, so a state moves at most log2 n times.
 
@@ -216,36 +218,48 @@ def _partition(p: Lts, q: Lts) -> list[int]:
     its own numbering.
 
     A state's signature is the set of its (label, block of the successor)
-    pairs, and a block splits by the signatures of its members (Valmari,
-    "Simple bisimilarity minimization in O(m log n) time", 2009, splits
-    by the same rule). Only a state one of whose successors changed block
-    is signed again; the other members of its block still share the
-    signature they had, and form one part. A split keeps its largest part
-    under the old id and moves the others to new ids, so a state moves
-    only into a block at most half as large as the one it leaves, at most
-    log2 n times, and a state with k moves out is signed at most
-    k * log2 n + 1 times."""
-    out: list[list[tuple[str, int]]] = []  # state -> its (label, successor) pairs
+    pairs, each coded as one int, `code + width * block`, with the labels
+    coded 0 .. width - 1. A block splits by the signatures of its members
+    (Valmari, "Simple bisimilarity minimization in O(m log n) time", 2009,
+    splits by the same rule). The first split, with every state in block
+    0, is by the set of labels each state has a move on: a mask of label
+    codes, read off the successor rows while `out` and `pred` are built.
+    After it, only a state one of whose successors changed block is
+    signed again, and only if its block has another member, since a
+    one-state block cannot split; the other members of its block still
+    share the signature they had, and form one part. A split keeps its
+    largest part under the old id and moves the others to new ids, so a
+    state moves only into a block at most half as large as the one it
+    leaves, at most log2 n times, and a state with k moves out is signed
+    at most k * log2 n times after the first split."""
+    codes = {lab: c for c, lab in enumerate({**p._succ, **q._succ})}
+    width = len(codes)
+    out: list[list[tuple[int, int]]] = []  # state -> its (label code, successor) pairs
     pred: list[list[int]] = []  # state -> the states with a move to it
+    enabled: list[int] = []  # state -> the mask of the codes it has a move on
     for l in (p, q):
         base = len(out)
         out += [[] for _ in l._names]
         pred += [[] for _ in l._names]
+        enabled += [0] * len(l._names)
         for lab, row in l._succ.items():
+            c = codes[lab]
             for k, mask in enumerate(row, base):
                 if mask:
+                    enabled[k] |= 1 << c
                     for d in _bits(mask):
-                        out[k].append((lab, base + d))
+                        out[k].append((c, base + d))
                         pred[base + d].append(k)
     block = [0] * len(out)
     members = [set(range(len(out)))]
-    touched = {0: set(range(len(out)))}  # block -> members to sign again
-    while touched:
-        b, signed = touched.popitem()
+    touched: dict[int, set[int]] = {}  # block -> members to sign again
+    # the first split: every state of block 0, its enabled labels as its
+    # signature, which is the signature against one block
+    b, signed, sigs = 0, range(len(out)), enabled
+    while True:
         mem = members[b]
-        parts: dict[frozenset, list[int]] = {}
-        for s in signed:
-            sig = frozenset([(lab, block[d]) for lab, d in out[s]])
+        parts: dict[object, list[int]] = {}
+        for s, sig in zip(signed, sigs):
             part = parts.get(sig)
             if part is None:
                 parts[sig] = [s]
@@ -255,25 +269,31 @@ def _partition(p: Lts, q: Lts) -> list[int]:
         # they shared, which no signed member has: a moved successor sits
         # in a block made since
         rest = len(mem) - len(signed)
-        moving = sorted(parts.values(), key=len)
-        if not rest:
-            moving.pop()
-        elif len(moving[-1]) > rest:
-            moving[-1] = list(mem - signed)
-        for part in moving:
-            mem.difference_update(part)
-            for s in part:
-                block[s] = len(members)
-            members.append(set(part))
-        for part in moving:
-            for s in part:
-                for y in pred[s]:
-                    ys = touched.get(block[y])
-                    if ys is None:
-                        touched[block[y]] = {y}
-                    else:
-                        ys.add(y)
-    return block
+        if rest or len(parts) > 1:
+            moving = sorted(parts.values(), key=len)
+            if not rest:
+                moving.pop()
+            elif len(moving[-1]) > rest:
+                moving[-1] = list(mem - signed)
+            for part in moving:
+                mem.difference_update(part)
+                for s in part:
+                    block[s] = len(members)
+                members.append(set(part))
+            for part in moving:
+                for s in part:
+                    for y in pred[s]:
+                        yb = block[y]
+                        if len(members[yb]) > 1:
+                            ys = touched.get(yb)
+                            if ys is None:
+                                touched[yb] = {y}
+                            else:
+                                ys.add(y)
+        if not touched:
+            return block
+        b, signed = touched.popitem()
+        sigs = [frozenset([c + width * block[d] for c, d in out[s]]) for s in signed]
 
 
 def bisimilar(p: Lts, q: Lts) -> bool:

@@ -103,15 +103,32 @@ def intern(key: tuple, obj: Any) -> Any:
     return obj
 
 
+class _FieldSignature:
+    """The signature of a `Slotted` class, which `inspect.signature` and
+    `help` read: its fields, in order, with their defaults. Built when it
+    is read, so that `import gclab` does not load `inspect`. A class whose
+    constructor spells out its own parameters sets `__signature__ = None`,
+    and `inspect` reads that constructor."""
+
+    def __get__(self, instance: Any, owner: type) -> Any:
+        import inspect
+
+        p = inspect.Parameter
+        return inspect.Signature([p(f, p.POSITIONAL_OR_KEYWORD,
+                                    default=owner._defaults.get(f, p.empty))
+                                  for f in owner._fields])
+
+
 class Slotted:
     """Base of `Node` and `Record`: a slotted class whose instances no one
     may change. A class names its fields, in order, as the public names
     of its own `__slots__` (a name that starts with `_` is a private slot
     beside them), and gives the defaults of trailing fields in
     `_defaults`. A call may pass the fields positionally or by keyword
-    (`_arguments`); repr shows them."""
+    (`_arguments`); repr shows them, and so does the class's signature."""
 
     __slots__ = ()
+    __signature__ = _FieldSignature()
     _defaults: dict[str, Any] = {}
     _noun = ""  # what a refused assignment calls an instance; by default its class
 

@@ -171,6 +171,11 @@ MUTANTS = (
            "            return args[:cls._least] + cls._tail\n",
            ("tests/test_records.py::test_failed_and_divergent_equality_skip_their_details",
             "tests/test_records.py::test_limits_construction")),
+    # ... and a class's signature shows its fields with their defaults
+    Mutant("signature-drops-the-defaults", "src/gclab/syntax.py",
+           "default=owner._defaults.get(f, p.empty)",
+           "default=p.empty",
+           ("tests/test_records.py::test_signatures_show_the_fields_and_their_defaults",)),
     Mutant("kept-builds-on-every-use", "src/gclab/syntax.py",
            "        object.__setattr__(owner, slot, value)\n",
            "",
@@ -251,6 +256,16 @@ MUTANTS = (
            "for y in pred[s]:",
            "for y in ():",
            ("tests/test_bisim_reference.py::test_random_systems_with_tau_and_self_loops",)),
+    Mutant("partition-first-split-ignores-tau", "src/gclab/equiv.py",
+           "enabled[k] |= 1 << c",
+           "enabled[k] |= (lab != TAU) << c",
+           ("tests/test_bisim_reference.py::test_random_systems_with_tau_and_self_loops",
+            "tests/test_bisim_reference.py::test_larger_sparse_systems_and_their_split_copies")),
+    Mutant("partition-never-signs-a-two-state-block", "src/gclab/equiv.py",
+           "if len(members[yb]) > 1:",
+           "if len(members[yb]) > 2:",
+           ("tests/test_bisim_reference.py::test_random_systems_with_tau_and_self_loops",
+            "tests/test_bisim_reference.py::test_larger_sparse_systems_and_their_split_copies")),
     Mutant("refinement-covers-only-by-a-larger-refusal", "src/gclab/equiv.py",
            "if not any(m <= c for c in covers):",
            "if not any(m < c for c in covers):",

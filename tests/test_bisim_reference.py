@@ -88,3 +88,32 @@ def test_split_copies_with_and_without_a_mutated_move():
         assert _agree(p, copy)
         changed += not _agree(p, _mutated(rng, copy))
     assert changed > 100
+
+
+def _sparse_system(rng: Random, n: int, alphabet: tuple[str, ...]) -> Lts:
+    """n states, each with none to three moves on labels of `alphabet` or
+    tau: sparse enough that states differ in what they enable."""
+    states = tuple(f"s{k}" for k in range(n))
+    labels = (*alphabet, "tau")
+    trans = tuple((s, rng.choice(labels), rng.choice(states))
+                  for s in states for _ in range(rng.randint(0, 3)))
+    return Lts(states, alphabet, trans, "s0")
+
+
+def test_larger_sparse_systems_and_their_split_copies():
+    """12-40 states: many blocks end with one state, and a difference
+    takes several splits to reach the states that show it."""
+    rng = Random(2009)
+    verdicts, singletons = set(), 0
+    for _ in range(60):
+        alphabet = rng.choice(ALPHABETS)
+        p = _sparse_system(rng, rng.randint(12, 40), alphabet)
+        copy = _split_copy(rng, p)
+        assert _agree(p, copy)
+        verdicts.add(_agree(p, _mutated(rng, copy)))
+        q = _sparse_system(rng, rng.randint(12, 40), alphabet)
+        verdicts.add(_agree(p, q))
+        block = _partition(p, q)
+        singletons += sum(block.count(b) == 1 for b in set(block))
+    assert verdicts == {True, False}
+    assert singletons > 1000

@@ -1,8 +1,10 @@
 """gclab's records, one by one: equality and hashing, order, construction,
-repr texts and refused assignment. Each is a `typing.NamedTuple` or a
-slotted class with hand-written methods; `import gclab` loads neither
-`dataclasses` nor `inspect`."""
+repr texts, signatures and refused assignment. Each is a
+`typing.NamedTuple` or a slotted record that declares its fields, their
+defaults and the fields its equality reads on `syntax.Slotted` and
+`Record`; `import gclab` loads neither `dataclasses` nor `inspect`."""
 
+import inspect
 import json
 import os
 import pathlib
@@ -17,6 +19,7 @@ from gclab import (
     label_component, one_level_of, parse_gcl, parse_par,
 )
 from gclab.engine import Expansion
+from gclab.syntax import Var
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 S = initial_state(parse_gcl("var x: int; var a: int[0..1]; x := 1").decls)
@@ -156,6 +159,16 @@ def test_failure_is_not_a_tuple():
     assert not isinstance(f, tuple)
     assert f != (("a",), frozenset({"b"}))
     assert f == Failure(trace=("a",), refusal=frozenset({"b"}))
+
+
+def test_signatures_show_the_fields_and_their_defaults():
+    assert str(inspect.signature(Limits)) == "(max_configs=100000, max_depth=500, choice_bound=8)"
+    assert str(inspect.signature(Failed)) == "(reason, state, detail='')"
+    assert str(inspect.signature(Var)) == "(name)"
+    # `Expansion` keeps a constructor of its own, and shows its parameters
+    params = inspect.signature(Expansion).parameters
+    assert [(p.name, p.default) for p in params.values()] == [
+        ("transitions", ()), ("failure", None), ("truncated", None), ("side_outcomes", ())]
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
