@@ -6,12 +6,14 @@
 
 Exit codes for `run`: 0 all outcomes terminated, 1 some failure,
 2 divergence present, 3 only bound exhaustion; 64 usage/parse error.
-Every command exits 64 with one `error:` line on a usage error (a bad
-option value, a missing argument). `lts` exits 0 (holds) or 1 (does not
-hold); 65 flags a divergence error from the failures model. Any command
-exits 70 with a one-line `error: internal error: ...` when gclab itself
-fails unexpectedly, which is a bug in gclab. Reports are byte-identical
-for identical inputs.
+Every usage error (a bad option value, a missing argument, a seeded mode
+without `--seed`, a .csp/.par file run outside `--mode demonic`, a file
+whose suffix `--kind` does not expect) leaves through `main`, which
+prints it as one `error:` line and exits 64. `lts` exits 0 (holds) or 1
+(does not hold); 65 flags a divergence error from the failures model.
+Any command exits 70 with a one-line `error: internal error: ...` when
+gclab itself fails unexpectedly, which is a bug in gclab. Reports are
+byte-identical for identical inputs.
 
 The argument parser is built once per process, on the first `main` call
 (not at import), and serves every later in-process call.
@@ -26,7 +28,7 @@ import sys
 from . import csp as csp_mod
 from . import equiv, fairness, par
 from .engine import (
-    FUEL, BoundExceeded, Divergent, ExplorationReport, Failed, Limits,
+    FUEL, BoundExceeded, Divergent, Failed, Limits,
     explore_demonic, report_json, report_text, run_erratic, solve_angelic,
 )
 from .errors import ParseError, SourceError
@@ -145,38 +147,25 @@ def _print_report(fmt: str, outcomes, text_header: list[str], json_header: dict)
         sys.stdout.write(report_text(text_header, outcomes))
 
 
-def _emit_report(rep: ExplorationReport, fmt: str, mode: str) -> int:
-    lines, fields = rep.header()
-    _print_report(fmt, rep.outcomes, lines, fields | {"mode": mode})
-    return _exit_code(rep.outcomes)
-
-
 def _cmd_run(args) -> int:
     lim = Limits(args.max_configs, args.max_depth, args.choice_bound)
-    binds = dict(args.bind) or None
     if args.mode in ("erratic", "fair-weak", "fair-strong") and args.seed is None:
-        print("error: --seed is required for seeded modes", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--seed is required for seeded modes")
     path = args.file
-    # suffix -> (parser, direct semantics), built per call so that it reads
-    # this module's current bindings
-    systems = {".csp": (parse_csp, csp_mod.run_csp), ".par": (parse_par, par.run_par_direct)}
     suffix = path[path.rfind("."):]
-    if suffix in systems:
-        if args.mode != "demonic":
-            print(f"error: {suffix} files run under --mode demonic only",
-                  file=sys.stderr)
-            return USAGE_ERROR
-        parse, run_direct = systems[suffix]
-        system = parse(_read(path))
-        rep = run_direct(system, initial_state(system.decls, binds), lim)
-        return _emit_report(rep, args.format, args.mode)
-
-    program = parse_gcl(_read(path))
-    s0 = initial_state(program.decls, binds)
+    # suffix -> (parser, demonic exploration) of a system, built per call so
+    # that it reads this module's current bindings; any other file is a program
+    systems = {".csp": (parse_csp, csp_mod.run_csp), ".par": (parse_par, par.run_par_direct)}
+    if suffix in systems and args.mode != "demonic":
+        raise ValueError(f"{suffix} files run under --mode demonic only")
+    parse, explore = systems.get(suffix, (parse_gcl, explore_demonic))
+    program = parse(_read(path))
+    s0 = initial_state(program.decls, dict(args.bind) or None)
     if args.mode == "demonic":
-        return _emit_report(explore_demonic(program, s0, lim),
-                            args.format, args.mode)
+        rep = explore(program, s0, lim)
+        lines, fields = rep.header()
+        _print_report(args.format, rep.outcomes, lines, fields | {"mode": "demonic"})
+        return _exit_code(rep.outcomes)
     if args.mode == "angelic":
         cut: list = []
         results = solve_angelic(program, s0, lim, cut)
@@ -193,22 +182,17 @@ def _cmd_run(args) -> int:
     return _exit_code([out])
 
 
-def _translate_par(text: str) -> str:
-    system = parse_par(text)
-    return par.label_table(system) + render(par.translate_par(system))
-
-
 def _cmd_transform(args) -> int:
-    # kind -> (the suffix its input file needs, its transformation of the text)
-    suffix, transform = {
-        "wf": (".gcl", lambda text: render(fairness.transform_wf(parse_gcl(text)))),
-        "csp": (".csp", lambda text: render(csp_mod.translate_csp(parse_csp(text)))),
-        "par": (".par", _translate_par),
+    # kind -> (the suffix its input file needs, its parser, its transformation
+    # of the parsed file)
+    suffix, parse, transform = {
+        "wf": (".gcl", parse_gcl, lambda p: render(fairness.transform_wf(p))),
+        "csp": (".csp", parse_csp, lambda s: render(csp_mod.translate_csp(s))),
+        "par": (".par", parse_par, lambda s: par.label_table(s) + render(par.translate_par(s))),
     }[args.kind]
     if not args.file.endswith(suffix):
-        print(f"error: --kind {args.kind} expects a {suffix} file", file=sys.stderr)
-        return USAGE_ERROR
-    out_text = transform(_read(args.file))
+        raise ValueError(f"--kind {args.kind} expects a {suffix} file")
+    out_text = transform(parse(_read(args.file)))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out_text)

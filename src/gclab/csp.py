@@ -177,11 +177,9 @@ def run_csp(sys: CspSystem, s0: State | None = None,
             return Expansion(failure=enabled)
         trans: list[tuple[str, State]] = []
         extra: list = []
-        attempted = False
         for pair, joint, bi, br in pairs:
             if not (enabled[pair.i][pair.j] and enabled[pair.r][pair.s]):
                 continue
-            attempted = True
             try:
                 s1 = joint(s)
             except EvalError as e:
@@ -193,8 +191,9 @@ def run_csp(sys: CspSystem, s0: State | None = None,
                     label = f"comm({pair.i},{pair.j},{pair.r},{pair.s})#{k}"
                     trans.append((label, sf))
                     k += 1
-        if not attempted:
-            # guards are live somewhere (final_of said no) but no pair matches
+        if not trans and not extra:
+            # guards are live somewhere (final_of said no) but no pair moves:
+            # an enabled pair always yields a transition or a side outcome
             return Expansion(failure=Failed("deadlock", s, "no corresponding pair enabled"))
         return Expansion(transitions=trans, side_outcomes=extra)
 

@@ -807,7 +807,7 @@ def explore_system(owner: Program, s0: State | None, lim: Limits, inits: list[St
                 sink.append(o)
         counts[0] += rep.configs
         counts[1] += rep.edges
-        counts[2] += max(rep.paths - len(finals), 0)
+        counts[2] += rep.paths - len(finals)
         return finals
 
     init_outcomes: list = []
@@ -861,12 +861,16 @@ def run_path(p: GclProgram, s0: State | None, fuel: int,
     (`root`): `choose(cfg)` takes each step, returning the next
     configuration or the `Failed` that ends the run. Every step spends one
     unit of fuel (the callers reject negative fuel); a computation still
-    running when the fuel is spent ends `BoundExceeded("fuel")`."""
+    running when the fuel is spent ends `BoundExceeded("fuel")`, and one
+    whose step `choose` cannot evaluate ends `Failed` with its reason."""
     cfg = start_config(p.body, s0, p)
     for _ in range(fuel):
         if cfg.terminated:
             break
-        cfg = choose(cfg)
+        try:
+            cfg = choose(cfg)
+        except EvalError as e:
+            return Failed(e.reason, cfg.state, e.detail)
         if isinstance(cfg, Failed):
             return cfg
     return Terminated(cfg.state) if cfg.terminated else BoundExceeded("fuel")
@@ -891,10 +895,7 @@ def run_erratic(p: GclProgram, s0: State | None = None, seed: int = 0,
         if isinstance(head, RandomAssign):
             return Config(pt.next, s.set_scalar(head.target, _geometric(rng)))
         if isinstance(head, ChoiceAssign):
-            try:
-                v = rng.randint(1, _choice_bound(pt.code, s))
-            except EvalError as e:
-                return Failed(e.reason, s, e.detail)
+            v = rng.randint(1, _choice_bound(pt.code, s))
             return Config(pt.next, s.set_scalar(head.target, v))
         exp = step(cfg, 0)
         if exp.failure is not None:

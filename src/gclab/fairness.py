@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .check import decl_map, type_of
 from .engine import FUEL, Config, Failed, Outcome, run_path, step
-from .errors import CheckError, EvalError
+from .errors import CheckError
 from .printer import render_stmt_inline
 from .state import State, compile_expr, initial_state
 from .syntax import (
@@ -319,10 +319,7 @@ def run_fair_traced(p: GclProgram, s0: State | None = None,
                     "the one-level check should have rejected this program")
             return exp.transitions[0][1]
         s = cfg.state
-        try:
-            enabled = [i for i, on in enumerate(pt.code(s)) if on]
-        except EvalError as e:
-            return Failed(e.reason, s, e.detail)
+        enabled = [i for i, on in enumerate(pt.code(s)) if on]
         if not enabled:
             return Config(pt.next, s)
         if policy == "strong":

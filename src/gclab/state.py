@@ -216,7 +216,7 @@ def initial_state(decls: tuple[Declaration, ...],
     """Default state: declaration initializers where present, else
     0/false. `overrides` replaces initializers by name. The layout of a
     declaration tuple is interned while any state over it, or a program
-    that ran from one (`engine.start_config`), lives, so the runs of one
+    that ran from one (`engine._start_state`), lives, so the runs of one
     program share it."""
     key = (Layout, decls)
     layout = interned(key) or intern(key, Layout(decls))

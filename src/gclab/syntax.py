@@ -20,7 +20,8 @@ A `Program` keeps what is built from it in slots of its own, each filled
 on first use through `kept` and freed with the program:
 * its program points, whose heads are compiled and labelled when each
   point is made (`engine.root`);
-* the layout of the states it runs from (`engine.start_config`);
+* the layout of the states it runs from (`engine._start_state`, which
+  `start_config` and `explore_system` call);
 * its one-level shape, or the diagnostic of why it has none
   (`fairness.one_level_of`);
 * a `ParSystem`'s labelled components and action table (`par`), and a

@@ -109,6 +109,12 @@ MUTANTS = (
            "        return Expansion(failure=Failed(e.reason, s))",
            ("tests/test_cli.py::test_failure_details_show_integers_past_the_str_digit_limit",
             "tests/test_cli.py::test_erratic_choice_failure_matches_demonic")),
+    # `run_path`'s one handler of a step its chooser cannot evaluate
+    Mutant("run-path-drops-the-eval-detail", "src/gclab/engine.py",
+           "            return Failed(e.reason, cfg.state, e.detail)",
+           "            return Failed(e.reason, cfg.state)",
+           ("tests/test_fairness.py::test_shared_failing_guard_fails_like_the_reference",
+            "tests/test_cli.py::test_erratic_choice_failure_matches_demonic")),
     # The walk that starts a search of an atomic sub-step (`engine.walk`)
     Mutant("walk-steps-through-a-do-head", "src/gclab/engine.py",
            "        if isinstance(node.point.head, Do):\n            break\n",
@@ -133,6 +139,12 @@ MUTANTS = (
            "elif len(stack) >= self.lim.max_depth:",
            "elif len(stack) > self.lim.max_depth:",
            ("tests/test_walk.py::test_a_walk_fills_the_budget_exactly",)),
+    # a node met again off-path is searched again only when it is met
+    # strictly shallower than a visit that hit a bound
+    Mutant("search-revisits-a-node-met-as-deep", "src/gclab/engine.py",
+           "if prev_clean or len(stack) >= prev_depth:",
+           "if prev_clean or len(stack) > prev_depth:",
+           ("tests/test_angelic_reference.py::test_angelic_matches_reference_on_corpus[fair_threeway.gcl]",)),
     # Point tables (`state._point_table`)
     Mutant("point-miss-row-marks-the-first-guard", "src/gclab/state.py",
            "miss = (False,) * len(guards)",
@@ -159,6 +171,11 @@ MUTANTS = (
            ("tests/test_cli.py::test_bind_sets_a_system_start_state",
             "tests/test_par.py::test_zero_search_example_input",
             "tests/test_par.py::test_all_zero_input_gives_n_plus_one")),
+    # The init phase's end states start their searches in canonical order
+    Mutant("init-phase-skips-the-canonical-order", "src/gclab/engine.py",
+           "            states.sort(key=State.canonical)\n",
+           "            pass\n",
+           ("tests/test_csp.py::test_init_phase_end_states_are_searched_in_canonical_order",)),
     # Equality of the outcome records (`engine.Failed` ignores its detail)
     Mutant("failed-equality-reads-the-detail", "src/gclab/engine.py",
            '    _compared = ("reason", "state")\n',
@@ -230,6 +247,11 @@ MUTANTS = (
            "            GuardedCommand(not_(arm.guard), RandomAssign(z))))",
            "            GuardedCommand(not_(arm.guard), Skip())))",
            ("tests/test_fairness.py::test_transform_keeps_a_weakly_fair_run_that_is_not_strongly_fair",)),
+    # The strong scheduler's debt: every enabled arm owes one more turn
+    Mutant("strong-fairness-debt-never-grows", "src/gclab/fairness.py",
+           "                counters[i] += 1\n",
+           "                counters[i] += 0\n",
+           ("tests/test_fairness.py::test_fair_traces_on_chaotic_programs_match_reference_guards[strong]",)),
     # Angelic search reads only the terminal states of the demonic one
     Mutant("angelic-keeps-failures", "src/gclab/engine.py",
            "return [o for o in search.outcomes if isinstance(o, Terminated)]",
@@ -251,6 +273,11 @@ MUTANTS = (
            "if not trans:",
            ("tests/test_generated_systems.py::test_generated_par_systems_match_their_translations",
             "tests/test_par.py::test_failure_inside_an_atomic_step_matches_the_translation")),
+    Mutant("csp-direct-deadlocks-beside-a-failed-effect", "src/gclab/csp.py",
+           "if not trans and not extra:",
+           "if not trans:",
+           ("tests/test_csp.py::test_failure_inside_an_atomic_step_matches_the_translation",
+            "tests/test_generated_systems.py::test_generated_csp_systems_match_their_translations")),
     # The LTS algorithms of `equiv`
     Mutant("partition-signs-no-predecessor-again", "src/gclab/equiv.py",
            "for y in pred[s]:",
@@ -295,6 +322,34 @@ MUTANTS = (
            "if False:",
            ("tests/test_parser.py::test_process_cannot_talk_to_itself",
             "tests/test_parser.py::test_csp_error_positions")),
+    # The column of end of input after a trailing comment (`lexer.tokenize`)
+    Mutant("eof-column-ignores-a-trailing-comment", "src/gclab/lexer.py",
+           "end = len(text) - start if comment is None else comment",
+           "end = len(text) - start",
+           ("tests/test_parser.py::test_trailing_comment_keeps_its_column_for_end_of_input",)),
+    # Targets of a parallel assignment that collide at run time
+    Mutant("runtime-aliasing-ignored", "src/gclab/state.py",
+           "        if len(set(locs)) != len(locs):\n",
+           "        if False:\n",
+           ("tests/test_state.py::test_runtime_aliasing_is_failure",)),
+    # The command line: every usage error leaves through `main`, exit 64,
+    # and a divergent system in the failures model exits 65
+    Mutant("divergence-error-exits-64", "src/gclab/cli.py",
+           "return DATA_ERROR if isinstance(e, equiv.DivergenceError) else USAGE_ERROR",
+           "return USAGE_ERROR",
+           ("tests/test_cli.py::test_lts_divergence_error_exit",)),
+    Mutant("seeded-mode-runs-without-a-seed", "src/gclab/cli.py",
+           'and args.seed is None:\n        raise ValueError("--seed is required for seeded modes")',
+           'and False:\n        raise ValueError("--seed is required for seeded modes")',
+           ("tests/test_cli.py::test_seed_required_for_seeded_modes",)),
+    Mutant("system-runs-outside-demonic-mode", "src/gclab/cli.py",
+           'if suffix in systems and args.mode != "demonic":',
+           "if False:",
+           ("tests/test_cli.py::test_run_csp_wrong_mode",)),
+    Mutant("transform-reads-a-file-of-another-kind", "src/gclab/cli.py",
+           "if not args.file.endswith(suffix):",
+           "if False:",
+           ("tests/test_cli.py::test_transform_wrong_language_usage_error",)),
 )
 
 

@@ -216,6 +216,33 @@ def test_sub_search_counts_stay_out_of_the_config_budget():
     assert ("3-bound", "max-configs") in [o.key() for o in cut.outcomes]
 
 
+def test_init_phase_end_states_are_searched_in_canonical_order():
+    """The init phase ends in four states, and a search starts from each
+    in canonical order: a=1 x=1, a=1 x=2, a=2 x=1, a=2 x=2. The
+    max-configs budget cuts the search after the first two, so the report
+    holds what those two reach, whatever order the init phase met them
+    in (x first: a=1 x=1, a=2 x=1, ...)."""
+    sysm = parse_csp("""
+process P
+  var x: int;
+  x := choice(2);
+  do x < 3 ; Q ! x -> x := 3 od
+end
+process Q
+  var a: int;
+  var r: int;
+  a := choice(2);
+  do r = 0 ; P ? r -> skip od
+end
+""")
+    assert run_csp(sysm, lim=Limits(max_configs=2)).to_text() == (
+        "schema 1\nlimits max-configs=2 max-depth=500 choice-bound=8\n"
+        "counts configs=10 edges=12 paths=4\n"
+        "outcome: terminated :: a=1 r=1 x=3\n"
+        "outcome: terminated :: a=1 r=2 x=3\n"
+        "outcome: bound-exceeded :: max-configs\n")
+
+
 def test_guard_parts_are_evaluated_once_per_node(monkeypatch):
     """The termination test and the enabled table read one evaluation of
     a node's boolean guard parts: each of sfr's 4 parts runs once in each
